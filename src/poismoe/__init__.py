@@ -31,9 +31,8 @@ from .sem import (SemState, e_step, hard_partition, initialize, m_step,
 from .simulate import (FmpreSample, SimulationDesign, generate_covariates,
                        generate_fmpre_sample, load_design, save_design,
                        simulate_dataset, study_presets)
-from .tuning import (MseQuadratic, estimate_ridge_lambdas, fit_mse_quadratic,
-                     lt_mse_alpha, lt_mse_beta, optimize_bias_correction,
-                     plug_in_bias_corrections)
+from .tuning import (estimate_ridge_lambdas, lt_mse_alpha, lt_mse_beta,
+                     optimize_bias_correction, plug_in_bias_corrections)
 
 __version__ = "0.1.0"
 
@@ -51,9 +50,8 @@ __all__ = [
     "irwls_alpha_step", "coordinate_descent_alphas", "q1_value", "q1_gradient",
     "SemState", "e_step", "s_step", "hard_partition", "m_step", "initialize",
     "run_sem",
-    "MseQuadratic", "estimate_ridge_lambdas", "lt_mse_beta", "lt_mse_alpha",
-    "fit_mse_quadratic", "optimize_bias_correction",
-    "plug_in_bias_corrections",
+    "estimate_ridge_lambdas", "lt_mse_beta", "lt_mse_alpha",
+    "optimize_bias_correction", "plug_in_bias_corrections",
     "PipelineResult", "fit_all_methods", "fit_method", "bic_value", "bic_scan",
     "SimulationDesign", "FmpreSample", "generate_covariates",
     "generate_fmpre_sample", "simulate_dataset", "study_presets",

@@ -44,15 +44,13 @@ def gating_log_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray
     return shifted - log_norm
 
 
-def gating_probabilities(Omega: np.ndarray, alpha: np.ndarray,
-                         reference: int | None = None) -> np.ndarray:
+def gating_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Class probabilities for every row of ``Omega``.
 
-    ``reference`` is informational: probabilities are shift-invariant in
-    the scores, so they do not depend on which class carries the zero
-    vector. Rows sum to one up to floating-point rounding.
+    Probabilities are shift-invariant in the scores, so they do not
+    depend on which class carries the zero vector. Rows sum to one up to
+    floating-point rounding.
     """
-    del reference
     return np.exp(gating_log_probabilities(Omega, alpha))
 
 
@@ -147,9 +145,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
             gram, rhs = _class_system(ws)
             penalty = penalties[j]
             if penalty.kind == "liu" and penalty.anchor is None:
-                ridge_solve = penalized_wls_solve(
-                    gram, rhs,
-                    Penalty.ridge(penalty.lam, penalty.penalize_intercept))
+                ridge_solve = penalized_wls_solve(gram, rhs,
+                                                  Penalty.ridge(penalty.lam))
                 penalty = penalty.with_anchor(ridge_solve)
             proposal = penalized_wls_solve(gram, rhs, penalty)
             if step_acceptance:

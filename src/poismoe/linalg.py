@@ -16,12 +16,12 @@ __all__ = ["COND_LIMIT", "penalized_wls_solve"]
 def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray, penalty: Penalty) -> np.ndarray:
     """Solve the IRWLS normal equations under the given penalty.
 
-    ML solves ``gram @ b = rhs`` after a condition check; ridge adds
-    ``lam`` to the (masked) diagonal; the Liu-type path additionally
-    shifts the right-hand side by ``lt_sign * d * anchor``. The system
-    is factored (Cholesky), never inverted explicitly.
+    ML solves ``gram @ b = rhs`` after a condition check; ridge solves
+    ``(gram + lam*I) b = rhs``; the Liu-type path solves the same
+    system with right-hand side ``rhs - d*anchor``, where a self-anchored
+    penalty takes the ridge solution as its anchor. The system is
+    factored (Cholesky), never inverted explicitly.
     """
-    size = gram.shape[0]
     if penalty.kind == "ml":
         if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > COND_LIMIT:
             raise SingularSystem(
@@ -29,8 +29,7 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray, penalty: Penalty) -> 
                 "use the ridge or Liu-type estimator")
         system = gram
     else:
-        mask = penalty.coordinate_mask(size)
-        system = gram + penalty.lam * np.diag(mask)
+        system = gram + penalty.lam * np.eye(gram.shape[0])
     try:
         factor = cho_factor(system, lower=True, check_finite=False)
     except (LinAlgError, ValueError) as exc:
@@ -43,7 +42,7 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray, penalty: Penalty) -> 
         anchor = penalty.anchor
         if anchor is None:  # self-anchored: the same system's ridge solve
             anchor = cho_solve(factor, rhs, check_finite=False)
-        rhs = rhs + penalty.lt_sign * penalty.d * (mask * anchor)
+        rhs = rhs - penalty.d * anchor
     solution = cho_solve(factor, rhs, check_finite=False)
     if not np.all(np.isfinite(solution)):
         raise NumericalFailure("weighted least-squares solve produced non-finite values")

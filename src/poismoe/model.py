@@ -32,7 +32,7 @@ __all__ = [
     "MU_MIN", "MU_MAX", "ETA_MAX",
     "Dataset", "Coefficients", "PartitionState", "MixtureSpec",
     "SemOptions", "TuningParams", "FitResult",
-    "observed_loglik", "complete_loglik", "responsibilities",
+    "observed_loglik", "complete_loglik", "responsibilities", "draw_labels",
 ]
 
 
@@ -333,3 +333,15 @@ def responsibilities(data: Dataset, psi: Coefficients) -> np.ndarray:
     if not np.all(np.isfinite(norms)):
         raise NumericalFailure("responsibility normalization underflowed")
     return np.exp(log_terms - norms)
+
+
+def draw_labels(probabilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One categorical draw per row of ``probabilities`` (inverse CDF).
+
+    Uses one uniform per row; rounding that leaves a row's cumulative sum
+    below its uniform gives the last class.
+    """
+    u = rng.random(probabilities.shape[0])
+    cutpoints = np.cumsum(probabilities, axis=1)
+    return np.minimum((cutpoints < u[:, None]).sum(axis=1),
+                      probabilities.shape[1] - 1)

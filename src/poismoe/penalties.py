@@ -3,7 +3,7 @@
 Three estimation flavors share one update shape: the unpenalized ML
 solve, the ridge solve with a positive lambda on the Gram diagonal, and
 the Liu-type solve which additionally moves the right-hand side by
-``d`` times an anchor vector (the ridge estimate of the same block).
+``-d`` times an anchor vector (the ridge estimate of the same block).
 """
 from __future__ import annotations
 
@@ -18,41 +18,34 @@ __all__ = ["Penalty"]
 class Penalty:
     """One penalty configuration for a single coefficient block.
 
-    ``lt_sign`` controls the direction of the Liu-type anchor term in
-    the right-hand side and gradient: -1.0 subtracts ``d * anchor``
-    (the operative convention), +1.0 adds it for comparison runs.
-    ``penalize_intercept=False`` exempts the first coordinate from the
-    lambda ridge term and the anchor term.
+    Every coordinate, the intercept included, is penalized. For a
+    coefficient vector b the penalty term of the maximized objective is
+    ``-lam/2 * b'b`` (ridge) plus ``-d * b'anchor`` (Liu-type), so the
+    Liu-type normal equations are ``(gram + lam*I) b = rhs - d*anchor``.
     """
 
     kind: str  # "ml" | "ridge" | "liu"
     lam: float = 0.0
     d: float = 0.0
     anchor: np.ndarray | None = None
-    lt_sign: float = -1.0
-    penalize_intercept: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("ml", "ridge", "liu"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.kind in ("ridge", "liu") and not self.lam > 0.0:
             raise ValueError("ridge/liu penalties need lam > 0")
-        if self.lt_sign not in (-1.0, 1.0):
-            raise ValueError("lt_sign must be -1.0 or +1.0")
 
     @staticmethod
     def ml() -> "Penalty":
         return Penalty(kind="ml")
 
     @staticmethod
-    def ridge(lam: float, penalize_intercept: bool = True) -> "Penalty":
-        return Penalty(kind="ridge", lam=float(lam),
-                       penalize_intercept=penalize_intercept)
+    def ridge(lam: float) -> "Penalty":
+        return Penalty(kind="ridge", lam=float(lam))
 
     @staticmethod
-    def liu_type(lam: float, d: float, anchor: np.ndarray | None = None,
-                 lt_sign: float = -1.0,
-                 penalize_intercept: bool = True) -> "Penalty":
+    def liu_type(lam: float, d: float,
+                 anchor: np.ndarray | None = None) -> "Penalty":
         """Liu-type penalty; ``anchor=None`` means self-anchored.
 
         A self-anchored penalty takes the ridge solve of the system
@@ -61,22 +54,11 @@ class Penalty:
         """
         if anchor is not None:
             anchor = np.asarray(anchor, dtype=float)
-        return Penalty(kind="liu", lam=float(lam), d=float(d), anchor=anchor,
-                       lt_sign=float(lt_sign),
-                       penalize_intercept=penalize_intercept)
+        return Penalty(kind="liu", lam=float(lam), d=float(d), anchor=anchor)
 
     def with_anchor(self, anchor: np.ndarray) -> "Penalty":
         return Penalty(kind=self.kind, lam=self.lam, d=self.d,
-                       anchor=np.asarray(anchor, dtype=float),
-                       lt_sign=self.lt_sign,
-                       penalize_intercept=self.penalize_intercept)
-
-    def coordinate_mask(self, size: int) -> np.ndarray:
-        """1.0 for penalized coordinates, 0.0 for an exempt intercept."""
-        mask = np.ones(size)
-        if not self.penalize_intercept:
-            mask[0] = 0.0
-        return mask
+                       anchor=np.asarray(anchor, dtype=float))
 
     def _concrete_anchor(self) -> np.ndarray:
         if self.anchor is None:
@@ -88,19 +70,16 @@ class Penalty:
         """Penalty contribution to the objective being maximized."""
         if self.kind == "ml":
             return 0.0
-        mask = self.coordinate_mask(coef.shape[0])
-        val = -0.5 * self.lam * float(np.sum(mask * coef * coef))
+        val = -0.5 * self.lam * float(np.sum(coef * coef))
         if self.kind == "liu":
-            val += self.lt_sign * self.d * float(
-                np.sum(mask * coef * self._concrete_anchor()))
+            val -= self.d * float(np.sum(coef * self._concrete_anchor()))
         return val
 
     def gradient(self, coef: np.ndarray) -> np.ndarray:
         """Penalty contribution to the objective gradient."""
         if self.kind == "ml":
             return np.zeros_like(coef)
-        mask = self.coordinate_mask(coef.shape[0])
-        grad = -self.lam * mask * coef
+        grad = -self.lam * coef
         if self.kind == "liu":
-            grad = grad + self.lt_sign * self.d * mask * self._concrete_anchor()
+            grad = grad - self.d * self._concrete_anchor()
         return grad

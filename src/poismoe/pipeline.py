@@ -1,11 +1,10 @@
 """Staged estimation: ML, then ridge, then Liu-type.
 
 Each stage feeds the next: the ML fit supplies the ridge plug-in
-lambdas, the ridge fit supplies both the Liu-type lambdas and the
-anchor/plug-in coefficients for the bias-correction optimization, and
-the Liu-type chain runs with all tuning parameters held fixed (an
-optional flag re-optimizes d each iteration from the current
-partition).
+lambdas, and the ridge fit supplies the Liu-type lambdas and the plug-in
+coefficients of the bias-correction MSE. The Liu-type chain keeps its
+lambdas fixed and re-optimizes d in closed form at every M-step from the
+current partition.
 """
 from __future__ import annotations
 
@@ -65,16 +64,16 @@ def _make_retuner(tuning_lt: TuningParams):
 
 def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                     methods: tuple[str, ...] = METHODS, *,
-                    penalize_intercept: bool = True, lt_sign: float = -1.0,
-                    retune_each_iteration: bool = True,
                     raise_on_failure: bool = True) -> PipelineResult:
     """Run the staged pipeline up to the last requested method.
 
     The Liu-type bias corrections are re-optimized at every M-step from
     the current stochastic partition (plug-ins stay frozen at the ridge
     estimates); a d matched to the converged ridge Gram alone can
-    dominate early-iteration systems and blow the chain up. Set
-    ``retune_each_iteration=False`` to hold the initial d fixed.
+    dominate early-iteration systems and blow the chain up.
+    ``tuning_lt`` holds the d of the argmax partition under the ridge
+    fit, or zeros when that tuning fails; the chain recomputes d before
+    its first M-step either way.
 
     With ``raise_on_failure=False`` a failed stage (and every stage that
     depends on it) is recorded in ``result.failures`` instead of
@@ -95,7 +94,7 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     try:
         result.ml = run_sem(data, spec,
                             replace(opts, rng_seed=_stage_seed(opts.rng_seed, 0)),
-                            method="ml", penalize_intercept=penalize_intercept)
+                            method="ml")
     except FitFailed as exc:
         fail("ml", exc)
     if need_ridge and result.ml is not None:
@@ -105,8 +104,7 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
             result.ridge = run_sem(
                 data, spec,
                 replace(opts, rng_seed=_stage_seed(opts.rng_seed, 1)),
-                method="ridge", tuning=result.tuning_ridge,
-                penalize_intercept=penalize_intercept)
+                method="ridge", tuning=result.tuning_ridge)
         except FitFailed as exc:
             fail("ridge", exc)
     elif need_ridge:
@@ -116,21 +114,14 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         lambdas = estimate_ridge_lambdas(anchors, source="ridge")
         try:
             result.tuning_lt = plug_in_bias_corrections(data, anchors, lambdas)
-        except TuningFailed as exc:
-            if not retune_each_iteration:
-                fail("lt", FitFailed(f"bias-correction tuning failed: {exc}"))
-                return result
-            # per-iteration retuning recomputes d anyway; start from d=0
+        except TuningFailed:
             result.tuning_lt = lambdas
-        retuner = (_make_retuner(result.tuning_lt)
-                   if retune_each_iteration else None)
         try:
             result.lt = run_sem(
                 data, spec,
                 replace(opts, rng_seed=_stage_seed(opts.rng_seed, 2)),
                 method="lt", tuning=result.tuning_lt, anchors=anchors,
-                retune=retuner, penalize_intercept=penalize_intercept,
-                lt_sign=lt_sign)
+                retune=_make_retuner(result.tuning_lt))
         except FitFailed as exc:
             fail("lt", exc)
     elif need_lt:

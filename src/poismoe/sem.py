@@ -22,8 +22,8 @@ from .errors import (EmptyPartition, FitFailed, NumericalFailure,
 from .gating import coordinate_descent_alphas
 from .metrics import align_components
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
-                    PartitionState, SemOptions, TuningParams, observed_loglik,
-                    responsibilities)
+                    PartitionState, SemOptions, TuningParams, draw_labels,
+                    observed_loglik, responsibilities)
 from .penalties import Penalty
 from .poisson import ComponentWorkspace, build_workspace, irwls_beta_step, poisson_means
 
@@ -61,11 +61,8 @@ def e_step(data: Dataset, psi: Coefficients) -> np.ndarray:
 def s_step(tau: np.ndarray, rng: np.random.Generator) -> PartitionState:
     """Draw one hard component assignment per row of ``tau``."""
     tau = np.asarray(tau, dtype=float)
-    n, n_components = tau.shape
-    u = rng.random(n)
-    cutpoints = np.cumsum(tau, axis=1)
-    assignment = np.minimum((cutpoints < u[:, None]).sum(axis=1), n_components - 1)
-    counts = np.bincount(assignment, minlength=n_components)
+    assignment = draw_labels(tau, rng)
+    counts = np.bincount(assignment, minlength=tau.shape[1])
     if np.any(counts == 0):
         empty = int(np.flatnonzero(counts == 0)[0])
         raise EmptyPartition(f"component {empty} received no observations")
@@ -80,37 +77,31 @@ def hard_partition(tau: np.ndarray) -> PartitionState:
 
 
 def _component_penalties(method: str, tuning: TuningParams | None,
-                         n_components: int, penalize_intercept: bool,
-                         lt_sign: float, block: str) -> list[Penalty]:
+                         n_components: int, block: str) -> list[Penalty]:
     if method == "ml":
         return [Penalty.ml() for _ in range(n_components)]
     if tuning is None:
         raise ValueError(f"method {method!r} requires tuning parameters")
     lam = tuning.lambda_beta if block == "beta" else tuning.lambda_alpha
     if method == "ridge":
-        return [Penalty.ridge(lam[j], penalize_intercept)
-                for j in range(n_components)]
+        return [Penalty.ridge(lam[j]) for j in range(n_components)]
     if method == "lt":
         # Self-anchored: each update anchors on its own ridge solve,
         # which is the estimator form the tuning MSE describes.
         d = tuning.d_beta if block == "beta" else tuning.d_alpha
-        return [Penalty.liu_type(lam[j], d[j], anchor=None, lt_sign=lt_sign,
-                                 penalize_intercept=penalize_intercept)
-                for j in range(n_components)]
+        return [Penalty.liu_type(lam[j], d[j]) for j in range(n_components)]
     raise ValueError(f"unknown method {method!r}")
 
 
 def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
            method: str = "ml", tuning: TuningParams | None = None, *,
            inner_tol: float = 1e-8, inner_max: int = 50,
-           step_acceptance: bool = True, penalize_intercept: bool = True,
-           lt_sign: float = -1.0) -> Coefficients:
+           step_acceptance: bool = True) -> Coefficients:
     """Refit all component regressions and the gating network once."""
     n_components = psi_t.n_components
-    beta_penalties = _component_penalties(method, tuning, n_components,
-                                          penalize_intercept, lt_sign, "beta")
+    beta_penalties = _component_penalties(method, tuning, n_components, "beta")
     alpha_penalties = _component_penalties(method, tuning, n_components,
-                                           penalize_intercept, lt_sign, "alpha")
+                                           "alpha")
     beta_new = np.empty_like(psi_t.beta)
     for j in range(n_components):
         workspace = build_workspace(data, part, j, psi_t.beta[j])
@@ -226,8 +217,8 @@ _CHAIN_INTERRUPTIONS = (EmptyPartition, SingularSystem, NumericalFailure,
 def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
                tuning: TuningParams | None, anchors: Coefficients | None,
                rng: np.random.Generator, psi0: Coefficients | None,
-               on_iteration: IterationHook | None, retune: Retuner | None,
-               penalize_intercept: bool, lt_sign: float) -> _ChainOutcome:
+               on_iteration: IterationHook | None,
+               retune: Retuner | None) -> _ChainOutcome:
     """One chain; an interruption keeps the iterates completed so far.
 
     Empty partitions and singular systems end the chain the way the
@@ -253,8 +244,7 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
                 tuning_t = retune(data, part, psi, anchors)
             psi = m_step(data, part, psi, method=method, tuning=tuning_t,
                          inner_tol=opts.inner_tol, inner_max=opts.inner_max,
-                         step_acceptance=opts.step_acceptance,
-                         penalize_intercept=penalize_intercept, lt_sign=lt_sign)
+                         step_acceptance=opts.step_acceptance)
             loglik = observed_loglik(data, psi)
             psis.append(psi)
             logliks.append(loglik)
@@ -276,9 +266,7 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
             anchors: Coefficients | None = None, *,
             psi0: Coefficients | None = None,
             on_iteration: IterationHook | None = None,
-            retune: Retuner | None = None,
-            penalize_intercept: bool = True,
-            lt_sign: float = -1.0) -> FitResult:
+            retune: Retuner | None = None) -> FitResult:
     """Run ``opts.n_restarts`` chains and keep the best final estimate.
 
     Chains that lose a component to an empty stochastic assignment or
@@ -294,8 +282,7 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         rng = np.random.default_rng(
             np.random.SeedSequence(opts.rng_seed, spawn_key=(restart,)))
         outcome = _run_chain(data, spec, opts, method, tuning, anchors,
-                             rng, psi0, on_iteration, retune,
-                             penalize_intercept, lt_sign)
+                             rng, psi0, on_iteration, retune)
         if not outcome.psis:
             failures.append(f"restart {restart}: "
                             f"{outcome.interruption or 'no iterations'}")

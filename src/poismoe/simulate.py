@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .gating import gating_probabilities
-from .model import Coefficients, Dataset
+from .model import Coefficients, Dataset, draw_labels
 
 # Rows whose sampled-component linear predictor exceeds this cap are
 # redrawn so the Poisson means stay representable at desk scale.
@@ -127,12 +127,6 @@ class FmpreSample:
     n_resampled: int = 0
 
 
-def _draw_labels(pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(pi.shape[0])
-    cutpoints = np.cumsum(pi, axis=1)
-    return np.minimum((cutpoints < u[:, None]).sum(axis=1), pi.shape[1] - 1)
-
-
 def generate_fmpre_sample(design: SimulationDesign, X: np.ndarray,
                           Omega: np.ndarray,
                           rng: np.random.Generator) -> FmpreSample:
@@ -146,7 +140,7 @@ def generate_fmpre_sample(design: SimulationDesign, X: np.ndarray,
     X = np.array(X, dtype=float)
     Omega = np.array(Omega, dtype=float)
     pi = gating_probabilities(Omega, truth.alpha)
-    z = _draw_labels(pi, rng)
+    z = draw_labels(pi, rng)
     beta = truth.beta
     eta = np.einsum("ij,ij->i", X, beta[z])
     n_resampled = 0

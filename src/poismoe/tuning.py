@@ -2,15 +2,11 @@
 
 Ridge parameters come from the classic plug-in p / ||coef||^2 (per
 component, separately for the regression and gating blocks). The
-Liu-type correction d minimizes a closed-form mean-squared-error
-expression that is exactly quadratic in d, so the optimum is found by
-fitting the quadratic from three evaluations, with a dense-grid
-fallback when the leading coefficient degenerates.
+Liu-type correction d minimizes a plug-in mean-squared error that is
+exactly quadratic in d; one eigendecomposition of the Gram matrix gives
+its coefficients and so the minimizer in closed form.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -29,11 +25,9 @@ LAMBDA_MIN = 1e-12
 
 __all__ = [
     "LAMBDA_MAX",
-    "MseQuadratic",
     "estimate_ridge_lambdas",
     "lt_mse_beta",
     "lt_mse_alpha",
-    "fit_mse_quadratic",
     "optimize_bias_correction",
     "bias_corrections_for_partition",
     "plug_in_bias_corrections",
@@ -115,75 +109,35 @@ def lt_mse_alpha(d_star: float, Omega: np.ndarray, Wg_j: np.ndarray,
                    mean_vec, np.asarray(alpha_plugin, dtype=float))
 
 
-@dataclass(frozen=True)
-class MseQuadratic:
-    """Coefficients of MSE(d) = a d^2 + b d + c and the chosen minimizer."""
+def optimize_bias_correction(gram: np.ndarray, lam: float,
+                             mean_vec: np.ndarray, target: np.ndarray) -> float:
+    """Exact minimizer of the Liu-type plug-in MSE over d.
 
-    a: float
-    b: float
-    c: float
-    d_opt: float
-
-    def __call__(self, d: float) -> float:
-        return self.a * d * d + self.b * d + self.c
-
-
-def fit_mse_quadratic(mse_fn: Callable[[float], float],
-                      d_range: tuple[float, float],
-                      grid_size: int = 512) -> MseQuadratic:
-    """Recover the exact quadratic from three evaluations and minimize it.
-
-    When the leading coefficient is numerically zero (or negative) the
-    minimizer falls back to the argmin over a ``grid_size``-point grid
-    on ``d_range``; ties keep the leftmost grid point.
+    With gram = V diag(g) V', s = g + lam, u = V'mean_vec / s^2 and
+    w = V'target, the MSE that ``lt_mse_beta``/``lt_mse_alpha`` evaluate
+    is sum g (g - d)^2 / s^4 + ||(g - d) u - w||^2, a quadratic in d
+    whose minimizer is
+    d* = [sum g^2/s^4 + u.(g u - w)] / [sum g/s^4 + ||u||^2].
+    A zero denominator means a flat MSE (zero Gram and mean), where any
+    d is optimal and 0 (the ridge solve) is returned.
     """
-    low, high = float(d_range[0]), float(d_range[1])
-    if not low < high:
-        raise ValueError("d_range must be a nondegenerate interval")
-    mid = 0.5 * (low + high)
-    step = mid - low
-    f_low, f_mid, f_high = (mse_fn(low), mse_fn(mid), mse_fn(high))
-    if not all(np.isfinite(v) for v in (f_low, f_mid, f_high)):
-        raise TuningFailed("MSE evaluations are not finite")
-    a = (f_low - 2.0 * f_mid + f_high) / (2.0 * step * step)
-    slope_mid = (f_high - f_low) / (2.0 * step)
-    b = slope_mid - 2.0 * a * mid
-    c = f_mid - a * mid * mid - b * mid
-    if np.isfinite(a) and a > 1e-14:
-        d_opt = float(np.clip(-b / (2.0 * a), low, high))
-    else:
-        grid = np.linspace(low, high, grid_size)
-        values = np.asarray([mse_fn(float(d)) for d in grid])
-        if not np.all(np.isfinite(values)):
-            raise TuningFailed("MSE grid evaluations are not finite")
-        d_opt = float(grid[int(np.argmin(values))])
+    try:
+        g, vecs = np.linalg.eigh(np.asarray(gram, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise TuningFailed("MSE Gram matrix could not be diagonalized") from exc
+    s_sq = (g + float(lam)) ** 2
+    u = vecs.T @ np.asarray(mean_vec, dtype=float) / s_sq
+    w = vecs.T @ np.asarray(target, dtype=float)
+    numerator = float(np.sum(g * g / (s_sq * s_sq)) + u @ (g * u - w))
+    denominator = float(np.sum(g / (s_sq * s_sq)) + u @ u)
+    if not (np.isfinite(numerator) and np.isfinite(denominator)):
+        raise TuningFailed("MSE coefficients are not finite")
+    if denominator == 0.0:
+        return 0.0
+    d_opt = numerator / denominator
     if not np.isfinite(d_opt):
         raise TuningFailed("bias-correction minimizer is not finite")
-    return MseQuadratic(a=float(a), b=float(b), c=float(c), d_opt=d_opt)
-
-
-def optimize_bias_correction(mse_fn: Callable[[float], float],
-                             d_range: tuple[float, float],
-                             grid_size: int = 512) -> float:
-    """Minimizer of an (exactly quadratic) MSE function over ``d_range``."""
-    return fit_mse_quadratic(mse_fn, d_range, grid_size=grid_size).d_opt
-
-
-def default_d_range(lam: float) -> tuple[float, float]:
-    """Conservative fallback interval when no Gram scale is available."""
-    return (-10.0 * lam, 10.0 * lam)
-
-
-def _search_range(lam: float, gram: np.ndarray) -> tuple[float, float]:
-    """An interval wide enough that the quadratic minimizer is never clipped.
-
-    Useful bias corrections sit on the scale of the Gram eigenvalues,
-    far beyond lam itself, so the interval is anchored on the spectral
-    norm (which also keeps the three quadratic-fit evaluations well
-    scaled).
-    """
-    bound = 10.0 * (lam + float(np.linalg.norm(gram, 2))) + 1.0
-    return (-bound, bound)
+    return d_opt
 
 
 def bias_corrections_for_partition(data: Dataset, part: PartitionState,
@@ -198,9 +152,7 @@ def bias_corrections_for_partition(data: Dataset, part: PartitionState,
     supplies the working weights, so the MSE describes exactly the
     system about to be solved. The regression-side Gram uses the rows of
     the partition; the gating side uses all rows. Components with no
-    assigned rows and the reference class keep d=0. The search interval
-    scales with the Gram spectrum so the closed-form minimizer is
-    effectively unconstrained.
+    assigned rows and the reference class keep d=0.
     """
     if psi_weights is None:
         psi_weights = psi_plugin
@@ -214,12 +166,9 @@ def bias_corrections_for_partition(data: Dataset, part: PartitionState,
         X_j = data.X[rows]
         weights = poisson_means(X_j, psi_weights.beta[j])
         mu_plugin = poisson_means(X_j, psi_plugin.beta[j])
-        lam = float(tuning.lambda_beta[j])
-        gram = X_j.T @ (weights[:, None] * X_j)
         d_beta[j] = optimize_bias_correction(
-            lambda d: lt_mse_beta(d, X_j, weights, lam,
-                                  psi_plugin.beta[j], mu_plugin),
-            _search_range(lam, gram))
+            X_j.T @ (weights[:, None] * X_j), float(tuning.lambda_beta[j]),
+            X_j.T @ (weights * mu_plugin), psi_plugin.beta[j])
     pi_weights = gating_probabilities(data.Omega, psi_weights.alpha)
     pi_plugin = gating_probabilities(data.Omega, psi_plugin.alpha)
     for j in range(n_components):
@@ -227,12 +176,10 @@ def bias_corrections_for_partition(data: Dataset, part: PartitionState,
             continue
         weights = np.clip(pi_weights[:, j], PI_FLOOR, 1.0 - PI_FLOOR)
         weights = weights * (1.0 - weights)
-        lam = float(tuning.lambda_alpha[j])
-        gram = data.Omega.T @ (weights[:, None] * data.Omega)
         d_alpha[j] = optimize_bias_correction(
-            lambda d: lt_mse_alpha(d, data.Omega, weights, lam,
-                                   psi_plugin.alpha[j], pi_plugin[:, j]),
-            _search_range(lam, gram))
+            data.Omega.T @ (weights[:, None] * data.Omega),
+            float(tuning.lambda_alpha[j]),
+            data.Omega.T @ (weights * pi_plugin[:, j]), psi_plugin.alpha[j])
     return d_beta, d_alpha
 
 

@@ -1,8 +1,15 @@
 """Shared builders for small synthetic problems."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from poismoe import Coefficients, Dataset, PartitionState
+
+# Property tests replay the same examples on every run (no example
+# database, no wall-clock deadline) so a slow machine cannot flake them.
+settings.register_profile("poismoe", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("poismoe")
 
 
 @pytest.fixture

@@ -45,7 +45,7 @@ def test_uniform_probabilities_for_zero_scores(rng):
 def test_two_class_logistic_value():
     Omega = np.array([[1.0]])
     alpha = np.array([[math.log(3.0)], [0.0]])
-    pi = pm.gating_probabilities(Omega, alpha, reference=1)
+    pi = pm.gating_probabilities(Omega, alpha)
     assert pi[0, 0] == pytest.approx(0.75, rel=1e-14)
 
 
@@ -225,8 +225,7 @@ def test_q1_gradient_at_zero_alpha():
     lambda q: pm.Penalty.ml(),
     lambda q: pm.Penalty.ridge(0.9),
     lambda q: pm.Penalty.liu_type(0.9, -0.4, anchor=np.linspace(0.2, 0.8, q)),
-    lambda q: pm.Penalty.liu_type(0.9, -0.4, anchor=np.linspace(0.2, 0.8, q),
-                                  lt_sign=+1.0),
+    lambda q: pm.Penalty.liu_type(0.9, 0.4, anchor=np.linspace(0.2, 0.8, q)),
 ])
 def test_q1_gradient_matches_finite_differences(make_penalty):
     Omega, part, _ = binary_gating_problem(seed=19)

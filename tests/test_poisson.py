@@ -206,9 +206,7 @@ def test_q2_gradient_at_zero_under_ridge():
     lambda p: pm.Penalty.ml(),
     lambda p: pm.Penalty.ridge(0.8),
     lambda p: pm.Penalty.liu_type(0.8, 0.6, anchor=np.linspace(-0.5, 0.5, p)),
-    lambda p: pm.Penalty.liu_type(0.8, 0.6, anchor=np.linspace(-0.5, 0.5, p),
-                                  lt_sign=+1.0),
-    lambda p: pm.Penalty.ridge(0.8, penalize_intercept=False),
+    lambda p: pm.Penalty.liu_type(0.8, -0.6, anchor=np.linspace(-0.5, 0.5, p)),
 ])
 def test_q2_gradient_matches_finite_differences(make_penalty):
     data, part, _ = single_component_data(seed=17)

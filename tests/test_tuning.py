@@ -3,7 +3,7 @@ import pytest
 
 import poismoe as pm
 from poismoe.errors import TuningFailed
-from poismoe.tuning import LAMBDA_MAX, fit_mse_quadratic
+from poismoe.tuning import LAMBDA_MAX
 
 from conftest import small_mixture
 
@@ -16,6 +16,12 @@ def random_mse_instance(seed, n=30, p=4, lam=None):
     mean_vec = np.exp(gen.normal(scale=0.5, size=n))
     lam = lam if lam is not None else float(gen.uniform(0.2, 2.0))
     return X, weights, lam, target, mean_vec
+
+
+def mse_inputs(X, weights, lam, target, mean_vec):
+    """The (gram, lam, mean_vec, target) that lt_mse_beta builds."""
+    return (X.T @ (weights[:, None] * X), lam, X.T @ (weights * mean_vec),
+            target)
 
 
 def test_lambda_plugin_values():
@@ -95,9 +101,16 @@ def test_mse_is_exactly_quadratic(seed):
     def mse(d):
         return pm.lt_mse_beta(d, X, weights, lam, target, mean_vec)
 
-    quad = fit_mse_quadratic(mse, (-1.0, 1.0))
+    f = {d: mse(d) for d in (-1.0, 0.0, 1.0)}
+    a = (f[-1.0] - 2 * f[0.0] + f[1.0]) / 2.0
+    b = (f[1.0] - f[-1.0]) / 2.0
+    c = f[0.0]
     for d in (2.0, -3.5, 7.25):
-        assert quad(d) == pytest.approx(mse(d), rel=1e-9)
+        assert a * d * d + b * d + c == pytest.approx(mse(d), rel=1e-9)
+    assert a > 0
+    d_star = pm.optimize_bias_correction(*mse_inputs(X, weights, lam, target,
+                                                     mean_vec))
+    assert d_star == pytest.approx(-b / (2 * a), rel=1e-8)
 
 
 def test_quadratic_interpolation_predicts_held_out_point():
@@ -114,25 +127,35 @@ def test_quadratic_interpolation_predicts_held_out_point():
 
 
 def test_optimize_known_parabola():
-    assert pm.optimize_bias_correction(lambda d: (d - 3.0) ** 2 + 7.0,
-                                       (-10.0, 10.0)) == pytest.approx(3.0)
+    # X = I, W = 1, lam = 1: MSE(d) = p (1-d)^2/16 + ||(1-d) m/4 - t||^2,
+    # minimized at d = 1 - 4 m.t / (p + ||m||^2) = 1 - 1.6/17 = 77/85.
+    m = np.array([1.0, 2.0, 3.0])
+    target = np.array([0.5, -0.2, 0.1])
+    d_star = pm.optimize_bias_correction(np.eye(3), 1.0, m, target)
+    assert d_star == pytest.approx(77.0 / 85.0, rel=1e-13)
 
 
-def test_optimize_linear_degenerate_falls_back_to_grid():
-    result = pm.optimize_bias_correction(lambda d: 2.0 * d + 5.0, (-4.0, 6.0))
-    assert result == -4.0
+def test_optimize_flat_mse_gives_zero():
+    # A zero Gram and mean make the MSE the constant ||target||^2.
+    assert pm.optimize_bias_correction(np.zeros((2, 2)), 0.5, np.zeros(2),
+                                       np.array([1.0, -2.0])) == 0.0
 
 
 def test_optimize_raises_on_nonfinite():
+    gram, lam, mean_vec, target = mse_inputs(*random_mse_instance(4))
+    for bad in (np.nan, np.inf):
+        broken_gram = gram.copy()
+        broken_gram[0, 1] = broken_gram[1, 0] = bad
+        with pytest.raises(TuningFailed):
+            pm.optimize_bias_correction(broken_gram, lam, mean_vec, target)
+        broken_mean = mean_vec.copy()
+        broken_mean[2] = bad
+        with pytest.raises(TuningFailed):
+            pm.optimize_bias_correction(gram, lam, broken_mean, target)
+    # a NaN denominator must not pass for the flat d = 0 case
     with pytest.raises(TuningFailed):
-        pm.optimize_bias_correction(lambda d: float("nan"), (-1.0, 1.0))
-
-
-def test_quadratic_invariant_fields():
-    quad = fit_mse_quadratic(lambda d: 2.0 * (d - 1.5) ** 2 + 0.3,
-                             (-5.0, 5.0))
-    assert quad.a == pytest.approx(2.0, rel=1e-10)
-    assert quad.d_opt == pytest.approx(-quad.b / (2 * quad.a), rel=1e-12)
+        pm.optimize_bias_correction(np.zeros((2, 2)), 0.5,
+                                    np.array([np.nan, 0.0]), np.ones(2))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -144,7 +167,8 @@ def test_closed_form_matches_dense_grid(seed):
 
     gram = X.T @ (weights[:, None] * X)
     bound = 10.0 * (lam + float(np.linalg.norm(gram, 2))) + 1.0
-    d_star = pm.optimize_bias_correction(mse, (-bound, bound))
+    d_star = pm.optimize_bias_correction(*mse_inputs(X, weights, lam, target,
+                                                     mean_vec))
     grid = np.linspace(-bound, bound, 10_000)
     cell = grid[1] - grid[0]
     best = grid[int(np.argmin([mse(float(g)) for g in grid]))]
@@ -158,9 +182,8 @@ def test_optimized_mse_never_exceeds_ridge_pattern():
         def mse(d):
             return pm.lt_mse_beta(d, X, weights, lam, target, mean_vec)
 
-        gram = X.T @ (weights[:, None] * X)
-        bound = 10.0 * (lam + float(np.linalg.norm(gram, 2))) + 1.0
-        d_star = pm.optimize_bias_correction(mse, (-bound, bound))
+        d_star = pm.optimize_bias_correction(*mse_inputs(X, weights, lam,
+                                                         target, mean_vec))
         assert mse(d_star) <= mse(0.0) + 1e-12
 
 
