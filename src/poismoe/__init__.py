@@ -9,9 +9,8 @@ generators, replication harness, evaluation metrics, and a CLI.
 from .errors import (DataFormatError, DimensionError, EmptyPartition,
                      FitFailed, NumericalFailure, PoismoeError,
                      SingularSystem, SummaryUndefined, TuningFailed)
-from .gating import (GatingWorkspace, build_gating_workspace,
-                     coordinate_descent_alphas, gating_probabilities,
-                     irwls_alpha_step, q1_gradient, q1_value)
+from .gating import (build_gating_workspace, coordinate_descent_alphas,
+                     gating_probabilities, q1_gradient, q1_value)
 from .heart import HeartRecord, load_heart_dataset, load_heart_records
 from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse,
@@ -32,7 +31,7 @@ from .simulate import (FmpreSample, SimulationDesign, generate_covariates,
                        generate_fmpre_sample, load_design, save_design,
                        simulate_dataset, study_presets)
 from .tuning import (estimate_ridge_lambdas, lt_mse_alpha, lt_mse_beta,
-                     optimize_bias_correction, plug_in_bias_corrections)
+                     optimize_bias_correction)
 
 __version__ = "0.1.0"
 
@@ -46,12 +45,12 @@ __all__ = [
     "Penalty",
     "ComponentWorkspace", "poisson_mean", "poisson_means", "build_workspace",
     "irwls_beta_step", "q2_gradient",
-    "GatingWorkspace", "gating_probabilities", "build_gating_workspace",
-    "irwls_alpha_step", "coordinate_descent_alphas", "q1_value", "q1_gradient",
+    "gating_probabilities", "build_gating_workspace",
+    "coordinate_descent_alphas", "q1_value", "q1_gradient",
     "SemState", "e_step", "s_step", "hard_partition", "m_step", "initialize",
     "run_sem",
     "estimate_ridge_lambdas", "lt_mse_beta", "lt_mse_alpha",
-    "optimize_bias_correction", "plug_in_bias_corrections",
+    "optimize_bias_correction",
     "PipelineResult", "fit_all_methods", "fit_method", "bic_value", "bic_scan",
     "SimulationDesign", "FmpreSample", "generate_covariates",
     "generate_fmpre_sample", "simulate_dataset", "study_presets",

@@ -17,10 +17,11 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray, penalty: Penalty) -> 
     """Solve the IRWLS normal equations under the given penalty.
 
     ML solves ``gram @ b = rhs`` after a condition check; ridge solves
-    ``(gram + lam*I) b = rhs``; the Liu-type path solves the same
-    system with right-hand side ``rhs - d*anchor``, where a self-anchored
-    penalty takes the ridge solution as its anchor. The system is
-    factored (Cholesky), never inverted explicitly.
+    ``(gram + diag(lam)) b = rhs``, with ``lam`` a scalar or one value
+    per coordinate; the Liu-type path solves the same system with
+    right-hand side ``rhs - d*anchor``, where a self-anchored penalty
+    takes the ridge solution as its anchor. The system is factored
+    (Cholesky), never inverted explicitly.
     """
     if penalty.kind == "ml":
         if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > COND_LIMIT:

@@ -189,6 +189,8 @@ class SemOptions:
 
     ``hard_assignment`` replaces the stochastic classification draw with
     an argmax rule (a deterministic variant used in tests only).
+    ``inner_tol`` and ``inner_max`` bound the gating M-step: the largest
+    coordinate change that ends it and its number of joint Newton steps.
     """
 
     epsilon: float = 1e-6
@@ -201,7 +203,6 @@ class SemOptions:
     init_strategy: str = "random"  # or "quantile"
     inner_tol: float = 1e-8
     inner_max: int = 50
-    step_acceptance: bool = True
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:

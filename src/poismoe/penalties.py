@@ -14,25 +14,33 @@ import numpy as np
 __all__ = ["Penalty"]
 
 
+def _scalar_or_array(value) -> float | np.ndarray:
+    return float(value) if np.isscalar(value) else np.asarray(value, dtype=float)
+
+
 @dataclass(frozen=True)
 class Penalty:
     """One penalty configuration for a single coefficient block.
 
     Every coordinate, the intercept included, is penalized. For a
     coefficient vector b the penalty term of the maximized objective is
-    ``-lam/2 * b'b`` (ridge) plus ``-d * b'anchor`` (Liu-type), so the
-    Liu-type normal equations are ``(gram + lam*I) b = rhs - d*anchor``.
+    ``-1/2 * sum(lam * b * b)`` (ridge) plus ``-sum(d * b * anchor)``
+    (Liu-type), so the Liu-type normal equations are
+    ``(gram + diag(lam)) b = rhs - d*anchor``. ``lam`` and ``d`` are
+    scalars, or per-coordinate arrays for a block that stacks several
+    classes (the joint gating update repeats each class's values over
+    its coordinates).
     """
 
     kind: str  # "ml" | "ridge" | "liu"
-    lam: float = 0.0
-    d: float = 0.0
+    lam: float | np.ndarray = 0.0
+    d: float | np.ndarray = 0.0
     anchor: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("ml", "ridge", "liu"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.kind in ("ridge", "liu") and not self.lam > 0.0:
+        if self.kind in ("ridge", "liu") and not np.asarray(self.lam).min() > 0.0:
             raise ValueError("ridge/liu penalties need lam > 0")
 
     @staticmethod
@@ -40,11 +48,11 @@ class Penalty:
         return Penalty(kind="ml")
 
     @staticmethod
-    def ridge(lam: float) -> "Penalty":
-        return Penalty(kind="ridge", lam=float(lam))
+    def ridge(lam: float | np.ndarray) -> "Penalty":
+        return Penalty(kind="ridge", lam=_scalar_or_array(lam))
 
     @staticmethod
-    def liu_type(lam: float, d: float,
+    def liu_type(lam: float | np.ndarray, d: float | np.ndarray,
                  anchor: np.ndarray | None = None) -> "Penalty":
         """Liu-type penalty; ``anchor=None`` means self-anchored.
 
@@ -54,7 +62,8 @@ class Penalty:
         """
         if anchor is not None:
             anchor = np.asarray(anchor, dtype=float)
-        return Penalty(kind="liu", lam=float(lam), d=float(d), anchor=anchor)
+        return Penalty(kind="liu", lam=_scalar_or_array(lam),
+                       d=_scalar_or_array(d), anchor=anchor)
 
     def with_anchor(self, anchor: np.ndarray) -> "Penalty":
         return Penalty(kind=self.kind, lam=self.lam, d=self.d,
@@ -70,9 +79,9 @@ class Penalty:
         """Penalty contribution to the objective being maximized."""
         if self.kind == "ml":
             return 0.0
-        val = -0.5 * self.lam * float(np.sum(coef * coef))
+        val = -0.5 * float(np.sum(self.lam * coef * coef))
         if self.kind == "liu":
-            val -= self.d * float(np.sum(coef * self._concrete_anchor()))
+            val -= float(np.sum(self.d * coef * self._concrete_anchor()))
         return val
 
     def gradient(self, coef: np.ndarray) -> np.ndarray:

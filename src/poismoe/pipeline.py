@@ -12,12 +12,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FitFailed, TuningFailed
+from .errors import FitFailed
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec, SemOptions,
                     TuningParams, observed_loglik)
 from .sem import run_sem
-from .tuning import (bias_corrections_for_partition, estimate_ridge_lambdas,
-                     plug_in_bias_corrections)
+from .tuning import bias_corrections_for_partition, estimate_ridge_lambdas
 
 METHODS = ("ml", "ridge", "lt")
 
@@ -71,9 +70,9 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     the current stochastic partition (plug-ins stay frozen at the ridge
     estimates); a d matched to the converged ridge Gram alone can
     dominate early-iteration systems and blow the chain up.
-    ``tuning_lt`` holds the d of the argmax partition under the ridge
-    fit, or zeros when that tuning fails; the chain recomputes d before
-    its first M-step either way.
+    ``tuning_lt`` holds the plug-in lambdas from the ridge fit with zero
+    d; the LT fit's own ``tuning`` holds the d its selected iteration
+    used.
 
     With ``raise_on_failure=False`` a failed stage (and every stage that
     depends on it) is recorded in ``result.failures`` instead of
@@ -111,11 +110,7 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         result.failures["ridge"] = "prerequisite ML fit failed"
     if need_lt and result.ridge is not None:
         anchors = result.ridge.psi_hat
-        lambdas = estimate_ridge_lambdas(anchors, source="ridge")
-        try:
-            result.tuning_lt = plug_in_bias_corrections(data, anchors, lambdas)
-        except TuningFailed:
-            result.tuning_lt = lambdas
+        result.tuning_lt = estimate_ridge_lambdas(anchors, source="ridge")
         try:
             result.lt = run_sem(
                 data, spec,

@@ -13,7 +13,7 @@ mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class SemState:
     psi: Coefficients
     partition: PartitionState
     loglik: float
-    rng_state: Any = None
 
 
 def e_step(data: Dataset, psi: Coefficients) -> np.ndarray:
@@ -95,8 +94,7 @@ def _component_penalties(method: str, tuning: TuningParams | None,
 
 def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
            method: str = "ml", tuning: TuningParams | None = None, *,
-           inner_tol: float = 1e-8, inner_max: int = 50,
-           step_acceptance: bool = True) -> Coefficients:
+           inner_tol: float = 1e-8, inner_max: int = 50) -> Coefficients:
     """Refit all component regressions and the gating network once."""
     n_components = psi_t.n_components
     beta_penalties = _component_penalties(method, tuning, n_components, "beta")
@@ -108,8 +106,7 @@ def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
         beta_new[j] = irwls_beta_step(workspace, beta_penalties[j])
     alpha_new = coordinate_descent_alphas(
         data.Omega, psi_t.alpha, part, alpha_penalties,
-        psi_t.reference_class, inner_tol=inner_tol, inner_max=inner_max,
-        step_acceptance=step_acceptance)
+        psi_t.reference_class, inner_tol=inner_tol, inner_max=inner_max)
     return Coefficients(beta=beta_new, alpha=alpha_new,
                         reference_class=psi_t.reference_class)
 
@@ -188,6 +185,7 @@ def initialize(data: Dataset, spec: MixtureSpec, rng: np.random.Generator,
 class _ChainOutcome:
     psis: list[Coefficients]
     logliks: list[float]
+    tunings: list[TuningParams | None]
     converged: bool
     interruption: str | None = None
 
@@ -228,6 +226,7 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
     """
     psis: list[Coefficients] = []
     logliks: list[float] = []
+    tunings: list[TuningParams | None] = []
     converged = False
     interruption = None
     tuning_t = tuning
@@ -243,22 +242,22 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
             if retune is not None:
                 tuning_t = retune(data, part, psi, anchors)
             psi = m_step(data, part, psi, method=method, tuning=tuning_t,
-                         inner_tol=opts.inner_tol, inner_max=opts.inner_max,
-                         step_acceptance=opts.step_acceptance)
+                         inner_tol=opts.inner_tol, inner_max=opts.inner_max)
             loglik = observed_loglik(data, psi)
             psis.append(psi)
             logliks.append(loglik)
+            tunings.append(tuning_t)
             if on_iteration is not None:
                 on_iteration(SemState(iteration=t, psi=psi, partition=part,
-                                      loglik=loglik, rng_state=rng), tau)
+                                      loglik=loglik), tau)
             if abs(loglik - loglik_prev) < opts.epsilon:
                 converged = True
                 break
             loglik_prev = loglik
     except _CHAIN_INTERRUPTIONS as exc:
         interruption = f"{type(exc).__name__}: {exc}"
-    return _ChainOutcome(psis=psis, logliks=logliks, converged=converged,
-                         interruption=interruption)
+    return _ChainOutcome(psis=psis, logliks=logliks, tunings=tunings,
+                         converged=converged, interruption=interruption)
 
 
 def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
@@ -272,7 +271,9 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     Chains that lose a component to an empty stochastic assignment or
     hit a singular unpenalized system are recorded as failed restarts;
     if every restart fails a :class:`FitFailed` is raised with the
-    per-restart diagnostics.
+    per-restart diagnostics. ``FitResult.tuning`` holds the tuning the
+    selected iteration's M-step used (what ``retune`` returned for it,
+    when given).
     """
     if method not in ("ml", "ridge", "lt"):
         raise ValueError(f"unknown method {method!r}")
@@ -302,6 +303,7 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                      converged=outcome.converged,
                      iterations_run=len(outcome.logliks),
                      selected_iteration=index_sel,
-                     tuning=tuning if method != "ml" else None,
+                     tuning=(outcome.tunings[index_sel] if method != "ml"
+                             else None),
                      method=method,
                      n_failed_restarts=len(failures))

@@ -13,8 +13,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import TuningFailed
 from .gating import PI_FLOOR, gating_probabilities
-from .model import (Coefficients, Dataset, PartitionState, TuningParams,
-                    responsibilities)
+from .model import Coefficients, Dataset, PartitionState, TuningParams
 from .poisson import poisson_means
 
 # Ceiling applied when a plug-in source vector has (near-)zero norm,
@@ -30,7 +29,6 @@ __all__ = [
     "lt_mse_alpha",
     "optimize_bias_correction",
     "bias_corrections_for_partition",
-    "plug_in_bias_corrections",
 ]
 
 
@@ -181,13 +179,3 @@ def bias_corrections_for_partition(data: Dataset, part: PartitionState,
             float(tuning.lambda_alpha[j]),
             data.Omega.T @ (weights * pi_plugin[:, j]), psi_plugin.alpha[j])
     return d_beta, d_alpha
-
-
-def plug_in_bias_corrections(data: Dataset, psi_ridge: Coefficients,
-                             tuning: TuningParams) -> TuningParams:
-    """Fill d_beta/d_alpha using the argmax partition under the ridge fit."""
-    assignment = responsibilities(data, psi_ridge).argmax(axis=1)
-    part = PartitionState.from_assignment(assignment, psi_ridge.n_components)
-    d_beta, d_alpha = bias_corrections_for_partition(data, part, psi_ridge,
-                                                     tuning)
-    return tuning.with_bias_corrections(d_beta, d_alpha)

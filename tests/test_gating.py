@@ -5,7 +5,8 @@ import pytest
 import scipy.optimize
 
 import poismoe as pm
-from poismoe.gating import _penalized_q1, q1_value
+from poismoe.gating import q1_value
+from poismoe.linalg import penalized_wls_solve
 
 from conftest import small_mixture
 
@@ -74,57 +75,127 @@ def test_probabilities_invariant_to_common_shift(rng):
     assert np.array_equal(base.argmax(axis=1), moved.argmax(axis=1))
 
 
+def three_class_problem(seed=22, n=80, q=3):
+    """J=3 assignment problem with reference class 1 (free rows 0 and 2)."""
+    gen = np.random.default_rng(seed)
+    Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
+    assignment = gen.integers(0, 3, size=n)
+    part = pm.PartitionState.from_assignment(assignment, 3)
+    alpha = gen.normal(scale=0.5, size=(3, q))
+    alpha[1] = 0.0
+    indicator = np.eye(3)[assignment][:, [0, 2]]
+    return Omega, part, alpha, indicator
+
+
 def test_workspace_at_zero_alpha():
     Omega, part, assignment = binary_gating_problem()
-    ws = pm.build_gating_workspace(Omega, np.zeros((2, 2)), part, 0)
-    assert np.allclose(ws.weights, 0.25)
-    assert np.allclose(ws.U, np.where(assignment == 0, 0.5, -0.5))
-    # v = omega' alpha + U / (pi (1 - pi)) and pi = 1/2 here
-    assert np.allclose(ws.v, np.where(assignment == 0, 2.0, -2.0))
+    gram, rhs = pm.build_gating_workspace(
+        Omega, np.zeros((2, 2)), (assignment == 0).astype(float)[:, None], [0])
+    assert np.allclose(gram, 0.25 * Omega.T @ Omega, rtol=1e-14)
+    assert np.allclose(rhs, Omega.T @ np.where(assignment == 0, 0.5, -0.5),
+                       rtol=1e-14)
 
 
-def test_workspace_matches_elementwise_oracle(rng):
-    Omega, part, assignment = binary_gating_problem(seed=4)
-    alpha = rng.normal(scale=0.5, size=(2, 2))
-    alpha[1] = 0.0
-    ws = pm.build_gating_workspace(Omega, alpha, part, 0)
+def test_workspace_matches_elementwise_oracle():
+    Omega, part, alpha, indicator = three_class_problem(seed=4)
+    gram, rhs = pm.build_gating_workspace(Omega, alpha, indicator, [0, 2])
+    gram_oracle = np.zeros_like(gram)
+    score_oracle = np.zeros_like(rhs)
     for i in range(Omega.shape[0]):
         scores = Omega[i] @ alpha.T
         raw = np.exp(scores - scores.max())
-        pi_i = raw / raw.sum()
-        w = pi_i[0] * (1 - pi_i[0])
-        u = float(assignment[i] == 0) - pi_i[0]
-        assert ws.pi[i, 0] == pytest.approx(pi_i[0], rel=1e-12)
-        assert ws.weights[i] == pytest.approx(w, rel=1e-12)
-        assert ws.U[i] == pytest.approx(u, rel=1e-12)
-        assert ws.v[i] == pytest.approx(Omega[i] @ alpha[0] + u / w, rel=1e-10)
+        pi_free = (raw / raw.sum())[[0, 2]]
+        curvature = np.diag(pi_free) - np.outer(pi_free, pi_free)
+        gram_oracle += np.kron(curvature, np.outer(Omega[i], Omega[i]))
+        score_oracle += np.kron(indicator[i] - pi_free, Omega[i])
+    assert np.allclose(gram, gram_oracle, rtol=1e-12, atol=1e-12)
+    assert np.allclose(rhs, gram_oracle @ alpha[[0, 2]].ravel() + score_oracle,
+                       rtol=1e-12, atol=1e-12)
+
+
+def test_workspace_gram_is_finite_difference_hessian():
+    Omega, part, alpha, indicator = three_class_problem(seed=5)
+    gram, _ = pm.build_gating_workspace(Omega, alpha, indicator, [0, 2])
+    q = Omega.shape[1]
+    step = 1e-4
+
+    def q1_at(flat):
+        full = alpha.copy()
+        full[[0, 2]] = flat.reshape(2, q)
+        return q1_value(Omega, full, part)
+
+    flat = alpha[[0, 2]].ravel()
+    basis = np.eye(flat.size) * step
+    hessian = np.empty_like(gram)
+    for k in range(flat.size):
+        for m in range(flat.size):
+            hessian[k, m] = (q1_at(flat + basis[k] + basis[m])
+                             - q1_at(flat + basis[k] - basis[m])
+                             - q1_at(flat - basis[k] + basis[m])
+                             + q1_at(flat - basis[k] - basis[m])) \
+                / (4 * step * step)
+    assert np.max(np.abs(gram + hessian)) < 1e-5 * np.max(np.abs(gram))
+
+
+def test_workspace_rhs_minus_gram_step_is_stacked_gradient():
+    Omega, part, alpha, indicator = three_class_problem(seed=6)
+    gram, rhs = pm.build_gating_workspace(Omega, alpha, indicator, [0, 2])
+    gradient = np.concatenate([
+        pm.q1_gradient(Omega, alpha, part, j, pm.Penalty.ml()) for j in (0, 2)])
+    residual = rhs - gram @ alpha[[0, 2]].ravel()
+    assert np.allclose(residual, gradient, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(rhs)))
+
+
+def one_step(Omega, alpha, part, penalty):
+    return pm.coordinate_descent_alphas(Omega, alpha, part, [penalty] * 2,
+                                        reference=1, inner_max=1)[0]
 
 
 def test_alpha_step_liu_zero_d_equals_ridge():
     Omega, part, _ = binary_gating_problem(seed=9)
-    ws = pm.build_gating_workspace(Omega, np.zeros((2, 2)), part, 0)
-    ridge = pm.irwls_alpha_step(ws, pm.Penalty.ridge(1.3))
-    lt = pm.irwls_alpha_step(ws, pm.Penalty.liu_type(1.3, 0.0,
-                                                     anchor=np.ones(2)))
-    lt_self = pm.irwls_alpha_step(ws, pm.Penalty.liu_type(1.3, 0.0))
+    alpha0 = np.zeros((2, 2))
+    ridge = one_step(Omega, alpha0, part, pm.Penalty.ridge(1.3))
+    lt = one_step(Omega, alpha0, part,
+                  pm.Penalty.liu_type(1.3, 0.0, anchor=np.ones(2)))
+    lt_self = one_step(Omega, alpha0, part, pm.Penalty.liu_type(1.3, 0.0))
+    assert np.array_equal(ridge, lt)
+    assert np.array_equal(ridge, lt_self)
+    # stacked (J=3): per-class lambdas, explicit anchors concatenated
+    Omega, part, alpha, _ = three_class_problem(seed=9)
+    lams = [1.3, 0.0, 0.4]
+
+    def stacked_step(make):
+        penalties = [make(lam, j) if j != 1 else pm.Penalty.ml()
+                     for j, lam in enumerate(lams)]
+        return pm.coordinate_descent_alphas(Omega, alpha, part, penalties,
+                                            reference=1, inner_max=1)
+
+    ridge = stacked_step(lambda lam, j: pm.Penalty.ridge(lam))
+    lt = stacked_step(lambda lam, j: pm.Penalty.liu_type(
+        lam, 0.0, anchor=np.full(Omega.shape[1], j + 1.0)))
+    lt_self = stacked_step(lambda lam, j: pm.Penalty.liu_type(lam, 0.0))
     assert np.array_equal(ridge, lt)
     assert np.array_equal(ridge, lt_self)
 
 
 def test_alpha_step_vanishing_ridge_matches_ml():
     Omega, part, _ = binary_gating_problem(seed=10)
-    ws = pm.build_gating_workspace(Omega, np.zeros((2, 2)), part, 0)
-    ml = pm.irwls_alpha_step(ws, pm.Penalty.ml())
-    ridge = pm.irwls_alpha_step(ws, pm.Penalty.ridge(1e-12))
+    alpha0 = np.zeros((2, 2))
+    ml = one_step(Omega, alpha0, part, pm.Penalty.ml())
+    ridge = one_step(Omega, alpha0, part, pm.Penalty.ridge(1e-12))
     assert np.max(np.abs((ridge - ml) / ml)) < 1e-8
 
 
 def test_alpha_step_well_posed_with_floored_weights():
-    Omega, part, _ = binary_gating_problem(seed=12)
+    Omega, part, assignment = binary_gating_problem(seed=12)
     extreme = np.array([[40.0, 25.0], [0.0, 0.0]])
-    ws = pm.build_gating_workspace(Omega, extreme, part, 0)
-    out = pm.irwls_alpha_step(ws, pm.Penalty.ridge(0.5))
-    assert np.all(np.isfinite(out))
+    gram, rhs = pm.build_gating_workspace(
+        Omega, extreme, (assignment == 0).astype(float)[:, None], [0])
+    assert np.all(np.isfinite(penalized_wls_solve(gram, rhs,
+                                                  pm.Penalty.ridge(0.5))))
+    assert np.all(np.isfinite(one_step(Omega, extreme, part,
+                                       pm.Penalty.ridge(0.5))))
 
 
 def test_coordinate_descent_ml_matches_logistic_newton():
@@ -138,14 +209,17 @@ def test_coordinate_descent_ml_matches_logistic_newton():
 
 
 def test_coordinate_descent_single_sweep_equals_one_step():
-    Omega, part, _ = binary_gating_problem(seed=13)
-    alpha0 = np.zeros((2, 2))
-    ws = pm.build_gating_workspace(Omega, alpha0, part, 0)
-    single = pm.irwls_alpha_step(ws, pm.Penalty.ml())
-    swept = pm.coordinate_descent_alphas(Omega, alpha0, part,
-                                         [pm.Penalty.ml()] * 2, reference=1,
-                                         inner_max=1)
-    assert np.allclose(swept[0], single, rtol=1e-12)
+    # For one free class the stacked Newton step is the per-class IRWLS
+    # step: weights pi(1-pi), working response Omega a + U / weights.
+    Omega, part, assignment = binary_gating_problem(seed=13)
+    alpha0 = np.array([[0.2, -0.1], [0.0, 0.0]])
+    pi = 1.0 / (1.0 + np.exp(-(Omega @ alpha0[0])))
+    weights = pi * (1.0 - pi)
+    v = Omega @ alpha0[0] + ((assignment == 0) - pi) / weights
+    single = np.linalg.solve(Omega.T @ np.diag(weights) @ Omega,
+                             Omega.T @ (weights * v))
+    swept = one_step(Omega, alpha0, part, pm.Penalty.ml())
+    assert np.allclose(swept, single, rtol=1e-12)
 
 
 def test_coordinate_descent_zero_sweeps_is_identity():
@@ -199,8 +273,7 @@ def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
     for _ in range(8):
         before = penalized_total(alpha)
         alpha = pm.coordinate_descent_alphas(Omega, alpha, part, penalties,
-                                             reference=1, inner_max=1,
-                                             step_acceptance=True)
+                                             reference=1, inner_max=1)
         after = penalized_total(alpha)
         assert after >= before - 1e-10
 
@@ -236,7 +309,7 @@ def test_q1_gradient_matches_finite_differences(make_penalty):
 
     def objective(a_free):
         alpha = np.vstack([a_free, np.zeros(q)])
-        return _penalized_q1(Omega, alpha, part, 0, penalty)
+        return q1_value(Omega, alpha, part) + penalty.value(a_free)
 
     for _ in range(25):
         a_free = gen.normal(scale=0.5, size=q)

@@ -81,6 +81,14 @@ def test_permute_then_inverse_restores_coefficients(case):
     assert np.all(back.alpha[back.reference_class] == 0.0)
 
 
+@given(coefficients_and_order())
+def test_align_components_undoes_a_relabeling(case):
+    psi, order = case  # normal draws: the component betas are distinct
+    shuffled = psi.permute(order)
+    restored = shuffled.permute(pm.align_components(shuffled, psi))
+    assert np.array_equal(restored.beta, psi.beta)
+
+
 @given(seed=seeds, n=st.integers(1, 40), n_components=st.integers(1, 5),
        shrink=st.floats(0.0, 1e-12))
 def test_s_step_labels_lie_in_range(seed, n, n_components, shrink):

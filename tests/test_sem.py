@@ -101,7 +101,7 @@ def test_m_step_matches_scripted_linear_algebra():
     tuning = pm.TuningParams(lambda_beta=[0.4, 0.8], lambda_alpha=[0.6, 1.2],
                              d_beta=[0.0, 0.0], d_alpha=[0.0, 0.0])
     result = pm.m_step(data, part, truth, method="ridge", tuning=tuning,
-                       inner_max=1, step_acceptance=False)
+                       inner_max=1)
 
     X, Omega, y = np.asarray(data.X), np.asarray(data.Omega), data.y
     beta_expected = np.empty_like(np.asarray(truth.beta))
@@ -239,6 +239,27 @@ def test_run_sem_retune_hook_is_called():
     assert len(calls) >= 1
     assert np.all(np.isfinite(fit.psi_hat.beta))
     assert fit.tuning is tuning
+
+
+def test_run_sem_reports_the_tuning_of_the_selected_iteration():
+    data, truth, _, _ = small_mixture(seed=16)
+    returned = []
+
+    def retune(data_, part, psi_t, anchors_):
+        d = 0.01 * len(returned)
+        returned.append(pm.TuningParams(
+            lambda_beta=[0.5, 0.5], lambda_alpha=[0.5, 0.5],
+            d_beta=[d, d], d_alpha=[0.0, d]))
+        return returned[-1]
+
+    start = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
+    opts = pm.SemOptions(epsilon=1e-300, max_iters=12, burn_in=3,
+                         n_restarts=1, rng_seed=5)
+    fit = pm.run_sem(data, pm.MixtureSpec(2, 0), opts, method="lt",
+                     tuning=start, anchors=truth, retune=retune)
+    assert len(returned) == fit.iterations_run
+    assert fit.selected_iteration >= 3
+    assert fit.tuning is returned[fit.selected_iteration]
 
 
 def test_run_sem_iteration_hook_sees_row_stochastic_tau():

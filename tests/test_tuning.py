@@ -3,7 +3,7 @@ import pytest
 
 import poismoe as pm
 from poismoe.errors import TuningFailed
-from poismoe.tuning import LAMBDA_MAX
+from poismoe.tuning import LAMBDA_MAX, bias_corrections_for_partition
 
 from conftest import small_mixture
 
@@ -187,10 +187,11 @@ def test_optimized_mse_never_exceeds_ridge_pattern():
         assert mse(d_star) <= mse(0.0) + 1e-12
 
 
-def test_plug_in_bias_corrections_reference_class_keeps_zero():
-    data, truth, _, _ = small_mixture(seed=30)
+def test_bias_corrections_for_partition_reference_class_keeps_zero():
+    data, truth, _, part = small_mixture(seed=30)
     lambdas = pm.estimate_ridge_lambdas(truth, source="ridge")
-    tuning = pm.plug_in_bias_corrections(data, truth, lambdas)
-    assert tuning.d_alpha[truth.reference_class] == 0.0
-    assert np.all(np.isfinite(tuning.d_beta))
-    assert tuning.source == "ridge"
+    d_beta, d_alpha = bias_corrections_for_partition(data, part, truth,
+                                                     lambdas)
+    assert d_alpha[truth.reference_class] == 0.0
+    assert np.all(np.isfinite(d_beta))
+    assert np.all(np.isfinite(d_alpha))
