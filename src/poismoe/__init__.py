@@ -17,19 +17,18 @@ from .metrics import (ReplicationSummary, align_components,
                       summarize_replicates, write_summary_csv)
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
                     PartitionState, SemOptions, TuningParams,
-                    complete_loglik, observed_loglik, responsibilities)
+                    observed_loglik, responsibilities)
 from .penalties import Penalty
 from .pipeline import (PipelineResult, bic_scan, bic_value, fit_all_methods,
                        fit_method)
 from .poisson import (ComponentWorkspace, build_workspace, irwls_beta_step,
-                      poisson_mean, poisson_means, q2_gradient)
+                      poisson_means, q2_gradient)
 from .replication import (StudyConfig, StudyResult, default_study_options,
                           load_config, run_replication_study, save_config)
-from .sem import (SemState, e_step, hard_partition, initialize, m_step,
-                  run_sem, s_step)
+from .sem import e_step, initialize, m_step, run_sem, s_step
 from .simulate import (FmpreSample, SimulationDesign, generate_covariates,
-                       generate_fmpre_sample, load_design, save_design,
-                       simulate_dataset, study_presets)
+                       generate_fmpre_sample, simulate_dataset,
+                       study_presets)
 from .tuning import (estimate_ridge_lambdas, lt_mse_alpha, lt_mse_beta,
                      optimize_bias_correction)
 
@@ -40,21 +39,18 @@ __all__ = [
     "EmptyPartition", "FitFailed", "TuningFailed", "SummaryUndefined",
     "DataFormatError",
     "Dataset", "Coefficients", "PartitionState", "MixtureSpec", "SemOptions",
-    "TuningParams", "FitResult", "observed_loglik", "complete_loglik",
-    "responsibilities",
+    "TuningParams", "FitResult", "observed_loglik", "responsibilities",
     "Penalty",
-    "ComponentWorkspace", "poisson_mean", "poisson_means", "build_workspace",
+    "ComponentWorkspace", "poisson_means", "build_workspace",
     "irwls_beta_step", "q2_gradient",
     "gating_probabilities", "build_gating_workspace",
     "coordinate_descent_alphas", "q1_value", "q1_gradient",
-    "SemState", "e_step", "s_step", "hard_partition", "m_step", "initialize",
-    "run_sem",
+    "e_step", "s_step", "m_step", "initialize", "run_sem",
     "estimate_ridge_lambdas", "lt_mse_beta", "lt_mse_alpha",
     "optimize_bias_correction",
     "PipelineResult", "fit_all_methods", "fit_method", "bic_value", "bic_scan",
     "SimulationDesign", "FmpreSample", "generate_covariates",
     "generate_fmpre_sample", "simulate_dataset", "study_presets",
-    "save_design", "load_design",
     "ReplicationSummary", "align_components", "sqrt_mse",
     "classification_accuracy", "summarize_replicates", "write_summary_csv",
     "HeartRecord", "load_heart_records", "load_heart_dataset",

@@ -32,7 +32,7 @@ __all__ = [
     "MU_MIN", "MU_MAX", "ETA_MAX",
     "Dataset", "Coefficients", "PartitionState", "MixtureSpec",
     "SemOptions", "TuningParams", "FitResult",
-    "observed_loglik", "complete_loglik", "responsibilities", "draw_labels",
+    "observed_loglik", "responsibilities", "draw_labels",
 ]
 
 
@@ -187,10 +187,11 @@ class MixtureSpec:
 class SemOptions:
     """Controls for one stochastic EM run.
 
-    ``hard_assignment`` replaces the stochastic classification draw with
-    an argmax rule (a deterministic variant used in tests only).
-    ``inner_tol`` and ``inner_max`` bound the gating M-step: the largest
-    coordinate change that ends it and its number of joint Newton steps.
+    A chain stops once the observed log-likelihood moves by less than
+    ``epsilon`` or after ``max_iters`` iterations; ``n_restarts`` chains
+    are seeded from ``rng_seed``. The estimate is the post-``burn_in``
+    iterate with the best log-likelihood or the label-aligned
+    post-``burn_in`` mean (``estimate_selection``).
     """
 
     epsilon: float = 1e-6
@@ -199,10 +200,6 @@ class SemOptions:
     n_restarts: int = 5
     estimate_selection: str = "best_loglik"  # or "post_burnin_mean"
     rng_seed: int = 0
-    hard_assignment: bool = False
-    init_strategy: str = "random"  # or "quantile"
-    inner_tol: float = 1e-8
-    inner_max: int = 50
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -213,8 +210,6 @@ class SemOptions:
             raise ValueError("need 0 <= burn_in < max_iters")
         if self.estimate_selection not in ("best_loglik", "post_burnin_mean"):
             raise ValueError(f"unknown selection {self.estimate_selection!r}")
-        if self.init_strategy not in ("random", "quantile"):
-            raise ValueError(f"unknown init strategy {self.init_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -280,7 +275,7 @@ class FitResult:
         trace = np.array(self.loglik_trace, dtype=float)
         if trace.shape[0] != self.iterations_run:
             raise ValueError("trace length must equal iterations_run")
-        if not 0 <= self.selected_iteration <= self.iterations_run:
+        if not 0 <= self.selected_iteration < self.iterations_run:
             raise ValueError("selected_iteration out of range")
         object.__setattr__(self, "loglik_trace", _readonly(trace))
 
@@ -299,38 +294,34 @@ def _log_poisson_kernels(data: Dataset, psi: Coefficients) -> np.ndarray:
     return y[:, None] * eta - np.exp(eta) - gammaln(y + 1.0)[:, None]
 
 
-def observed_loglik(data: Dataset, psi: Coefficients) -> float:
-    """Log-likelihood of the mixture: sum_i log sum_j pi_ij Poi(y_i | mu_ij)."""
+def _log_terms(data: Dataset, psi: Coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture log-terms and their row normalizers.
+
+    Returns the (n, J) matrix log pi_ij + log Poi(y_i | mu_ij) and its
+    (n, 1) row-wise logsumexp, whose sum is the observed log-likelihood.
+    """
     _check_dimensions(data, psi)
     log_terms = gating_log_probabilities(data.Omega, psi.alpha) \
         + _log_poisson_kernels(data, psi)
-    value = float(logsumexp(log_terms, axis=1).sum())
+    return log_terms, logsumexp(log_terms, axis=1, keepdims=True)
+
+
+def _total_loglik(norms: np.ndarray) -> float:
+    """Sum of the row normalizers; NumericalFailure when it is not finite."""
+    value = float(norms.sum())
     if not np.isfinite(value):
         raise NumericalFailure("observed log-likelihood is not finite")
     return value
 
 
-def complete_loglik(data: Dataset, psi: Coefficients, part: PartitionState) -> float:
-    """Log-likelihood of (y, z) for a fixed hard assignment z."""
-    _check_dimensions(data, psi)
-    if part.assignment.shape[0] != data.n:
-        raise DimensionError("partition length does not match the data")
-    rows = np.arange(data.n)
-    z = part.assignment
-    log_pi = gating_log_probabilities(data.Omega, psi.alpha)[rows, z]
-    kernels = _log_poisson_kernels(data, psi)[rows, z]
-    value = float(log_pi.sum() + kernels.sum())
-    if not np.isfinite(value):
-        raise NumericalFailure("complete log-likelihood is not finite")
-    return value
+def observed_loglik(data: Dataset, psi: Coefficients) -> float:
+    """Log-likelihood of the mixture: sum_i log sum_j pi_ij Poi(y_i | mu_ij)."""
+    return _total_loglik(_log_terms(data, psi)[1])
 
 
 def responsibilities(data: Dataset, psi: Coefficients) -> np.ndarray:
     """Posterior component probabilities, normalized row-wise in log space."""
-    _check_dimensions(data, psi)
-    log_terms = gating_log_probabilities(data.Omega, psi.alpha) \
-        + _log_poisson_kernels(data, psi)
-    norms = logsumexp(log_terms, axis=1, keepdims=True)
+    log_terms, norms = _log_terms(data, psi)
     if not np.all(np.isfinite(norms)):
         raise NumericalFailure("responsibility normalization underflowed")
     return np.exp(log_terms - norms)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitFailed
-from .model import (Coefficients, Dataset, FitResult, MixtureSpec, SemOptions,
-                    TuningParams, observed_loglik)
+from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
+                    PartitionState, SemOptions, TuningParams, observed_loglik)
 from .sem import run_sem
 from .tuning import bias_corrections_for_partition, estimate_ridge_lambdas
 
@@ -44,16 +44,18 @@ def _stage_seed(base_seed: int, stage: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _make_retuner(tuning_lt: TuningParams):
-    """Per-iteration d re-optimization against the current partition.
+def _make_retuner(tuning_lt: TuningParams, anchors: Coefficients):
+    """Retuner for ``run_sem``: the LT lambdas with d fitted per M-step.
 
-    Plug-in truth stays at the ridge anchors while the working weights
-    follow the walking chain state, so the minimized MSE describes
-    exactly the system the next update will solve.
+    The returned ``retuner(data, part, psi_t)`` keeps the lambdas of
+    ``tuning_lt`` and re-optimizes d in closed form against the partition
+    just drawn. Plug-in truth stays at the ridge ``anchors`` while the
+    working weights follow the chain iterate ``psi_t``, so the minimized
+    MSE describes exactly the system the next update will solve.
     """
 
-    def retuner(data: Dataset, part, psi_t: Coefficients,
-                anchors: Coefficients) -> TuningParams:
+    def retuner(data: Dataset, part: PartitionState,
+                psi_t: Coefficients) -> TuningParams:
         d_beta, d_alpha = bias_corrections_for_partition(
             data, part, anchors, tuning_lt, psi_weights=psi_t)
         return tuning_lt.with_bias_corrections(d_beta, d_alpha)
@@ -115,8 +117,8 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
             result.lt = run_sem(
                 data, spec,
                 replace(opts, rng_seed=_stage_seed(opts.rng_seed, 2)),
-                method="lt", tuning=result.tuning_lt, anchors=anchors,
-                retune=_make_retuner(result.tuning_lt))
+                method="lt", tuning=result.tuning_lt,
+                retune=_make_retuner(result.tuning_lt, anchors))
         except FitFailed as exc:
             fail("lt", exc)
     elif need_lt:

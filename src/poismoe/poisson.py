@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ComponentWorkspace",
-    "poisson_mean",
     "poisson_means",
     "build_workspace",
     "irwls_beta_step",
@@ -53,29 +52,25 @@ def poisson_means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return mu
 
 
-def poisson_mean(x_row: np.ndarray, beta: np.ndarray) -> float:
-    """Poisson mean for a single covariate row."""
-    return float(poisson_means(np.asarray(x_row, dtype=float)[None, :],
-                               np.asarray(beta, dtype=float))[0])
-
-
 @dataclass(frozen=True)
 class ComponentWorkspace:
     """Rows of one component plus the IRWLS working quantities.
 
-    ``weights`` equals ``mu`` (the Poisson variance function) and
-    ``z_star = X beta + (y - mu)/mu`` elementwise.
+    ``mu`` is both the mean and the IRWLS weight (the Poisson variance
+    function), and ``z_star = X beta + (y - mu)/mu`` elementwise.
     """
 
     X: np.ndarray
     y: np.ndarray
     mu: np.ndarray
-    weights: np.ndarray
     z_star: np.ndarray
 
-    @property
-    def n_obs(self) -> int:
-        return self.y.shape[0]
+
+def _workspace(X: np.ndarray, y: np.ndarray,
+               beta: np.ndarray) -> ComponentWorkspace:
+    """Working quantities of rows ``X``, float counts ``y`` at ``beta``."""
+    mu = poisson_means(X, beta)
+    return ComponentWorkspace(X=X, y=y, mu=mu, z_star=X @ beta + (y - mu) / mu)
 
 
 def build_workspace(data: "Dataset", part: "PartitionState", j: int,
@@ -84,18 +79,14 @@ def build_workspace(data: "Dataset", part: "PartitionState", j: int,
     rows = part.assignment == j
     if not rows.any():
         raise EmptyPartition(f"component {j} received no observations")
-    X_j = data.X[rows]
-    y_j = data.y[rows].astype(float)
-    beta_t = np.asarray(beta_t, dtype=float)
-    mu = poisson_means(X_j, beta_t)
-    z_star = X_j @ beta_t + (y_j - mu) / mu
-    return ComponentWorkspace(X=X_j, y=y_j, mu=mu, weights=mu, z_star=z_star)
+    return _workspace(data.X[rows], data.y[rows].astype(float),
+                      np.asarray(beta_t, dtype=float))
 
 
 def irwls_beta_step(ws: ComponentWorkspace, penalty: Penalty) -> np.ndarray:
     """One penalized weighted least-squares update of a component's beta."""
-    gram = ws.X.T @ (ws.weights[:, None] * ws.X)
-    rhs = ws.X.T @ (ws.weights * ws.z_star)
+    gram = ws.X.T @ (ws.mu[:, None] * ws.X)
+    rhs = ws.X.T @ (ws.mu * ws.z_star)
     return penalized_wls_solve(gram, rhs, penalty)
 
 

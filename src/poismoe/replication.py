@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .errors import PoismoeError
+from .errors import DataFormatError, PoismoeError
 from .heart import load_heart_dataset
 from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse, summarize_replicates,
@@ -280,15 +280,43 @@ def config_to_dict(config: StudyConfig) -> dict:
     return payload
 
 
+# Retired SemOptions fields, each with the only value a saved config
+# could hold; such an entry is dropped on load, any other value refused.
+_RETIRED_SEM_KEYS = {"hard_assignment": False, "init_strategy": "random",
+                     "inner_tol": 1e-8, "inner_max": 50}
+
+
+def _check_keys(payload: dict, cls: type, where: str) -> None:
+    known = {f.name for f in fields(cls)}
+    for key in payload:
+        if key not in known:
+            raise DataFormatError(f"unknown config key '{where}{key}'")
+
+
+def _sem_from_dict(payload: dict, where: str) -> SemOptions:
+    options = dict(payload)
+    for key, retired in _RETIRED_SEM_KEYS.items():
+        if key in options:
+            value = options.pop(key)
+            if type(value) is not type(retired) or value != retired:
+                raise DataFormatError(
+                    f"config key '{where}{key}' is retired; only "
+                    f"{json.dumps(retired)} is accepted")
+    _check_keys(options, SemOptions, where)
+    return SemOptions(**options)
+
+
 def config_from_dict(payload: dict) -> StudyConfig:
+    """Inverse of :func:`config_to_dict`; DataFormatError on unknown keys."""
     payload = dict(payload)
+    _check_keys(payload, StudyConfig, "")
     if payload.get("design") is not None:
         payload["design"] = design_from_dict(payload["design"])
     if "methods" in payload:
         payload["methods"] = tuple(payload["methods"])
     for key in ("sem", "truth_sem"):
         if key in payload and isinstance(payload[key], dict):
-            payload[key] = SemOptions(**payload[key])
+            payload[key] = _sem_from_dict(payload[key], f"{key}.")
     return StudyConfig(**payload)
 
 

@@ -1,9 +1,11 @@
 """Stochastic EM driver.
 
-Each iteration computes posterior component probabilities (E), draws a
-hard assignment from them (S), and refits the component regressions and
-the gating network on the partitioned data (M). The chain stops when
-the observed log-likelihood change falls below ``epsilon`` or at the
+Each iteration draws a hard assignment (S) from the posterior component
+probabilities (E) and refits the component regressions and the gating
+network on the partitioned data (M). One pass over the mixture
+log-terms of each iterate gives both its posterior, which feeds the
+next S-step, and its observed log-likelihood. The chain stops when the
+observed log-likelihood change falls below ``epsilon`` or at the
 iteration cap; several independent restarts are run and the best chain
 is kept. Because the chain fluctuates rather than converges point-wise,
 the returned estimate is either the post-burn-in iterate with the best
@@ -22,39 +24,31 @@ from .errors import (EmptyPartition, FitFailed, NumericalFailure,
 from .gating import coordinate_descent_alphas
 from .metrics import align_components
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
-                    PartitionState, SemOptions, TuningParams, draw_labels,
-                    observed_loglik, responsibilities)
+                    PartitionState, SemOptions, TuningParams, _log_terms,
+                    _total_loglik, draw_labels, observed_loglik)
 from .penalties import Penalty
-from .poisson import ComponentWorkspace, build_workspace, irwls_beta_step, poisson_means
+from .poisson import _workspace, build_workspace, irwls_beta_step
 
 __all__ = [
-    "SemState",
     "e_step",
     "s_step",
-    "hard_partition",
     "m_step",
     "initialize",
     "run_sem",
 ]
 
-IterationHook = Callable[["SemState", np.ndarray], None]
-Retuner = Callable[[Dataset, PartitionState, Coefficients, Coefficients | None],
-                   TuningParams]
+Retuner = Callable[[Dataset, PartitionState, Coefficients], TuningParams]
 
 
-@dataclass(frozen=True)
-class SemState:
-    """Snapshot of one chain iteration (passed to iteration hooks)."""
+def e_step(data: Dataset, psi: Coefficients) -> tuple[np.ndarray, float]:
+    """Posterior tau (one row per observation) and log-likelihood at ``psi``.
 
-    iteration: int
-    psi: Coefficients
-    partition: PartitionState
-    loglik: float
-
-
-def e_step(data: Dataset, psi: Coefficients) -> np.ndarray:
-    """Posterior membership probabilities tau, one row per observation."""
-    return responsibilities(data, psi)
+    One pass over the mixture log-terms gives both; the log-likelihood
+    equals ``observed_loglik(data, psi)`` bit for bit.
+    """
+    log_terms, norms = _log_terms(data, psi)
+    loglik = _total_loglik(norms)
+    return np.exp(log_terms - norms), loglik
 
 
 def s_step(tau: np.ndarray, rng: np.random.Generator) -> PartitionState:
@@ -66,13 +60,6 @@ def s_step(tau: np.ndarray, rng: np.random.Generator) -> PartitionState:
         empty = int(np.flatnonzero(counts == 0)[0])
         raise EmptyPartition(f"component {empty} received no observations")
     return PartitionState(assignment=assignment, counts=counts)
-
-
-def hard_partition(tau: np.ndarray) -> PartitionState:
-    """Argmax assignment (deterministic variant; may leave components empty)."""
-    tau = np.asarray(tau, dtype=float)
-    assignment = tau.argmax(axis=1)
-    return PartitionState.from_assignment(assignment, tau.shape[1])
 
 
 def _component_penalties(method: str, tuning: TuningParams | None,
@@ -93,9 +80,15 @@ def _component_penalties(method: str, tuning: TuningParams | None,
 
 
 def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
-           method: str = "ml", tuning: TuningParams | None = None, *,
-           inner_tol: float = 1e-8, inner_max: int = 50) -> Coefficients:
-    """Refit all component regressions and the gating network once."""
+           method: str = "ml", tuning: TuningParams | None = None
+           ) -> Coefficients:
+    """Refit all component regressions and the gating network once.
+
+    Each beta takes one IRWLS step from ``psi_t`` on its component's
+    rows; the gate is refit by :func:`coordinate_descent_alphas` at its
+    default tolerance and step cap. ``tuning`` holds the ridge and
+    Liu-type penalties of ``method``.
+    """
     n_components = psi_t.n_components
     beta_penalties = _component_penalties(method, tuning, n_components, "beta")
     alpha_penalties = _component_penalties(method, tuning, n_components,
@@ -106,7 +99,7 @@ def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
         beta_new[j] = irwls_beta_step(workspace, beta_penalties[j])
     alpha_new = coordinate_descent_alphas(
         data.Omega, psi_t.alpha, part, alpha_penalties,
-        psi_t.reference_class, inner_tol=inner_tol, inner_max=inner_max)
+        psi_t.reference_class)
     return Coefficients(beta=beta_new, alpha=alpha_new,
                         reference_class=psi_t.reference_class)
 
@@ -124,11 +117,8 @@ def _warm_start_beta(X_group: np.ndarray, y_group: np.ndarray,
     beta = fallback
     try:
         for _ in range(n_steps):
-            mu = poisson_means(X_group, beta)
-            workspace = ComponentWorkspace(
-                X=X_group, y=y_group.astype(float), mu=mu, weights=mu,
-                z_star=X_group @ beta + (y_group - mu) / mu)
-            beta = irwls_beta_step(workspace, Penalty.ml())
+            beta = irwls_beta_step(_workspace(X_group, y_group, beta),
+                                   Penalty.ml())
     except (SingularSystem, NumericalFailure):
         return fallback
     if not np.all(np.isfinite(beta)):
@@ -150,27 +140,19 @@ def _fill_empty_groups(assignment: np.ndarray, n_components: int) -> np.ndarray:
     return assignment
 
 
-def initialize(data: Dataset, spec: MixtureSpec, rng: np.random.Generator,
-               strategy: str = "random") -> Coefficients:
-    """Starting coefficients from a coarse split of the observations.
+def initialize(data: Dataset, spec: MixtureSpec,
+               rng: np.random.Generator) -> Coefficients:
+    """Starting coefficients from a uniform random split of the observations.
 
-    ``random`` assigns observations uniformly at random; ``quantile``
-    bins them by the response quantiles. Each group's beta is warmed up
-    with a few unpenalized IRWLS steps (falling back to an
-    intercept-only fit if the group is degenerate); the gating starts at
-    zero.
+    Each group's beta is warmed up with a few unpenalized IRWLS steps
+    (falling back to an intercept-only fit if the group is degenerate);
+    the gating starts at zero.
     """
     n_components = spec.n_components
     if n_components == 1:
         assignment = np.zeros(data.n, dtype=np.int64)
-    elif strategy == "random":
-        assignment = rng.integers(0, n_components, size=data.n)
-    elif strategy == "quantile":
-        edges = np.quantile(data.y, [(j + 1) / n_components
-                                     for j in range(n_components - 1)])
-        assignment = np.searchsorted(edges, data.y, side="left")
     else:
-        raise ValueError(f"unknown init strategy {strategy!r}")
+        assignment = rng.integers(0, n_components, size=data.n)
     assignment = _fill_empty_groups(assignment, n_components)
     beta = np.empty((n_components, data.p))
     for j in range(n_components):
@@ -213,13 +195,12 @@ _CHAIN_INTERRUPTIONS = (EmptyPartition, SingularSystem, NumericalFailure,
 
 
 def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
-               tuning: TuningParams | None, anchors: Coefficients | None,
-               rng: np.random.Generator, psi0: Coefficients | None,
-               on_iteration: IterationHook | None,
+               tuning: TuningParams | None, rng: np.random.Generator,
                retune: Retuner | None) -> _ChainOutcome:
     """One chain; an interruption keeps the iterates completed so far.
 
-    Empty partitions and singular systems end the chain the way the
+    Each iterate gets one ``e_step``, whose posterior feeds the next
+    S-step. Empty partitions and singular systems end the chain the way the
     stopping rule would, except ``converged`` stays False and the cause
     is recorded. A chain interrupted before its first completed
     iteration has nothing to select from and counts as a failed restart.
@@ -231,25 +212,17 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
     interruption = None
     tuning_t = tuning
     try:
-        psi = psi0 if psi0 is not None else initialize(data, spec, rng,
-                                                       opts.init_strategy)
-        loglik_prev = observed_loglik(data, psi)
-        for t in range(opts.max_iters):
-            tau = e_step(data, psi)
-            part = hard_partition(tau) if opts.hard_assignment else s_step(tau, rng)
-            if opts.hard_assignment and np.any(part.counts == 0):
-                raise EmptyPartition("argmax assignment left a component empty")
+        psi = initialize(data, spec, rng)
+        tau, loglik_prev = e_step(data, psi)
+        for _ in range(opts.max_iters):
+            part = s_step(tau, rng)
             if retune is not None:
-                tuning_t = retune(data, part, psi, anchors)
-            psi = m_step(data, part, psi, method=method, tuning=tuning_t,
-                         inner_tol=opts.inner_tol, inner_max=opts.inner_max)
-            loglik = observed_loglik(data, psi)
+                tuning_t = retune(data, part, psi)
+            psi = m_step(data, part, psi, method=method, tuning=tuning_t)
+            tau, loglik = e_step(data, psi)
             psis.append(psi)
             logliks.append(loglik)
             tunings.append(tuning_t)
-            if on_iteration is not None:
-                on_iteration(SemState(iteration=t, psi=psi, partition=part,
-                                      loglik=loglik), tau)
             if abs(loglik - loglik_prev) < opts.epsilon:
                 converged = True
                 break
@@ -261,19 +234,17 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
 
 
 def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
-            method: str = "ml", tuning: TuningParams | None = None,
-            anchors: Coefficients | None = None, *,
-            psi0: Coefficients | None = None,
-            on_iteration: IterationHook | None = None,
+            method: str = "ml", tuning: TuningParams | None = None, *,
             retune: Retuner | None = None) -> FitResult:
     """Run ``opts.n_restarts`` chains and keep the best final estimate.
 
+    ``retune(data, part, psi_t)``, when given, supplies each M-step's
+    tuning from the partition just drawn and the current iterate.
     Chains that lose a component to an empty stochastic assignment or
     hit a singular unpenalized system are recorded as failed restarts;
     if every restart fails a :class:`FitFailed` is raised with the
     per-restart diagnostics. ``FitResult.tuning`` holds the tuning the
-    selected iteration's M-step used (what ``retune`` returned for it,
-    when given).
+    selected iteration's M-step used.
     """
     if method not in ("ml", "ridge", "lt"):
         raise ValueError(f"unknown method {method!r}")
@@ -282,8 +253,7 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     for restart in range(opts.n_restarts):
         rng = np.random.default_rng(
             np.random.SeedSequence(opts.rng_seed, spawn_key=(restart,)))
-        outcome = _run_chain(data, spec, opts, method, tuning, anchors,
-                             rng, psi0, on_iteration, retune)
+        outcome = _run_chain(data, spec, opts, method, tuning, rng, retune)
         if not outcome.psis:
             failures.append(f"restart {restart}: "
                             f"{outcome.interruption or 'no iterations'}")

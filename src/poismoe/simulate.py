@@ -12,9 +12,7 @@ probabilities, then a Poisson count with mean exp(x' beta_class).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +42,7 @@ __all__ = [
     "STUDY2_CORRELATIONS", "STUDY2_SAMPLE_SIZE", "VALIDATION_SIZE",
     "SimulationDesign", "FmpreSample", "generate_covariates",
     "generate_fmpre_sample", "simulate_dataset", "study_presets",
-    "design_to_dict", "design_from_dict", "save_design", "load_design",
+    "design_to_dict", "design_from_dict",
 ]
 
 
@@ -216,12 +214,3 @@ def design_from_dict(payload: dict) -> SimulationDesign:
         rho=float(payload.get("rho", 0.0)),
         collinearity_form=str(payload.get("collinearity_form", "paper_linear")),
         seed=int(payload.get("seed", 0)))
-
-
-def save_design(design: SimulationDesign, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(design_to_dict(design), indent=2,
-                                     sort_keys=True) + "\n")
-
-
-def load_design(path: str | Path) -> SimulationDesign:
-    return design_from_dict(json.loads(Path(path).read_text()))

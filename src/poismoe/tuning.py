@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-def estimate_ridge_lambdas(psi_source: Coefficients, p: int | None = None,
-                           q: int | None = None,
+def estimate_ridge_lambdas(psi_source: Coefficients,
                            source: str = "") -> TuningParams:
     """Per-component plug-ins p/||beta_j||^2 and q/||alpha_j||^2.
 
@@ -41,8 +40,6 @@ def estimate_ridge_lambdas(psi_source: Coefficients, p: int | None = None,
     would send the plug-in to infinity; such entries are capped at
     ``LAMBDA_MAX`` and flagged.
     """
-    p = psi_source.p if p is None else p
-    q = psi_source.q if q is None else q
 
     def plug_in(vectors: np.ndarray, dim: int) -> tuple[np.ndarray, tuple[bool, ...]]:
         values, capped = [], []
@@ -54,8 +51,8 @@ def estimate_ridge_lambdas(psi_source: Coefficients, p: int | None = None,
             capped.append(hit)
         return np.asarray(values), tuple(capped)
 
-    lam_beta, capped_beta = plug_in(psi_source.beta, p)
-    lam_alpha, capped_alpha = plug_in(psi_source.alpha, q)
+    lam_beta, capped_beta = plug_in(psi_source.beta, psi_source.p)
+    lam_alpha, capped_alpha = plug_in(psi_source.alpha, psi_source.q)
     return TuningParams.ridge_only(lam_beta, lam_alpha, source=source,
                                    lambda_beta_capped=capped_beta,
                                    lambda_alpha_capped=capped_alpha)

@@ -132,3 +132,56 @@ def test_replicate_from_config_reproduces_run(tmp_path):
     assert rc in (0, 2)
     assert (out_a / "summary.csv").read_bytes() == \
         (out_b / "summary.csv").read_bytes()
+
+
+def saved_study(tmp_path):
+    """Run a small simulation; return its output dir and saved config dict."""
+    config_path = tmp_path / "config.json"
+    out = tmp_path / "direct"
+    rc = main(["simulate", "--preset", "study1", "--phi", "0.9",
+               "--rho", "0.85", "--n", "60", "--replicates", "2",
+               "--jobs", "1", "--seed", "3", "--out", str(out),
+               "--max-iters", "20", "--burn-in", "5", "--restarts", "1",
+               "--save-config", str(config_path)])
+    assert rc in (0, 2)
+    return out, json.loads(config_path.read_text())
+
+
+# SemOptions fields that configs saved by earlier versions carry, with
+# the only values those versions could write.
+RETIRED_SEM_ENTRIES = {"hard_assignment": False, "init_strategy": "random",
+                       "inner_tol": 1e-8, "inner_max": 50}
+
+
+def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
+    out_a, config = saved_study(tmp_path)
+    for key in ("sem", "truth_sem"):
+        config[key].update(RETIRED_SEM_ENTRIES)
+    old_path = tmp_path / "old.json"
+    old_path.write_text(json.dumps(config, indent=2, sort_keys=True))
+    out_b = tmp_path / "fromold"
+    rc = main(["replicate", "--config", str(old_path), "--out", str(out_b)])
+    assert rc in (0, 2)
+    assert (out_a / "summary.csv").read_bytes() == \
+        (out_b / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("sem", "hard_assignment", True),
+    ("truth_sem", "inner_max", 10),
+    ("sem", "step_acceptance", "halving"),
+    (None, "retune_each_iteration", True),
+])
+def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
+                                                key, value):
+    config = pm.replication.config_to_dict(pm.StudyConfig(
+        mode="simulation", design=pm.study_presets("study1", n=60)))
+    (config if block is None else config[block])[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    rc = main(["replicate", "--config", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "out").exists()

@@ -63,40 +63,6 @@ def test_observed_loglik_dimension_mismatch():
         pm.observed_loglik(data, bad)
 
 
-def test_complete_loglik_single_component_equals_observed():
-    data, _, _, _ = small_mixture(seed=2, n_components=2)
-    psi = pm.Coefficients(beta=np.full((1, data.p), 0.1),
-                          alpha=np.zeros((1, data.q)))
-    part = pm.PartitionState.from_assignment(np.zeros(data.n, dtype=int), 1)
-    assert pm.complete_loglik(data, psi, part) == pytest.approx(
-        pm.observed_loglik(data, psi), rel=1e-12)
-
-
-def test_complete_loglik_uniform_gating_zero_counts():
-    data = pm.Dataset(y=np.array([0, 0]), X=np.ones((2, 1)),
-                      Omega=np.ones((2, 1)))
-    psi = pm.Coefficients(beta=np.zeros((2, 1)), alpha=np.zeros((2, 1)))
-    part = pm.PartitionState.from_assignment(np.array([0, 1]), 2)
-    expected = 2.0 * (np.log(0.5) - 1.0)
-    assert pm.complete_loglik(data, psi, part) == pytest.approx(expected,
-                                                                abs=1e-12)
-
-
-def test_complete_loglik_matches_term_by_term_oracle():
-    data, truth, z, part = small_mixture(seed=7)
-    scores = data.Omega @ truth.alpha.T
-    pi = np.exp(scores)
-    pi /= pi.sum(axis=1, keepdims=True)
-    total = 0.0
-    from math import lgamma
-    for i in range(data.n):
-        mu = float(np.exp(data.X[i] @ truth.beta[z[i]]))
-        total += float(np.log(pi[i, z[i]]))
-        total += data.y[i] * np.log(mu) - mu - lgamma(data.y[i] + 1.0)
-    assert pm.complete_loglik(data, truth, part) == pytest.approx(total,
-                                                                  rel=1e-12)
-
-
 def test_observed_loglik_invariant_under_relabeling():
     data, _, _, _ = small_mixture(seed=9, n_components=3, n=50)
     gen = np.random.default_rng(4)
@@ -131,6 +97,12 @@ def test_fit_result_invariants():
     with pytest.raises(ValueError):
         pm.FitResult(psi_hat=psi, loglik_trace=np.array([1.0]),
                      converged=True, iterations_run=1, selected_iteration=5)
+    with pytest.raises(ValueError):
+        pm.FitResult(psi_hat=psi, loglik_trace=np.array([1.0, 2.0]),
+                     converged=True, iterations_run=2, selected_iteration=2)
+    fit = pm.FitResult(psi_hat=psi, loglik_trace=np.array([1.0, 2.0]),
+                       converged=True, iterations_run=2, selected_iteration=1)
+    assert fit.loglik_trace[fit.selected_iteration] == 2.0
 
 
 def test_sem_options_validation():

@@ -41,32 +41,34 @@ def iterate_ml_to_convergence(data, part, p, n_iter=80):
 
 
 def test_poisson_mean_values():
-    assert pm.poisson_mean(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 1.0
-    assert pm.poisson_mean(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == \
-        pytest.approx(math.e ** 2, rel=1e-12)
-    assert pm.poisson_mean(np.array([1.0, 2.0, -1.0]),
-                           np.array([0.85, -1.0, 2.0])) == \
+    assert pm.poisson_means(np.array([[1.0, 0.0]]),
+                            np.array([0.0, 5.0])).tolist() == [1.0]
+    assert pm.poisson_means(np.array([[1.0, 1.0]]), np.array([1.0, 1.0]))[0] \
+        == pytest.approx(math.e ** 2, rel=1e-12)
+    assert pm.poisson_means(np.array([[1.0, 2.0, -1.0]]),
+                            np.array([0.85, -1.0, 2.0]))[0] == \
         pytest.approx(math.exp(-3.15), rel=1e-12)
 
 
 def test_poisson_mean_clamps_and_warns():
     with pytest.warns(RuntimeWarning):
-        value = pm.poisson_mean(np.array([1.0]), np.array([1000.0]))
-    assert value == MU_MAX
+        mu = pm.poisson_means(np.array([[1.0]]), np.array([1000.0]))
+    assert mu.tolist() == [MU_MAX]
 
 
 def test_poisson_mean_floor_clamps_and_warns():
     with pytest.warns(RuntimeWarning):
-        value = pm.poisson_mean(np.array([1.0]), np.array([-1000.0]))
-    assert value == MU_MIN
+        mu = pm.poisson_means(np.array([[1.0]]), np.array([-1000.0]))
+    assert mu.tolist() == [MU_MIN]
 
 
 def test_poisson_mean_in_range_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pm.poisson_mean(np.array([1.0, 0.0]), np.array([0.0, 5.0]))
-        pm.poisson_mean(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        pm.poisson_mean(np.array([1.0, 2.0, -1.0]), np.array([0.85, -1.0, 2.0]))
+        pm.poisson_means(np.array([[1.0, 0.0]]), np.array([0.0, 5.0]))
+        pm.poisson_means(np.array([[1.0, 1.0]]), np.array([1.0, 1.0]))
+        pm.poisson_means(np.array([[1.0, 2.0, -1.0]]),
+                         np.array([0.85, -1.0, 2.0]))
 
 
 def test_poisson_means_warning_counts_replaced_entries():
@@ -85,7 +87,6 @@ def test_build_workspace_unit_weights():
     part = pm.PartitionState.from_assignment(np.zeros(3, dtype=int), 1)
     ws = pm.build_workspace(data, part, 0, np.zeros(2))
     assert np.allclose(ws.mu, 1.0)
-    assert np.allclose(ws.weights, ws.mu)
     assert np.allclose(ws.z_star, y - 1.0)
 
 

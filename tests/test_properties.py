@@ -1,12 +1,14 @@
 """Property tests for the closed-form tuning, gating, labels and relabeling."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import poismoe as pm
 from poismoe.errors import EmptyPartition
 from poismoe.model import draw_labels
+
+from conftest import small_mixture
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -108,3 +110,25 @@ def test_s_step_labels_lie_in_range(seed, n, n_components, shrink):
     assert labels.shape == (n,)
     assert labels.min() >= 0 and labels.max() < n_components
 
+
+@st.composite
+def mixture_partition_and_order(draw):
+    n_components = draw(st.integers(2, 4))
+    data, psi, _, part = small_mixture(seed=draw(seeds), n=40 * n_components,
+                                       n_components=n_components)
+    order = draw(st.permutations(range(n_components)))
+    return data, psi, part, order
+
+
+@given(mixture_partition_and_order())
+def test_m_step_closed_under_label_permutation(case):
+    data, psi, part, order = case
+    # Well posed: every component has enough rows for its regression and
+    # labels drawn from an overlapping gate leave the gating MLE finite.
+    assume(part.counts.min() >= 10)
+    relabeled = pm.PartitionState.from_assignment(
+        np.argsort(order)[part.assignment], psi.n_components)
+    expected = pm.m_step(data, part, psi, method="ml").permute(order)
+    result = pm.m_step(data, relabeled, psi.permute(order), method="ml")
+    assert np.array_equal(result.beta, expected.beta)
+    assert np.allclose(result.alpha, expected.alpha, rtol=0.0, atol=1e-8)

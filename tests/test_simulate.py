@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -5,7 +7,8 @@ from scipy.stats import chi2
 import poismoe as pm
 from poismoe.simulate import (STUDY1_CORRELATIONS, STUDY1_SAMPLE_SIZES,
                               STUDY2_CORRELATIONS, STUDY2_SAMPLE_SIZE,
-                              MEAN_PREDICTOR_CAP)
+                              MEAN_PREDICTOR_CAP, design_from_dict,
+                              design_to_dict)
 
 
 def test_study1_preset_constants():
@@ -130,12 +133,10 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a[1], b[1])
 
 
-def test_design_serialization_roundtrip(tmp_path):
+def test_design_serialization_roundtrip():
     design = pm.study_presets("study1", phi=0.9, rho=0.85, n=120, seed=42)
-    path = tmp_path / "design.json"
-    pm.save_design(design, path)
-    restored = pm.load_design(path)
-    assert restored == design
+    text = json.dumps(design_to_dict(design))
+    assert design_from_dict(json.loads(text)) == design
 
 
 def test_design_validation():
