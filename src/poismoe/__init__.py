@@ -1,8 +1,8 @@
 """Mixture of Poisson regressions with a multinomial-logit gating network.
 
 Estimation runs a stochastic EM whose M-step solves penalized IRWLS
-updates: unpenalized (ML), ridge, or Liu-type shrinkage anchored on the
-ridge fit. The package also ships the tuning plug-ins, synthetic-study
+updates of one two-parameter family: unpenalized (ML), ridge (lambda),
+or Liu-type shrinkage (lambda, d) anchored on the ridge fit. The package also ships the tuning plug-ins, synthetic-study
 generators, replication harness, evaluation metrics, and a CLI.
 """
 
@@ -18,7 +18,6 @@ from .metrics import (ReplicationSummary, align_components,
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
                     PartitionState, SemOptions, TuningParams,
                     observed_loglik, responsibilities)
-from .penalties import Penalty
 from .pipeline import (PipelineResult, bic_scan, bic_value, fit_all_methods,
                        fit_method)
 from .poisson import (ComponentWorkspace, build_workspace, irwls_beta_step,
@@ -40,7 +39,6 @@ __all__ = [
     "DataFormatError",
     "Dataset", "Coefficients", "PartitionState", "MixtureSpec", "SemOptions",
     "TuningParams", "FitResult", "observed_loglik", "responsibilities",
-    "Penalty",
     "ComponentWorkspace", "poisson_means", "build_workspace",
     "irwls_beta_step", "q2_gradient",
     "gating_probabilities", "build_gating_workspace",

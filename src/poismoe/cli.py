@@ -164,7 +164,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         replicates=args.replicates, jobs=args.jobs, seed=args.seed,
         sem=_sem_options(args, StudyConfig(mode="simulation",
                                            design=design).sem),
-        output_dir=args.out, plots=args.plots)
+        output_dir=args.out)
     if args.save_config:
         save_config(config, args.save_config)
     return _finish_study(config)
@@ -190,7 +190,7 @@ def _cmd_heart(args: argparse.Namespace) -> int:
         replicates=args.replicates, jobs=args.jobs, seed=args.seed,
         sem=_sem_options(args, StudyConfig(mode="heart",
                                            heart_path=args.data).sem),
-        output_dir=args.out, plots=args.plots)
+        output_dir=args.out)
     return _finish_study(config)
 
 
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--jobs", type=int, default=1)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", default=None)
-    sim.add_argument("--plots", action="store_true")
     sim.add_argument("--save-config", default=None,
                      help="also write the study config as JSON")
     _add_sem_arguments(sim, study_defaults)
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     heart.add_argument("--jobs", type=int, default=1)
     heart.add_argument("--seed", type=int, default=0)
     heart.add_argument("--out", default=None)
-    heart.add_argument("--plots", action="store_true")
     _add_sem_arguments(heart, StudyConfig(mode="heart", heart_path="x").sem)
     heart.set_defaults(handler=_cmd_heart)
     return parser

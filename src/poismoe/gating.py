@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .linalg import penalized_wls_solve
-from .penalties import Penalty
 
 if TYPE_CHECKING:
     from .model import PartitionState
@@ -31,6 +30,7 @@ __all__ = [
     "build_gating_workspace",
     "q1_value",
     "q1_gradient",
+    "penalty_value",
     "coordinate_descent_alphas",
 ]
 
@@ -91,37 +91,33 @@ def q1_value(Omega: np.ndarray, alpha: np.ndarray, part: "PartitionState") -> fl
 
 
 def q1_gradient(Omega: np.ndarray, alpha: np.ndarray, part: "PartitionState",
-                j: int, penalty: Penalty) -> np.ndarray:
-    """Gradient of the penalized assignment log-likelihood for class j."""
+                j: int) -> np.ndarray:
+    """Gradient of the assignment log-likelihood for class j (no penalty terms)."""
     pi = gating_probabilities(Omega, alpha)
     U = (part.assignment == j).astype(float) - pi[:, j]
-    return Omega.T @ U + penalty.gradient(np.asarray(alpha, dtype=float)[j])
+    return Omega.T @ U
 
 
-def _stacked_penalty(penalties: Sequence[Penalty], q: int) -> Penalty:
-    """One penalty over the stacked rows, each class's lam and d repeated q times.
+def penalty_value(coef: np.ndarray, lam: np.ndarray | None,
+                  d: np.ndarray | None = None,
+                  anchor: np.ndarray | None = None) -> float:
+    """Shrinkage term of the gate objective, in ``penalized_wls_solve``'s sign.
 
-    A single free class keeps its own penalty.
+    ``-1/2 * sum(lam * coef**2) - sum(d * coef * anchor)``, whose
+    gradient ``-lam*coef - d*anchor`` is the shift the solve applies;
+    exactly 0.0 for ML (``lam=None``).
     """
-    if len(penalties) == 1:
-        return penalties[0]
-    kind = penalties[0].kind
-    if any(penalty.kind != kind for penalty in penalties):
-        raise ValueError("the free gating classes need one penalty kind")
-    if kind == "ml":
-        return Penalty.ml()
-    lam = np.repeat([penalty.lam for penalty in penalties], q)
-    if kind == "ridge":
-        return Penalty.ridge(lam)
-    anchors = [penalty.anchor for penalty in penalties]
-    anchor = None if all(a is None for a in anchors) else np.concatenate(anchors)
-    return Penalty.liu_type(lam, np.repeat([penalty.d for penalty in penalties], q),
-                            anchor=anchor)
+    if lam is None:
+        return 0.0
+    value = -0.5 * float(np.sum(lam * coef * coef))
+    if d is not None:
+        value -= float(np.sum(d * coef * anchor))
+    return value
 
 
 def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                               part: "PartitionState",
-                              penalties: Sequence[Penalty],
+                              lam: np.ndarray | None, d: np.ndarray | None,
                               reference: int,
                               inner_tol: float = 1e-8,
                               inner_max: int = 50) -> np.ndarray:
@@ -129,15 +125,17 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
 
     The name predates the joint update: each step now solves the whole
     stacked system of :func:`build_gating_workspace` once, through
-    ``penalized_wls_solve``, under the per-class penalties stacked
-    coordinate-wise. A self-anchored Liu-type penalty anchors on the
-    ridge solve of the same stacked system, so its anchor moves with
-    every step. A step that lowers the penalized assignment
-    log-likelihood is halved toward the current rows up to 10 times;
-    if it never recovers, the current rows are kept and the ascent
-    ends. Stepping stops once the largest coordinate change falls below
-    ``inner_tol`` or after ``inner_max`` Newton steps; ``inner_max=0``
-    returns the input unchanged. The reference row comes back as zeros.
+    ``penalized_wls_solve``. ``lam`` and ``d`` hold one value per class
+    (the reference entry is ignored), or are None for ML and ridge as in
+    ``penalized_wls_solve``; each free class's value is repeated over its
+    q coordinates. The Liu-type step anchors on the ridge solve of the
+    same stacked system, so its anchor moves with every step. A step
+    that lowers the penalized assignment log-likelihood is halved toward
+    the current rows up to 10 times; if it never recovers, the current
+    rows are kept and the ascent ends. Stepping stops once the largest
+    coordinate change falls below ``inner_tol`` or after ``inner_max``
+    Newton steps; ``inner_max=0`` returns the input unchanged. The
+    reference row comes back as zeros.
     """
     alpha = np.array(alpha_t, dtype=float)
     free = [j for j in range(alpha.shape[0]) if j != reference]
@@ -145,22 +143,25 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         return np.zeros_like(alpha)
     q = Omega.shape[1]
     indicator = (part.assignment[:, None] == free).astype(float)
-    stacked = _stacked_penalty([penalties[j] for j in free], q)
-    ridge = (Penalty.ridge(stacked.lam)
-             if stacked.kind == "liu" and stacked.anchor is None else None)
-    penalty, coef, baseline = stacked, alpha[free].ravel(), None
+    if lam is not None:
+        lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
+    if d is not None:
+        d = np.repeat(np.asarray(d, dtype=float)[free], q)
+    anchor, coef, baseline = None, alpha[free].ravel(), None
     for _ in range(inner_max):
         gram, rhs = build_gating_workspace(Omega, alpha, indicator, free)
-        if ridge is not None:  # a new anchor changes the objective
-            penalty = stacked.with_anchor(penalized_wls_solve(gram, rhs, ridge))
+        if d is not None:  # a new anchor changes the objective
+            anchor = penalized_wls_solve(gram, rhs, lam)
             baseline = None
-        proposal = penalized_wls_solve(gram, rhs, penalty)
+        proposal = penalized_wls_solve(gram, rhs, lam, d, anchor)
         if baseline is None:
-            baseline = q1_value(Omega, alpha, part) + penalty.value(coef)
+            baseline = (q1_value(Omega, alpha, part)
+                        + penalty_value(coef, lam, d, anchor))
         trial = alpha.copy()
         for _ in range(11):
             trial[free] = proposal.reshape(len(free), q)
-            value = q1_value(Omega, trial, part) + penalty.value(proposal)
+            value = (q1_value(Omega, trial, part)
+                     + penalty_value(proposal, lam, d, anchor))
             if value >= baseline:
                 break
             proposal = 0.5 * (proposal + coef)

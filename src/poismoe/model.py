@@ -7,7 +7,7 @@ covariates omega_i with one class fixed at zero as the reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -216,9 +216,7 @@ class SemOptions:
 class TuningParams:
     """Per-component ridge parameters and Liu-type bias corrections.
 
-    ``source`` records which stage supplied the plug-in estimates; the
-    capped flags mark lambdas that hit the 1e6 ceiling because the
-    source vector had (near-)zero norm.
+    ``source`` records which stage supplied the plug-in estimates.
     """
 
     lambda_beta: np.ndarray
@@ -226,8 +224,6 @@ class TuningParams:
     d_beta: np.ndarray
     d_alpha: np.ndarray
     source: str = ""
-    lambda_beta_capped: tuple[bool, ...] = field(default=())
-    lambda_alpha_capped: tuple[bool, ...] = field(default=())
 
     def __post_init__(self) -> None:
         lb = np.array(self.lambda_beta, dtype=float)
@@ -243,15 +239,13 @@ class TuningParams:
             object.__setattr__(self, name, _readonly(arr))
 
     @classmethod
-    def ridge_only(cls, lambda_beta, lambda_alpha, source: str = "",
-                   lambda_beta_capped: tuple[bool, ...] = (),
-                   lambda_alpha_capped: tuple[bool, ...] = ()) -> "TuningParams":
+    def ridge_only(cls, lambda_beta, lambda_alpha,
+                   source: str = "") -> "TuningParams":
         lb = np.asarray(lambda_beta, dtype=float)
         la = np.asarray(lambda_alpha, dtype=float)
         return cls(lambda_beta=lb, lambda_alpha=la,
                    d_beta=np.zeros_like(lb), d_alpha=np.zeros_like(la),
-                   source=source, lambda_beta_capped=lambda_beta_capped,
-                   lambda_alpha_capped=lambda_alpha_capped)
+                   source=source)
 
     def with_bias_corrections(self, d_beta, d_alpha) -> "TuningParams":
         return replace(self, d_beta=np.asarray(d_beta, dtype=float),

@@ -2,9 +2,9 @@
 
 Inside a component the count mean is exp(x' beta). One M-step update is
 a single weighted least-squares solve on the working response
-``z* = X beta + (y - mu) / mu`` with weights mu, optionally penalized
-(ridge lambda on the diagonal, Liu-type anchor shift of the right-hand
-side).
+``z* = X beta + (y - mu) / mu`` with weights mu, optionally shrunk by a
+ridge lambda and a Liu-type bias correction d
+(:func:`~poismoe.linalg.penalized_wls_solve`).
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import EmptyPartition
 from .linalg import penalized_wls_solve
 from .model import ETA_MAX, MU_MAX, MU_MIN
-from .penalties import Penalty
 
 if TYPE_CHECKING:
     from .model import Dataset, PartitionState
@@ -83,16 +82,20 @@ def build_workspace(data: "Dataset", part: "PartitionState", j: int,
                       np.asarray(beta_t, dtype=float))
 
 
-def irwls_beta_step(ws: ComponentWorkspace, penalty: Penalty) -> np.ndarray:
-    """One penalized weighted least-squares update of a component's beta."""
+def irwls_beta_step(ws: ComponentWorkspace, lam: float | None = None,
+                    d: float | None = None) -> np.ndarray:
+    """One weighted least-squares update of a component's beta.
+
+    ``lam=None`` is the ML step, ``d=None`` the ridge step, and otherwise
+    the step is Liu-type, anchored on its own ridge solve.
+    """
     gram = ws.X.T @ (ws.mu[:, None] * ws.X)
     rhs = ws.X.T @ (ws.mu * ws.z_star)
-    return penalized_wls_solve(gram, rhs, penalty)
+    return penalized_wls_solve(gram, rhs, lam, d)
 
 
-def q2_gradient(ws: ComponentWorkspace, beta: np.ndarray,
-                penalty: Penalty) -> np.ndarray:
-    """Gradient of the penalized Poisson log-likelihood at ``beta``."""
+def q2_gradient(ws: ComponentWorkspace, beta: np.ndarray) -> np.ndarray:
+    """Gradient of the (unpenalized) Poisson log-likelihood at ``beta``."""
     beta = np.asarray(beta, dtype=float)
     mu = poisson_means(ws.X, beta)
-    return ws.X.T @ (ws.y - mu) + penalty.gradient(beta)
+    return ws.X.T @ (ws.y - mu)

@@ -63,7 +63,6 @@ class StudyConfig:
     sem: SemOptions = field(default_factory=default_study_options)
     truth_sem: SemOptions = field(default_factory=_truth_fit_options)
     output_dir: str | None = None
-    plots: bool = False
 
     def __post_init__(self) -> None:
         if self.mode not in ("simulation", "heart"):
@@ -227,8 +226,6 @@ def run_replication_study(config: StudyConfig) -> StudyResult:
         write_summary_csv(summary_path, summaries)
         replicates_path = out / "replicates.csv"
         _write_replicate_csv(replicates_path, replicate_rows)
-        if config.plots:
-            _write_plots(out, config.methods, results)
     return StudyResult(summaries=summaries, replicate_rows=replicate_rows,
                        failure_fraction=worst_failure,
                        summary_path=summary_path,
@@ -250,28 +247,6 @@ def _write_replicate_csv(path: Path, rows: Iterable[dict]) -> None:
             handle.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
 
 
-def _write_plots(out: Path, methods: tuple[str, ...], results: list[dict]) -> None:
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as exc:  # pragma: no cover - plots are optional
-        raise RuntimeError("plot output requires matplotlib; "
-                           "install the 'plots' extra") from exc
-    for block in BLOCKS:
-        fig, ax = plt.subplots(figsize=(5, 3.2))
-        data = []
-        for method in methods:
-            values = np.asarray([row["scores"][method][block]
-                                 for row in results])
-            data.append(values[np.isfinite(values)])
-        ax.boxplot(data, tick_labels=list(methods), showfliers=False)
-        ax.set_ylabel(block)
-        fig.tight_layout()
-        fig.savefig(out / f"{block}.svg")
-        plt.close(fig)
-
-
 def config_to_dict(config: StudyConfig) -> dict:
     payload = asdict(config)
     if config.design is not None:
@@ -280,10 +255,23 @@ def config_to_dict(config: StudyConfig) -> dict:
     return payload
 
 
-# Retired SemOptions fields, each with the only value a saved config
-# could hold; such an entry is dropped on load, any other value refused.
+# Retired fields, each with the only value a saved config could hold;
+# such an entry is dropped on load, any other value refused.
+_RETIRED_STUDY_KEYS = {"plots": False}
 _RETIRED_SEM_KEYS = {"hard_assignment": False, "init_strategy": "random",
                      "inner_tol": 1e-8, "inner_max": 50}
+
+
+def _drop_retired(payload: dict, retired_keys: dict, where: str) -> dict:
+    payload = dict(payload)
+    for key, retired in retired_keys.items():
+        if key in payload:
+            value = payload.pop(key)
+            if type(value) is not type(retired) or value != retired:
+                raise DataFormatError(
+                    f"config key '{where}{key}' is retired; only "
+                    f"{json.dumps(retired)} is accepted")
+    return payload
 
 
 def _check_keys(payload: dict, cls: type, where: str) -> None:
@@ -293,31 +281,37 @@ def _check_keys(payload: dict, cls: type, where: str) -> None:
             raise DataFormatError(f"unknown config key '{where}{key}'")
 
 
+def _build(make, where: str, **values):
+    """``make(**values)``, reporting a rejected value as DataFormatError."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise DataFormatError(f"invalid {where} config: {exc}") from exc
+
+
 def _sem_from_dict(payload: dict, where: str) -> SemOptions:
-    options = dict(payload)
-    for key, retired in _RETIRED_SEM_KEYS.items():
-        if key in options:
-            value = options.pop(key)
-            if type(value) is not type(retired) or value != retired:
-                raise DataFormatError(
-                    f"config key '{where}{key}' is retired; only "
-                    f"{json.dumps(retired)} is accepted")
+    options = _drop_retired(payload, _RETIRED_SEM_KEYS, where)
     _check_keys(options, SemOptions, where)
-    return SemOptions(**options)
+    return _build(SemOptions, where.rstrip("."), **options)
 
 
 def config_from_dict(payload: dict) -> StudyConfig:
-    """Inverse of :func:`config_to_dict`; DataFormatError on unknown keys."""
-    payload = dict(payload)
+    """Inverse of :func:`config_to_dict`.
+
+    Unknown or retired keys and values the constructors reject raise
+    :class:`DataFormatError`.
+    """
+    payload = _drop_retired(payload, _RETIRED_STUDY_KEYS, "")
     _check_keys(payload, StudyConfig, "")
     if payload.get("design") is not None:
-        payload["design"] = design_from_dict(payload["design"])
+        payload["design"] = _build(design_from_dict, "design",
+                                   payload=payload["design"])
     if "methods" in payload:
         payload["methods"] = tuple(payload["methods"])
     for key in ("sem", "truth_sem"):
         if key in payload and isinstance(payload[key], dict):
             payload[key] = _sem_from_dict(payload[key], f"{key}.")
-    return StudyConfig(**payload)
+    return _build(StudyConfig, "study", **payload)
 
 
 def save_config(config: StudyConfig, path: str | Path) -> None:

@@ -26,7 +26,6 @@ from .metrics import align_components
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
                     PartitionState, SemOptions, TuningParams, _log_terms,
                     _total_loglik, draw_labels, observed_loglik)
-from .penalties import Penalty
 from .poisson import _workspace, build_workspace, irwls_beta_step
 
 __all__ = [
@@ -62,23 +61,6 @@ def s_step(tau: np.ndarray, rng: np.random.Generator) -> PartitionState:
     return PartitionState(assignment=assignment, counts=counts)
 
 
-def _component_penalties(method: str, tuning: TuningParams | None,
-                         n_components: int, block: str) -> list[Penalty]:
-    if method == "ml":
-        return [Penalty.ml() for _ in range(n_components)]
-    if tuning is None:
-        raise ValueError(f"method {method!r} requires tuning parameters")
-    lam = tuning.lambda_beta if block == "beta" else tuning.lambda_alpha
-    if method == "ridge":
-        return [Penalty.ridge(lam[j]) for j in range(n_components)]
-    if method == "lt":
-        # Self-anchored: each update anchors on its own ridge solve,
-        # which is the estimator form the tuning MSE describes.
-        d = tuning.d_beta if block == "beta" else tuning.d_alpha
-        return [Penalty.liu_type(lam[j], d[j]) for j in range(n_components)]
-    raise ValueError(f"unknown method {method!r}")
-
-
 def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
            method: str = "ml", tuning: TuningParams | None = None
            ) -> Coefficients:
@@ -86,19 +68,28 @@ def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
 
     Each beta takes one IRWLS step from ``psi_t`` on its component's
     rows; the gate is refit by :func:`coordinate_descent_alphas` at its
-    default tolerance and step cap. ``tuning`` holds the ridge and
-    Liu-type penalties of ``method``.
+    default tolerance and step cap. ``tuning`` holds the ridge lambdas
+    and Liu-type bias corrections of ``method``; every Liu-type update
+    anchors on its own ridge solve, the estimator form the tuning MSE
+    describes.
     """
-    n_components = psi_t.n_components
-    beta_penalties = _component_penalties(method, tuning, n_components, "beta")
-    alpha_penalties = _component_penalties(method, tuning, n_components,
-                                           "alpha")
+    lam_beta = lam_alpha = d_beta = d_alpha = None
+    if method != "ml":
+        if tuning is None:
+            raise ValueError(f"method {method!r} requires tuning parameters")
+        lam_beta, lam_alpha = tuning.lambda_beta, tuning.lambda_alpha
+        if method == "lt":
+            d_beta, d_alpha = tuning.d_beta, tuning.d_alpha
+        elif method != "ridge":
+            raise ValueError(f"unknown method {method!r}")
     beta_new = np.empty_like(psi_t.beta)
-    for j in range(n_components):
+    for j in range(psi_t.n_components):
         workspace = build_workspace(data, part, j, psi_t.beta[j])
-        beta_new[j] = irwls_beta_step(workspace, beta_penalties[j])
+        beta_new[j] = irwls_beta_step(
+            workspace, None if lam_beta is None else lam_beta[j],
+            None if d_beta is None else d_beta[j])
     alpha_new = coordinate_descent_alphas(
-        data.Omega, psi_t.alpha, part, alpha_penalties,
+        data.Omega, psi_t.alpha, part, lam_alpha, d_alpha,
         psi_t.reference_class)
     return Coefficients(beta=beta_new, alpha=alpha_new,
                         reference_class=psi_t.reference_class)
@@ -117,8 +108,7 @@ def _warm_start_beta(X_group: np.ndarray, y_group: np.ndarray,
     beta = fallback
     try:
         for _ in range(n_steps):
-            beta = irwls_beta_step(_workspace(X_group, y_group, beta),
-                                   Penalty.ml())
+            beta = irwls_beta_step(_workspace(X_group, y_group, beta))
     except (SingularSystem, NumericalFailure):
         return fallback
     if not np.all(np.isfinite(beta)):

@@ -38,24 +38,20 @@ def estimate_ridge_lambdas(psi_source: Coefficients,
 
     A zero-norm source vector (the reference gating row, for instance)
     would send the plug-in to infinity; such entries are capped at
-    ``LAMBDA_MAX`` and flagged.
+    ``LAMBDA_MAX``.
     """
 
-    def plug_in(vectors: np.ndarray, dim: int) -> tuple[np.ndarray, tuple[bool, ...]]:
-        values, capped = [], []
+    def plug_in(vectors: np.ndarray, dim: int) -> np.ndarray:
+        values = []
         for vec in vectors:
             norm_sq = float(vec @ vec)
             raw = dim / norm_sq if norm_sq > 0 else np.inf
-            hit = not np.isfinite(raw) or raw > LAMBDA_MAX
-            values.append(LAMBDA_MAX if hit else max(raw, LAMBDA_MIN))
-            capped.append(hit)
-        return np.asarray(values), tuple(capped)
+            values.append(min(max(raw, LAMBDA_MIN), LAMBDA_MAX))
+        return np.asarray(values)
 
-    lam_beta, capped_beta = plug_in(psi_source.beta, psi_source.p)
-    lam_alpha, capped_alpha = plug_in(psi_source.alpha, psi_source.q)
-    return TuningParams.ridge_only(lam_beta, lam_alpha, source=source,
-                                   lambda_beta_capped=capped_beta,
-                                   lambda_alpha_capped=capped_alpha)
+    return TuningParams.ridge_only(plug_in(psi_source.beta, psi_source.p),
+                                   plug_in(psi_source.alpha, psi_source.q),
+                                   source=source)
 
 
 def _lt_mse(d: float, gram: np.ndarray, lam: float, mean_vec: np.ndarray,

@@ -148,7 +148,8 @@ def saved_study(tmp_path):
 
 
 # SemOptions fields that configs saved by earlier versions carry, with
-# the only values those versions could write.
+# the only values those versions could write (such configs also carry
+# "plots": false at the top level).
 RETIRED_SEM_ENTRIES = {"hard_assignment": False, "init_strategy": "random",
                        "inner_tol": 1e-8, "inner_max": 50}
 
@@ -157,13 +158,14 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     out_a, config = saved_study(tmp_path)
     for key in ("sem", "truth_sem"):
         config[key].update(RETIRED_SEM_ENTRIES)
+    config["plots"] = False
     old_path = tmp_path / "old.json"
     old_path.write_text(json.dumps(config, indent=2, sort_keys=True))
     out_b = tmp_path / "fromold"
     rc = main(["replicate", "--config", str(old_path), "--out", str(out_b)])
     assert rc in (0, 2)
-    assert (out_a / "summary.csv").read_bytes() == \
-        (out_b / "summary.csv").read_bytes()
+    for name in ("summary.csv", "replicates.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 @pytest.mark.parametrize("block, key, value", [
@@ -171,6 +173,11 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     ("truth_sem", "inner_max", 10),
     ("sem", "step_acceptance", "halving"),
     (None, "retune_each_iteration", True),
+    (None, "plots", True),
+    ("sem", "epsilon", 0),
+    ("truth_sem", "burn_in", 10**6),
+    (None, "replicates", 0),
+    ("design", "phi", 1.5),
 ])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):

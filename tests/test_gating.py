@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 import poismoe as pm
-from poismoe.gating import q1_value
+from poismoe.gating import penalty_value, q1_value
 from poismoe.linalg import penalized_wls_solve
 
 from conftest import small_mixture
@@ -141,49 +141,45 @@ def test_workspace_rhs_minus_gram_step_is_stacked_gradient():
     Omega, part, alpha, indicator = three_class_problem(seed=6)
     gram, rhs = pm.build_gating_workspace(Omega, alpha, indicator, [0, 2])
     gradient = np.concatenate([
-        pm.q1_gradient(Omega, alpha, part, j, pm.Penalty.ml()) for j in (0, 2)])
+        pm.q1_gradient(Omega, alpha, part, j) for j in (0, 2)])
     residual = rhs - gram @ alpha[[0, 2]].ravel()
     assert np.allclose(residual, gradient, rtol=0.0,
                        atol=1e-12 * np.max(np.abs(rhs)))
 
 
-def one_step(Omega, alpha, part, penalty):
-    return pm.coordinate_descent_alphas(Omega, alpha, part, [penalty] * 2,
-                                        reference=1, inner_max=1)[0]
+def one_step(Omega, alpha, part, lam=None, d=None):
+    """One Newton step on class 0 (reference 1); lam and d are scalars."""
+    return pm.coordinate_descent_alphas(
+        Omega, alpha, part, None if lam is None else [lam, lam],
+        None if d is None else [d, d], reference=1, inner_max=1)[0]
 
 
 def test_alpha_step_liu_zero_d_equals_ridge():
-    Omega, part, _ = binary_gating_problem(seed=9)
+    Omega, part, assignment = binary_gating_problem(seed=9)
     alpha0 = np.zeros((2, 2))
-    ridge = one_step(Omega, alpha0, part, pm.Penalty.ridge(1.3))
-    lt = one_step(Omega, alpha0, part,
-                  pm.Penalty.liu_type(1.3, 0.0, anchor=np.ones(2)))
-    lt_self = one_step(Omega, alpha0, part, pm.Penalty.liu_type(1.3, 0.0))
-    assert np.array_equal(ridge, lt)
+    ridge = one_step(Omega, alpha0, part, 1.3)
+    lt_self = one_step(Omega, alpha0, part, 1.3, 0.0)
     assert np.array_equal(ridge, lt_self)
-    # stacked (J=3): per-class lambdas, explicit anchors concatenated
+    gram, rhs = pm.build_gating_workspace(
+        Omega, alpha0, (assignment == 0).astype(float)[:, None], [0])
+    lt = penalized_wls_solve(gram, rhs, 1.3, 0.0, anchor=np.ones(2))
+    assert np.array_equal(ridge, lt)
+    # stacked (J=3): per-class lambdas, the reference entry ignored
     Omega, part, alpha, _ = three_class_problem(seed=9)
     lams = [1.3, 0.0, 0.4]
-
-    def stacked_step(make):
-        penalties = [make(lam, j) if j != 1 else pm.Penalty.ml()
-                     for j, lam in enumerate(lams)]
-        return pm.coordinate_descent_alphas(Omega, alpha, part, penalties,
-                                            reference=1, inner_max=1)
-
-    ridge = stacked_step(lambda lam, j: pm.Penalty.ridge(lam))
-    lt = stacked_step(lambda lam, j: pm.Penalty.liu_type(
-        lam, 0.0, anchor=np.full(Omega.shape[1], j + 1.0)))
-    lt_self = stacked_step(lambda lam, j: pm.Penalty.liu_type(lam, 0.0))
-    assert np.array_equal(ridge, lt)
+    ridge = pm.coordinate_descent_alphas(Omega, alpha, part, lams, None,
+                                         reference=1, inner_max=1)
+    lt_self = pm.coordinate_descent_alphas(Omega, alpha, part, lams,
+                                           [0.0] * 3, reference=1,
+                                           inner_max=1)
     assert np.array_equal(ridge, lt_self)
 
 
 def test_alpha_step_vanishing_ridge_matches_ml():
     Omega, part, _ = binary_gating_problem(seed=10)
     alpha0 = np.zeros((2, 2))
-    ml = one_step(Omega, alpha0, part, pm.Penalty.ml())
-    ridge = one_step(Omega, alpha0, part, pm.Penalty.ridge(1e-12))
+    ml = one_step(Omega, alpha0, part)
+    ridge = one_step(Omega, alpha0, part, 1e-12)
     assert np.max(np.abs((ridge - ml) / ml)) < 1e-8
 
 
@@ -192,16 +188,14 @@ def test_alpha_step_well_posed_with_floored_weights():
     extreme = np.array([[40.0, 25.0], [0.0, 0.0]])
     gram, rhs = pm.build_gating_workspace(
         Omega, extreme, (assignment == 0).astype(float)[:, None], [0])
-    assert np.all(np.isfinite(penalized_wls_solve(gram, rhs,
-                                                  pm.Penalty.ridge(0.5))))
-    assert np.all(np.isfinite(one_step(Omega, extreme, part,
-                                       pm.Penalty.ridge(0.5))))
+    assert np.all(np.isfinite(penalized_wls_solve(gram, rhs, 0.5)))
+    assert np.all(np.isfinite(one_step(Omega, extreme, part, 0.5)))
 
 
 def test_coordinate_descent_ml_matches_logistic_newton():
     Omega, part, assignment = binary_gating_problem()
     alpha = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
-                                         [pm.Penalty.ml()] * 2, reference=1,
+                                         None, None, reference=1,
                                          inner_tol=1e-13, inner_max=300)
     oracle = logistic_mle_oracle(Omega, (assignment == 0).astype(float), 2)
     assert np.max(np.abs((alpha[0] - oracle) / oracle)) < 1e-6
@@ -218,16 +212,15 @@ def test_coordinate_descent_single_sweep_equals_one_step():
     v = Omega @ alpha0[0] + ((assignment == 0) - pi) / weights
     single = np.linalg.solve(Omega.T @ np.diag(weights) @ Omega,
                              Omega.T @ (weights * v))
-    swept = one_step(Omega, alpha0, part, pm.Penalty.ml())
+    swept = one_step(Omega, alpha0, part)
     assert np.allclose(swept, single, rtol=1e-12)
 
 
 def test_coordinate_descent_zero_sweeps_is_identity():
     Omega, part, _ = binary_gating_problem(seed=14)
     alpha0 = np.array([[0.4, -0.2], [0.0, 0.0]])
-    out = pm.coordinate_descent_alphas(Omega, alpha0, part,
-                                       [pm.Penalty.ml()] * 2, reference=1,
-                                       inner_max=0)
+    out = pm.coordinate_descent_alphas(Omega, alpha0, part, None, None,
+                                       reference=1, inner_max=0)
     assert np.array_equal(out, alpha0)
 
 
@@ -243,7 +236,7 @@ def test_coordinate_descent_three_class_matches_multinomial_newton():
     z = (gen.random(n)[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
     part = pm.PartitionState.from_assignment(np.minimum(z, 2), 3)
     alpha = pm.coordinate_descent_alphas(Omega, np.zeros((3, q)), part,
-                                         [pm.Penalty.ml()] * 3, reference=2,
+                                         None, None, reference=2,
                                          inner_tol=1e-12, inner_max=500)
 
     indicators = np.eye(n_classes)[part.assignment]
@@ -264,15 +257,15 @@ def test_coordinate_descent_three_class_matches_multinomial_newton():
 
 def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
     Omega, part, _ = binary_gating_problem(seed=15)
-    penalties = [pm.Penalty.ridge(0.8)] * 2
+    lam = [0.8, 0.8]
     alpha = np.array([[2.5, -3.0], [0.0, 0.0]])  # deliberately poor start
 
     def penalized_total(a):
-        return q1_value(Omega, a, part) + penalties[0].value(a[0])
+        return q1_value(Omega, a, part) + penalty_value(a[0], lam[0])
 
     for _ in range(8):
         before = penalized_total(alpha)
-        alpha = pm.coordinate_descent_alphas(Omega, alpha, part, penalties,
+        alpha = pm.coordinate_descent_alphas(Omega, alpha, part, lam, None,
                                              reference=1, inner_max=1)
         after = penalized_total(alpha)
         assert after >= before - 1e-10
@@ -281,40 +274,50 @@ def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
 def test_q1_gradient_vanishes_at_converged_ml():
     Omega, part, _ = binary_gating_problem(seed=16)
     alpha = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
-                                         [pm.Penalty.ml()] * 2, reference=1,
+                                         None, None, reference=1,
                                          inner_tol=1e-13, inner_max=300)
-    grad = pm.q1_gradient(Omega, alpha, part, 0, pm.Penalty.ml())
+    grad = pm.q1_gradient(Omega, alpha, part, 0)
     assert np.linalg.norm(grad) < 1e-6
 
 
 def test_q1_gradient_at_zero_alpha():
     Omega, part, assignment = binary_gating_problem(seed=18)
-    grad = pm.q1_gradient(Omega, np.zeros((2, 2)), part, 0, pm.Penalty.ml())
+    grad = pm.q1_gradient(Omega, np.zeros((2, 2)), part, 0)
     expected = Omega.T @ ((assignment == 0).astype(float) - 0.5)
     assert np.allclose(grad, expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("make_penalty", [
-    lambda q: pm.Penalty.ml(),
-    lambda q: pm.Penalty.ridge(0.9),
-    lambda q: pm.Penalty.liu_type(0.9, -0.4, anchor=np.linspace(0.2, 0.8, q)),
-    lambda q: pm.Penalty.liu_type(0.9, 0.4, anchor=np.linspace(0.2, 0.8, q)),
+# Shrinkage (lam, d, anchor) of the gate objective: ML, ridge, and
+# Liu-type with a negative and a positive bias correction.
+@pytest.mark.parametrize("make_shrinkage", [
+    lambda q: (None, None, None),
+    lambda q: (0.9, None, None),
+    lambda q: (0.9, -0.4, np.linspace(0.2, 0.8, q)),
+    lambda q: (0.9, 0.4, np.linspace(0.2, 0.8, q)),
 ])
-def test_q1_gradient_matches_finite_differences(make_penalty):
+def test_q1_gradient_matches_finite_differences(make_shrinkage):
+    # The objective the gate ascent halves steps on (q1 + penalty_value)
+    # has gradient q1_gradient - lam*a - d*anchor: the shift the solve
+    # applies, so step acceptance and the solve agree on the sign of d.
     Omega, part, _ = binary_gating_problem(seed=19)
     q = Omega.shape[1]
-    penalty = make_penalty(q)
+    lam, d, anchor = make_shrinkage(q)
     gen = np.random.default_rng(20)
     step = 1e-5
 
     def objective(a_free):
         alpha = np.vstack([a_free, np.zeros(q)])
-        return q1_value(Omega, alpha, part) + penalty.value(a_free)
+        return q1_value(Omega, alpha, part) + penalty_value(a_free, lam, d,
+                                                            anchor)
 
     for _ in range(25):
         a_free = gen.normal(scale=0.5, size=q)
         alpha = np.vstack([a_free, np.zeros(q)])
-        grad = pm.q1_gradient(Omega, alpha, part, 0, penalty)
+        grad = pm.q1_gradient(Omega, alpha, part, 0)
+        if lam is not None:
+            grad = grad - lam * a_free
+        if d is not None:
+            grad = grad - d * anchor
         fd = np.empty(q)
         for k in range(q):
             delta = np.zeros(q)

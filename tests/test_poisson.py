@@ -7,6 +7,7 @@ import scipy.optimize
 
 import poismoe as pm
 from poismoe.errors import EmptyPartition, SingularSystem
+from poismoe.linalg import penalized_wls_solve
 from poismoe.model import MU_MAX, MU_MIN
 
 from conftest import single_component_data
@@ -33,11 +34,16 @@ def iterate_ml_to_convergence(data, part, p, n_iter=80):
     beta = np.zeros(p)
     for _ in range(n_iter):
         ws = pm.build_workspace(data, part, 0, beta)
-        new = pm.irwls_beta_step(ws, pm.Penalty.ml())
+        new = pm.irwls_beta_step(ws)
         if np.max(np.abs(new - beta)) < 1e-13:
             return new
         beta = new
     return beta
+
+
+def beta_system(ws):
+    """The (gram, rhs) that irwls_beta_step solves."""
+    return ws.X.T @ (ws.mu[:, None] * ws.X), ws.X.T @ (ws.mu * ws.z_star)
 
 
 def test_poisson_mean_values():
@@ -128,10 +134,11 @@ def test_build_workspace_empty_component():
 def test_liu_type_with_zero_d_is_bitwise_ridge():
     data, part, _ = single_component_data()
     ws = pm.build_workspace(data, part, 0, np.array([0.2, 0.1]))
-    ridge = pm.irwls_beta_step(ws, pm.Penalty.ridge(0.7))
-    lt_explicit = pm.irwls_beta_step(
-        ws, pm.Penalty.liu_type(0.7, 0.0, anchor=np.array([5.0, -3.0])))
-    lt_self = pm.irwls_beta_step(ws, pm.Penalty.liu_type(0.7, 0.0))
+    ridge = pm.irwls_beta_step(ws, 0.7)
+    gram, rhs = beta_system(ws)
+    lt_explicit = penalized_wls_solve(gram, rhs, 0.7, 0.0,
+                                      anchor=np.array([5.0, -3.0]))
+    lt_self = pm.irwls_beta_step(ws, 0.7, 0.0)
     assert np.array_equal(ridge, lt_explicit)
     assert np.array_equal(ridge, lt_self)
 
@@ -139,8 +146,8 @@ def test_liu_type_with_zero_d_is_bitwise_ridge():
 def test_vanishing_ridge_matches_ml():
     data, part, _ = single_component_data()
     ws = pm.build_workspace(data, part, 0, np.array([0.3, 0.4]))
-    ml = pm.irwls_beta_step(ws, pm.Penalty.ml())
-    ridge = pm.irwls_beta_step(ws, pm.Penalty.ridge(1e-12))
+    ml = pm.irwls_beta_step(ws)
+    ridge = pm.irwls_beta_step(ws, 1e-12)
     assert np.max(np.abs((ridge - ml) / ml)) < 1e-8
 
 
@@ -161,8 +168,8 @@ def test_singular_ml_system_raises_and_ridge_survives():
     part = pm.PartitionState.from_assignment(np.zeros(n, dtype=int), 1)
     ws = pm.build_workspace(data, part, 0, np.zeros(3))
     with pytest.raises(SingularSystem):
-        pm.irwls_beta_step(ws, pm.Penalty.ml())
-    out = pm.irwls_beta_step(ws, pm.Penalty.ridge(0.5))
+        pm.irwls_beta_step(ws)
+    out = pm.irwls_beta_step(ws, 0.5)
     assert np.all(np.isfinite(out))
 
 
@@ -170,19 +177,19 @@ def test_irwls_row_permutation_equivariance(rng):
     data, part, _ = single_component_data(seed=11)
     beta_t = np.array([0.2, -0.1])
     ws = pm.build_workspace(data, part, 0, beta_t)
-    base = pm.irwls_beta_step(ws, pm.Penalty.ridge(0.3))
+    base = pm.irwls_beta_step(ws, 0.3)
     order = rng.permutation(data.n)
     data_perm = pm.Dataset(y=data.y[order], X=data.X[order],
                            Omega=data.Omega[order])
     ws_perm = pm.build_workspace(data_perm, part, 0, beta_t)
-    permuted = pm.irwls_beta_step(ws_perm, pm.Penalty.ridge(0.3))
+    permuted = pm.irwls_beta_step(ws_perm, 0.3)
     assert np.allclose(base, permuted, rtol=1e-10)
 
 
 def test_ridge_solution_norm_monotone_in_lambda():
     data, part, _ = single_component_data(seed=21)
     ws = pm.build_workspace(data, part, 0, np.array([0.1, 0.2]))
-    norms = [np.linalg.norm(pm.irwls_beta_step(ws, pm.Penalty.ridge(lam)))
+    norms = [np.linalg.norm(pm.irwls_beta_step(ws, lam))
              for lam in (0.01, 0.1, 1.0, 10.0)]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -191,45 +198,78 @@ def test_q2_gradient_vanishes_at_ml_solution():
     data, part, _ = single_component_data()
     beta_hat = iterate_ml_to_convergence(data, part, 2)
     ws = pm.build_workspace(data, part, 0, beta_hat)
-    grad = pm.q2_gradient(ws, beta_hat, pm.Penalty.ml())
+    grad = pm.q2_gradient(ws, beta_hat)
     assert np.linalg.norm(grad) < 1e-6
 
 
 def test_q2_gradient_at_zero_under_ridge():
+    # The ridge term -lam*beta vanishes at zero, so the penalized gradient
+    # there is the log-likelihood gradient X'(y - 1).
     data, part, _ = single_component_data(seed=2)
     ws = pm.build_workspace(data, part, 0, np.zeros(2))
-    grad = pm.q2_gradient(ws, np.zeros(2), pm.Penalty.ridge(2.5))
+    grad = pm.q2_gradient(ws, np.zeros(2))
     expected = np.asarray(data.X).T @ (data.y - 1.0)
     assert np.allclose(grad, expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("make_penalty", [
-    lambda p: pm.Penalty.ml(),
-    lambda p: pm.Penalty.ridge(0.8),
-    lambda p: pm.Penalty.liu_type(0.8, 0.6, anchor=np.linspace(-0.5, 0.5, p)),
-    lambda p: pm.Penalty.liu_type(0.8, -0.6, anchor=np.linspace(-0.5, 0.5, p)),
+# Shrinkage (lam, d, anchor): ML, ridge, and Liu-type with a positive
+# and a negative bias correction.
+@pytest.mark.parametrize("make_shrinkage", [
+    lambda p: (None, None, None),
+    lambda p: (0.8, None, None),
+    lambda p: (0.8, 0.6, np.linspace(-0.5, 0.5, p)),
+    lambda p: (0.8, -0.6, np.linspace(-0.5, 0.5, p)),
 ])
-def test_q2_gradient_matches_finite_differences(make_penalty):
+def test_q2_gradient_matches_finite_differences(make_shrinkage):
+    # q2_gradient - lam*b - d*anchor is the gradient of the Poisson
+    # log-likelihood - lam/2 |b|^2 - d b'anchor, and it vanishes where the
+    # beta step, iterated with that fixed anchor, stops moving: the solve
+    # maximizes that objective, with the same sign of d.
     data, part, _ = single_component_data(seed=17)
     p = data.p
-    penalty = make_penalty(p)
+    lam, d, anchor = make_shrinkage(p)
     ws = pm.build_workspace(data, part, 0, np.zeros(p))
     X = np.asarray(ws.X)
     y = ws.y
 
+    def shrink_gradient(beta):
+        grad = np.zeros(p)
+        if lam is not None:
+            grad -= lam * beta
+        if d is not None:
+            grad -= d * anchor
+        return grad
+
     def objective(beta):
         eta = X @ beta
         value = float(y @ eta - np.exp(eta).sum())
-        return value + penalty.value(beta)
+        if lam is not None:
+            value -= 0.5 * lam * float(beta @ beta)
+        if d is not None:
+            value -= d * float(beta @ anchor)
+        return value
 
     gen = np.random.default_rng(6)
     step = 1e-5
     for _ in range(25):
         beta = gen.normal(scale=0.4, size=p)
-        grad = pm.q2_gradient(ws, beta, penalty)
+        grad = pm.q2_gradient(ws, beta) + shrink_gradient(beta)
         fd = np.empty(p)
         for k in range(p):
             delta = np.zeros(p)
             delta[k] = step
             fd[k] = (objective(beta + delta) - objective(beta - delta)) / (2 * step)
         assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0) < 1e-5
+
+    beta = np.zeros(p)
+    for _ in range(100):
+        new = penalized_wls_solve(*beta_system(
+            pm.build_workspace(data, part, 0, beta)), lam, d, anchor)
+        done = np.max(np.abs(new - beta)) < 1e-13
+        beta = new
+        if done:
+            break
+    assert done
+    ws = pm.build_workspace(data, part, 0, beta)
+    assert np.linalg.norm(pm.q2_gradient(ws, beta) + shrink_gradient(beta)) \
+        < 1e-9 * np.linalg.norm(X.T @ y)

@@ -69,7 +69,7 @@ def test_m_step_single_component_is_one_irwls_step():
     psi = pm.Coefficients(beta=np.zeros((1, 2)), alpha=np.zeros((1, 1)))
     updated = pm.m_step(data, part, psi, method="ml")
     ws = pm.build_workspace(data, part, 0, np.zeros(2))
-    expected = pm.irwls_beta_step(ws, pm.Penalty.ml())
+    expected = pm.irwls_beta_step(ws)
     assert np.array_equal(updated.beta[0], expected)
     assert np.all(updated.alpha == 0.0)
 

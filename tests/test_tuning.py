@@ -29,7 +29,6 @@ def test_lambda_plugin_values():
                           alpha=np.zeros((1, 1)))
     tuning = pm.estimate_ridge_lambdas(psi)
     assert tuning.lambda_beta[0] == pytest.approx(1.0, rel=1e-14)
-    assert tuning.lambda_alpha_capped == (True,)
     assert tuning.lambda_alpha[0] == LAMBDA_MAX
 
 
@@ -39,7 +38,7 @@ def test_lambda_plugin_study1_alpha_value():
                           reference_class=1)
     tuning = pm.estimate_ridge_lambdas(psi)
     assert tuning.lambda_alpha[0] == pytest.approx(5.0 / 11.34, rel=1e-12)
-    assert tuning.lambda_alpha_capped == (False, True)
+    assert tuning.lambda_alpha[1] == LAMBDA_MAX
 
 
 def test_lambda_plugin_scale_covariance():
