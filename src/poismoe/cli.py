@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -75,6 +76,11 @@ def _read_table(path: str, response: str, x_cols: list[str],
             if count < 0 or not float(count).is_integer():
                 raise DataFormatError(
                     f"response must be a nonnegative integer, got {count}",
+                    line_number)
+            bad = [c for c in x_cols + omega_cols if not math.isfinite(values[c])]
+            if bad:
+                raise DataFormatError(
+                    f"non-finite covariate value(s) in {', '.join(bad)}",
                     line_number)
             y.append(int(count))
             X.append([1.0] + [values[c] for c in x_cols])

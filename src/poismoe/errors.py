@@ -16,8 +16,11 @@ class NumericalFailure(PoismoeError):
 class SingularSystem(NumericalFailure):
     """An unpenalized weighted Gram matrix is numerically singular.
 
-    Raised only for lambda = 0 solves; a positive ridge or Liu-type
-    penalty always yields a positive-definite system.
+    Raised only for lambda = 0 solves: the Gram matrix is not finite, its
+    smallest eigenvalue is not positive, or its 2-norm condition number
+    exceeds ``linalg.COND_LIMIT``. A ridge or Liu-type system that fails
+    the same positive-definiteness test raises the parent
+    :class:`NumericalFailure` instead.
     """
 
 

@@ -25,6 +25,7 @@ PI_FLOOR = 1e-10
 
 __all__ = [
     "PI_FLOOR",
+    "log_sum_exp",
     "gating_log_probabilities",
     "gating_probabilities",
     "build_gating_workspace",
@@ -35,12 +36,17 @@ __all__ = [
 ]
 
 
+def log_sum_exp(values: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(values))) as an (n, 1) column, each row
+    shifted by its maximum so no exp overflows (an all -inf row: nan)."""
+    peak = values.max(axis=1, keepdims=True)
+    return peak + np.log(np.exp(values - peak).sum(axis=1, keepdims=True))
+
+
 def gating_log_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of the class scores Omega @ alpha.T."""
     scores = Omega @ np.asarray(alpha, dtype=float).T
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - log_norm
+    return scores - log_sum_exp(scores)
 
 
 def gating_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ the published complete-case count of 297 for the canonical file.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +60,8 @@ def load_heart_records(path: str | Path) -> list[HeartRecord]:
             except ValueError as exc:
                 raise DataFormatError(f"unparseable value: {exc}",
                                       line_number) from exc
+            if not all(map(math.isfinite, (st_depression, st_slope, stage_raw))):
+                raise DataFormatError("non-finite value", line_number)
             if stage_raw != int(stage_raw) or not 0 <= stage_raw <= 4:
                 raise DataFormatError(
                     f"disease stage must be an integer in 0..4, got {stage_raw}",

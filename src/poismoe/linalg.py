@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import NumericalFailure, SingularSystem
 
@@ -26,34 +25,32 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     scalars, or one value per coordinate for a block that stacks several
     classes.
 
-    ``lam=None`` is ML: ``gram @ b = rhs`` after a condition check that
-    raises :class:`SingularSystem`. ``d=None`` is ridge. Otherwise the
-    solve is Liu-type, and ``anchor=None`` takes the ridge solve of the
-    same system as anchor, which gives ``S^-1 (S - d I) S^-1 rhs`` with
-    ``S = gram + lam I``. The system is factored (Cholesky), never
-    inverted explicitly.
+    ``lam=None`` is ML: ``gram @ b = rhs``. ``d=None`` is ridge.
+    Otherwise the solve is Liu-type, and ``anchor=None`` takes the ridge
+    solve of the same system as anchor, which gives
+    ``S^-1 (S - d I) S^-1 rhs`` with ``S = gram + lam I``.
+
+    S is diagonalized once, S = V diag(s) V', and each solve is
+    V (V'r / s). S must be finite with s[0] > 0, and for ML also have a
+    2-norm condition s[-1]/s[0] <= COND_LIMIT; else ML raises
+    :class:`SingularSystem` and ridge or Liu-type :class:`NumericalFailure`.
     """
-    if lam is None:
-        if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > COND_LIMIT:
-            raise SingularSystem(
-                "weighted Gram matrix is numerically singular at lambda=0; "
-                "use the ridge or Liu-type estimator")
-        system = gram
-    else:
-        system = gram + lam * np.eye(gram.shape[0])
-    try:
-        factor = cho_factor(system, lower=True, check_finite=False)
-    except (LinAlgError, ValueError) as exc:
-        if lam is None:
-            raise SingularSystem(
-                "Cholesky factorization failed at lambda=0; "
-                "use the ridge or Liu-type estimator") from exc
-        raise NumericalFailure("penalized system could not be factored") from exc
+    system = gram if lam is None else gram + lam * np.eye(gram.shape[0])
+    failure = SingularSystem if lam is None else NumericalFailure
+    if not np.all(np.isfinite(system)):
+        raise failure("weighted Gram matrix is not finite")
+    s, vecs = np.linalg.eigh(system)
+    limit = COND_LIMIT if lam is None else np.inf
+    if not (s[0] > 0 and s[-1] <= limit * s[0]):
+        raise failure("weighted system is not (numerically) positive definite; "
+                      "at lambda=0 use the ridge or Liu-type estimator")
+
+    def solve(vector: np.ndarray) -> np.ndarray:
+        return vecs @ (vecs.T @ vector / s)
+
     if d is not None:
-        if anchor is None:
-            anchor = cho_solve(factor, rhs, check_finite=False)
-        rhs = rhs - d * anchor
-    solution = cho_solve(factor, rhs, check_finite=False)
+        rhs = rhs - d * (solve(rhs) if anchor is None else anchor)
+    solution = solve(rhs)
     if not np.all(np.isfinite(solution)):
         raise NumericalFailure("weighted least-squares solve produced non-finite values")
     return solution

@@ -7,20 +7,20 @@ covariates omega_i with one class fixed at zero as the reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import DimensionError, NumericalFailure
-from .gating import gating_log_probabilities
+from .gating import gating_log_probabilities, log_sum_exp
 
 # Poisson means are kept inside [MU_MIN, MU_MAX]: poisson_means returns
 # exactly MU_MAX for a linear predictor eta > ETA_MAX and exactly MU_MIN for
 # a mean exp(eta) below MU_MIN, and its warning counts those entries.
 # ETA_MAX caps the exponent so exp() cannot overflow. The log-likelihood
-# (_log_poisson_kernels) clips eta itself into [ETA_FLOOR, ETA_MAX];
+# (_log_terms) clips eta itself into [ETA_FLOOR, ETA_MAX];
 # ETA_FLOOR bounds the linear predictor below so products like y * eta stay
 # finite for any finite coefficients.
 MU_MIN = 1e-300
@@ -47,11 +47,13 @@ class Dataset:
 
     Both design matrices are expected to carry a leading constant column
     when an intercept is wanted; nothing enforces that convention.
+    ``log_y_factorial`` holds log(y_i!), computed once on construction.
     """
 
     y: np.ndarray
     X: np.ndarray
     Omega: np.ndarray
+    log_y_factorial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y)
@@ -68,7 +70,11 @@ class Dataset:
             raise DimensionError("X and Omega must have one row per observation")
         if X.shape[1] < 1 or Omega.shape[1] < 1:
             raise DimensionError("X and Omega need at least one column")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Omega))):
+            raise ValueError("X and Omega must be finite")
         object.__setattr__(self, "y", _readonly(np.array(y, dtype=np.int64)))
+        object.__setattr__(self, "log_y_factorial", _readonly(np.array(
+            [math.lgamma(count + 1.0) for count in self.y.tolist()])))
         object.__setattr__(self, "X", _readonly(X))
         object.__setattr__(self, "Omega", _readonly(Omega))
 
@@ -274,30 +280,22 @@ class FitResult:
         object.__setattr__(self, "loglik_trace", _readonly(trace))
 
 
-def _check_dimensions(data: Dataset, psi: Coefficients) -> None:
+def _log_terms(data: Dataset, psi: Coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Mixture log-terms and their row normalizers.
+
+    Returns the (n, J) matrix log pi_ij + log Poi(y_i | mu_ij), whose
+    Poisson part is y*eta - exp(eta) - log(y!) at eta = x' beta_j, and
+    its (n, 1) row-wise log-sum-exp, whose sum is the observed
+    log-likelihood.
+    """
     if psi.p != data.p or psi.q != data.q:
         raise DimensionError(
             f"coefficients expect p={psi.p}, q={psi.q} but data has "
             f"p={data.p}, q={data.q}")
-
-
-def _log_poisson_kernels(data: Dataset, psi: Coefficients) -> np.ndarray:
-    """(n, J) matrix of y*eta - exp(eta) - log(y!) with eta = x' beta_j."""
     eta = np.clip(data.X @ psi.beta.T, ETA_FLOOR, ETA_MAX)
-    y = data.y.astype(float)
-    return y[:, None] * eta - np.exp(eta) - gammaln(y + 1.0)[:, None]
-
-
-def _log_terms(data: Dataset, psi: Coefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture log-terms and their row normalizers.
-
-    Returns the (n, J) matrix log pi_ij + log Poi(y_i | mu_ij) and its
-    (n, 1) row-wise logsumexp, whose sum is the observed log-likelihood.
-    """
-    _check_dimensions(data, psi)
-    log_terms = gating_log_probabilities(data.Omega, psi.alpha) \
-        + _log_poisson_kernels(data, psi)
-    return log_terms, logsumexp(log_terms, axis=1, keepdims=True)
+    log_terms = gating_log_probabilities(data.Omega, psi.alpha) + (
+        data.y[:, None] * eta - np.exp(eta) - data.log_y_factorial[:, None])
+    return log_terms, log_sum_exp(log_terms)
 
 
 def _total_loglik(norms: np.ndarray) -> float:

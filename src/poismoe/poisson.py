@@ -36,7 +36,7 @@ def poisson_means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     An entry with eta > ETA_MAX comes back as exactly MU_MAX, and one whose
     exp falls below MU_MIN as exactly MU_MIN; the warning counts those
     entries. Means in range are exp(eta) unchanged. The log-likelihood
-    does not use these means; it clips eta itself (``_log_poisson_kernels``).
+    does not use these means; it clips eta itself (``model._log_terms``).
     """
     eta = X @ beta
     mu = np.exp(np.minimum(eta, ETA_MAX))

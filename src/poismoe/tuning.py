@@ -9,7 +9,6 @@ its coefficients and so the minimizer in closed form.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import TuningFailed
 from .gating import PI_FLOOR, gating_probabilities
@@ -59,16 +58,16 @@ def _lt_mse(d: float, gram: np.ndarray, lam: float, mean_vec: np.ndarray,
     """tr Var + squared bias for the Liu-type estimator pattern.
 
     With S = gram + lam*I and B(d) = S^-1 (gram - d*I) S^-1, the
-    variance term is tr[B gram B'] and the mean is B @ mean_vec.
-    """
+    variance term is tr[B gram B'] and the mean is B @ mean_vec. The test
+    oracle for :func:`optimize_bias_correction`, so built apart from its
+    eigenbasis, with np.linalg.solve."""
     size = gram.shape[0]
     system = gram + lam * np.eye(size)
     try:
-        factor = cho_factor(system, lower=True, check_finite=False)
-    except (LinAlgError, ValueError) as exc:
-        raise TuningFailed("MSE system could not be factored") from exc
-    half = cho_solve(factor, gram - d * np.eye(size), check_finite=False)
-    shrink = cho_solve(factor, half.T, check_finite=False).T
+        half = np.linalg.solve(system, gram - d * np.eye(size))
+        shrink = np.linalg.solve(system, half.T).T
+    except np.linalg.LinAlgError as exc:
+        raise TuningFailed("MSE system could not be solved") from exc
     variance_trace = float(np.trace(shrink @ gram @ shrink.T))
     bias = shrink @ mean_vec - target
     value = variance_trace + float(bias @ bias)

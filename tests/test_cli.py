@@ -64,6 +64,18 @@ def test_fit_rejects_malformed_csv(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["2,nan,0.3", "2,0.1,inf", "2,-inf,0.3"])
+def test_fit_rejects_non_finite_covariates(tmp_path, capsys, row):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"count,x1,w1\n1,0.5,0.2\n{row}\n")
+    rc = main(["fit", "--data", str(path), "--response", "count",
+               "--x", "x1", "--omega", "w1", "--components", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and "non-finite" in err
+
+
 def test_fit_rejects_negative_counts(tmp_path, capsys):
     path = tmp_path / "neg.csv"
     path.write_text("count,x1,w1\n-1,0.5,0.2\n")

@@ -5,8 +5,10 @@ import pytest
 import scipy.optimize
 
 import poismoe as pm
-from poismoe.gating import penalty_value, q1_value
+from poismoe.errors import NumericalFailure
+from poismoe.gating import log_sum_exp, penalty_value, q1_value
 from poismoe.linalg import penalized_wls_solve
+from poismoe.model import _total_loglik
 
 from conftest import small_mixture
 
@@ -73,6 +75,42 @@ def test_probabilities_invariant_to_common_shift(rng):
     again = pm.gating_probabilities(Omega, renormalized)
     assert np.max(np.abs(base - again)) < 1e-12
     assert np.array_equal(base.argmax(axis=1), moved.argmax(axis=1))
+
+
+def log_sum_exp_reference(row):
+    """log(sum(exp(row))) per row with math: the largest finite term
+    factored out and the rest summed exactly (fsum) into log1p."""
+    rest = sorted(v for v in row if v != -math.inf)
+    peak = rest.pop()
+    return peak + math.log1p(math.fsum(math.exp(v - peak) for v in rest))
+
+
+@pytest.mark.parametrize("rows", [
+    # one dominant term per row
+    [[0.0, -40.0, -745.0], [700.0, 1.0, -3.0], [5.0, 5.0 - 1e-9, -800.0]],
+    # every term at or below -1e3: exp of each underflows to zero
+    [[-1000.0, -1000.5, -1003.0], [-1e5, -1e5 - 1e-3, -2e5]],
+    # rows containing -inf
+    [[-math.inf, 0.5, -2.0], [-math.inf, -1e3, -math.inf]],
+], ids=["dominant", "all-below-minus-1e3", "minus-inf"])
+def test_log_sum_exp_matches_math_reference(rows):
+    values = np.array(rows)
+    result = log_sum_exp(values)
+    assert result.shape == (len(rows), 1)
+    expected = [log_sum_exp_reference(row) for row in rows]
+    # log of the shifted sum is good to about eps in absolute terms, and
+    # adding the peak back rounds to about eps relative.
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(result[:, 0], expected, rtol=2 * eps,
+                               atol=2 * eps)
+
+
+def test_all_minus_inf_row_is_a_numerical_failure():
+    log_terms = np.array([[0.0, -1.0], [-math.inf, -math.inf]])
+    with np.errstate(invalid="ignore"):  # -inf - (-inf) in the shift
+        norms = log_sum_exp(log_terms)
+    with pytest.raises(NumericalFailure):
+        _total_loglik(norms)
 
 
 def three_class_problem(seed=22, n=80, q=3):

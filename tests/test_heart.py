@@ -63,6 +63,16 @@ def test_unparseable_value_reports_line_number(tmp_path):
         pm.load_heart_records(path)
 
 
+@pytest.mark.parametrize("field, value", [(9, "nan"), (10, "inf"),
+                                          (13, "nan")])
+def test_non_finite_value_reports_line_number(tmp_path, field, value):
+    row = COMPLETE_2.split(",")
+    row[field] = value  # oldpeak, slope, stage
+    path = write_heart_file(tmp_path, [COMPLETE_1, ",".join(row)])
+    with pytest.raises(DataFormatError, match="line 2: non-finite"):
+        pm.load_heart_records(path)
+
+
 def test_out_of_range_stage_rejected(tmp_path):
     bad = COMPLETE_1[:-1] + "5"
     path = write_heart_file(tmp_path, [bad])

@@ -17,6 +17,15 @@ def test_dataset_rejects_bad_inputs():
         pm.Dataset(y=np.array([1, 2]), X=np.ones((3, 1)), Omega=np.ones((2, 1)))
 
 
+@pytest.mark.parametrize("matrix", ["X", "Omega"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_covariates(matrix, value):
+    designs = {"X": np.ones((2, 2)), "Omega": np.ones((2, 2))}
+    designs[matrix][1, 1] = value
+    with pytest.raises(ValueError, match="finite"):
+        pm.Dataset(y=np.array([1, 2]), **designs)
+
+
 def test_coefficients_require_zero_reference_row():
     with pytest.raises(ValueError):
         pm.Coefficients(beta=np.zeros((2, 1)), alpha=np.ones((2, 1)),

@@ -6,7 +6,7 @@ import pytest
 import scipy.optimize
 
 import poismoe as pm
-from poismoe.errors import EmptyPartition, SingularSystem
+from poismoe.errors import EmptyPartition, NumericalFailure, SingularSystem
 from poismoe.linalg import penalized_wls_solve
 from poismoe.model import MU_MAX, MU_MIN
 
@@ -171,6 +171,17 @@ def test_singular_ml_system_raises_and_ridge_survives():
         pm.irwls_beta_step(ws)
     out = pm.irwls_beta_step(ws, 0.5)
     assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("gram", [np.diag([1.0, -2.0]),
+                                  np.array([[1.0, np.nan], [np.nan, 1.0]])],
+                         ids=["indefinite", "non-finite"])
+def test_penalized_solve_refuses_unusable_systems(gram):
+    with pytest.raises(SingularSystem):
+        penalized_wls_solve(gram, np.ones(2))
+    with pytest.raises(NumericalFailure) as info:  # ridge: not SingularSystem
+        penalized_wls_solve(gram, np.ones(2), 1.0)
+    assert type(info.value) is NumericalFailure
 
 
 def test_irwls_row_permutation_equivariance(rng):

@@ -1,11 +1,12 @@
-"""Property tests for the closed-form tuning, gating, labels and relabeling."""
+"""Property tests for the solve, closed-form tuning, gating, labels and relabeling."""
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import poismoe as pm
-from poismoe.errors import EmptyPartition
+from poismoe.errors import EmptyPartition, SingularSystem
+from poismoe.linalg import COND_LIMIT, penalized_wls_solve
 from poismoe.model import draw_labels
 
 from conftest import small_mixture
@@ -15,6 +16,87 @@ seeds = st.integers(0, 2**32 - 1)
 
 def _relative_le(lower, upper, rel=1e-9):
     return lower <= upper + rel * max(abs(lower), abs(upper), 1.0)
+
+
+def _gram(gen, p, cond, scale=1.0):
+    """Exactly symmetric p x p Gram matrix with eigenvalues spread
+    geometrically from ``scale`` down to ``scale / cond``; ``cond=inf``
+    makes the smallest eigenvalue zero."""
+    basis, _ = np.linalg.qr(gen.normal(size=(p, p)))
+    eigs = np.geomspace(1.0, 1.0 / min(cond, 1e300), p)
+    if np.isinf(cond):
+        eigs[-1] = 0.0
+    gram = scale * (basis * eigs) @ basis.T
+    return 0.5 * (gram + gram.T)
+
+
+def _shrinkage(gen, p, per_coordinate, low, high):
+    values = gen.uniform(low, high, size=p if per_coordinate else None)
+    return values if per_coordinate else float(values)
+
+
+@given(seed=seeds, p=st.integers(1, 6), log_cond=st.floats(0.0, 8.0),
+       log_scale=st.floats(-3.0, 3.0),
+       kind=st.sampled_from(["ml", "ridge", "lt"]),
+       per_coordinate=st.booleans(), self_anchor=st.booleans())
+def test_solve_satisfies_the_normal_equations(seed, p, log_cond, log_scale,
+                                              kind, per_coordinate,
+                                              self_anchor):
+    gen = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    gram = _gram(gen, p, 10.0 ** log_cond, scale)
+    rhs = scale * gen.normal(size=p)
+    lam = d = anchor = None
+    if kind != "ml":
+        lam = scale * _shrinkage(gen, p, per_coordinate, 1e-3, 10.0)
+    if kind == "lt":
+        d = scale * _shrinkage(gen, p, per_coordinate, -3.0, 3.0)
+        anchor = None if self_anchor else gen.normal(size=p)
+    solution = penalized_wls_solve(gram, rhs, lam, d, anchor)
+    system = gram if lam is None else gram + np.diag(np.broadcast_to(lam, p))
+    target = rhs
+    if d is not None:
+        if anchor is None:  # the self-anchor is the ridge solve
+            anchor = penalized_wls_solve(gram, rhs, lam)
+        target = rhs - d * anchor
+    residual = system @ solution - target
+    bound = 10 * p * np.finfo(float).eps * (
+        np.linalg.norm(system, 2) * np.linalg.norm(solution)
+        + np.linalg.norm(rhs) + np.linalg.norm(target))
+    assert np.linalg.norm(residual) <= bound
+
+
+@given(seed=seeds, p=st.integers(2, 6), log_scale=st.floats(-3.0, 3.0),
+       log_cond=st.one_of(st.floats(0.0, 10.0), st.floats(14.0, 18.0),
+                          st.just(np.inf)))
+def test_ml_refuses_exactly_the_ill_conditioned_grams(seed, p, log_scale,
+                                                      log_cond):
+    gen = np.random.default_rng(seed)
+    gram = _gram(gen, p, 10.0 ** log_cond, 10.0 ** log_scale)
+    try:
+        penalized_wls_solve(gram, gen.normal(size=p))
+    except SingularSystem:
+        refused = True
+    else:
+        refused = False
+    assert refused == (np.linalg.cond(gram) > COND_LIMIT)
+
+
+@given(seed=seeds, p=st.integers(1, 6), data=st.data(),
+       log_lam=st.floats(-6.0, 2.0))
+def test_ridge_solves_a_singular_gram(seed, p, data, log_lam):
+    rank = data.draw(st.integers(0, p - 1))
+    gen = np.random.default_rng(seed)
+    factor = gen.normal(size=(p, rank))
+    gram = factor @ factor.T
+    rhs = gen.normal(size=p)
+    lam = 10.0 ** log_lam
+    solution = penalized_wls_solve(gram, rhs, lam)
+    residual = (gram + lam * np.eye(p)) @ solution - rhs
+    bound = 10 * p * np.finfo(float).eps * (
+        (np.linalg.norm(gram, 2) + lam) * np.linalg.norm(solution)
+        + np.linalg.norm(rhs))
+    assert np.linalg.norm(residual) <= bound
 
 
 @given(seed=seeds, p=st.integers(1, 5), lam=st.floats(0.05, 5.0),
