@@ -59,22 +59,24 @@ def gating_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.exp(gating_log_probabilities(Omega, alpha))
 
 
-def build_gating_workspace(Omega: np.ndarray, alpha: np.ndarray,
-                           indicator: np.ndarray, free: Sequence[int]
+def build_gating_workspace(Omega: np.ndarray, log_pi: np.ndarray,
+                           coef: np.ndarray, indicator: np.ndarray,
+                           free: Sequence[int]
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked Newton system ``(gram, rhs)`` for the free gating rows.
 
-    The rows ``alpha[free]`` are stacked class by class into one vector
-    a of length ``len(free) * q``. Block (j, k) of ``gram`` is
+    ``log_pi`` is the log-softmax (:func:`gating_log_probabilities`) at
+    the rows whose free part, stacked class by class, is ``coef`` (length
+    ``len(free) * q``). Block (j, k) of ``gram`` is
     Omega' diag(pi_j (delta_jk - pi_k)) Omega, the negative Hessian of
     the assignment log-likelihood, with pi_j clipped into
     [PI_FLOOR, 1 - PI_FLOOR] in the diagonal blocks. ``indicator`` has
     one column per free class, in the order of ``free``, holding 1 where
-    a row is assigned to that class. ``rhs = gram @ a +
-    Omega'(indicator - pi)``, so ``rhs - gram @ a`` is the stacked
+    a row is assigned to that class. ``rhs = gram @ coef +
+    Omega'(indicator - pi)``, so ``rhs - gram @ coef`` is the stacked
     gradient of the assignment log-likelihood.
     """
-    pi = gating_probabilities(Omega, alpha)[:, free]
+    pi = np.exp(log_pi)[:, free]
     q = Omega.shape[1]
     gram = np.empty((len(free) * q, len(free) * q))
     for a in range(len(free)):
@@ -86,14 +88,14 @@ def build_gating_workspace(Omega: np.ndarray, alpha: np.ndarray,
             block = Omega.T @ ((-pi[:, a] * pi[:, b])[:, None] * Omega)
             gram[rows, cols] = block
             gram[cols, rows] = block.T
-    rhs = gram @ alpha[free].ravel() + ((indicator - pi).T @ Omega).ravel()
+    rhs = gram @ coef + ((indicator - pi).T @ Omega).ravel()
     return gram, rhs
 
 
-def q1_value(Omega: np.ndarray, alpha: np.ndarray, part: "PartitionState") -> float:
-    """Assignment log-likelihood sum_i log pi_{i, z_i} (no penalty terms)."""
-    log_pi = gating_log_probabilities(Omega, alpha)
-    return float(log_pi[np.arange(Omega.shape[0]), part.assignment].sum())
+def q1_value(log_pi: np.ndarray, part: "PartitionState") -> float:
+    """Assignment log-likelihood sum_i log pi_{i, z_i} (no penalty terms)
+    from the gate's log-softmax ``log_pi``."""
+    return float(log_pi[np.arange(log_pi.shape[0]), part.assignment].sum())
 
 
 def q1_gradient(Omega: np.ndarray, alpha: np.ndarray, part: "PartitionState",
@@ -153,28 +155,28 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
     if d is not None:
         d = np.repeat(np.asarray(d, dtype=float)[free], q)
-    anchor, coef, baseline = None, alpha[free].ravel(), None
+    anchor, coef = None, alpha[free].ravel()
+    log_pi = gating_log_probabilities(Omega, alpha)
+    q1 = q1_value(log_pi, part)
     for _ in range(inner_max):
-        gram, rhs = build_gating_workspace(Omega, alpha, indicator, free)
-        if d is not None:  # a new anchor changes the objective
+        gram, rhs = build_gating_workspace(Omega, log_pi, coef, indicator, free)
+        if d is not None:
             anchor = penalized_wls_solve(gram, rhs, lam)
-            baseline = None
         proposal = penalized_wls_solve(gram, rhs, lam, d, anchor)
-        if baseline is None:
-            baseline = (q1_value(Omega, alpha, part)
-                        + penalty_value(coef, lam, d, anchor))
+        baseline = q1 + penalty_value(coef, lam, d, anchor)
         trial = alpha.copy()
         for _ in range(11):
             trial[free] = proposal.reshape(len(free), q)
-            value = (q1_value(Omega, trial, part)
-                     + penalty_value(proposal, lam, d, anchor))
+            trial_log_pi = gating_log_probabilities(Omega, trial)
+            trial_q1 = q1_value(trial_log_pi, part)
+            value = trial_q1 + penalty_value(proposal, lam, d, anchor)
             if value >= baseline:
                 break
             proposal = 0.5 * (proposal + coef)
         else:  # never recovered: keep the current rows
             break
         change = float(np.max(np.abs(proposal - coef)))
-        alpha, coef, baseline = trial, proposal, value
+        alpha, coef, log_pi, q1 = trial, proposal, trial_log_pi, trial_q1
         if change < inner_tol:
             break
     alpha[reference] = 0.0

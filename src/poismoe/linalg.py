@@ -35,7 +35,10 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     2-norm condition s[-1]/s[0] <= COND_LIMIT; else ML raises
     :class:`SingularSystem` and ridge or Liu-type :class:`NumericalFailure`.
     """
-    system = gram if lam is None else gram + lam * np.eye(gram.shape[0])
+    system = gram
+    if lam is not None:
+        system = gram.copy()
+        system.flat[::gram.shape[0] + 1] += lam
     failure = SingularSystem if lam is None else NumericalFailure
     if not np.all(np.isfinite(system)):
         raise failure("weighted Gram matrix is not finite")

@@ -6,7 +6,8 @@ import scipy.optimize
 
 import poismoe as pm
 from poismoe.errors import NumericalFailure
-from poismoe.gating import log_sum_exp, penalty_value, q1_value
+from poismoe.gating import (gating_log_probabilities, log_sum_exp,
+                            penalty_value, q1_value)
 from poismoe.linalg import penalized_wls_solve
 from poismoe.model import _total_loglik
 
@@ -37,6 +38,18 @@ def binary_gating_problem(seed=8, n=60):
     assignment = (gen.random(n) >= p_class0).astype(int)  # 0 = non-reference
     part = pm.PartitionState.from_assignment(assignment, 2)
     return Omega, part, assignment
+
+
+def workspace_at(Omega, alpha, indicator, free):
+    """The gate's Newton system ``(gram, rhs)`` at the rows ``alpha``."""
+    return pm.build_gating_workspace(
+        Omega, gating_log_probabilities(Omega, alpha), alpha[free].ravel(),
+        indicator, free)
+
+
+def q1_at(Omega, alpha, part):
+    """Assignment log-likelihood at the rows ``alpha``."""
+    return q1_value(gating_log_probabilities(Omega, alpha), part)
 
 
 def test_uniform_probabilities_for_zero_scores(rng):
@@ -127,7 +140,7 @@ def three_class_problem(seed=22, n=80, q=3):
 
 def test_workspace_at_zero_alpha():
     Omega, part, assignment = binary_gating_problem()
-    gram, rhs = pm.build_gating_workspace(
+    gram, rhs = workspace_at(
         Omega, np.zeros((2, 2)), (assignment == 0).astype(float)[:, None], [0])
     assert np.allclose(gram, 0.25 * Omega.T @ Omega, rtol=1e-14)
     assert np.allclose(rhs, Omega.T @ np.where(assignment == 0, 0.5, -0.5),
@@ -136,7 +149,7 @@ def test_workspace_at_zero_alpha():
 
 def test_workspace_matches_elementwise_oracle():
     Omega, part, alpha, indicator = three_class_problem(seed=4)
-    gram, rhs = pm.build_gating_workspace(Omega, alpha, indicator, [0, 2])
+    gram, rhs = workspace_at(Omega, alpha, indicator, [0, 2])
     gram_oracle = np.zeros_like(gram)
     score_oracle = np.zeros_like(rhs)
     for i in range(Omega.shape[0]):
@@ -153,31 +166,31 @@ def test_workspace_matches_elementwise_oracle():
 
 def test_workspace_gram_is_finite_difference_hessian():
     Omega, part, alpha, indicator = three_class_problem(seed=5)
-    gram, _ = pm.build_gating_workspace(Omega, alpha, indicator, [0, 2])
+    gram, _ = workspace_at(Omega, alpha, indicator, [0, 2])
     q = Omega.shape[1]
     step = 1e-4
 
-    def q1_at(flat):
+    def q1_of(flat):
         full = alpha.copy()
         full[[0, 2]] = flat.reshape(2, q)
-        return q1_value(Omega, full, part)
+        return q1_at(Omega, full, part)
 
     flat = alpha[[0, 2]].ravel()
     basis = np.eye(flat.size) * step
     hessian = np.empty_like(gram)
     for k in range(flat.size):
         for m in range(flat.size):
-            hessian[k, m] = (q1_at(flat + basis[k] + basis[m])
-                             - q1_at(flat + basis[k] - basis[m])
-                             - q1_at(flat - basis[k] + basis[m])
-                             + q1_at(flat - basis[k] - basis[m])) \
+            hessian[k, m] = (q1_of(flat + basis[k] + basis[m])
+                             - q1_of(flat + basis[k] - basis[m])
+                             - q1_of(flat - basis[k] + basis[m])
+                             + q1_of(flat - basis[k] - basis[m])) \
                 / (4 * step * step)
     assert np.max(np.abs(gram + hessian)) < 1e-5 * np.max(np.abs(gram))
 
 
 def test_workspace_rhs_minus_gram_step_is_stacked_gradient():
     Omega, part, alpha, indicator = three_class_problem(seed=6)
-    gram, rhs = pm.build_gating_workspace(Omega, alpha, indicator, [0, 2])
+    gram, rhs = workspace_at(Omega, alpha, indicator, [0, 2])
     gradient = np.concatenate([
         pm.q1_gradient(Omega, alpha, part, j) for j in (0, 2)])
     residual = rhs - gram @ alpha[[0, 2]].ravel()
@@ -198,7 +211,7 @@ def test_alpha_step_liu_zero_d_equals_ridge():
     ridge = one_step(Omega, alpha0, part, 1.3)
     lt_self = one_step(Omega, alpha0, part, 1.3, 0.0)
     assert np.array_equal(ridge, lt_self)
-    gram, rhs = pm.build_gating_workspace(
+    gram, rhs = workspace_at(
         Omega, alpha0, (assignment == 0).astype(float)[:, None], [0])
     lt = penalized_wls_solve(gram, rhs, 1.3, 0.0, anchor=np.ones(2))
     assert np.array_equal(ridge, lt)
@@ -224,7 +237,7 @@ def test_alpha_step_vanishing_ridge_matches_ml():
 def test_alpha_step_well_posed_with_floored_weights():
     Omega, part, assignment = binary_gating_problem(seed=12)
     extreme = np.array([[40.0, 25.0], [0.0, 0.0]])
-    gram, rhs = pm.build_gating_workspace(
+    gram, rhs = workspace_at(
         Omega, extreme, (assignment == 0).astype(float)[:, None], [0])
     assert np.all(np.isfinite(penalized_wls_solve(gram, rhs, 0.5)))
     assert np.all(np.isfinite(one_step(Omega, extreme, part, 0.5)))
@@ -299,7 +312,7 @@ def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
     alpha = np.array([[2.5, -3.0], [0.0, 0.0]])  # deliberately poor start
 
     def penalized_total(a):
-        return q1_value(Omega, a, part) + penalty_value(a[0], lam[0])
+        return q1_at(Omega, a, part) + penalty_value(a[0], lam[0])
 
     for _ in range(8):
         before = penalized_total(alpha)
@@ -307,6 +320,68 @@ def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
                                              reference=1, inner_max=1)
         after = penalized_total(alpha)
         assert after >= before - 1e-10
+
+
+def parent_ascent(Omega, alpha_t, part, lam, d, reference, steps):
+    """The gate ascent spelled out step by step: the workspace and the
+    baseline objective are rebuilt from the rows alpha at every step, and
+    a step is halved until q1_value + penalty_value does not drop."""
+    alpha = np.array(alpha_t, dtype=float)
+    free = [j for j in range(alpha.shape[0]) if j != reference]
+    q = Omega.shape[1]
+    indicator = (part.assignment[:, None] == free).astype(float)
+    if lam is not None:
+        lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
+    if d is not None:
+        d = np.repeat(np.asarray(d, dtype=float)[free], q)
+    anchor = None
+    for _ in range(steps):
+        coef = alpha[free].ravel()
+        gram, rhs = workspace_at(Omega, alpha, indicator, free)
+        if d is not None:
+            anchor = penalized_wls_solve(gram, rhs, lam)
+        proposal = penalized_wls_solve(gram, rhs, lam, d, anchor)
+        baseline = q1_at(Omega, alpha, part) + penalty_value(coef, lam, d,
+                                                             anchor)
+        trial = alpha.copy()
+        for _ in range(11):
+            trial[free] = proposal.reshape(len(free), q)
+            if (q1_at(Omega, trial, part)
+                    + penalty_value(proposal, lam, d, anchor)) >= baseline:
+                break
+            proposal = 0.5 * (proposal + coef)
+        else:
+            break
+        alpha = trial
+    alpha[reference] = 0.0
+    return alpha
+
+
+def poor_start_problem(n_classes):
+    """(Omega, start, part, reference) whose first Newton steps overshoot."""
+    if n_classes == 2:
+        Omega, part, _ = binary_gating_problem(seed=15)
+        return Omega, np.array([[2.5, -3.0], [0.0, 0.0]]), part, 1
+    Omega, part, alpha, _ = three_class_problem(seed=23)
+    return Omega, 6.0 * alpha, part, 1
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("lam, d", [(None, None), (0.8, None), (0.8, 0.4),
+                                    (0.8, -0.3)],
+                         ids=["ml", "ridge", "lt-pos", "lt-neg"])
+@pytest.mark.parametrize("steps", [1, 4, 12])
+def test_ascent_equals_stepwise_oracle(n_classes, lam, d, steps):
+    # Reusing the accepted trial's log-softmax and q1 must not change a
+    # single bit against rebuilding everything from alpha at each step.
+    Omega, start, part, reference = poor_start_problem(n_classes)
+    lams = None if lam is None else [lam] * n_classes
+    ds = None if d is None else [d] * n_classes
+    expected = parent_ascent(Omega, start, part, lams, ds, reference, steps)
+    got = pm.coordinate_descent_alphas(Omega, start, part, lams, ds,
+                                       reference, inner_tol=0.0,
+                                       inner_max=steps)
+    assert np.array_equal(got, expected)
 
 
 def test_q1_gradient_vanishes_at_converged_ml():
@@ -345,8 +420,8 @@ def test_q1_gradient_matches_finite_differences(make_shrinkage):
 
     def objective(a_free):
         alpha = np.vstack([a_free, np.zeros(q)])
-        return q1_value(Omega, alpha, part) + penalty_value(a_free, lam, d,
-                                                            anchor)
+        return q1_at(Omega, alpha, part) + penalty_value(a_free, lam, d,
+                                                         anchor)
 
     for _ in range(25):
         a_free = gen.normal(scale=0.5, size=q)
