@@ -5,7 +5,13 @@ concomitant covariates, with one class pinned at zero as the reference.
 The non-reference rows are refit jointly by penalized Newton ascent on
 the assignment log-likelihood: each step solves one stacked
 (J-1)q-dimensional system whose blocks are Omega' diag(pi_j(delta_jk -
-pi_k)) Omega, with step halving when a step lowers the objective.
+pi_k)) Omega, with step halving when a step lowers the objective. Each
+iterate's log-softmax is computed once, when its objective is
+evaluated, and also yields the next step's system. The ascent stops on
+the Newton decrement, the objective increase the quadratic model
+predicts for a full step, taken relative to the objective: on a
+partition the gate separates, the objective has no maximizer, and alpha
+keeps moving by sizeable steps while the objective gains almost nothing.
 """
 from __future__ import annotations
 
@@ -127,7 +133,7 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                               part: "PartitionState",
                               lam: np.ndarray | None, d: np.ndarray | None,
                               reference: int,
-                              inner_tol: float = 1e-8,
+                              inner_tol: float = 1e-11,
                               inner_max: int = 50) -> np.ndarray:
     """Penalized Newton ascent on all non-reference gating rows jointly.
 
@@ -137,13 +143,18 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     (the reference entry is ignored), or are None for ML and ridge as in
     ``penalized_wls_solve``; each free class's value is repeated over its
     q coordinates. The Liu-type step anchors on the ridge solve of the
-    same stacked system, so its anchor moves with every step. A step
-    that lowers the penalized assignment log-likelihood is halved toward
+    same stacked system, so its anchor moves with every step.
+
+    The objective F is the penalized assignment log-likelihood
+    ``q1_value + penalty_value``. One log-softmax per iterate serves both
+    F and the next step's system. A step that lowers F is halved toward
     the current rows up to 10 times; if it never recovers, the current
-    rows are kept and the ascent ends. Stepping stops once the largest
-    coordinate change falls below ``inner_tol`` or after ``inner_max``
-    Newton steps; ``inner_max=0`` returns the input unchanged. The
-    reference row comes back as zeros.
+    rows are kept and the ascent ends. Before the halving, the Newton
+    decrement ``1/2 * step' (gram + diag(lam)) step`` of the full step is
+    taken; once the step is accepted, stepping stops if that decrement is
+    at most ``inner_tol * (1 + |F|)``, and in any case after
+    ``inner_max`` Newton steps. ``inner_max=0`` returns the input
+    unchanged. The reference row comes back as zeros.
     """
     alpha = np.array(alpha_t, dtype=float)
     free = [j for j in range(alpha.shape[0]) if j != reference]
@@ -164,6 +175,9 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
             anchor = penalized_wls_solve(gram, rhs, lam)
         proposal = penalized_wls_solve(gram, rhs, lam, d, anchor)
         baseline = q1 + penalty_value(coef, lam, d, anchor)
+        step = proposal - coef
+        curvature = gram @ step if lam is None else gram @ step + lam * step
+        decrement = 0.5 * float(step @ curvature)
         trial = alpha.copy()
         for _ in range(11):
             trial[free] = proposal.reshape(len(free), q)
@@ -175,9 +189,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
             proposal = 0.5 * (proposal + coef)
         else:  # never recovered: keep the current rows
             break
-        change = float(np.max(np.abs(proposal - coef)))
         alpha, coef, log_pi, q1 = trial, proposal, trial_log_pi, trial_q1
-        if change < inner_tol:
+        if decrement <= inner_tol * (1.0 + abs(value)):
             break
     alpha[reference] = 0.0
     return alpha

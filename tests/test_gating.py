@@ -384,6 +384,29 @@ def test_ascent_equals_stepwise_oracle(n_classes, lam, d, steps):
     assert np.array_equal(got, expected)
 
 
+def test_separable_ml_ascent_stops_on_the_decrement(monkeypatch):
+    # Class 0 sits wholly at x > 2 and class 1 at x < -2: the ML gate has
+    # no maximizer and every Newton step still moves alpha by about 0.1
+    # or more, but the objective gain the decrement predicts dies out.
+    gen = np.random.default_rng(31)
+    x = np.concatenate([gen.uniform(2.0, 4.0, 10), -gen.uniform(2.0, 4.0, 10)])
+    Omega = np.column_stack([np.ones(20), x])
+    part = pm.PartitionState.from_assignment((x < 0).astype(int), 2)
+    builds = []
+    build = pm.gating.build_gating_workspace
+    monkeypatch.setattr(pm.gating, "build_gating_workspace",
+                        lambda *args: builds.append(1) or build(*args))
+    stopped = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
+                                           None, None, reference=1,
+                                           inner_max=300)
+    assert len(builds) < 50
+    long_run = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
+                                            None, None, reference=1,
+                                            inner_tol=0.0, inner_max=300)
+    value, reference = q1_at(Omega, stopped, part), q1_at(Omega, long_run, part)
+    assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
+
+
 def test_q1_gradient_vanishes_at_converged_ml():
     Omega, part, _ = binary_gating_problem(seed=16)
     alpha = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,

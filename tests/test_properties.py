@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import poismoe as pm
 from poismoe.errors import EmptyPartition, SingularSystem
+from poismoe.gating import gating_log_probabilities, penalty_value, q1_value
 from poismoe.linalg import COND_LIMIT, penalized_wls_solve
 from poismoe.model import draw_labels
 
@@ -214,3 +215,29 @@ def test_m_step_closed_under_label_permutation(case):
     result = pm.m_step(data, relabeled, psi.permute(order), method="ml")
     assert np.array_equal(result.beta, expected.beta)
     assert np.allclose(result.alpha, expected.alpha, rtol=0.0, atol=1e-8)
+
+
+@given(seed=seeds, n_components=st.integers(2, 3), q=st.integers(2, 3),
+       lam=st.one_of(st.none(), st.floats(0.05, 5.0)))
+def test_gate_ascent_reaches_the_tight_objective(seed, n_components, q, lam):
+    # The decrement stop ends the ascent with the ML/ridge objective as
+    # good as a run with a far tighter tolerance and a larger cap.
+    data, psi, _, part = small_mixture(seed=seed, n=40 * n_components, q=q,
+                                       n_components=n_components)
+    assume(part.counts.min() >= 10)
+    lams = None if lam is None else [lam] * n_components
+    free = [j for j in range(n_components) if j != psi.reference_class]
+
+    def objective(alpha):
+        log_pi = gating_log_probabilities(data.Omega, alpha)
+        return q1_value(log_pi, part) + penalty_value(
+            alpha[free].ravel(), None if lam is None else lam)
+
+    def ascend(**stop):
+        return pm.coordinate_descent_alphas(
+            data.Omega, np.zeros_like(psi.alpha), part, lams, None,
+            psi.reference_class, **stop)
+
+    value = objective(ascend())
+    tight = objective(ascend(inner_tol=1e-15, inner_max=300))
+    assert abs(value - tight) <= 1e-9 * (1.0 + abs(tight))
