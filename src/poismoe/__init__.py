@@ -10,7 +10,7 @@ from .errors import (DataFormatError, DimensionError, EmptyPartition,
                      FitFailed, NumericalFailure, PoismoeError,
                      SingularSystem, SummaryUndefined, TuningFailed)
 from .gating import (build_gating_workspace, coordinate_descent_alphas,
-                     gating_probabilities, q1_gradient, q1_value)
+                     gating_probabilities, q1_value)
 from .heart import HeartRecord, load_heart_dataset, load_heart_records
 from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse,
@@ -21,7 +21,7 @@ from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
 from .pipeline import (PipelineResult, bic_scan, bic_value, fit_all_methods,
                        fit_method)
 from .poisson import (ComponentWorkspace, build_workspace, irwls_beta_step,
-                      poisson_means, q2_gradient)
+                      poisson_means)
 from .replication import (StudyConfig, StudyResult, default_study_options,
                           load_config, run_replication_study, save_config)
 from .sem import e_step, initialize, m_step, run_sem, s_step
@@ -40,9 +40,9 @@ __all__ = [
     "Dataset", "Coefficients", "PartitionState", "MixtureSpec", "SemOptions",
     "TuningParams", "FitResult", "observed_loglik", "responsibilities",
     "ComponentWorkspace", "poisson_means", "build_workspace",
-    "irwls_beta_step", "q2_gradient",
+    "irwls_beta_step",
     "gating_probabilities", "build_gating_workspace",
-    "coordinate_descent_alphas", "q1_value", "q1_gradient",
+    "coordinate_descent_alphas", "q1_value",
     "e_step", "s_step", "m_step", "initialize", "run_sem",
     "estimate_ridge_lambdas", "lt_mse_beta", "lt_mse_alpha",
     "optimize_bias_correction",

@@ -36,7 +36,6 @@ __all__ = [
     "gating_probabilities",
     "build_gating_workspace",
     "q1_value",
-    "q1_gradient",
     "penalty_value",
     "coordinate_descent_alphas",
 ]
@@ -102,14 +101,6 @@ def q1_value(log_pi: np.ndarray, part: "PartitionState") -> float:
     """Assignment log-likelihood sum_i log pi_{i, z_i} (no penalty terms)
     from the gate's log-softmax ``log_pi``."""
     return float(log_pi[np.arange(log_pi.shape[0]), part.assignment].sum())
-
-
-def q1_gradient(Omega: np.ndarray, alpha: np.ndarray, part: "PartitionState",
-                j: int) -> np.ndarray:
-    """Gradient of the assignment log-likelihood for class j (no penalty terms)."""
-    pi = gating_probabilities(Omega, alpha)
-    U = (part.assignment == j).astype(float) - pi[:, j]
-    return Omega.T @ U
 
 
 def penalty_value(coef: np.ndarray, lam: np.ndarray | None,

@@ -26,7 +26,6 @@ __all__ = [
     "poisson_means",
     "build_workspace",
     "irwls_beta_step",
-    "q2_gradient",
 ]
 
 
@@ -93,9 +92,3 @@ def irwls_beta_step(ws: ComponentWorkspace, lam: float | None = None,
     rhs = ws.X.T @ (ws.mu * ws.z_star)
     return penalized_wls_solve(gram, rhs, lam, d)
 
-
-def q2_gradient(ws: ComponentWorkspace, beta: np.ndarray) -> np.ndarray:
-    """Gradient of the (unpenalized) Poisson log-likelihood at ``beta``."""
-    beta = np.asarray(beta, dtype=float)
-    mu = poisson_means(ws.X, beta)
-    return ws.X.T @ (ws.y - mu)

@@ -52,6 +52,12 @@ def q1_at(Omega, alpha, part):
     return q1_value(gating_log_probabilities(Omega, alpha), part)
 
 
+def q1_gradient(Omega, alpha, part, j):
+    """Gradient of the assignment log-likelihood for class j (no penalty terms)."""
+    pi = pm.gating_probabilities(Omega, alpha)
+    return Omega.T @ ((part.assignment == j).astype(float) - pi[:, j])
+
+
 def test_uniform_probabilities_for_zero_scores(rng):
     Omega = np.column_stack([np.ones(10), rng.normal(size=10)])
     pi = pm.gating_probabilities(Omega, np.zeros((3, 2)))
@@ -192,7 +198,7 @@ def test_workspace_rhs_minus_gram_step_is_stacked_gradient():
     Omega, part, alpha, indicator = three_class_problem(seed=6)
     gram, rhs = workspace_at(Omega, alpha, indicator, [0, 2])
     gradient = np.concatenate([
-        pm.q1_gradient(Omega, alpha, part, j) for j in (0, 2)])
+        q1_gradient(Omega, alpha, part, j) for j in (0, 2)])
     residual = rhs - gram @ alpha[[0, 2]].ravel()
     assert np.allclose(residual, gradient, rtol=0.0,
                        atol=1e-12 * np.max(np.abs(rhs)))
@@ -412,13 +418,13 @@ def test_q1_gradient_vanishes_at_converged_ml():
     alpha = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
                                          None, None, reference=1,
                                          inner_tol=1e-13, inner_max=300)
-    grad = pm.q1_gradient(Omega, alpha, part, 0)
+    grad = q1_gradient(Omega, alpha, part, 0)
     assert np.linalg.norm(grad) < 1e-6
 
 
 def test_q1_gradient_at_zero_alpha():
     Omega, part, assignment = binary_gating_problem(seed=18)
-    grad = pm.q1_gradient(Omega, np.zeros((2, 2)), part, 0)
+    grad = q1_gradient(Omega, np.zeros((2, 2)), part, 0)
     expected = Omega.T @ ((assignment == 0).astype(float) - 0.5)
     assert np.allclose(grad, expected, rtol=1e-12)
 
@@ -449,7 +455,7 @@ def test_q1_gradient_matches_finite_differences(make_shrinkage):
     for _ in range(25):
         a_free = gen.normal(scale=0.5, size=q)
         alpha = np.vstack([a_free, np.zeros(q)])
-        grad = pm.q1_gradient(Omega, alpha, part, 0)
+        grad = q1_gradient(Omega, alpha, part, 0)
         if lam is not None:
             grad = grad - lam * a_free
         if d is not None:
