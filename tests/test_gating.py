@@ -328,7 +328,7 @@ def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
         assert after >= before - 1e-10
 
 
-def parent_ascent(Omega, alpha_t, part, lam, d, reference, steps):
+def stepwise_ascent(Omega, alpha_t, part, lam, d, reference, steps):
     """The gate ascent spelled out step by step: the workspace and the
     baseline objective are rebuilt from the rows alpha at every step, and
     a step is halved until q1_value + penalty_value does not drop."""
@@ -383,7 +383,7 @@ def test_ascent_equals_stepwise_oracle(n_classes, lam, d, steps):
     Omega, start, part, reference = poor_start_problem(n_classes)
     lams = None if lam is None else [lam] * n_classes
     ds = None if d is None else [d] * n_classes
-    expected = parent_ascent(Omega, start, part, lams, ds, reference, steps)
+    expected = stepwise_ascent(Omega, start, part, lams, ds, reference, steps)
     got = pm.coordinate_descent_alphas(Omega, start, part, lams, ds,
                                        reference, inner_tol=0.0,
                                        inner_max=steps)
@@ -400,8 +400,12 @@ def test_separable_ml_ascent_stops_on_the_decrement(monkeypatch):
     part = pm.PartitionState.from_assignment((x < 0).astype(int), 2)
     builds = []
     build = pm.gating.build_gating_workspace
-    monkeypatch.setattr(pm.gating, "build_gating_workspace",
-                        lambda *args: builds.append(1) or build(*args))
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(pm.gating, "build_gating_workspace", counted_build)
     stopped = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
                                            None, None, reference=1,
                                            inner_max=300)
