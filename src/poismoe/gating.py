@@ -12,10 +12,14 @@ the Newton decrement, the objective increase the quadratic model
 predicts for a full step, taken relative to the objective: on a
 partition the gate separates, the objective has no maximizer, and alpha
 keeps moving by sizeable steps while the objective gains almost nothing.
+
+Every array over classes and observations here is class-major (J, n),
+so a reduction over classes runs over J contiguous rows; only
+:func:`gating_probabilities` returns the public (n, J) layout, as a view.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,65 +46,73 @@ __all__ = [
 
 
 def log_sum_exp(values: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(values))) as an (n, 1) column, each row
-    shifted by its maximum so no exp overflows (an all -inf row: nan)."""
-    peak = values.max(axis=1, keepdims=True)
-    return peak + np.log(np.exp(values - peak).sum(axis=1, keepdims=True))
+    """log(sum(exp(values))) over the class axis 0 of a (J, n) array, as
+    an (n,) vector, each column shifted by its maximum so no exp
+    overflows (an all -inf column: nan)."""
+    peak = values.max(axis=0)
+    return peak + np.log(np.exp(values - peak).sum(axis=0))
 
 
 def gating_log_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of the class scores Omega @ alpha.T."""
-    scores = Omega @ np.asarray(alpha, dtype=float).T
+    """Log-softmax of the class scores alpha @ Omega.T, class-major (J, n)."""
+    scores = np.asarray(alpha, dtype=float) @ Omega.T
     return scores - log_sum_exp(scores)
 
 
 def gating_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Class probabilities for every row of ``Omega``.
+    """Class probabilities for every row of ``Omega``, one row per
+    observation: an (n, J) view of the class-major array.
 
     Probabilities are shift-invariant in the scores, so they do not
     depend on which class carries the zero vector. Rows sum to one up to
     floating-point rounding.
     """
-    return np.exp(gating_log_probabilities(Omega, alpha))
+    return np.exp(gating_log_probabilities(Omega, alpha)).T
 
 
 def build_gating_workspace(Omega: np.ndarray, log_pi: np.ndarray,
                            coef: np.ndarray, indicator: np.ndarray,
-                           free: Sequence[int]
+                           free: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked Newton system ``(gram, rhs)`` for the free gating rows.
 
-    ``log_pi`` is the log-softmax (:func:`gating_log_probabilities`) at
-    the rows whose free part, stacked class by class, is ``coef`` (length
-    ``len(free) * q``). Block (j, k) of ``gram`` is
-    Omega' diag(pi_j (delta_jk - pi_k)) Omega, the negative Hessian of
-    the assignment log-likelihood, with pi_j clipped into
-    [PI_FLOOR, 1 - PI_FLOOR] in the diagonal blocks. ``indicator`` has
-    one column per free class, in the order of ``free``, holding 1 where
-    a row is assigned to that class. ``rhs = gram @ coef +
-    Omega'(indicator - pi)``, so ``rhs - gram @ coef`` is the stacked
-    gradient of the assignment log-likelihood.
+    ``log_pi`` is the (J, n) log-softmax
+    (:func:`gating_log_probabilities`) at the rows whose free part,
+    stacked class by class, is ``coef`` (length ``len(free) * q``).
+    Block (j, k) of ``gram`` is Omega' diag(pi_j (delta_jk - pi_k))
+    Omega, the negative Hessian of the assignment log-likelihood, with
+    pi_j clipped into [PI_FLOOR, 1 - PI_FLOOR] in the diagonal blocks.
+    ``indicator`` is (len(free), n), one row per free class in the order
+    of ``free``, holding 1 where an observation is assigned to that
+    class. ``rhs = gram @ coef + Omega'(indicator - pi)``, so
+    ``rhs - gram @ coef`` is the stacked gradient of the assignment
+    log-likelihood.
     """
-    pi = np.exp(log_pi)[:, free]
+    pi = np.exp(log_pi[free])
     q = Omega.shape[1]
     gram = np.empty((len(free) * q, len(free) * q))
     for a in range(len(free)):
         rows = slice(a * q, (a + 1) * q)
-        pi_a = np.clip(pi[:, a], PI_FLOOR, 1.0 - PI_FLOOR)
+        pi_a = np.minimum(np.maximum(pi[a], PI_FLOOR), 1.0 - PI_FLOOR)
         gram[rows, rows] = Omega.T @ ((pi_a * (1.0 - pi_a))[:, None] * Omega)
         for b in range(a):
             cols = slice(b * q, (b + 1) * q)
-            block = Omega.T @ ((-pi[:, a] * pi[:, b])[:, None] * Omega)
+            block = Omega.T @ ((-pi[a] * pi[b])[:, None] * Omega)
             gram[rows, cols] = block
             gram[cols, rows] = block.T
-    rhs = gram @ coef + ((indicator - pi).T @ Omega).ravel()
+    # BLAS rounds this product by the layout of its left factor: the
+    # transposed (n, F) copy keeps the rounding of an observation-major
+    # residual, and with it every fit, bit for bit.
+    residual = np.ascontiguousarray((indicator - pi).T)
+    rhs = gram @ coef + (residual.T @ Omega).ravel()
     return gram, rhs
 
 
-def q1_value(log_pi: np.ndarray, part: "PartitionState") -> float:
+def q1_value(log_pi: np.ndarray, picks: np.ndarray) -> float:
     """Assignment log-likelihood sum_i log pi_{i, z_i} (no penalty terms)
-    from the gate's log-softmax ``log_pi``."""
-    return float(log_pi[np.arange(log_pi.shape[0]), part.assignment].sum())
+    from the (J, n) log-softmax ``log_pi``. ``picks`` holds the flat
+    indices ``z_i * n + i`` of the assigned entries."""
+    return float(log_pi.take(picks).sum())
 
 
 def penalty_value(coef: np.ndarray, lam: np.ndarray | None,
@@ -114,10 +126,10 @@ def penalty_value(coef: np.ndarray, lam: np.ndarray | None,
     """
     if lam is None:
         return 0.0
-    value = -0.5 * float(np.sum(lam * coef * coef))
+    value = -0.5 * (lam * coef * coef).sum()
     if d is not None:
-        value -= float(np.sum(d * coef * anchor))
-    return value
+        value -= (d * coef * anchor).sum()
+    return float(value)
 
 
 def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
@@ -134,7 +146,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     (the reference entry is ignored), or are None for ML and ridge as in
     ``penalized_wls_solve``; each free class's value is repeated over its
     q coordinates. The Liu-type step anchors on the ridge solve of the
-    same stacked system, so its anchor moves with every step.
+    same stacked system, taken from the factorization of its own solve,
+    so its anchor moves with every step.
 
     The objective F is the penalized assignment log-likelihood
     ``q1_value + penalty_value``. One log-softmax per iterate serves both
@@ -148,24 +161,26 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     unchanged. The reference row comes back as zeros.
     """
     alpha = np.array(alpha_t, dtype=float)
-    free = [j for j in range(alpha.shape[0]) if j != reference]
-    if not free:
+    free = np.flatnonzero(np.arange(alpha.shape[0]) != reference)
+    if not free.size:
         return np.zeros_like(alpha)
-    q = Omega.shape[1]
-    indicator = (part.assignment[:, None] == free).astype(float)
+    n, q = Omega.shape
+    picks = part.assignment * n + np.arange(n)
+    indicator = (part.assignment == free[:, None]).astype(float)
+    anchor = None
     if lam is not None:
         lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
     if d is not None:
         d = np.repeat(np.asarray(d, dtype=float)[free], q)
-    anchor, coef = None, alpha[free].ravel()
+        anchor = np.empty(len(free) * q)
+    coef = alpha[free].ravel()
     log_pi = gating_log_probabilities(Omega, alpha)
-    q1 = q1_value(log_pi, part)
+    q1 = q1_value(log_pi, picks)
     for _ in range(inner_max):
         gram, rhs = build_gating_workspace(Omega, log_pi, coef, indicator, free)
-        if d is not None:
-            anchor = penalized_wls_solve(gram, rhs, lam)
-        proposal = penalized_wls_solve(gram, rhs, lam, d, anchor)
-        baseline = q1 + penalty_value(coef, lam, d, anchor)
+        proposal = penalized_wls_solve(gram, rhs, lam, d, anchor_out=anchor)
+        baseline = q1 if lam is None else (  # ML: no penalty terms
+            q1 + penalty_value(coef, lam, d, anchor))
         step = proposal - coef
         curvature = gram @ step if lam is None else gram @ step + lam * step
         decrement = 0.5 * float(step @ curvature)
@@ -173,8 +188,9 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         for _ in range(11):
             trial[free] = proposal.reshape(len(free), q)
             trial_log_pi = gating_log_probabilities(Omega, trial)
-            trial_q1 = q1_value(trial_log_pi, part)
-            value = trial_q1 + penalty_value(proposal, lam, d, anchor)
+            trial_q1 = q1_value(trial_log_pi, picks)
+            value = trial_q1 if lam is None else (
+                trial_q1 + penalty_value(proposal, lam, d, anchor))
             if value >= baseline:
                 break
             proposal = 0.5 * (proposal + coef)

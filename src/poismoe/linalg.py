@@ -14,7 +14,8 @@ __all__ = ["COND_LIMIT", "penalized_wls_solve"]
 def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
                         lam: float | np.ndarray | None = None,
                         d: float | np.ndarray | None = None,
-                        anchor: np.ndarray | None = None) -> np.ndarray:
+                        anchor: np.ndarray | None = None,
+                        anchor_out: np.ndarray | None = None) -> np.ndarray:
     """Solve the IRWLS normal equations of the ML, ridge or Liu-type update.
 
     The three estimators are one family in (lam, d). For a coefficient
@@ -28,7 +29,8 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     ``lam=None`` is ML: ``gram @ b = rhs``. ``d=None`` is ridge.
     Otherwise the solve is Liu-type, and ``anchor=None`` takes the ridge
     solve of the same system as anchor, which gives
-    ``S^-1 (S - d I) S^-1 rhs`` with ``S = gram + lam I``.
+    ``S^-1 (S - d I) S^-1 rhs`` with ``S = gram + lam I``; the anchor it
+    used is copied into ``anchor_out`` when that is given.
 
     S is diagonalized once, S = V diag(s) V', and each solve is
     V (V'r / s). S must be finite with s[0] > 0, and for ML also have a
@@ -40,7 +42,7 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
         system = gram.copy()
         system.flat[::gram.shape[0] + 1] += lam
     failure = SingularSystem if lam is None else NumericalFailure
-    if not np.all(np.isfinite(system)):
+    if not np.isfinite(system).all():
         raise failure("weighted Gram matrix is not finite")
     s, vecs = np.linalg.eigh(system)
     limit = COND_LIMIT if lam is None else np.inf
@@ -52,8 +54,11 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
         return vecs @ (vecs.T @ vector / s)
 
     if d is not None:
-        rhs = rhs - d * (solve(rhs) if anchor is None else anchor)
+        anchor = solve(rhs) if anchor is None else anchor
+        if anchor_out is not None:
+            anchor_out[:] = anchor
+        rhs = rhs - d * anchor
     solution = solve(rhs)
-    if not np.all(np.isfinite(solution)):
+    if not np.isfinite(solution).all():
         raise NumericalFailure("weighted least-squares solve produced non-finite values")
     return solution

@@ -4,6 +4,9 @@ The observation model is a J-component mixture of Poisson regressions:
 each count y_i has mean exp(x_i' beta_j) inside component j, and the
 component weights follow a multinomial-logit model in the concomitant
 covariates omega_i with one class fixed at zero as the reference.
+
+The mixture log-terms are class-major (J, n), like the gate's; the
+public :func:`responsibilities` and :func:`draw_labels` keep (n, J).
 """
 from __future__ import annotations
 
@@ -108,12 +111,12 @@ class Coefficients:
         alpha = np.array(self.alpha, dtype=float, ndmin=2)
         if beta.shape[0] != alpha.shape[0]:
             raise DimensionError("beta and alpha must have one row per component")
-        if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(alpha))):
+        if not (np.isfinite(beta).all() and np.isfinite(alpha).all()):
             raise ValueError("coefficients must be finite")
         ref = int(self.reference_class)
         if not 0 <= ref < alpha.shape[0]:
             raise ValueError("reference_class out of range")
-        if np.any(alpha[ref] != 0.0):
+        if (alpha[ref] != 0.0).any():
             raise ValueError("the reference gating row must be zero")
         object.__setattr__(self, "beta", _readonly(beta))
         object.__setattr__(self, "alpha", _readonly(alpha))
@@ -159,7 +162,7 @@ class PartitionState:
         if assignment.ndim != 1 or counts.ndim != 1:
             raise DimensionError("assignment and counts must be vectors")
         expected = np.bincount(assignment, minlength=counts.shape[0])
-        if expected.shape[0] > counts.shape[0] or np.any(expected != counts):
+        if expected.shape[0] > counts.shape[0] or (expected != counts).any():
             raise ValueError("counts do not match the assignment")
         object.__setattr__(self, "assignment", _readonly(assignment))
         object.__setattr__(self, "counts", _readonly(counts))
@@ -236,9 +239,9 @@ class TuningParams:
         la = np.array(self.lambda_alpha, dtype=float)
         db = np.array(self.d_beta, dtype=float)
         da = np.array(self.d_alpha, dtype=float)
-        if not (np.all(lb > 0) and np.all(la > 0)):
+        if not ((lb > 0).all() and (la > 0).all()):
             raise ValueError("lambda entries must be strictly positive")
-        if not (np.all(np.isfinite(db)) and np.all(np.isfinite(da))):
+        if not (np.isfinite(db).all() and np.isfinite(da).all()):
             raise ValueError("bias corrections must be finite")
         for name, arr in (("lambda_beta", lb), ("lambda_alpha", la),
                           ("d_beta", db), ("d_alpha", da)):
@@ -281,20 +284,20 @@ class FitResult:
 
 
 def _log_terms(data: Dataset, psi: Coefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture log-terms and their row normalizers.
+    """Mixture log-terms and their column normalizers.
 
-    Returns the (n, J) matrix log pi_ij + log Poi(y_i | mu_ij), whose
-    Poisson part is y*eta - exp(eta) - log(y!) at eta = x' beta_j, and
-    its (n, 1) row-wise log-sum-exp, whose sum is the observed
+    Returns the class-major (J, n) matrix log pi_ij + log Poi(y_i | mu_ij),
+    whose Poisson part is y*eta - exp(eta) - log(y!) at eta = x' beta_j,
+    and its (n,) log-sum-exp over components, whose sum is the observed
     log-likelihood.
     """
     if psi.p != data.p or psi.q != data.q:
         raise DimensionError(
             f"coefficients expect p={psi.p}, q={psi.q} but data has "
             f"p={data.p}, q={data.q}")
-    eta = np.clip(data.X @ psi.beta.T, ETA_FLOOR, ETA_MAX)
+    eta = np.minimum(np.maximum(psi.beta @ data.X.T, ETA_FLOOR), ETA_MAX)
     log_terms = gating_log_probabilities(data.Omega, psi.alpha) + (
-        data.y[:, None] * eta - np.exp(eta) - data.log_y_factorial[:, None])
+        data.y * eta - np.exp(eta) - data.log_y_factorial)
     return log_terms, log_sum_exp(log_terms)
 
 
@@ -312,20 +315,21 @@ def observed_loglik(data: Dataset, psi: Coefficients) -> float:
 
 
 def responsibilities(data: Dataset, psi: Coefficients) -> np.ndarray:
-    """Posterior component probabilities, normalized row-wise in log space."""
+    """Posterior component probabilities as an (n, J) view, normalized in
+    log space."""
     log_terms, norms = _log_terms(data, psi)
-    if not np.all(np.isfinite(norms)):
+    if not np.isfinite(norms).all():
         raise NumericalFailure("responsibility normalization underflowed")
-    return np.exp(log_terms - norms)
+    return np.exp(log_terms - norms).T
 
 
 def draw_labels(probabilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of ``probabilities`` (inverse CDF).
+    """One categorical draw per row of the (n, J) ``probabilities``
+    (inverse CDF, summed over the class-major transpose).
 
     Uses one uniform per row; rounding that leaves a row's cumulative sum
     below its uniform gives the last class.
     """
     u = rng.random(probabilities.shape[0])
-    cutpoints = np.cumsum(probabilities, axis=1)
-    return np.minimum((cutpoints < u[:, None]).sum(axis=1),
-                      probabilities.shape[1] - 1)
+    cutpoints = np.cumsum(probabilities.T[:-1], axis=0)
+    return (cutpoints < u).sum(axis=0)

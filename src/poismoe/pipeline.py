@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FitFailed
+from .gating import gating_probabilities
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
                     PartitionState, SemOptions, TuningParams, observed_loglik)
 from .sem import run_sem
@@ -44,20 +45,24 @@ def _stage_seed(base_seed: int, stage: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _make_retuner(tuning_lt: TuningParams, anchors: Coefficients):
-    """Retuner for ``run_sem``: the LT lambdas with d fitted per M-step.
+def _make_retuner(data: Dataset, tuning_lt: TuningParams,
+                  anchors: Coefficients):
+    """Retuner for ``run_sem`` on ``data``: LT lambdas, d fit per M-step.
 
     The returned ``retuner(data, part, psi_t)`` keeps the lambdas of
     ``tuning_lt`` and re-optimizes d in closed form against the partition
-    just drawn. Plug-in truth stays at the ridge ``anchors`` while the
+    just drawn. Plug-in truth stays at the ridge ``anchors`` (their gate
+    probabilities are computed once, for every chain) while the
     working weights follow the chain iterate ``psi_t``, so the minimized
     MSE describes exactly the system the next update will solve.
     """
+    pi_anchors = gating_probabilities(data.Omega, anchors.alpha).T
 
     def retuner(data: Dataset, part: PartitionState,
                 psi_t: Coefficients) -> TuningParams:
         d_beta, d_alpha = bias_corrections_for_partition(
-            data, part, anchors, tuning_lt, psi_weights=psi_t)
+            data, part, anchors, tuning_lt, psi_weights=psi_t,
+            pi_plugin=pi_anchors)
         return tuning_lt.with_bias_corrections(d_beta, d_alpha)
 
     return retuner
@@ -118,7 +123,7 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                 data, spec,
                 replace(opts, rng_seed=_stage_seed(opts.rng_seed, 2)),
                 method="lt", tuning=result.tuning_lt,
-                retune=_make_retuner(result.tuning_lt, anchors))
+                retune=_make_retuner(data, result.tuning_lt, anchors))
         except FitFailed as exc:
             fail("lt", exc)
     elif need_lt:

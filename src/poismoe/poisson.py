@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyPartition
+from .errors import EmptyPartition, NumericalFailure
 from .linalg import penalized_wls_solve
 from .model import ETA_MAX, MU_MAX, MU_MIN
 
@@ -34,11 +34,14 @@ def poisson_means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
     An entry with eta > ETA_MAX comes back as exactly MU_MAX, and one whose
     exp falls below MU_MIN as exactly MU_MIN; the warning counts those
-    entries. Means in range are exp(eta) unchanged. The log-likelihood
-    does not use these means; it clips eta itself (``model._log_terms``).
+    entries. Means in range are exp(eta) unchanged. A NaN eta raises
+    :class:`NumericalFailure`. The log-likelihood does not use these
+    means; it clips eta itself (``model._log_terms``).
     """
     eta = X @ beta
     mu = np.exp(np.minimum(eta, ETA_MAX))
+    if np.isnan(mu).any():
+        raise NumericalFailure("linear predictor is NaN")
     over = eta > ETA_MAX
     under = mu < MU_MIN
     clamped = np.count_nonzero(over | under)

@@ -42,12 +42,13 @@ Retuner = Callable[[Dataset, PartitionState, Coefficients], TuningParams]
 def e_step(data: Dataset, psi: Coefficients) -> tuple[np.ndarray, float]:
     """Posterior tau (one row per observation) and log-likelihood at ``psi``.
 
-    One pass over the mixture log-terms gives both; the log-likelihood
+    One pass over the class-major mixture log-terms gives both; tau is
+    an (n, J) view of that (J, n) posterior, and the log-likelihood
     equals ``observed_loglik(data, psi)`` bit for bit.
     """
     log_terms, norms = _log_terms(data, psi)
     loglik = _total_loglik(norms)
-    return np.exp(log_terms - norms), loglik
+    return np.exp(log_terms - norms).T, loglik
 
 
 def s_step(tau: np.ndarray, rng: np.random.Generator) -> PartitionState:
@@ -55,7 +56,7 @@ def s_step(tau: np.ndarray, rng: np.random.Generator) -> PartitionState:
     tau = np.asarray(tau, dtype=float)
     assignment = draw_labels(tau, rng)
     counts = np.bincount(assignment, minlength=tau.shape[1])
-    if np.any(counts == 0):
+    if (counts == 0).any():
         empty = int(np.flatnonzero(counts == 0)[0])
         raise EmptyPartition(f"component {empty} received no observations")
     return PartitionState(assignment=assignment, counts=counts)

@@ -118,8 +118,8 @@ def optimize_bias_correction(gram: np.ndarray, lam: float,
     s_sq = (g + float(lam)) ** 2
     u = vecs.T @ np.asarray(mean_vec, dtype=float) / s_sq
     w = vecs.T @ np.asarray(target, dtype=float)
-    numerator = float(np.sum(g * g / (s_sq * s_sq)) + u @ (g * u - w))
-    denominator = float(np.sum(g / (s_sq * s_sq)) + u @ u)
+    numerator = float((g * g / (s_sq * s_sq)).sum() + u @ (g * u - w))
+    denominator = float((g / (s_sq * s_sq)).sum() + u @ u)
     if not (np.isfinite(numerator) and np.isfinite(denominator)):
         raise TuningFailed("MSE coefficients are not finite")
     if denominator == 0.0:
@@ -133,16 +133,18 @@ def optimize_bias_correction(gram: np.ndarray, lam: float,
 def bias_corrections_for_partition(data: Dataset, part: PartitionState,
                                    psi_plugin: Coefficients,
                                    tuning: TuningParams,
-                                   psi_weights: Coefficients | None = None
+                                   psi_weights: Coefficients | None = None,
+                                   pi_plugin: np.ndarray | None = None
                                    ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal d per component/class, with the given fit as plug-in truth.
 
     ``psi_plugin`` supplies the "true" coefficients of the bias term and
     the plug-in means/probabilities; ``psi_weights`` (default: same)
     supplies the working weights, so the MSE describes exactly the
-    system about to be solved. The regression-side Gram uses the rows of
-    the partition; the gating side uses all rows. Components with no
-    assigned rows and the reference class keep d=0.
+    system about to be solved; ``pi_plugin`` may hold the (J, n) gate
+    probabilities of ``psi_plugin``. The regression-side Gram uses the
+    rows of the partition; the gating side uses all rows. Components
+    with no assigned rows and the reference class keep d=0.
     """
     if psi_weights is None:
         psi_weights = psi_plugin
@@ -159,15 +161,17 @@ def bias_corrections_for_partition(data: Dataset, part: PartitionState,
         d_beta[j] = optimize_bias_correction(
             X_j.T @ (weights[:, None] * X_j), float(tuning.lambda_beta[j]),
             X_j.T @ (weights * mu_plugin), psi_plugin.beta[j])
-    pi_weights = gating_probabilities(data.Omega, psi_weights.alpha)
-    pi_plugin = gating_probabilities(data.Omega, psi_plugin.alpha)
+    pi_weights = gating_probabilities(data.Omega, psi_weights.alpha).T
+    if pi_plugin is None:
+        pi_plugin = gating_probabilities(data.Omega, psi_plugin.alpha).T
     for j in range(n_components):
         if j == psi_plugin.reference_class:
             continue
-        weights = np.clip(pi_weights[:, j], PI_FLOOR, 1.0 - PI_FLOOR)
+        weights = np.minimum(np.maximum(pi_weights[j], PI_FLOOR),
+                             1.0 - PI_FLOOR)
         weights = weights * (1.0 - weights)
         d_alpha[j] = optimize_bias_correction(
             data.Omega.T @ (weights[:, None] * data.Omega),
             float(tuning.lambda_alpha[j]),
-            data.Omega.T @ (weights * pi_plugin[:, j]), psi_plugin.alpha[j])
+            data.Omega.T @ (weights * pi_plugin[j]), psi_plugin.alpha[j])
     return d_beta, d_alpha

@@ -41,15 +41,22 @@ def binary_gating_problem(seed=8, n=60):
 
 
 def workspace_at(Omega, alpha, indicator, free):
-    """The gate's Newton system ``(gram, rhs)`` at the rows ``alpha``."""
+    """The gate's Newton system ``(gram, rhs)`` at the rows ``alpha``;
+    ``indicator`` is (n, len(free)), one row per observation."""
     return pm.build_gating_workspace(
         Omega, gating_log_probabilities(Omega, alpha), alpha[free].ravel(),
-        indicator, free)
+        np.ascontiguousarray(np.asarray(indicator).T), free)
+
+
+def label_picks(part):
+    """Flat indices of log pi_{i, z_i} in a class-major (J, n) array."""
+    n = part.assignment.shape[0]
+    return part.assignment * n + np.arange(n)
 
 
 def q1_at(Omega, alpha, part):
     """Assignment log-likelihood at the rows ``alpha``."""
-    return q1_value(gating_log_probabilities(Omega, alpha), part)
+    return q1_value(gating_log_probabilities(Omega, alpha), label_picks(part))
 
 
 def q1_gradient(Omega, alpha, part, j):
@@ -113,19 +120,19 @@ def log_sum_exp_reference(row):
     [[-math.inf, 0.5, -2.0], [-math.inf, -1e3, -math.inf]],
 ], ids=["dominant", "all-below-minus-1e3", "minus-inf"])
 def test_log_sum_exp_matches_math_reference(rows):
-    values = np.array(rows)
+    values = np.array(rows).T  # class-major: one column per row
     result = log_sum_exp(values)
-    assert result.shape == (len(rows), 1)
+    assert result.shape == (len(rows),)
     expected = [log_sum_exp_reference(row) for row in rows]
     # log of the shifted sum is good to about eps in absolute terms, and
     # adding the peak back rounds to about eps relative.
     eps = np.finfo(float).eps
-    np.testing.assert_allclose(result[:, 0], expected, rtol=2 * eps,
+    np.testing.assert_allclose(result, expected, rtol=2 * eps,
                                atol=2 * eps)
 
 
 def test_all_minus_inf_row_is_a_numerical_failure():
-    log_terms = np.array([[0.0, -1.0], [-math.inf, -math.inf]])
+    log_terms = np.array([[0.0, -1.0], [-math.inf, -math.inf]]).T
     with np.errstate(invalid="ignore"):  # -inf - (-inf) in the shift
         norms = log_sum_exp(log_terms)
     with pytest.raises(NumericalFailure):

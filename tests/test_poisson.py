@@ -92,6 +92,20 @@ def test_poisson_means_warning_counts_replaced_entries():
                            math.exp(-0.5)]
 
 
+def test_nan_linear_predictor_is_a_numerical_failure():
+    # inf - inf in X @ beta: a NaN eta is refused where it arises, not
+    # left to surface in the solve as a (mislabelled) SingularSystem.
+    data, part, _ = single_component_data()
+    beta = np.array([np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="NaN") as raised:
+            pm.poisson_means(data.X, beta)
+        assert raised.type is NumericalFailure
+        with pytest.raises(NumericalFailure, match="NaN") as raised:
+            pm.build_workspace(data, part, 0, beta)
+        assert raised.type is NumericalFailure
+
+
 def test_build_workspace_unit_weights():
     y = np.array([3, 0, 5])
     X = np.column_stack([np.ones(3), np.array([0.5, -1.0, 2.0])])

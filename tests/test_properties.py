@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 import poismoe as pm
 from poismoe.errors import EmptyPartition, SingularSystem
-from poismoe.gating import gating_log_probabilities, penalty_value, q1_value
+from poismoe.gating import (PI_FLOOR, gating_log_probabilities,
+                            penalty_value, q1_value)
 from poismoe.linalg import COND_LIMIT, penalized_wls_solve
-from poismoe.model import draw_labels
+from poismoe.model import ETA_FLOOR, ETA_MAX, draw_labels
 
 from conftest import small_mixture
 
@@ -230,7 +231,8 @@ def test_gate_ascent_reaches_the_tight_objective(seed, n_components, q, lam):
 
     def objective(alpha):
         log_pi = gating_log_probabilities(data.Omega, alpha)
-        return q1_value(log_pi, part) + penalty_value(
+        picks = part.assignment * data.n + np.arange(data.n)
+        return q1_value(log_pi, picks) + penalty_value(
             alpha[free].ravel(), None if lam is None else lam)
 
     def ascend(**stop):
@@ -241,3 +243,97 @@ def test_gate_ascent_reaches_the_tight_objective(seed, n_components, q, lam):
     value = objective(ascend())
     tight = objective(ascend(inner_tol=1e-15, inner_max=300))
     assert abs(value - tight) <= 1e-9 * (1.0 + abs(tight))
+
+
+# Row-major oracles: the observation-major (n, J) forms of the gate's
+# log-softmax, the E-step and the S-step. The class-major kernels must
+# equal them bit for bit.
+
+def _row_log_softmax(scores):
+    peak = scores.max(axis=1, keepdims=True)
+    return scores - (peak + np.log(np.exp(scores - peak).sum(axis=1,
+                                                           keepdims=True)))
+
+
+@given(seed=seeds, n=st.integers(1, 60), q=st.integers(1, 5),
+       n_classes=st.integers(1, 5), scale=st.floats(0.0, 50.0))
+def test_class_major_log_softmax_equals_row_major_oracle(seed, n, q,
+                                                         n_classes, scale):
+    gen = np.random.default_rng(seed)
+    Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
+    alpha = gen.normal(scale=scale, size=(n_classes, q))
+    expected = _row_log_softmax(Omega @ alpha.T)
+    log_pi = gating_log_probabilities(Omega, alpha)
+    assert log_pi.shape == (n_classes, n) and log_pi.flags.c_contiguous
+    assert np.array_equal(log_pi.T, expected)
+    assert np.array_equal(pm.gating_probabilities(Omega, alpha),
+                          np.exp(expected))
+
+
+@given(seed=seeds, n=st.integers(1, 60), q=st.integers(1, 4),
+       n_classes=st.integers(2, 4), scale=st.floats(0.0, 5.0))
+def test_gate_workspace_equals_row_major_oracle(seed, n, q, n_classes, scale):
+    gen = np.random.default_rng(seed)
+    Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
+    alpha = gen.normal(scale=scale, size=(n_classes, q))
+    labels = gen.integers(0, n_classes, size=n)
+    free = np.arange(1, n_classes)
+    pi = np.exp(_row_log_softmax(Omega @ alpha.T))[:, free]
+    indicator = (labels[:, None] == free).astype(float)
+    coef = alpha[free].ravel()
+    gram = np.empty((len(free) * q, len(free) * q))
+    for a in range(len(free)):
+        rows = slice(a * q, (a + 1) * q)
+        pi_a = np.clip(pi[:, a], PI_FLOOR, 1.0 - PI_FLOOR)
+        gram[rows, rows] = Omega.T @ ((pi_a * (1.0 - pi_a))[:, None] * Omega)
+        for b in range(a):
+            cols = slice(b * q, (b + 1) * q)
+            block = Omega.T @ ((-pi[:, a] * pi[:, b])[:, None] * Omega)
+            gram[rows, cols], gram[cols, rows] = block, block.T
+    rhs = gram @ coef + ((indicator - pi).T @ Omega).ravel()
+    got_gram, got_rhs = pm.build_gating_workspace(
+        Omega, gating_log_probabilities(Omega, alpha), coef,
+        np.ascontiguousarray(indicator.T), free)
+    assert np.array_equal(got_gram, gram) and np.array_equal(got_rhs, rhs)
+
+
+@given(seed=seeds, n=st.integers(1, 60), n_components=st.integers(1, 4),
+       beta_scale=st.floats(0.0, 4.0))
+def test_e_step_equals_row_major_oracle(seed, n, n_components, beta_scale):
+    data, psi, _, _ = small_mixture(seed=seed, n=n, q=3,
+                                    n_components=n_components,
+                                    beta_scale=beta_scale)
+    eta = np.clip(data.X @ psi.beta.T, ETA_FLOOR, ETA_MAX)
+    log_terms = _row_log_softmax(data.Omega @ psi.alpha.T) + (
+        data.y[:, None] * eta - np.exp(eta) - data.log_y_factorial[:, None])
+    peak = log_terms.max(axis=1, keepdims=True)
+    norms = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
+    tau, loglik = pm.e_step(data, psi)
+    assert tau.shape == (n, n_components)
+    assert np.array_equal(tau, np.exp(log_terms - norms))
+    assert loglik == float(norms.sum())
+    assert np.array_equal(pm.responsibilities(data, psi), tau)
+
+
+@given(seed=seeds, n=st.integers(1, 40), n_components=st.integers(1, 5),
+       shrink=st.floats(0.0, 0.3), contiguous_rows=st.booleans())
+def test_labels_equal_row_major_oracle(seed, n, n_components, shrink,
+                                       contiguous_rows):
+    gen = np.random.default_rng(seed)
+    tau = gen.exponential(size=(n_components, n)) ** 3
+    # e_step's (n, J) view; rows that fall short of one send the
+    # uniforms above their sum to the last class
+    tau = (tau / tau.sum(axis=0) * (1.0 - shrink)).T
+    if contiguous_rows:
+        tau = np.ascontiguousarray(tau)
+    u = np.random.default_rng(seed).random(n)
+    expected = np.minimum((np.cumsum(tau, axis=1) < u[:, None]).sum(axis=1),
+                          n_components - 1)
+    assert np.array_equal(draw_labels(tau, np.random.default_rng(seed)),
+                          expected)
+    try:
+        part = pm.s_step(tau, np.random.default_rng(seed))
+    except EmptyPartition:
+        assert np.bincount(expected, minlength=n_components).min() == 0
+    else:
+        assert np.array_equal(part.assignment, expected)
