@@ -11,7 +11,7 @@ from .errors import (DataFormatError, DimensionError, EmptyPartition,
                      SingularSystem, SummaryUndefined, TuningFailed)
 from .gating import (build_gating_workspace, coordinate_descent_alphas,
                      gating_probabilities, q1_value)
-from .heart import HeartRecord, load_heart_dataset, load_heart_records
+from .heart import load_heart_dataset
 from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse,
                       summarize_replicates, write_summary_csv)
@@ -51,7 +51,7 @@ __all__ = [
     "generate_fmpre_sample", "simulate_dataset", "study_presets",
     "ReplicationSummary", "align_components", "sqrt_mse",
     "classification_accuracy", "summarize_replicates", "write_summary_csv",
-    "HeartRecord", "load_heart_records", "load_heart_dataset",
+    "load_heart_dataset",
     "StudyConfig", "StudyResult", "default_study_options",
     "run_replication_study", "save_config", "load_config",
 ]

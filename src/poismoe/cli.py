@@ -21,8 +21,8 @@ from .errors import DataFormatError, FitFailed, PoismoeError
 from .heart import load_heart_dataset
 from .model import Dataset, FitResult, MixtureSpec, SemOptions
 from .pipeline import bic_scan, bic_value, fit_method
-from .replication import (StudyConfig, load_config, run_replication_study,
-                          save_config)
+from .replication import (StudyConfig, default_study_options, load_config,
+                          run_replication_study, save_config)
 from .simulate import study_presets
 
 FAILURE_EXIT = 1
@@ -163,13 +163,11 @@ def _finish_study(config: StudyConfig) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     design = study_presets(args.preset, phi=args.phi, rho=args.rho, n=args.n,
-                           collinearity_form=args.collinearity_form,
-                           seed=args.seed)
+                           collinearity_form=args.collinearity_form)
     config = StudyConfig(
         mode="simulation", design=design, validation_n=args.validation_n,
         replicates=args.replicates, jobs=args.jobs, seed=args.seed,
-        sem=_sem_options(args, StudyConfig(mode="simulation",
-                                           design=design).sem),
+        sem=_sem_options(args, default_study_options()),
         output_dir=args.out)
     if args.save_config:
         save_config(config, args.save_config)
@@ -194,8 +192,7 @@ def _cmd_heart(args: argparse.Namespace) -> int:
         mode="heart", heart_path=args.data, train_n=args.train_n,
         test_n=args.test_n, n_components=args.components,
         replicates=args.replicates, jobs=args.jobs, seed=args.seed,
-        sem=_sem_options(args, StudyConfig(mode="heart",
-                                           heart_path=args.data).sem),
+        sem=_sem_options(args, default_study_options()),
         output_dir=args.out)
     return _finish_study(config)
 
@@ -224,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sem_arguments(fit, SemOptions())
     fit.set_defaults(handler=_cmd_fit)
 
-    study_defaults = StudyConfig(mode="simulation",
-                                 design=study_presets("study1")).sem
-
     sim = sub.add_parser("simulate", help="replicated synthetic study")
     sim.add_argument("--preset", required=True, choices=["study1", "study2"])
     sim.add_argument("--phi", type=float, default=None)
@@ -241,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None)
     sim.add_argument("--save-config", default=None,
                      help="also write the study config as JSON")
-    _add_sem_arguments(sim, study_defaults)
+    _add_sem_arguments(sim, default_study_options())
     sim.set_defaults(handler=_cmd_simulate)
 
     rep = sub.add_parser("replicate", help="study from a JSON config file")
@@ -259,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     heart.add_argument("--jobs", type=int, default=1)
     heart.add_argument("--seed", type=int, default=0)
     heart.add_argument("--out", default=None)
-    _add_sem_arguments(heart, StudyConfig(mode="heart", heart_path="x").sem)
+    _add_sem_arguments(heart, default_study_options())
     heart.set_defaults(handler=_cmd_heart)
     return parser
 
@@ -269,7 +263,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DataFormatError, FitFailed) as exc:
+    except FitFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        for line in exc.diagnostics:
+            print(f"  {line}", file=sys.stderr)
+        return FAILURE_EXIT
+    except (DataFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE_EXIT
     except PoismoeError as exc:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +23,21 @@ OLDPEAK_COLUMN = 9
 SLOPE_COLUMN = 10
 STAGE_COLUMN = 13
 
-__all__ = ["HeartRecord", "load_heart_records", "load_heart_dataset"]
+__all__ = ["load_heart_dataset"]
 
 
-@dataclass(frozen=True)
-class HeartRecord:
-    """One complete observation: the two ECG covariates and the stage."""
+def load_heart_dataset(path: str | Path,
+                       slope_encoding: str = "numeric") -> Dataset:
+    """Dataset with X = Omega = [1, ST depression, ST slope] from the file.
 
-    st_depression: float
-    st_slope: float
-    disease_stage: int
-
-    def __post_init__(self) -> None:
-        if self.disease_stage not in (0, 1, 2, 3, 4):
-            raise ValueError("disease_stage must be in 0..4")
-
-
-def load_heart_records(path: str | Path) -> list[HeartRecord]:
-    """Parse the file, dropping rows with any missing attribute."""
-    records: list[HeartRecord] = []
+    Rows with a missing ("?") attribute are dropped; any other row must
+    have 14 columns, finite ST depression and slope, and a disease stage
+    that is an integer in 0..4, else :class:`DataFormatError` names its
+    line. ``slope_encoding="numeric"`` keeps the slope attribute as the
+    1/2/3 code it carries in the file; ``"dummy"`` expands it into
+    indicator columns for levels 2 and 3.
+    """
+    rows: list[list[float]] = []
     with Path(path).open(newline="") as handle:
         for line_number, row in enumerate(csv.reader(handle), start=1):
             if not row:
@@ -54,46 +49,31 @@ def load_heart_records(path: str | Path) -> list[HeartRecord]:
             if any(field.strip() == "?" for field in row):
                 continue
             try:
-                st_depression = float(row[OLDPEAK_COLUMN])
-                st_slope = float(row[SLOPE_COLUMN])
-                stage_raw = float(row[STAGE_COLUMN])
+                values = [float(row[column]) for column in
+                          (OLDPEAK_COLUMN, SLOPE_COLUMN, STAGE_COLUMN)]
             except ValueError as exc:
                 raise DataFormatError(f"unparseable value: {exc}",
                                       line_number) from exc
-            if not all(map(math.isfinite, (st_depression, st_slope, stage_raw))):
+            if not all(map(math.isfinite, values)):
                 raise DataFormatError("non-finite value", line_number)
+            stage_raw = values[2]
             if stage_raw != int(stage_raw) or not 0 <= stage_raw <= 4:
                 raise DataFormatError(
                     f"disease stage must be an integer in 0..4, got {stage_raw}",
                     line_number)
-            records.append(HeartRecord(st_depression=st_depression,
-                                       st_slope=st_slope,
-                                       disease_stage=int(stage_raw)))
-    return records
-
-
-def load_heart_dataset(path: str | Path,
-                       slope_encoding: str = "numeric") -> Dataset:
-    """Dataset with X = Omega = [1, ST depression, ST slope].
-
-    ``slope_encoding="numeric"`` keeps the slope attribute as the 1/2/3
-    code it carries in the file; ``"dummy"`` expands it into indicator
-    columns for levels 2 and 3.
-    """
-    records = load_heart_records(path)
-    if not records:
+            rows.append(values)
+    if not rows:
         raise DataFormatError("no complete rows found")
-    y = np.array([r.disease_stage for r in records], dtype=np.int64)
-    depression = np.array([r.st_depression for r in records])
-    slope = np.array([r.st_slope for r in records])
+    depression, slope, stage = np.array(rows).T
+    y = stage.astype(np.int64)
     if slope_encoding == "numeric":
-        design = np.column_stack([np.ones(len(records)), depression, slope])
+        design = np.column_stack([np.ones(len(rows)), depression, slope])
     elif slope_encoding == "dummy":
         levels = set(np.unique(slope))
         if not levels <= {1.0, 2.0, 3.0}:
             raise DataFormatError(
                 f"dummy encoding expects slope codes 1/2/3, found {sorted(levels)}")
-        design = np.column_stack([np.ones(len(records)), depression,
+        design = np.column_stack([np.ones(len(rows)), depression,
                                   (slope == 2.0).astype(float),
                                   (slope == 3.0).astype(float)])
     else:

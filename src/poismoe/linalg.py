@@ -14,7 +14,6 @@ __all__ = ["COND_LIMIT", "penalized_wls_solve"]
 def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
                         lam: float | np.ndarray | None = None,
                         d: float | np.ndarray | None = None,
-                        anchor: np.ndarray | None = None,
                         anchor_out: np.ndarray | None = None) -> np.ndarray:
     """Solve the IRWLS normal equations of the ML, ridge or Liu-type update.
 
@@ -27,10 +26,11 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     classes.
 
     ``lam=None`` is ML: ``gram @ b = rhs``. ``d=None`` is ridge.
-    Otherwise the solve is Liu-type, and ``anchor=None`` takes the ridge
-    solve of the same system as anchor, which gives
-    ``S^-1 (S - d I) S^-1 rhs`` with ``S = gram + lam I``; the anchor it
-    used is copied into ``anchor_out`` when that is given.
+    Otherwise the solve is Liu-type and takes the ridge solve of the same
+    system as anchor, which gives ``S^-1 (S - d I) S^-1 rhs`` with
+    ``S = gram + lam I``; the anchor is copied into ``anchor_out`` when
+    that is given. A Liu-type solve with a fixed anchor is the ridge
+    solve of ``rhs - d*anchor``.
 
     S is diagonalized once, S = V diag(s) V', and each solve is
     V (V'r / s). S must be finite with s[0] > 0, and for ML also have a
@@ -54,7 +54,7 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
         return vecs @ (vecs.T @ vector / s)
 
     if d is not None:
-        anchor = solve(rhs) if anchor is None else anchor
+        anchor = solve(rhs)
         if anchor_out is not None:
             anchor_out[:] = anchor
         rhs = rhs - d * anchor

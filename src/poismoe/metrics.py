@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SummaryUndefined
-from .model import Coefficients, Dataset, FitResult, responsibilities
+from .model import Coefficients, Dataset, responsibilities
 
 __all__ = [
     "ReplicationSummary",
@@ -81,16 +81,15 @@ def sqrt_mse(psi_hat_aligned: Coefficients, psi_true: Coefficients,
     return float(np.sqrt(np.sum((a - b) ** 2) / n_train))
 
 
-def classification_accuracy(fit: FitResult | Coefficients, validation: Dataset,
+def classification_accuracy(psi: Coefficients, validation: Dataset,
                             z_true: np.ndarray,
                             psi_true: Coefficients) -> float:
     """Fraction of validation rows assigned to their true component.
 
     Predictions take the argmax of the posterior membership
-    probabilities under the fitted coefficients, after aligning the
-    fitted labels to ``psi_true``.
+    probabilities under the coefficients ``psi`` (for a fit, its
+    ``psi_hat``), after aligning their labels to ``psi_true``.
     """
-    psi = fit.psi_hat if isinstance(fit, FitResult) else fit
     aligned = psi.permute(align_components(psi, psi_true))
     tau = responsibilities(validation, aligned)
     predicted = tau.argmax(axis=1)

@@ -8,7 +8,7 @@ current partition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,14 +27,12 @@ __all__ = ["METHODS", "PipelineResult", "fit_all_methods", "fit_method",
 
 @dataclass
 class PipelineResult:
-    """Fits and tuning parameters from the staged estimation."""
+    """Fits of the staged estimation, and why each missing one failed."""
 
     ml: FitResult | None = None
     ridge: FitResult | None = None
     lt: FitResult | None = None
-    tuning_ridge: TuningParams | None = None
-    tuning_lt: TuningParams | None = None
-    failures: dict[str, str] | None = None
+    failures: dict[str, str] = field(default_factory=dict)
 
     def fit_for(self, method: str) -> FitResult | None:
         return getattr(self, method)
@@ -71,90 +69,67 @@ def _make_retuner(data: Dataset, tuning_lt: TuningParams,
 def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                     methods: tuple[str, ...] = METHODS, *,
                     raise_on_failure: bool = True) -> PipelineResult:
-    """Run the staged pipeline up to the last requested method.
+    """Run the stages of ``METHODS`` in order, up to the last requested one.
 
-    The Liu-type bias corrections are re-optimized at every M-step from
-    the current stochastic partition (plug-ins stay frozen at the ridge
-    estimates); a d matched to the converged ridge Gram alone can
-    dominate early-iteration systems and blow the chain up.
-    ``tuning_lt`` holds the plug-in lambdas from the ridge fit with zero
-    d; the LT fit's own ``tuning`` holds the d its selected iteration
-    used.
+    Stage k's chains are seeded from ``opts.rng_seed`` and k. Each stage
+    after ML takes its ridge lambdas from the previous stage's fit
+    (``estimate_ridge_lambdas``); the Liu-type stage also re-optimizes
+    its bias corrections at every M-step from the current stochastic
+    partition, with the ridge fit as plug-in truth, since a d matched to
+    the converged ridge Gram alone can dominate early-iteration systems
+    and blow the chain up. The LT fit's ``tuning`` holds the d its
+    selected iteration used.
 
-    With ``raise_on_failure=False`` a failed stage (and every stage that
-    depends on it) is recorded in ``result.failures`` instead of
-    raising, which is what the replication harness wants.
+    With ``raise_on_failure=False`` a failed stage, and every stage
+    after it, is recorded in ``result.failures`` instead of raising,
+    which is what the replication harness wants.
     """
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-    need_ridge = "ridge" in methods or "lt" in methods
-    need_lt = "lt" in methods
-    result = PipelineResult(failures={})
-
-    def fail(stage: str, exc: Exception) -> None:
-        if raise_on_failure:
-            raise exc
-        result.failures[stage] = f"{type(exc).__name__}: {exc}"
-
-    try:
-        result.ml = run_sem(data, spec,
-                            replace(opts, rng_seed=_stage_seed(opts.rng_seed, 0)),
-                            method="ml")
-    except FitFailed as exc:
-        fail("ml", exc)
-    if need_ridge and result.ml is not None:
-        result.tuning_ridge = estimate_ridge_lambdas(result.ml.psi_hat,
-                                                     source="ml")
+    last = max((METHODS.index(method) for method in methods), default=0)
+    result = PipelineResult()
+    for stage, method in enumerate(METHODS[:last + 1]):
+        tuning = retune = None
+        if stage > 0:
+            source = METHODS[stage - 1]
+            plugin = result.fit_for(source)
+            if plugin is None:
+                label = "ML" if source == "ml" else source
+                result.failures[method] = f"prerequisite {label} fit failed"
+                continue
+            tuning = estimate_ridge_lambdas(plugin.psi_hat, source=source)
+            if method == "lt":
+                retune = _make_retuner(data, tuning, plugin.psi_hat)
+        stage_opts = replace(opts, rng_seed=_stage_seed(opts.rng_seed, stage))
         try:
-            result.ridge = run_sem(
-                data, spec,
-                replace(opts, rng_seed=_stage_seed(opts.rng_seed, 1)),
-                method="ridge", tuning=result.tuning_ridge)
+            setattr(result, method, run_sem(data, spec, stage_opts,
+                                            method=method, tuning=tuning,
+                                            retune=retune))
         except FitFailed as exc:
-            fail("ridge", exc)
-    elif need_ridge:
-        result.failures["ridge"] = "prerequisite ML fit failed"
-    if need_lt and result.ridge is not None:
-        anchors = result.ridge.psi_hat
-        result.tuning_lt = estimate_ridge_lambdas(anchors, source="ridge")
-        try:
-            result.lt = run_sem(
-                data, spec,
-                replace(opts, rng_seed=_stage_seed(opts.rng_seed, 2)),
-                method="lt", tuning=result.tuning_lt,
-                retune=_make_retuner(data, result.tuning_lt, anchors))
-        except FitFailed as exc:
-            fail("lt", exc)
-    elif need_lt:
-        result.failures["lt"] = "prerequisite ridge fit failed"
+            if raise_on_failure:
+                raise
+            result.failures[method] = f"{type(exc).__name__}: {exc}"
     return result
 
 
 def fit_method(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                method: str, **kwargs) -> FitResult:
     """Fit one method, running its prerequisite stages as needed."""
-    stages = {"ml": ("ml",), "ridge": ("ml", "ridge"),
-              "lt": ("ml", "ridge", "lt")}
-    if method not in stages:
-        raise ValueError(f"unknown method {method!r}")
-    result = fit_all_methods(data, spec, opts, methods=stages[method], **kwargs)
+    result = fit_all_methods(data, spec, opts, methods=(method,), **kwargs)
     fit = result.fit_for(method)
     assert fit is not None  # raise_on_failure=True would have raised
     return fit
 
 
-def bic_value(data: Dataset, psi: Coefficients,
-              loglik: float | None = None) -> float:
+def bic_value(data: Dataset, psi: Coefficients) -> float:
     """-2 loglik + k log n with k = J*p + (J-1)*q free parameters.
 
     The reference gating row is pinned at zero and does not count.
     """
-    if loglik is None:
-        loglik = observed_loglik(data, psi)
     n_components = psi.n_components
     k = n_components * psi.p + (n_components - 1) * psi.q
-    return -2.0 * loglik + k * float(np.log(data.n))
+    return -2.0 * observed_loglik(data, psi) + k * float(np.log(data.n))
 
 
 def bic_scan(data: Dataset, j_max: int, opts: SemOptions, method: str = "ml",
@@ -166,7 +141,5 @@ def bic_scan(data: Dataset, j_max: int, opts: SemOptions, method: str = "ml",
                            reference_class=min(reference_class,
                                                n_components - 1))
         fit = fit_method(data, spec, opts, method)
-        selected_ll = float(observed_loglik(data, fit.psi_hat))
-        rows.append((n_components, bic_value(data, fit.psi_hat, selected_ll),
-                     fit))
+        rows.append((n_components, bic_value(data, fit.psi_hat), fit))
     return rows

@@ -85,12 +85,6 @@ class StudyResult:
     summary_path: Path | None = None
     replicates_path: Path | None = None
 
-    def summary_for(self, method: str, block: str) -> ReplicationSummary:
-        for m, b, summary in self.summaries:
-            if m == method and b == block:
-                return summary
-        raise KeyError((method, block))
-
 
 def _replicate_seed(seed: int, index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(
@@ -102,15 +96,22 @@ def _fit_seed(seed: int, index: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
-def _score_methods(result, methods, truth: Coefficients, n_train: int,
-                   validation: Dataset, z_true: np.ndarray) -> dict:
+def _fit_and_score(config: StudyConfig, index: int, train: Dataset,
+                   truth: Coefficients, n_train: int, validation: Dataset,
+                   z_true: np.ndarray) -> dict:
+    """Fit replicate ``index`` on ``train``; score each method against
+    ``truth`` (NaN with a note when its fit or scoring failed)."""
+    spec = MixtureSpec(n_components=truth.n_components,
+                       reference_class=truth.reference_class)
+    opts = replace(config.sem, rng_seed=_fit_seed(config.seed, index))
+    result = fit_all_methods(train, spec, opts, methods=config.methods,
+                             raise_on_failure=False)
     scores: dict[str, dict] = {}
-    for method in methods:
+    for method in config.methods:
         fit = result.fit_for(method)
+        scores[method] = {"beta": np.nan, "alpha": np.nan, "accuracy": np.nan,
+                          "note": result.failures.get(method, "failed")}
         if fit is None:
-            scores[method] = {"beta": np.nan, "alpha": np.nan,
-                              "accuracy": np.nan,
-                              "note": result.failures.get(method, "failed")}
             continue
         try:
             aligned = fit.psi_hat.permute(align_components(fit.psi_hat, truth))
@@ -122,27 +123,19 @@ def _score_methods(result, methods, truth: Coefficients, n_train: int,
                 "note": "",
             }
         except PoismoeError as exc:
-            scores[method] = {"beta": np.nan, "alpha": np.nan,
-                              "accuracy": np.nan,
-                              "note": f"scoring failed: {exc}"}
-    return scores
+            scores[method]["note"] = f"scoring failed: {exc}"
+    return {"index": index, "scores": scores}
 
 
 def _simulation_replicate(args: tuple) -> dict:
     index, config = args
     design = config.design
     data_rng = _replicate_seed(config.seed, index, 0)
-    train, _, n_resampled = simulate_dataset(design, data_rng)
+    train, _ = simulate_dataset(design, data_rng)
     validation_design = replace(design, n=config.validation_n)
-    validation, z_true, _ = simulate_dataset(validation_design, data_rng)
-    spec = MixtureSpec(n_components=design.n_components,
-                       reference_class=design.reference_class)
-    opts = replace(config.sem, rng_seed=_fit_seed(config.seed, index))
-    result = fit_all_methods(train, spec, opts, methods=config.methods,
-                             raise_on_failure=False)
-    scores = _score_methods(result, config.methods, design.truth(), design.n,
-                            validation, z_true)
-    return {"index": index, "scores": scores, "n_resampled": n_resampled}
+    validation, z_true = simulate_dataset(validation_design, data_rng)
+    return _fit_and_score(config, index, train, design.truth(), design.n,
+                          validation, z_true)
 
 
 def _heart_replicate(args: tuple) -> dict:
@@ -155,14 +148,8 @@ def _heart_replicate(args: tuple) -> dict:
     train = Dataset(y=y[train_idx], X=X[train_idx], Omega=Omega[train_idx])
     test = Dataset(y=y[test_idx], X=X[test_idx], Omega=Omega[test_idx])
     z_true = responsibilities(test, psi_true).argmax(axis=1)
-    spec = MixtureSpec(n_components=psi_true.n_components,
-                       reference_class=psi_true.reference_class)
-    opts = replace(config.sem, rng_seed=_fit_seed(config.seed, index))
-    result = fit_all_methods(train, spec, opts, methods=config.methods,
-                             raise_on_failure=False)
-    scores = _score_methods(result, config.methods, psi_true, config.train_n,
-                            test, z_true)
-    return {"index": index, "scores": scores, "n_resampled": 0}
+    return _fit_and_score(config, index, train, psi_true, config.train_n,
+                          test, z_true)
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list[dict]:
@@ -304,8 +291,13 @@ def config_from_dict(payload: dict) -> StudyConfig:
     payload = _drop_retired(payload, _RETIRED_STUDY_KEYS, "")
     _check_keys(payload, StudyConfig, "")
     if payload.get("design") is not None:
-        payload["design"] = _build(design_from_dict, "design",
-                                   payload=payload["design"])
+        design = dict(payload["design"])
+        # Retired: configs saved with any integer seed still load.
+        if type(design.pop("seed", 0)) is not int:
+            raise DataFormatError("config key 'design.seed' is retired; "
+                                  "only an integer is accepted")
+        _check_keys(design, SimulationDesign, "design.")
+        payload["design"] = _build(design_from_dict, "design", payload=design)
     if "methods" in payload:
         payload["methods"] = tuple(payload["methods"])
     for key in ("sem", "truth_sem"):

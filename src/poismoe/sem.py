@@ -19,8 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (EmptyPartition, FitFailed, NumericalFailure,
-                     SingularSystem, TuningFailed)
+from .errors import EmptyPartition, FitFailed, NumericalFailure, TuningFailed
 from .gating import coordinate_descent_alphas
 from .metrics import align_components
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
@@ -96,23 +95,15 @@ def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
                         reference_class=psi_t.reference_class)
 
 
-def _intercept_only_beta(y_group: np.ndarray, p: int) -> np.ndarray:
-    beta = np.zeros(p)
-    beta[0] = np.log(y_group.mean() + 0.5)
-    return beta
-
-
-def _warm_start_beta(X_group: np.ndarray, y_group: np.ndarray,
-                     n_steps: int = 3) -> np.ndarray:
-    """A few unpenalized IRWLS steps from an intercept-only start."""
-    fallback = _intercept_only_beta(y_group, X_group.shape[1])
+def _warm_start_beta(X_group: np.ndarray, y_group: np.ndarray) -> np.ndarray:
+    """Three unpenalized IRWLS steps from an intercept-only start."""
+    fallback = np.zeros(X_group.shape[1])
+    fallback[0] = np.log(y_group.mean() + 0.5)
     beta = fallback
     try:
-        for _ in range(n_steps):
+        for _ in range(3):
             beta = irwls_beta_step(_workspace(X_group, y_group, beta))
-    except (SingularSystem, NumericalFailure):
-        return fallback
-    if not np.all(np.isfinite(beta)):
+    except NumericalFailure:  # SingularSystem included
         return fallback
     return beta
 
@@ -181,8 +172,8 @@ class _ChainOutcome:
         return psi_mean, best_index, observed_loglik(data, psi_mean)
 
 
-_CHAIN_INTERRUPTIONS = (EmptyPartition, SingularSystem, NumericalFailure,
-                        TuningFailed)
+# NumericalFailure covers SingularSystem.
+_CHAIN_INTERRUPTIONS = (EmptyPartition, NumericalFailure, TuningFailed)
 
 
 def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,

@@ -57,7 +57,6 @@ class SimulationDesign:
     phi: float = 0.0
     rho: float = 0.0
     collinearity_form: str = "paper_linear"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -158,18 +157,17 @@ def generate_fmpre_sample(design: SimulationDesign, X: np.ndarray,
 
 
 def simulate_dataset(design: SimulationDesign,
-                     rng: np.random.Generator) -> tuple[Dataset, np.ndarray, int]:
+                     rng: np.random.Generator) -> tuple[Dataset, np.ndarray]:
     """Convenience wrapper returning a Dataset plus truth labels."""
     X, Omega = generate_covariates(design, rng)
     sample = generate_fmpre_sample(design, X, Omega, rng)
     data = Dataset(y=sample.y, X=sample.X, Omega=sample.Omega)
-    return data, sample.z_true, sample.n_resampled
+    return data, sample.z_true
 
 
 def study_presets(which: str, *, phi: float | None = None,
                   rho: float | None = None, n: int | None = None,
-                  collinearity_form: str = "paper_linear",
-                  seed: int = 0) -> SimulationDesign:
+                  collinearity_form: str = "paper_linear") -> SimulationDesign:
     """The two built-in scenarios.
 
     ``study1``: two components, four collinear covariates each for the
@@ -185,7 +183,7 @@ def study_presets(which: str, *, phi: float | None = None,
             reference_class=1,
             phi=phi if phi is not None else STUDY1_CORRELATIONS[0][0],
             rho=rho if rho is not None else STUDY1_CORRELATIONS[0][1],
-            collinearity_form=collinearity_form, seed=seed)
+            collinearity_form=collinearity_form)
     if which == "study2":
         rho = rho if rho is not None else STUDY2_CORRELATIONS[0]
         if phi is not None and phi != rho:
@@ -194,7 +192,7 @@ def study_presets(which: str, *, phi: float | None = None,
             n=n if n is not None else STUDY2_SAMPLE_SIZE,
             beta_true=_STUDY2_BETA, alpha_true=_STUDY2_ALPHA,
             reference_class=2, phi=rho, rho=rho,
-            collinearity_form=collinearity_form, seed=seed)
+            collinearity_form=collinearity_form)
     raise ValueError(f"unknown preset {which!r}")
 
 
@@ -212,5 +210,4 @@ def design_from_dict(payload: dict) -> SimulationDesign:
         reference_class=int(payload["reference_class"]),
         phi=float(payload.get("phi", 0.0)),
         rho=float(payload.get("rho", 0.0)),
-        collinearity_form=str(payload.get("collinearity_form", "paper_linear")),
-        seed=int(payload.get("seed", 0)))
+        collinearity_form=str(payload.get("collinearity_form", "paper_linear")))

@@ -133,21 +133,18 @@ def optimize_bias_correction(gram: np.ndarray, lam: float,
 def bias_corrections_for_partition(data: Dataset, part: PartitionState,
                                    psi_plugin: Coefficients,
                                    tuning: TuningParams,
-                                   psi_weights: Coefficients | None = None,
-                                   pi_plugin: np.ndarray | None = None
+                                   psi_weights: Coefficients,
+                                   pi_plugin: np.ndarray
                                    ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal d per component/class, with the given fit as plug-in truth.
 
     ``psi_plugin`` supplies the "true" coefficients of the bias term and
-    the plug-in means/probabilities; ``psi_weights`` (default: same)
-    supplies the working weights, so the MSE describes exactly the
-    system about to be solved; ``pi_plugin`` may hold the (J, n) gate
-    probabilities of ``psi_plugin``. The regression-side Gram uses the
-    rows of the partition; the gating side uses all rows. Components
+    the plug-in means; ``pi_plugin`` holds its (J, n) gate probabilities.
+    ``psi_weights`` supplies the working weights, so the MSE describes
+    exactly the system about to be solved. The regression-side Gram uses
+    the rows of the partition; the gating side uses all rows. Components
     with no assigned rows and the reference class keep d=0.
     """
-    if psi_weights is None:
-        psi_weights = psi_plugin
     n_components = psi_plugin.n_components
     d_beta = np.zeros(n_components)
     d_alpha = np.zeros(n_components)
@@ -162,8 +159,6 @@ def bias_corrections_for_partition(data: Dataset, part: PartitionState,
             X_j.T @ (weights[:, None] * X_j), float(tuning.lambda_beta[j]),
             X_j.T @ (weights * mu_plugin), psi_plugin.beta[j])
     pi_weights = gating_probabilities(data.Omega, psi_weights.alpha).T
-    if pi_plugin is None:
-        pi_plugin = gating_probabilities(data.Omega, psi_plugin.alpha).T
     for j in range(n_components):
         if j == psi_plugin.reference_class:
             continue

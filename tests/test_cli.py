@@ -76,6 +76,46 @@ def test_fit_rejects_non_finite_covariates(tmp_path, capsys, row):
     assert "line 3" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["fit", "--components", "0"], "at least one component"),
+    (["fit", "--reference", "4"], "reference_class out of range"),
+    (["fit", "--epsilon", "-1"], "epsilon must be positive"),
+    (["fit", "--burn-in", "5", "--max-iters", "5"], "burn_in < max_iters"),
+    (["fit", "--data", "missing.csv"], "missing.csv"),
+    (["simulate", "--preset", "study1", "--rho", "1.5"], "[0, 1)"),
+    (["simulate", "--preset", "study2", "--phi", "0.5"], "single correlation"),
+    (["replicate", "--config", "missing.json"], "missing.json"),
+    (["heart", "--data", "missing.csv"], "missing.csv"),
+], ids=["components", "reference", "epsilon", "burn-in", "fit-data", "rho",
+        "study2-phi", "config", "heart-data"])
+def test_bad_flag_values_and_missing_files_exit_with_error(
+        tmp_path, monkeypatch, capsys, single_component_csv, extra, message):
+    monkeypatch.chdir(tmp_path)
+    argv = extra
+    if extra[0] == "fit":  # a valid fit command; a later flag overrides
+        path, _ = single_component_csv
+        argv = ["fit", "--data", str(path), "--response", "count",
+                "--x", "x1", "--omega", "w1", "--out", "o"] + extra[1:]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_failed_fit_prints_each_restart(tmp_path, capsys,
+                                        single_component_csv):
+    path, _ = single_component_csv
+    rc = main(["fit", "--data", str(path), "--response", "count",
+               "--x", "x1,x1", "--omega", "w1", "--components", "1",
+               "--restarts", "2", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "error: all 2 restarts failed"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "  restart 0", "  restart 1"]
+    assert all("SingularSystem" in line for line in lines[1:])
+
+
 def test_fit_rejects_negative_counts(tmp_path, capsys):
     path = tmp_path / "neg.csv"
     path.write_text("count,x1,w1\n-1,0.5,0.2\n")
@@ -89,8 +129,8 @@ def test_fit_rejects_negative_counts(tmp_path, capsys):
 def test_bic_scan_selects_two_components(tmp_path):
     design = pm.SimulationDesign(
         n=150, beta_true=((0.0, 0.3), (3.0, -0.2)),
-        alpha_true=((0.7, 0.5), (0.0, 0.0)), reference_class=1, seed=0)
-    data, _, _ = pm.simulate_dataset(design, np.random.default_rng(3))
+        alpha_true=((0.7, 0.5), (0.0, 0.0)), reference_class=1)
+    data, _ = pm.simulate_dataset(design, np.random.default_rng(3))
     path = tmp_path / "mix.csv"
     rows = [[int(data.y[i]), float(data.X[i, 1]), float(data.Omega[i, 1])]
             for i in range(data.n)]
@@ -171,6 +211,7 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     for key in ("sem", "truth_sem"):
         config[key].update(RETIRED_SEM_ENTRIES)
     config["plots"] = False
+    config["design"]["seed"] = 42  # any integer
     old_path = tmp_path / "old.json"
     old_path.write_text(json.dumps(config, indent=2, sort_keys=True))
     out_b = tmp_path / "fromold"
@@ -190,6 +231,8 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     ("truth_sem", "burn_in", 10**6),
     (None, "replicates", 0),
     ("design", "phi", 1.5),
+    ("design", "collinearity_from", "sqrt_convention"),
+    ("design", "seed", 1.5),
 ])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):

@@ -1,5 +1,7 @@
-"""Every name a module exports through ``__all__`` resolves, and importing
-the package loads numpy only (scipy is a test dependency, not a runtime one)."""
+"""Every name a module exports through ``__all__`` resolves, importing
+the package loads numpy only (scipy is a test dependency, not a runtime one),
+and no module imports a name it does not use."""
+import ast
 import importlib
 import os
 import pkgutil
@@ -34,3 +36,47 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names inside quoted annotations, which the AST keeps as strings."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            arguments = node.args
+            annotations += [arg.annotation for arg in
+                            arguments.posonlyargs + arguments.args
+                            + arguments.kwonlyargs
+                            + [arguments.vararg, arguments.kwarg]
+                            if arg is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= {inner.id for inner in
+                          ast.walk(ast.parse(node.value, mode="eval"))
+                          if isinstance(inner, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("name", SUBMODULES + ["__init__"])
+def test_module_has_no_unused_imports(name):
+    path = Path(pm.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _annotation_names(tree)
+    # the package re-exports what it imports through __all__
+    used |= set(getattr(importlib.import_module(
+        "poismoe" if name == "__init__" else f"poismoe.{name}"),
+        "__all__", ()))
+    assert sorted(imported - used) == []

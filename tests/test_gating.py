@@ -226,7 +226,8 @@ def test_alpha_step_liu_zero_d_equals_ridge():
     assert np.array_equal(ridge, lt_self)
     gram, rhs = workspace_at(
         Omega, alpha0, (assignment == 0).astype(float)[:, None], [0])
-    lt = penalized_wls_solve(gram, rhs, 1.3, 0.0, anchor=np.ones(2))
+    fixed_anchor = np.ones(2)
+    lt = penalized_wls_solve(gram, rhs - 0.0 * fixed_anchor, 1.3)
     assert np.array_equal(ridge, lt)
     # stacked (J=3): per-class lambdas, the reference entry ignored
     Omega, part, alpha, _ = three_class_problem(seed=9)
@@ -351,9 +352,11 @@ def stepwise_ascent(Omega, alpha_t, part, lam, d, reference, steps):
     for _ in range(steps):
         coef = alpha[free].ravel()
         gram, rhs = workspace_at(Omega, alpha, indicator, free)
+        shifted = rhs
         if d is not None:
             anchor = penalized_wls_solve(gram, rhs, lam)
-        proposal = penalized_wls_solve(gram, rhs, lam, d, anchor)
+            shifted = rhs - d * anchor
+        proposal = penalized_wls_solve(gram, shifted, lam)
         baseline = q1_at(Omega, alpha, part) + penalty_value(coef, lam, d,
                                                              anchor)
         trial = alpha.copy()

@@ -22,12 +22,10 @@ def write_heart_file(tmp_path, lines, name="heart.csv"):
 def test_loader_drops_rows_with_any_missing_value(tmp_path):
     path = write_heart_file(tmp_path, [COMPLETE_1, MISSING_CA, COMPLETE_2,
                                        MISSING_OLDPEAK, COMPLETE_3])
-    records = pm.load_heart_records(path)
-    assert len(records) == 3
-    assert records[0].st_depression == 2.3
-    assert records[0].st_slope == 3.0
-    assert records[0].disease_stage == 0
-    assert [r.disease_stage for r in records] == [0, 2, 4]
+    data = pm.load_heart_dataset(path)
+    assert data.n == 3
+    assert data.X[0, 1] == 2.3 and data.X[0, 2] == 3.0
+    assert np.array_equal(data.y, [0, 2, 4])
 
 
 def test_dataset_layout_numeric_encoding(tmp_path):
@@ -53,14 +51,14 @@ def test_dataset_dummy_encoding(tmp_path):
 def test_wrong_column_count_reports_line_number(tmp_path):
     path = write_heart_file(tmp_path, [COMPLETE_1, "1.0,2.0,3.0"])
     with pytest.raises(DataFormatError, match="line 2"):
-        pm.load_heart_records(path)
+        pm.load_heart_dataset(path)
 
 
 def test_unparseable_value_reports_line_number(tmp_path):
     bad = COMPLETE_2.replace("1.0,2.0,0.0,3.0,2", "abc,2.0,0.0,3.0,2")
     path = write_heart_file(tmp_path, [COMPLETE_1, bad])
     with pytest.raises(DataFormatError, match="line 2"):
-        pm.load_heart_records(path)
+        pm.load_heart_dataset(path)
 
 
 @pytest.mark.parametrize("field, value", [(9, "nan"), (10, "inf"),
@@ -70,14 +68,14 @@ def test_non_finite_value_reports_line_number(tmp_path, field, value):
     row[field] = value  # oldpeak, slope, stage
     path = write_heart_file(tmp_path, [COMPLETE_1, ",".join(row)])
     with pytest.raises(DataFormatError, match="line 2: non-finite"):
-        pm.load_heart_records(path)
+        pm.load_heart_dataset(path)
 
 
 def test_out_of_range_stage_rejected(tmp_path):
     bad = COMPLETE_1[:-1] + "5"
     path = write_heart_file(tmp_path, [bad])
     with pytest.raises(DataFormatError, match="line 1"):
-        pm.load_heart_records(path)
+        pm.load_heart_dataset(path)
 
 
 def test_empty_file_rejected(tmp_path):

@@ -52,8 +52,8 @@ def test_observed_loglik_identical_components_collapse():
 
 
 def test_observed_loglik_matches_direct_summation_oracle():
-    design = pm.study_presets("study2", rho=0.9, n=20, seed=3)
-    data, _, _ = pm.simulate_dataset(design, np.random.default_rng(99))
+    design = pm.study_presets("study2", rho=0.9, n=20)
+    data, _ = pm.simulate_dataset(design, np.random.default_rng(99))
     truth = design.truth()
     scores = data.Omega @ truth.alpha.T
     pi = np.exp(scores)

@@ -156,8 +156,8 @@ def test_liu_type_with_zero_d_is_bitwise_ridge():
     ws = pm.build_workspace(data, part, 0, np.array([0.2, 0.1]))
     ridge = pm.irwls_beta_step(ws, 0.7)
     gram, rhs = beta_system(ws)
-    lt_explicit = penalized_wls_solve(gram, rhs, 0.7, 0.0,
-                                      anchor=np.array([5.0, -3.0]))
+    lt_explicit = penalized_wls_solve(  # fixed anchor (5, -3)
+        gram, rhs - 0.0 * np.array([5.0, -3.0]), 0.7)
     lt_self = pm.irwls_beta_step(ws, 0.7, 0.0)
     assert np.array_equal(ridge, lt_explicit)
     assert np.array_equal(ridge, lt_self)
@@ -294,8 +294,10 @@ def test_q2_gradient_matches_finite_differences(make_shrinkage):
 
     beta = np.zeros(p)
     for _ in range(100):
-        new = penalized_wls_solve(*beta_system(
-            pm.build_workspace(data, part, 0, beta)), lam, d, anchor)
+        gram, rhs = beta_system(pm.build_workspace(data, part, 0, beta))
+        if d is not None:  # the fixed-anchor Liu-type solve
+            rhs = rhs - d * anchor
+        new = penalized_wls_solve(gram, rhs, lam)
         done = np.max(np.abs(new - beta)) < 1e-13
         beta = new
         if done:

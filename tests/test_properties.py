@@ -54,7 +54,10 @@ def test_solve_satisfies_the_normal_equations(seed, p, log_cond, log_scale,
     if kind == "lt":
         d = scale * _shrinkage(gen, p, per_coordinate, -3.0, 3.0)
         anchor = None if self_anchor else gen.normal(size=p)
-    solution = penalized_wls_solve(gram, rhs, lam, d, anchor)
+    if anchor is None:
+        solution = penalized_wls_solve(gram, rhs, lam, d)
+    else:  # a fixed anchor: the ridge solve of the shifted rhs
+        solution = penalized_wls_solve(gram, rhs - d * anchor, lam)
     system = gram if lam is None else gram + np.diag(np.broadcast_to(lam, p))
     target = rhs
     if d is not None:

@@ -73,7 +73,7 @@ def test_covariates_are_reproducible():
 def test_degenerate_gating_gives_pure_poisson():
     design = pm.SimulationDesign(
         n=4000, beta_true=((0.0,), (5.0,)), alpha_true=((50.0,), (0.0,)),
-        reference_class=1, seed=0)
+        reference_class=1)
     rng = np.random.default_rng(11)
     X, Omega = pm.generate_covariates(design, rng)
     sample = pm.generate_fmpre_sample(design, X, Omega, rng)
@@ -85,9 +85,9 @@ def test_degenerate_gating_gives_pure_poisson():
 def test_component_means_match_law_of_large_numbers():
     design = pm.SimulationDesign(
         n=10_000, beta_true=((0.3, 0.5), (1.4, -0.4)),
-        alpha_true=((0.6, 0.8), (0.0, 0.0)), reference_class=1, seed=0)
+        alpha_true=((0.6, 0.8), (0.0, 0.0)), reference_class=1)
     rng = np.random.default_rng(23)
-    data, z, _ = pm.simulate_dataset(design, rng)
+    data, z = pm.simulate_dataset(design, rng)
     truth = design.truth()
     for j in range(2):
         rows = z == j
@@ -100,7 +100,7 @@ def test_labels_match_gating_probabilities_chi2():
     design = pm.SimulationDesign(
         n=10_000, beta_true=((0.2, 0.1), (0.8, -0.2), (1.5, 0.3)),
         alpha_true=((0.5, -0.4), (-0.3, 0.6), (0.0, 0.0)),
-        reference_class=2, seed=0)
+        reference_class=2)
     rng = np.random.default_rng(31)
     X, Omega = pm.generate_covariates(design, rng)
     sample = pm.generate_fmpre_sample(design, X, Omega, rng)
@@ -114,7 +114,7 @@ def test_labels_match_gating_probabilities_chi2():
 def test_mean_overflow_rows_are_resampled():
     design = pm.SimulationDesign(
         n=4000, beta_true=((25.0, 5.0),), alpha_true=((0.0, 0.0),),
-        reference_class=0, seed=0)
+        reference_class=0)
     rng = np.random.default_rng(17)
     X, Omega = pm.generate_covariates(design, rng)
     sample = pm.generate_fmpre_sample(design, X, Omega, rng)
@@ -134,7 +134,7 @@ def test_sampling_is_deterministic():
 
 
 def test_design_serialization_roundtrip():
-    design = pm.study_presets("study1", phi=0.9, rho=0.85, n=120, seed=42)
+    design = pm.study_presets("study1", phi=0.9, rho=0.85, n=120)
     text = json.dumps(design_to_dict(design))
     assert design_from_dict(json.loads(text)) == design
 

@@ -189,8 +189,9 @@ def test_optimized_mse_never_exceeds_ridge_pattern():
 def test_bias_corrections_for_partition_reference_class_keeps_zero():
     data, truth, _, part = small_mixture(seed=30)
     lambdas = pm.estimate_ridge_lambdas(truth, source="ridge")
-    d_beta, d_alpha = bias_corrections_for_partition(data, part, truth,
-                                                     lambdas)
+    d_beta, d_alpha = bias_corrections_for_partition(
+        data, part, truth, lambdas, truth,
+        pm.gating_probabilities(data.Omega, truth.alpha).T)
     assert d_alpha[truth.reference_class] == 0.0
     assert np.all(np.isfinite(d_beta))
     assert np.all(np.isfinite(d_alpha))
