@@ -5,13 +5,17 @@ concomitant covariates, with one class pinned at zero as the reference.
 The non-reference rows are refit jointly by penalized Newton ascent on
 the assignment log-likelihood: each step solves one stacked
 (J-1)q-dimensional system whose blocks are Omega' diag(pi_j(delta_jk -
-pi_k)) Omega, with step halving when a step lowers the objective. Each
-iterate's log-softmax is computed once, when its objective is
-evaluated, and also yields the next step's system. The ascent stops on
-the Newton decrement, the objective increase the quadratic model
-predicts for a full step, taken relative to the objective: on a
-partition the gate separates, the objective has no maximizer, and alpha
-keeps moving by sizeable steps while the objective gains almost nothing.
+pi_k)) Omega, with step halving when a step lowers the objective. Every
+block comes from one stacked product of the (J-1)^2 block weights with
+the outer-product basis of Omega (:func:`~poismoe.linalg.outer_basis`).
+Each iterate's log-softmax is computed once, when its objective is
+evaluated, and also yields the next step's system. The ascent starts
+from the log-softmax the E-step of its start already used and hands the
+one of its result back to the next E-step. It stops on the Newton
+decrement, the objective increase the quadratic model predicts for a
+full step, taken relative to the objective: on a partition the gate
+separates, the objective has no maximizer, and alpha keeps moving by
+sizeable steps while the objective gains almost nothing.
 
 Every array over classes and observations here is class-major (J, n),
 so a reduction over classes runs over J contiguous rows; only
@@ -23,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import penalized_wls_solve
+from .linalg import outer_basis, penalized_wls_solve, rowwise_product
 
 if TYPE_CHECKING:
     from .model import PartitionState
@@ -38,6 +42,7 @@ __all__ = [
     "log_sum_exp",
     "gating_log_probabilities",
     "gating_probabilities",
+    "gate_variance_weights",
     "build_gating_workspace",
     "q1_value",
     "penalty_value",
@@ -70,18 +75,29 @@ def gating_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.exp(gating_log_probabilities(Omega, alpha)).T
 
 
-def build_gating_workspace(Omega: np.ndarray, log_pi: np.ndarray,
-                           coef: np.ndarray, indicator: np.ndarray,
-                           free: np.ndarray
+def gate_variance_weights(pi: np.ndarray) -> np.ndarray:
+    """pi (1 - pi) with pi clipped into [PI_FLOOR, 1 - PI_FLOOR]: the
+    weights of the diagonal Gram blocks, elementwise."""
+    pi = np.minimum(np.maximum(pi, PI_FLOOR), 1.0 - PI_FLOOR)
+    return pi * (1.0 - pi)
+
+
+def build_gating_workspace(Omega: np.ndarray, basis: np.ndarray,
+                           log_pi: np.ndarray, coef: np.ndarray,
+                           indicator: np.ndarray, free: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked Newton system ``(gram, rhs)`` for the free gating rows.
 
     ``log_pi`` is the (J, n) log-softmax
     (:func:`gating_log_probabilities`) at the rows whose free part,
-    stacked class by class, is ``coef`` (length ``len(free) * q``).
+    stacked class by class, is ``coef`` (length ``len(free) * q``), and
+    ``basis`` is ``outer_basis(Omega)``.
     Block (j, k) of ``gram`` is Omega' diag(pi_j (delta_jk - pi_k))
     Omega, the negative Hessian of the assignment log-likelihood, with
-    pi_j clipped into [PI_FLOOR, 1 - PI_FLOOR] in the diagonal blocks.
+    the diagonal blocks weighted by :func:`gate_variance_weights`; all
+    blocks come from one stacked product of their weights with ``basis``
+    (:func:`~poismoe.linalg.rowwise_product`), so relabeling the classes
+    permutes the blocks bit for bit.
     ``indicator`` is (len(free), n), one row per free class in the order
     of ``free``, holding 1 where an observation is assigned to that
     class. ``rhs = gram @ coef + Omega'(indicator - pi)``, so
@@ -89,20 +105,15 @@ def build_gating_workspace(Omega: np.ndarray, log_pi: np.ndarray,
     log-likelihood.
     """
     pi = np.exp(log_pi[free])
-    q = Omega.shape[1]
-    gram = np.empty((len(free) * q, len(free) * q))
-    for a in range(len(free)):
-        rows = slice(a * q, (a + 1) * q)
-        pi_a = np.minimum(np.maximum(pi[a], PI_FLOOR), 1.0 - PI_FLOOR)
-        gram[rows, rows] = Omega.T @ ((pi_a * (1.0 - pi_a))[:, None] * Omega)
-        for b in range(a):
-            cols = slice(b * q, (b + 1) * q)
-            block = Omega.T @ ((-pi[a] * pi[b])[:, None] * Omega)
-            gram[rows, cols] = block
-            gram[cols, rows] = block.T
-    # BLAS rounds this product by the layout of its left factor: the
-    # transposed (n, F) copy keeps the rounding of an observation-major
-    # residual, and with it every fit, bit for bit.
+    m, q = len(free), Omega.shape[1]
+    weights = -(pi[:, None] * pi)
+    pairs = weights.reshape(m * m, -1)
+    pairs[::m + 1] = gate_variance_weights(pi)
+    gram = rowwise_product(pairs, basis).reshape(m, m, q, q)
+    gram = gram.transpose(0, 2, 1, 3)
+    gram = gram.reshape(m * q, m * q)
+    # BLAS rounds this product by the layout of its left factor; the
+    # transposed (n, F) copy keeps it observation-major.
     residual = np.ascontiguousarray((indicator - pi).T)
     rhs = gram @ coef + (residual.T @ Omega).ravel()
     return gram, rhs
@@ -137,7 +148,9 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                               lam: np.ndarray | None, d: np.ndarray | None,
                               reference: int,
                               inner_tol: float = 1e-11,
-                              inner_max: int = 50) -> np.ndarray:
+                              inner_max: int = 50, *,
+                              basis: np.ndarray | None = None,
+                              log_pi: np.ndarray | None = None) -> np.ndarray:
     """Penalized Newton ascent on all non-reference gating rows jointly.
 
     The name predates the joint update: each step now solves the whole
@@ -159,6 +172,11 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     at most ``inner_tol * (1 + |F|)``, and in any case after
     ``inner_max`` Newton steps. ``inner_max=0`` returns the input
     unchanged. The reference row comes back as zeros.
+
+    ``basis``, when given, is ``outer_basis(Omega)`` (``Dataset.Omega_outer``).
+    ``log_pi``, when given, is the (J, n) log-softmax at ``alpha_t``
+    (whose reference row must be zero), used instead of recomputing it;
+    on return it holds the log-softmax at the returned rows.
     """
     alpha = np.array(alpha_t, dtype=float)
     free = np.flatnonzero(np.arange(alpha.shape[0]) != reference)
@@ -167,6 +185,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     n, q = Omega.shape
     picks = part.assignment * n + np.arange(n)
     indicator = (part.assignment == free[:, None]).astype(float)
+    if basis is None:
+        basis = outer_basis(Omega)
     anchor = None
     if lam is not None:
         lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
@@ -174,10 +194,13 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         d = np.repeat(np.asarray(d, dtype=float)[free], q)
         anchor = np.empty(len(free) * q)
     coef = alpha[free].ravel()
-    log_pi = gating_log_probabilities(Omega, alpha)
+    handed_over = log_pi
+    if log_pi is None:
+        log_pi = gating_log_probabilities(Omega, alpha)
     q1 = q1_value(log_pi, picks)
     for _ in range(inner_max):
-        gram, rhs = build_gating_workspace(Omega, log_pi, coef, indicator, free)
+        gram, rhs = build_gating_workspace(Omega, basis, log_pi, coef,
+                                           indicator, free)
         proposal = penalized_wls_solve(gram, rhs, lam, d, anchor_out=anchor)
         baseline = q1 if lam is None else (  # ML: no penalty terms
             q1 + penalty_value(coef, lam, d, anchor))
@@ -200,4 +223,6 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         if decrement <= inner_tol * (1.0 + abs(value)):
             break
     alpha[reference] = 0.0
+    if handed_over is not None:
+        handed_over[...] = log_pi
     return alpha

@@ -8,7 +8,30 @@ from .errors import NumericalFailure, SingularSystem
 # 2-norm condition threshold for the unpenalized Gram matrix.
 COND_LIMIT = 1e12
 
-__all__ = ["COND_LIMIT", "penalized_wls_solve"]
+__all__ = ["COND_LIMIT", "outer_basis", "rowwise_product",
+           "penalized_wls_solve"]
+
+
+def outer_basis(design: np.ndarray) -> np.ndarray:
+    """Row-wise outer products of an (n, k) design, as an (n, k*k) matrix.
+
+    Row i is a_i a_i' flattened, so for a stack of row weights W (m, n)
+    the product ``rowwise_product(W, outer_basis(A))``, reshaped to
+    (m, k, k), is every weighted Gram A' diag(w) A of the stack at once.
+    """
+    n, k = design.shape
+    return (design[:, :, None] * design[:, None, :]).reshape(n, k * k)
+
+
+def rowwise_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``rows @ matrix`` for an (m, n) stack of rows, as one stacked product.
+
+    Each row of the result is its own (1, n) product, so it rounds the
+    same wherever its row sits in the stack: relabeling classes permutes
+    the results bit for bit, which a plain matrix product, rounding its
+    edge rows apart, does not.
+    """
+    return (rows[:, None, :] @ matrix)[:, 0]
 
 
 def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
@@ -21,9 +44,13 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     vector b, every coordinate (the intercept included) is penalized and
     the maximized objective adds ``-1/2 * sum(lam * b * b)`` (ridge) and
     ``-sum(d * b * anchor)`` (Liu-type), so the normal equations are
-    ``(gram + diag(lam)) b = rhs - d*anchor``. ``lam`` and ``d`` are
-    scalars, or one value per coordinate for a block that stacks several
-    classes.
+    ``(gram + diag(lam)) b = rhs - d*anchor``.
+
+    ``gram`` is one (F, F) system with ``rhs`` of length F, or a stack
+    (J, F, F) of independent systems with ``rhs`` (J, F). ``lam`` and
+    ``d`` broadcast against ``rhs``: a scalar, one value per coordinate
+    (a gate block that stacks several classes), or one value per system
+    of a stack as (J, 1).
 
     ``lam=None`` is ML: ``gram @ b = rhs``. ``d=None`` is ridge.
     Otherwise the solve is Liu-type and takes the ridge solve of the same
@@ -32,31 +59,36 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     that is given. A Liu-type solve with a fixed anchor is the ridge
     solve of ``rhs - d*anchor``.
 
-    S is diagonalized once, S = V diag(s) V', and each solve is
-    V (V'r / s). S must be finite with s[0] > 0, and for ML also have a
-    2-norm condition s[-1]/s[0] <= COND_LIMIT; else ML raises
+    One ``np.linalg.eigh`` call diagonalizes every S, S = V diag(s) V',
+    and each solve is V (V'r / s); each system of a stack gets the same
+    result, bit for bit, as a call of its own. Every S must be finite
+    with s[0] > 0, and for ML also have a 2-norm condition
+    s[-1]/s[0] <= COND_LIMIT; if any fails, ML raises
     :class:`SingularSystem` and ridge or Liu-type :class:`NumericalFailure`.
     """
     system = gram
     if lam is not None:
+        size = gram.shape[-1]
         system = gram.copy()
-        system.flat[::gram.shape[0] + 1] += lam
+        system.reshape(-1, size * size)[:, ::size + 1] += lam
     failure = SingularSystem if lam is None else NumericalFailure
     if not np.isfinite(system).all():
         raise failure("weighted Gram matrix is not finite")
     s, vecs = np.linalg.eigh(system)
     limit = COND_LIMIT if lam is None else np.inf
-    if not (s[0] > 0 and s[-1] <= limit * s[0]):
+    if not all(row[0] > 0 and row[-1] <= limit * row[0]
+               for row in s.reshape(-1, s.shape[-1]).tolist()):
         raise failure("weighted system is not (numerically) positive definite; "
                       "at lambda=0 use the ridge or Liu-type estimator")
+    vecs_t, s = np.swapaxes(vecs, -1, -2), s[..., None]
 
     def solve(vector: np.ndarray) -> np.ndarray:
-        return vecs @ (vecs.T @ vector / s)
+        return (vecs @ (vecs_t @ vector[..., None] / s))[..., 0]
 
     if d is not None:
         anchor = solve(rhs)
         if anchor_out is not None:
-            anchor_out[:] = anchor
+            anchor_out[...] = anchor
         rhs = rhs - d * anchor
     solution = solve(rhs)
     if not np.isfinite(solution).all():

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalFailure
 from .gating import gating_log_probabilities, log_sum_exp
+from .linalg import outer_basis
 
 # Poisson means are kept inside [MU_MIN, MU_MAX]: poisson_means returns
 # exactly MU_MAX for a linear predictor eta > ETA_MAX and exactly MU_MIN for
@@ -50,13 +51,18 @@ class Dataset:
 
     Both design matrices are expected to carry a leading constant column
     when an intercept is wanted; nothing enforces that convention.
-    ``log_y_factorial`` holds log(y_i!), computed once on construction.
+    Computed once on construction: ``log_y_factorial`` holds log(y_i!),
+    and ``X_outer`` and ``Omega_outer`` the outer-product bases of the
+    designs (:func:`~poismoe.linalg.outer_basis`), from which each weighted
+    Gram of an M-step is one matrix product.
     """
 
     y: np.ndarray
     X: np.ndarray
     Omega: np.ndarray
     log_y_factorial: np.ndarray = field(init=False, repr=False, compare=False)
+    X_outer: np.ndarray = field(init=False, repr=False, compare=False)
+    Omega_outer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y)
@@ -80,6 +86,8 @@ class Dataset:
             [math.lgamma(count + 1.0) for count in self.y.tolist()])))
         object.__setattr__(self, "X", _readonly(X))
         object.__setattr__(self, "Omega", _readonly(Omega))
+        object.__setattr__(self, "X_outer", _readonly(outer_basis(X)))
+        object.__setattr__(self, "Omega_outer", _readonly(outer_basis(Omega)))
 
     @property
     def n(self) -> int:
@@ -283,20 +291,25 @@ class FitResult:
         object.__setattr__(self, "loglik_trace", _readonly(trace))
 
 
-def _log_terms(data: Dataset, psi: Coefficients) -> tuple[np.ndarray, np.ndarray]:
+def _log_terms(data: Dataset, psi: Coefficients,
+               log_pi: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Mixture log-terms and their column normalizers.
 
     Returns the class-major (J, n) matrix log pi_ij + log Poi(y_i | mu_ij),
     whose Poisson part is y*eta - exp(eta) - log(y!) at eta = x' beta_j,
     and its (n,) log-sum-exp over components, whose sum is the observed
-    log-likelihood.
+    log-likelihood. ``log_pi``, when given, is the gate log-softmax at
+    ``psi.alpha``, used instead of recomputing it.
     """
     if psi.p != data.p or psi.q != data.q:
         raise DimensionError(
             f"coefficients expect p={psi.p}, q={psi.q} but data has "
             f"p={data.p}, q={data.q}")
     eta = np.minimum(np.maximum(psi.beta @ data.X.T, ETA_FLOOR), ETA_MAX)
-    log_terms = gating_log_probabilities(data.Omega, psi.alpha) + (
+    if log_pi is None:
+        log_pi = gating_log_probabilities(data.Omega, psi.alpha)
+    log_terms = log_pi + (
         data.y * eta - np.exp(eta) - data.log_y_factorial)
     return log_terms, log_sum_exp(log_terms)
 

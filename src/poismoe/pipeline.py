@@ -15,7 +15,8 @@ import numpy as np
 from .errors import FitFailed
 from .gating import gating_probabilities
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
-                    PartitionState, SemOptions, TuningParams, observed_loglik)
+                    SemOptions, TuningParams, observed_loglik)
+from .poisson import ComponentWorkspace, poisson_means
 from .sem import run_sem
 from .tuning import bias_corrections_for_partition, estimate_ridge_lambdas
 
@@ -47,20 +48,20 @@ def _make_retuner(data: Dataset, tuning_lt: TuningParams,
                   anchors: Coefficients):
     """Retuner for ``run_sem`` on ``data``: LT lambdas, d fit per M-step.
 
-    The returned ``retuner(data, part, psi_t)`` keeps the lambdas of
-    ``tuning_lt`` and re-optimizes d in closed form against the partition
-    just drawn. Plug-in truth stays at the ridge ``anchors`` (their gate
-    probabilities are computed once, for every chain) while the
-    working weights follow the chain iterate ``psi_t``, so the minimized
-    MSE describes exactly the system the next update will solve.
+    The returned ``retuner(data, workspace, log_pi)`` keeps the lambdas
+    of ``tuning_lt`` and re-optimizes d in closed form against the
+    systems the next update will solve. Plug-in truth stays at the ridge
+    ``anchors``: their means and gate probabilities are computed once,
+    for every chain of the fit.
     """
-    pi_anchors = gating_probabilities(data.Omega, anchors.alpha).T
+    anchor_means = poisson_means(data.X, anchors.beta)
+    anchor_pi = gating_probabilities(data.Omega, anchors.alpha).T
 
-    def retuner(data: Dataset, part: PartitionState,
-                psi_t: Coefficients) -> TuningParams:
+    def retuner(data: Dataset, workspace: ComponentWorkspace,
+                log_pi: np.ndarray) -> TuningParams:
         d_beta, d_alpha = bias_corrections_for_partition(
-            data, part, anchors, tuning_lt, psi_weights=psi_t,
-            pi_plugin=pi_anchors)
+            data, workspace, log_pi, tuning_lt, anchors, anchor_means,
+            anchor_pi)
         return tuning_lt.with_bias_corrections(d_beta, d_alpha)
 
     return retuner

@@ -1,10 +1,18 @@
-"""Per-component Poisson regression updates.
+"""Component Poisson regression updates, stacked over components.
 
 Inside a component the count mean is exp(x' beta). One M-step update is
-a single weighted least-squares solve on the working response
+a weighted least-squares solve on the working response
 ``z* = X beta + (y - mu) / mu`` with weights mu, optionally shrunk by a
 ridge lambda and a Liu-type bias correction d
 (:func:`~poismoe.linalg.penalized_wls_solve`).
+
+All J components are updated together, in the class-major (J, n) layout
+of the E-step: each component's IRWLS weights cover every observation
+and are exactly zero on the rows it was not assigned, so one stacked
+product against the design's outer-product basis (``Dataset.X_outer``,
+:func:`~poismoe.linalg.rowwise_product`) forms every component's Gram,
+one more forms every right-hand side, and one stacked solve updates
+every beta.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EmptyPartition, NumericalFailure
-from .linalg import penalized_wls_solve
+from .linalg import penalized_wls_solve, rowwise_product
 from .model import ETA_MAX, MU_MAX, MU_MIN
 
 if TYPE_CHECKING:
@@ -29,16 +37,8 @@ __all__ = [
 ]
 
 
-def poisson_means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """exp(X @ beta) clamped into [MU_MIN, MU_MAX]; warns when clamping.
-
-    An entry with eta > ETA_MAX comes back as exactly MU_MAX, and one whose
-    exp falls below MU_MIN as exactly MU_MIN; the warning counts those
-    entries. Means in range are exp(eta) unchanged. A NaN eta raises
-    :class:`NumericalFailure`. The log-likelihood does not use these
-    means; it clips eta itself (``model._log_terms``).
-    """
-    eta = X @ beta
+def _clamped_exp(eta: np.ndarray) -> np.ndarray:
+    """exp(eta) clamped into [MU_MIN, MU_MAX]; warns when clamping."""
     mu = np.exp(np.minimum(eta, ETA_MAX))
     if np.isnan(mu).any():
         raise NumericalFailure("linear predictor is NaN")
@@ -47,51 +47,86 @@ def poisson_means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     clamped = np.count_nonzero(over | under)
     if clamped:
         warnings.warn(f"{clamped} Poisson mean(s) clamped into "
-                      f"[{MU_MIN:g}, {MU_MAX:g}]", RuntimeWarning, stacklevel=2)
+                      f"[{MU_MIN:g}, {MU_MAX:g}]", RuntimeWarning, stacklevel=3)
         mu[over] = MU_MAX
         mu[under] = MU_MIN
     return mu
 
 
+def poisson_means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """exp(beta . x) for every row x of ``X``, clamped into [MU_MIN, MU_MAX];
+    warns when clamping.
+
+    ``beta`` is one coefficient vector, giving an (n,) vector, or a stack
+    (J, p), giving the class-major (J, n) means. An entry with
+    eta > ETA_MAX comes back as exactly MU_MAX, and one whose exp falls
+    below MU_MIN as exactly MU_MIN; the warning counts those entries.
+    Means in range are exp(eta) unchanged. A NaN eta raises
+    :class:`NumericalFailure`. The log-likelihood does not use these
+    means; it clips eta itself (``model._log_terms``).
+    """
+    return _clamped_exp(np.asarray(beta, dtype=float) @ X.T)
+
+
 @dataclass(frozen=True)
 class ComponentWorkspace:
-    """Rows of one component plus the IRWLS working quantities.
+    """The IRWLS systems of all J components at one iterate, class-major.
 
-    ``mu`` is both the mean and the IRWLS weight (the Poisson variance
-    function), and ``z_star = X beta + (y - mu)/mu`` elementwise.
+    ``weights`` (J, n) holds each component's IRWLS weights: its Poisson
+    means (the Poisson variance function) on its own rows and exactly 0
+    on every other row. ``gram`` (J, p, p) stacks X' diag(weights_j) X,
+    and ``rhs`` (J, p) stacks X' (weights_j * z*_j), built row by row as
+    mu*eta + y - mu so that a row outside the component adds exactly 0.
     """
 
-    X: np.ndarray
-    y: np.ndarray
-    mu: np.ndarray
-    z_star: np.ndarray
+    weights: np.ndarray
+    gram: np.ndarray
+    rhs: np.ndarray
 
 
-def _workspace(X: np.ndarray, y: np.ndarray,
-               beta: np.ndarray) -> ComponentWorkspace:
-    """Working quantities of rows ``X``, float counts ``y`` at ``beta``."""
-    mu = poisson_means(X, beta)
-    return ComponentWorkspace(X=X, y=y, mu=mu, z_star=X @ beta + (y - mu) / mu)
+def _workspace(X: np.ndarray, X_outer: np.ndarray, y: np.ndarray,
+               beta: np.ndarray, rows: np.ndarray) -> ComponentWorkspace:
+    """Stacked systems of the (J, p) ``beta``; ``X_outer`` is
+    ``outer_basis(X)`` and ``rows`` (J, n) marks the observations of each
+    component.
+
+    The linear predictor is zeroed outside a component's rows before the
+    means are taken, so there mu is 1, nothing clamps and nothing
+    overflows, and the clamp warning counts the component's rows only.
+    """
+    eta = np.where(rows, beta @ X.T, 0.0)
+    mu = _clamped_exp(eta)
+    weights = mu * rows
+    terms = (mu * eta + (y - mu)) * rows
+    p = X.shape[1]
+    gram = rowwise_product(weights, X_outer).reshape(-1, p, p)
+    return ComponentWorkspace(weights=weights, gram=gram,
+                              rhs=rowwise_product(terms, X))
 
 
-def build_workspace(data: "Dataset", part: "PartitionState", j: int,
+def build_workspace(data: "Dataset", part: "PartitionState",
                     beta_t: np.ndarray) -> ComponentWorkspace:
-    """Collect the rows assigned to component j and form working quantities."""
-    rows = part.assignment == j
-    if not rows.any():
-        raise EmptyPartition(f"component {j} received no observations")
-    return _workspace(data.X[rows], data.y[rows].astype(float),
-                      np.asarray(beta_t, dtype=float))
+    """The systems of every component of ``part`` at the (J, p) ``beta_t``."""
+    beta_t = np.asarray(beta_t, dtype=float)
+    rows = part.assignment == np.arange(beta_t.shape[0])[:, None]
+    empty = np.flatnonzero(~rows.any(axis=1))
+    if empty.size:
+        raise EmptyPartition(f"component {empty[0]} received no observations")
+    return _workspace(data.X, data.X_outer, data.y, beta_t, rows)
 
 
-def irwls_beta_step(ws: ComponentWorkspace, lam: float | None = None,
-                    d: float | None = None) -> np.ndarray:
-    """One weighted least-squares update of a component's beta.
+def irwls_beta_step(ws: ComponentWorkspace,
+                    lam: float | np.ndarray | None = None,
+                    d: float | np.ndarray | None = None) -> np.ndarray:
+    """One weighted least-squares update of every component's beta, (J, p).
 
+    All J systems are solved by one stacked ``penalized_wls_solve``.
     ``lam=None`` is the ML step, ``d=None`` the ridge step, and otherwise
-    the step is Liu-type, anchored on its own ridge solve.
+    the step is Liu-type, anchored on its own ridge solve; ``lam`` and
+    ``d`` are scalars or hold one value per component.
     """
-    gram = ws.X.T @ (ws.mu[:, None] * ws.X)
-    rhs = ws.X.T @ (ws.mu * ws.z_star)
-    return penalized_wls_solve(gram, rhs, lam, d)
+    def per_component(value):
+        return None if value is None else np.asarray(value, dtype=float)[..., None]
 
+    return penalized_wls_solve(ws.gram, ws.rhs, per_component(lam),
+                               per_component(d))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -261,22 +261,36 @@ def _drop_retired(payload: dict, retired_keys: dict, where: str) -> dict:
     return payload
 
 
+def _check_block(payload, where: str) -> None:
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"config {where or 'file'} must be a JSON "
+                              f"object, not {type(payload).__name__}")
+
+
 def _check_keys(payload: dict, cls: type, where: str) -> None:
+    """Refuse unknown keys and missing required ones (fields of ``cls``
+    without a default)."""
     known = {f.name for f in fields(cls)}
     for key in payload:
         if key not in known:
             raise DataFormatError(f"unknown config key '{where}{key}'")
+    for f in fields(cls):
+        if (f.init and f.name not in payload and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise DataFormatError(f"missing config key '{where}{f.name}'")
 
 
 def _build(make, where: str, **values):
-    """``make(**values)``, reporting a rejected value as DataFormatError."""
+    """``make(**values)``, reporting a rejected value (or one of the wrong
+    type) as DataFormatError."""
     try:
         return make(**values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataFormatError(f"invalid {where} config: {exc}") from exc
 
 
-def _sem_from_dict(payload: dict, where: str) -> SemOptions:
+def _sem_from_dict(payload, where: str) -> SemOptions:
+    _check_block(payload, where.rstrip("."))
     options = _drop_retired(payload, _RETIRED_SEM_KEYS, where)
     _check_keys(options, SemOptions, where)
     return _build(SemOptions, where.rstrip("."), **options)
@@ -285,12 +299,14 @@ def _sem_from_dict(payload: dict, where: str) -> SemOptions:
 def config_from_dict(payload: dict) -> StudyConfig:
     """Inverse of :func:`config_to_dict`.
 
-    Unknown or retired keys and values the constructors reject raise
-    :class:`DataFormatError`.
+    Unknown, retired or missing keys, blocks that are not objects and
+    values the constructors reject raise :class:`DataFormatError`.
     """
+    _check_block(payload, "")
     payload = _drop_retired(payload, _RETIRED_STUDY_KEYS, "")
     _check_keys(payload, StudyConfig, "")
     if payload.get("design") is not None:
+        _check_block(payload["design"], "design")
         design = dict(payload["design"])
         # Retired: configs saved with any integer seed still load.
         if type(design.pop("seed", 0)) is not int:
@@ -301,7 +317,7 @@ def config_from_dict(payload: dict) -> StudyConfig:
     if "methods" in payload:
         payload["methods"] = tuple(payload["methods"])
     for key in ("sem", "truth_sem"):
-        if key in payload and isinstance(payload[key], dict):
+        if key in payload:
             payload[key] = _sem_from_dict(payload[key], f"{key}.")
     return _build(StudyConfig, "study", **payload)
 

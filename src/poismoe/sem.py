@@ -20,12 +20,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyPartition, FitFailed, NumericalFailure, TuningFailed
-from .gating import coordinate_descent_alphas
+from .gating import coordinate_descent_alphas, gating_log_probabilities
 from .metrics import align_components
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
                     PartitionState, SemOptions, TuningParams, _log_terms,
                     _total_loglik, draw_labels, observed_loglik)
-from .poisson import _workspace, build_workspace, irwls_beta_step
+from .poisson import (ComponentWorkspace, _workspace, build_workspace,
+                      irwls_beta_step)
 
 __all__ = [
     "e_step",
@@ -35,17 +36,20 @@ __all__ = [
     "run_sem",
 ]
 
-Retuner = Callable[[Dataset, PartitionState, Coefficients], TuningParams]
+Retuner = Callable[[Dataset, ComponentWorkspace, np.ndarray], TuningParams]
 
 
-def e_step(data: Dataset, psi: Coefficients) -> tuple[np.ndarray, float]:
+def e_step(data: Dataset, psi: Coefficients,
+           log_pi: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Posterior tau (one row per observation) and log-likelihood at ``psi``.
 
     One pass over the class-major mixture log-terms gives both; tau is
     an (n, J) view of that (J, n) posterior, and the log-likelihood
-    equals ``observed_loglik(data, psi)`` bit for bit.
+    equals ``observed_loglik(data, psi)`` bit for bit. ``log_pi``, when
+    given, is the (J, n) gate log-softmax at ``psi.alpha`` (the one the
+    gate ascent hands back), used instead of recomputing it.
     """
-    log_terms, norms = _log_terms(data, psi)
+    log_terms, norms = _log_terms(data, psi, log_pi)
     loglik = _total_loglik(norms)
     return np.exp(log_terms - norms).T, loglik
 
@@ -62,16 +66,22 @@ def s_step(tau: np.ndarray, rng: np.random.Generator) -> PartitionState:
 
 
 def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
-           method: str = "ml", tuning: TuningParams | None = None
-           ) -> Coefficients:
+           method: str = "ml", tuning: TuningParams | None = None, *,
+           workspace: ComponentWorkspace | None = None,
+           log_pi: np.ndarray | None = None) -> Coefficients:
     """Refit all component regressions and the gating network once.
 
-    Each beta takes one IRWLS step from ``psi_t`` on its component's
-    rows; the gate is refit by :func:`coordinate_descent_alphas` at its
-    default tolerance and step cap. ``tuning`` holds the ridge lambdas
-    and Liu-type bias corrections of ``method``; every Liu-type update
+    Every beta takes one IRWLS step from ``psi_t`` on its component's
+    rows, all J in one stacked solve of the class-major systems of
+    ``workspace`` (``build_workspace(data, part, psi_t.beta)``, built
+    here when not given); the gate is refit by
+    :func:`coordinate_descent_alphas` at its default tolerance and step
+    cap. ``tuning`` holds the ridge lambdas and Liu-type bias corrections
+    of ``method``, one per component or class; every Liu-type update
     anchors on its own ridge solve, the estimator form the tuning MSE
-    describes.
+    describes. ``log_pi``, when given, is the (J, n) gate log-softmax at
+    ``psi_t.alpha``; the gate ascent starts from it and leaves in it the
+    log-softmax of the new gating rows.
     """
     lam_beta = lam_alpha = d_beta = d_alpha = None
     if method != "ml":
@@ -82,27 +92,29 @@ def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
             d_beta, d_alpha = tuning.d_beta, tuning.d_alpha
         elif method != "ridge":
             raise ValueError(f"unknown method {method!r}")
-    beta_new = np.empty_like(psi_t.beta)
-    for j in range(psi_t.n_components):
-        workspace = build_workspace(data, part, j, psi_t.beta[j])
-        beta_new[j] = irwls_beta_step(
-            workspace, None if lam_beta is None else lam_beta[j],
-            None if d_beta is None else d_beta[j])
+    if workspace is None:
+        workspace = build_workspace(data, part, psi_t.beta)
+    beta_new = irwls_beta_step(workspace, lam_beta, d_beta)
     alpha_new = coordinate_descent_alphas(
         data.Omega, psi_t.alpha, part, lam_alpha, d_alpha,
-        psi_t.reference_class)
+        psi_t.reference_class, basis=data.Omega_outer, log_pi=log_pi)
     return Coefficients(beta=beta_new, alpha=alpha_new,
                         reference_class=psi_t.reference_class)
 
 
-def _warm_start_beta(X_group: np.ndarray, y_group: np.ndarray) -> np.ndarray:
-    """Three unpenalized IRWLS steps from an intercept-only start."""
-    fallback = np.zeros(X_group.shape[1])
+def _warm_start_beta(data: Dataset, group: np.ndarray) -> np.ndarray:
+    """Three unpenalized IRWLS steps on the rows ``group`` from an
+    intercept-only start."""
+    X_group, X_outer, y_group = (data.X[group], data.X_outer[group],
+                                 data.y[group].astype(float))
+    fallback = np.zeros(data.p)
     fallback[0] = np.log(y_group.mean() + 0.5)
     beta = fallback
+    rows = np.ones((1, y_group.shape[0]), dtype=bool)
     try:
         for _ in range(3):
-            beta = irwls_beta_step(_workspace(X_group, y_group, beta))
+            beta = irwls_beta_step(
+                _workspace(X_group, X_outer, y_group, beta[None], rows))[0]
     except NumericalFailure:  # SingularSystem included
         return fallback
     return beta
@@ -138,8 +150,7 @@ def initialize(data: Dataset, spec: MixtureSpec,
     assignment = _fill_empty_groups(assignment, n_components)
     beta = np.empty((n_components, data.p))
     for j in range(n_components):
-        rows = assignment == j
-        beta[j] = _warm_start_beta(data.X[rows], data.y[rows].astype(float))
+        beta[j] = _warm_start_beta(data, assignment == j)
     alpha = np.zeros((n_components, data.q))
     return Coefficients(beta=beta, alpha=alpha,
                         reference_class=spec.reference_class)
@@ -182,9 +193,11 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
     """One chain; an interruption keeps the iterates completed so far.
 
     Each iterate gets one ``e_step``, whose posterior feeds the next
-    S-step. Empty partitions and singular systems end the chain the way the
-    stopping rule would, except ``converged`` stays False and the cause
-    is recorded. A chain interrupted before its first completed
+    S-step. Each M-step's systems are built once, for the retune and the
+    update alike, and the gate log-softmax passes from E-step to gate
+    ascent and back without being recomputed. Empty partitions and
+    singular systems end the chain the way the stopping rule would,
+    except ``converged`` stays False and the cause is recorded. A chain interrupted before its first completed
     iteration has nothing to select from and counts as a failed restart.
     """
     psis: list[Coefficients] = []
@@ -195,13 +208,16 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
     tuning_t = tuning
     try:
         psi = initialize(data, spec, rng)
-        tau, loglik_prev = e_step(data, psi)
+        log_pi = gating_log_probabilities(data.Omega, psi.alpha)
+        tau, loglik_prev = e_step(data, psi, log_pi)
         for _ in range(opts.max_iters):
             part = s_step(tau, rng)
+            workspace = build_workspace(data, part, psi.beta)
             if retune is not None:
-                tuning_t = retune(data, part, psi)
-            psi = m_step(data, part, psi, method=method, tuning=tuning_t)
-            tau, loglik = e_step(data, psi)
+                tuning_t = retune(data, workspace, log_pi)
+            psi = m_step(data, part, psi, method=method, tuning=tuning_t,
+                         workspace=workspace, log_pi=log_pi)
+            tau, loglik = e_step(data, psi, log_pi)
             psis.append(psi)
             logliks.append(loglik)
             tunings.append(tuning_t)
@@ -220,8 +236,9 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
             retune: Retuner | None = None) -> FitResult:
     """Run ``opts.n_restarts`` chains and keep the best final estimate.
 
-    ``retune(data, part, psi_t)``, when given, supplies each M-step's
-    tuning from the partition just drawn and the current iterate.
+    ``retune(data, workspace, log_pi)``, when given, supplies each
+    M-step's tuning from the systems of the partition just drawn at the
+    current iterate and the iterate's gate log-softmax.
     Chains that lose a component to an empty stochastic assignment or
     hit a singular unpenalized system are recorded as failed restarts;
     if every restart fails a :class:`FitFailed` is raised with the

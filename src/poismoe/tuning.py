@@ -4,22 +4,26 @@ Ridge parameters come from the classic plug-in p / ||coef||^2 (per
 component, separately for the regression and gating blocks). The
 Liu-type correction d minimizes a plug-in mean-squared error that is
 exactly quadratic in d; one eigendecomposition of the Gram matrix gives
-its coefficients and so the minimizer in closed form.
+its coefficients and so the minimizer in closed form, and one stacked
+eigendecomposition gives those of every component (or class) at once.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import TuningFailed
-from .gating import PI_FLOOR, gating_probabilities
-from .model import Coefficients, Dataset, PartitionState, TuningParams
-from .poisson import poisson_means
+from .gating import gate_variance_weights
+from .linalg import rowwise_product
+from .model import Coefficients, Dataset, TuningParams
+from .poisson import ComponentWorkspace
 
 # Ceiling applied when a plug-in source vector has (near-)zero norm,
 # and a floor keeping the plug-in strictly positive when the source norm
 # overflows (an effectively unpenalized solve).
 LAMBDA_MAX = 1e6
 LAMBDA_MIN = 1e-12
+# Largest s whose square is finite.
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 __all__ = [
     "LAMBDA_MAX",
@@ -99,8 +103,8 @@ def lt_mse_alpha(d_star: float, Omega: np.ndarray, Wg_j: np.ndarray,
                    mean_vec, np.asarray(alpha_plugin, dtype=float))
 
 
-def optimize_bias_correction(gram: np.ndarray, lam: float,
-                             mean_vec: np.ndarray, target: np.ndarray) -> float:
+def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
+                             target: np.ndarray):
     """Exact minimizer of the Liu-type plug-in MSE over d.
 
     With gram = V diag(g) V', s = g + lam, u = V'mean_vec / s^2 and
@@ -110,63 +114,72 @@ def optimize_bias_correction(gram: np.ndarray, lam: float,
     d* = [sum g^2/s^4 + u.(g u - w)] / [sum g/s^4 + ||u||^2].
     A zero denominator means a flat MSE (zero Gram and mean), where any
     d is optimal and 0 (the ridge solve) is returned.
+
+    ``gram`` is one (k, k) system, giving a float, or a stack (K, k, k)
+    with ``lam`` (K,) and ``mean_vec``, ``target`` (K, k), giving the K
+    minimizers as an array; one ``np.linalg.eigh`` call diagonalizes the
+    whole stack. The quotients are taken as (g/s^2)^2 and (g/s^2)/s^2,
+    which cannot overflow, and an s whose square would overflow raises
+    :class:`TuningFailed` before any quotient is formed: there g^2 / s^4
+    is inf/inf, so the MSE has no finite coefficients. If any system of
+    a stack fails, the whole call raises.
     """
     try:
         g, vecs = np.linalg.eigh(np.asarray(gram, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise TuningFailed("MSE Gram matrix could not be diagonalized") from exc
-    s_sq = (g + float(lam)) ** 2
-    u = vecs.T @ np.asarray(mean_vec, dtype=float) / s_sq
-    w = vecs.T @ np.asarray(target, dtype=float)
-    numerator = float((g * g / (s_sq * s_sq)).sum() + u @ (g * u - w))
-    denominator = float((g / (s_sq * s_sq)).sum() + u @ u)
-    if not (np.isfinite(numerator) and np.isfinite(denominator)):
+    s = g + np.asarray(lam, dtype=float)[..., None]
+    if not (np.abs(s) <= _SQRT_MAX).all():
         raise TuningFailed("MSE coefficients are not finite")
-    if denominator == 0.0:
-        return 0.0
-    d_opt = numerator / denominator
-    if not np.isfinite(d_opt):
+    s_sq = s * s
+    ratio = g / s_sq
+    u = (np.asarray(mean_vec, dtype=float)[..., None, :] @ vecs)[..., 0, :] / s_sq
+    w = (np.asarray(target, dtype=float)[..., None, :] @ vecs)[..., 0, :]
+    numerator = (ratio * ratio).sum(axis=-1) + (u * (g * u - w)).sum(axis=-1)
+    denominator = (ratio / s_sq).sum(axis=-1) + (u * u).sum(axis=-1)
+    if not (np.isfinite(numerator).all() and np.isfinite(denominator).all()):
+        raise TuningFailed("MSE coefficients are not finite")
+    flat = denominator == 0.0
+    d_opt = np.where(flat, 0.0, numerator / np.where(flat, 1.0, denominator))
+    if not np.isfinite(d_opt).all():
         raise TuningFailed("bias-correction minimizer is not finite")
-    return d_opt
+    return float(d_opt) if d_opt.ndim == 0 else d_opt
 
 
-def bias_corrections_for_partition(data: Dataset, part: PartitionState,
-                                   psi_plugin: Coefficients,
-                                   tuning: TuningParams,
-                                   psi_weights: Coefficients,
-                                   pi_plugin: np.ndarray
+def bias_corrections_for_partition(data: Dataset,
+                                   workspace: ComponentWorkspace,
+                                   log_pi: np.ndarray, tuning: TuningParams,
+                                   anchors: Coefficients,
+                                   anchor_means: np.ndarray,
+                                   anchor_pi: np.ndarray
                                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal d per component/class, with the given fit as plug-in truth.
+    """Optimal d per component/class, with the ridge ``anchors`` as plug-in truth.
 
-    ``psi_plugin`` supplies the "true" coefficients of the bias term and
-    the plug-in means; ``pi_plugin`` holds its (J, n) gate probabilities.
-    ``psi_weights`` supplies the working weights, so the MSE describes
-    exactly the system about to be solved. The regression-side Gram uses
-    the rows of the partition; the gating side uses all rows. Components
-    with no assigned rows and the reference class keep d=0.
+    ``workspace`` holds the stacked beta systems about to be solved
+    (:func:`~poismoe.poisson.build_workspace` of the partition at the
+    chain iterate) and ``log_pi`` the iterate's (J, n) gate log-softmax,
+    so the MSE describes exactly the systems the M-step solves. The
+    anchors supply the "true" coefficients of the bias term, their
+    plug-in means ``anchor_means = poisson_means(X, anchors.beta)`` and
+    their gate probabilities ``anchor_pi``, both (J, n). The regression
+    side reads its Grams from the workspace and weighs the rows of the
+    partition; the gating side uses all rows and the diagonal-block
+    weights of the gate's Newton system. One stacked
+    :func:`optimize_bias_correction` call serves the J components and
+    one the J-1 free classes; the reference class keeps d=0.
     """
-    n_components = psi_plugin.n_components
-    d_beta = np.zeros(n_components)
+    d_beta = optimize_bias_correction(
+        workspace.gram, tuning.lambda_beta,
+        rowwise_product(workspace.weights * anchor_means, data.X),
+        anchors.beta)
+    n_components, q = anchors.n_components, anchors.q
+    free = np.flatnonzero(np.arange(n_components) != anchors.reference_class)
     d_alpha = np.zeros(n_components)
-    for j in range(n_components):
-        rows = part.assignment == j
-        if not rows.any():
-            continue
-        X_j = data.X[rows]
-        weights = poisson_means(X_j, psi_weights.beta[j])
-        mu_plugin = poisson_means(X_j, psi_plugin.beta[j])
-        d_beta[j] = optimize_bias_correction(
-            X_j.T @ (weights[:, None] * X_j), float(tuning.lambda_beta[j]),
-            X_j.T @ (weights * mu_plugin), psi_plugin.beta[j])
-    pi_weights = gating_probabilities(data.Omega, psi_weights.alpha).T
-    for j in range(n_components):
-        if j == psi_plugin.reference_class:
-            continue
-        weights = np.minimum(np.maximum(pi_weights[j], PI_FLOOR),
-                             1.0 - PI_FLOOR)
-        weights = weights * (1.0 - weights)
-        d_alpha[j] = optimize_bias_correction(
-            data.Omega.T @ (weights[:, None] * data.Omega),
-            float(tuning.lambda_alpha[j]),
-            data.Omega.T @ (weights * pi_plugin[j]), psi_plugin.alpha[j])
+    if free.size:
+        weights = gate_variance_weights(np.exp(log_pi[free]))
+        grams = rowwise_product(weights, data.Omega_outer).reshape(-1, q, q)
+        d_alpha[free] = optimize_bias_correction(
+            grams, tuning.lambda_alpha[free],
+            rowwise_product(weights * anchor_pi[free], data.Omega),
+            anchors.alpha[free])
     return d_beta, d_alpha

@@ -247,3 +247,23 @@ def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda config: config.pop("mode"), "mode"),
+    (lambda config: config["design"].pop("n"), "design.n"),
+    (lambda config: config.update(sem=[1]), "sem"),
+], ids=["no-mode", "no-design-n", "sem-not-an-object"])
+def test_replicate_rejects_malformed_configs(tmp_path, capsys, edit, key):
+    config = pm.replication.config_to_dict(pm.StudyConfig(
+        mode="simulation", design=pm.study_presets("study1", n=60)))
+    edit(config)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    rc = main(["replicate", "--config", str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

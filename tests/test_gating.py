@@ -6,9 +6,9 @@ import scipy.optimize
 
 import poismoe as pm
 from poismoe.errors import NumericalFailure
-from poismoe.gating import (gating_log_probabilities, log_sum_exp,
+from poismoe.gating import (PI_FLOOR, gating_log_probabilities, log_sum_exp,
                             penalty_value, q1_value)
-from poismoe.linalg import penalized_wls_solve
+from poismoe.linalg import outer_basis, penalized_wls_solve
 from poismoe.model import _total_loglik
 
 from conftest import small_mixture
@@ -44,8 +44,39 @@ def workspace_at(Omega, alpha, indicator, free):
     """The gate's Newton system ``(gram, rhs)`` at the rows ``alpha``;
     ``indicator`` is (n, len(free)), one row per observation."""
     return pm.build_gating_workspace(
-        Omega, gating_log_probabilities(Omega, alpha), alpha[free].ravel(),
-        np.ascontiguousarray(np.asarray(indicator).T), free)
+        Omega, outer_basis(Omega), gating_log_probabilities(Omega, alpha),
+        alpha[free].ravel(), np.ascontiguousarray(np.asarray(indicator).T),
+        free)
+
+
+def block_loop_gate_system(Omega, log_pi, coef, indicator, free):
+    """The gate's Newton system built block by block, one product per
+    block (the builder before its blocks came from one product)."""
+    pi = np.exp(log_pi[free])
+    q = Omega.shape[1]
+    gram = np.empty((len(free) * q, len(free) * q))
+    for a in range(len(free)):
+        rows = slice(a * q, (a + 1) * q)
+        pi_a = np.minimum(np.maximum(pi[a], PI_FLOOR), 1.0 - PI_FLOOR)
+        gram[rows, rows] = Omega.T @ ((pi_a * (1.0 - pi_a))[:, None] * Omega)
+        for b in range(a):
+            cols = slice(b * q, (b + 1) * q)
+            block = Omega.T @ ((-pi[a] * pi[b])[:, None] * Omega)
+            gram[rows, cols] = block
+            gram[cols, rows] = block.T
+    residual = np.ascontiguousarray((indicator - pi).T)
+    rhs = gram @ coef + (residual.T @ Omega).ravel()
+    return gram, rhs
+
+
+def assert_same_gate_system(got, expected, coef, rel=1e-13):
+    """Gram to ``rel`` of its largest entry; rhs to ``rel`` of the scale
+    of its two terms, gram @ coef and the gradient."""
+    (gram, rhs), (gram_ref, rhs_ref) = got, expected
+    scale = np.max(np.abs(gram_ref))
+    assert np.max(np.abs(gram - gram_ref)) <= rel * scale
+    rhs_scale = scale * np.abs(coef).sum() + np.max(np.abs(rhs_ref))
+    assert np.max(np.abs(rhs - rhs_ref)) <= rel * rhs_scale
 
 
 def label_picks(part):
@@ -199,6 +230,53 @@ def test_workspace_gram_is_finite_difference_hessian():
                              + q1_of(flat - basis[k] - basis[m])) \
                 / (4 * step * step)
     assert np.max(np.abs(gram + hessian)) < 1e-5 * np.max(np.abs(gram))
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_product_gate_system_equals_block_loop(n_classes, seed):
+    gen = np.random.default_rng(seed)
+    n, q = 70, 3
+    Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
+    alpha = gen.normal(scale=1.5, size=(n_classes, q))
+    labels = gen.integers(0, n_classes, size=n)
+    for reference in range(n_classes):
+        alpha_ref = alpha - alpha[reference]
+        free = np.flatnonzero(np.arange(n_classes) != reference)
+        log_pi = gating_log_probabilities(Omega, alpha_ref)
+        coef = alpha_ref[free].ravel()
+        indicator = (labels == free[:, None]).astype(float)
+        got = pm.build_gating_workspace(Omega, outer_basis(Omega), log_pi,
+                                        coef, indicator, free)
+        expected = block_loop_gate_system(Omega, log_pi, coef, indicator, free)
+        assert_same_gate_system(got, expected, coef)
+
+
+@pytest.mark.parametrize("n_classes", [3, 4])
+def test_gate_gram_blocks_permute_bit_for_bit_with_the_classes(n_classes):
+    # Each block is its own product, wherever its class sits in the
+    # stack, so listing the free classes in another order permutes the
+    # Gram's blocks exactly.
+    gen = np.random.default_rng(n_classes)
+    n, q = 48, 3
+    Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
+    alpha = gen.normal(size=(n_classes, q))
+    alpha[0] = 0.0
+    log_pi = gating_log_probabilities(Omega, alpha)
+    labels = gen.integers(0, n_classes, size=n)
+
+    def blocks(free):
+        free = np.asarray(free)
+        gram, _ = pm.build_gating_workspace(
+            Omega, outer_basis(Omega), log_pi, alpha[free].ravel(),
+            (labels == free[:, None]).astype(float), free)
+        return {(a, b): gram[i * q:(i + 1) * q, k * q:(k + 1) * q]
+                for i, a in enumerate(free) for k, b in enumerate(free)}
+
+    forward = blocks(range(1, n_classes))
+    backward = blocks(range(n_classes - 1, 0, -1))
+    for key, block in forward.items():
+        assert np.array_equal(block, backward[key])
 
 
 def test_workspace_rhs_minus_gram_step_is_stacked_gradient():

@@ -13,10 +13,11 @@ from poismoe.model import MU_MAX, MU_MIN
 from conftest import single_component_data
 
 
-def q2_gradient(ws, beta):
-    """Gradient of the (unpenalized) Poisson log-likelihood at ``beta``."""
+def q2_gradient(data, beta):
+    """Gradient of the (unpenalized) Poisson log-likelihood of all rows
+    of ``data`` at ``beta``."""
     beta = np.asarray(beta, dtype=float)
-    return ws.X.T @ (ws.y - pm.poisson_means(ws.X, beta))
+    return data.X.T @ (data.y - pm.poisson_means(data.X, beta))
 
 
 def poisson_mle_oracle(X, y, p):
@@ -39,17 +40,17 @@ def poisson_mle_oracle(X, y, p):
 def iterate_ml_to_convergence(data, part, p, n_iter=80):
     beta = np.zeros(p)
     for _ in range(n_iter):
-        ws = pm.build_workspace(data, part, 0, beta)
-        new = pm.irwls_beta_step(ws)
+        ws = pm.build_workspace(data, part, beta[None])
+        new = pm.irwls_beta_step(ws)[0]
         if np.max(np.abs(new - beta)) < 1e-13:
             return new
         beta = new
     return beta
 
 
-def beta_system(ws):
-    """The (gram, rhs) that irwls_beta_step solves."""
-    return ws.X.T @ (ws.mu[:, None] * ws.X), ws.X.T @ (ws.mu * ws.z_star)
+def beta_system(ws, j=0):
+    """The (gram, rhs) that irwls_beta_step solves for component j."""
+    return ws.gram[j], ws.rhs[j]
 
 
 def test_poisson_mean_values():
@@ -102,7 +103,7 @@ def test_nan_linear_predictor_is_a_numerical_failure():
             pm.poisson_means(data.X, beta)
         assert raised.type is NumericalFailure
         with pytest.raises(NumericalFailure, match="NaN") as raised:
-            pm.build_workspace(data, part, 0, beta)
+            pm.build_workspace(data, part, beta[None])
         assert raised.type is NumericalFailure
 
 
@@ -111,17 +112,18 @@ def test_build_workspace_unit_weights():
     X = np.column_stack([np.ones(3), np.array([0.5, -1.0, 2.0])])
     data = pm.Dataset(y=y, X=X, Omega=np.ones((3, 1)))
     part = pm.PartitionState.from_assignment(np.zeros(3, dtype=int), 1)
-    ws = pm.build_workspace(data, part, 0, np.zeros(2))
-    assert np.allclose(ws.mu, 1.0)
-    assert np.allclose(ws.z_star, y - 1.0)
+    ws = pm.build_workspace(data, part, np.zeros((1, 2)))
+    assert np.array_equal(ws.weights, np.ones((1, 3)))
+    assert np.array_equal(ws.gram[0], X.T @ X)
+    assert np.allclose(ws.rhs[0], X.T @ (y - 1.0), rtol=1e-15)
 
 
 def test_build_workspace_single_observation():
     data = pm.Dataset(y=np.array([3]), X=np.array([[1.0]]),
                       Omega=np.array([[1.0]]))
     part = pm.PartitionState.from_assignment(np.array([0]), 1)
-    ws = pm.build_workspace(data, part, 0, np.zeros(1))
-    assert ws.z_star[0] == pytest.approx(2.0, abs=0)
+    ws = pm.build_workspace(data, part, np.zeros((1, 1)))
+    assert ws.rhs[0, 0] == pytest.approx(2.0, abs=0)  # mu * z* = 1 * (3 - 1)
 
 
 def test_build_workspace_matches_elementwise_oracle(rng):
@@ -132,14 +134,21 @@ def test_build_workspace_matches_elementwise_oracle(rng):
     assignment = rng.integers(0, 2, size=n)
     assignment[:2] = [0, 1]
     part = pm.PartitionState.from_assignment(assignment, 2)
-    beta = rng.normal(scale=0.3, size=p)
-    ws = pm.build_workspace(data, part, 1, beta)
-    rows = np.flatnonzero(assignment == 1)
-    for local, i in enumerate(rows):
-        mu = math.exp(float(np.dot(X[i], beta)))
-        assert ws.mu[local] == pytest.approx(mu, rel=1e-14)
-        assert ws.z_star[local] == pytest.approx(
-            float(np.dot(X[i], beta)) + (y[i] - mu) / mu, rel=1e-12)
+    beta = rng.normal(scale=0.3, size=(2, p))
+    ws = pm.build_workspace(data, part, beta)
+    for j in range(2):
+        gram, rhs = np.zeros((p, p)), np.zeros(p)
+        for i in range(n):
+            if assignment[i] != j:
+                assert ws.weights[j, i] == 0.0
+                continue
+            eta = float(np.dot(X[i], beta[j]))
+            mu = math.exp(eta)
+            assert ws.weights[j, i] == pytest.approx(mu, rel=1e-14)
+            gram += mu * np.outer(X[i], X[i])
+            rhs += mu * (eta + (y[i] - mu) / mu) * X[i]
+        assert np.allclose(ws.gram[j], gram, rtol=1e-12, atol=0)
+        assert np.allclose(ws.rhs[j], rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_build_workspace_empty_component():
@@ -148,24 +157,24 @@ def test_build_workspace_empty_component():
     part = pm.PartitionState(assignment=np.array([0, 0]),
                              counts=np.array([2, 0]))
     with pytest.raises(EmptyPartition):
-        pm.build_workspace(data, part, 1, np.zeros(1))
+        pm.build_workspace(data, part, np.zeros((2, 1)))
 
 
 def test_liu_type_with_zero_d_is_bitwise_ridge():
     data, part, _ = single_component_data()
-    ws = pm.build_workspace(data, part, 0, np.array([0.2, 0.1]))
+    ws = pm.build_workspace(data, part, np.array([[0.2, 0.1]]))
     ridge = pm.irwls_beta_step(ws, 0.7)
     gram, rhs = beta_system(ws)
     lt_explicit = penalized_wls_solve(  # fixed anchor (5, -3)
         gram, rhs - 0.0 * np.array([5.0, -3.0]), 0.7)
     lt_self = pm.irwls_beta_step(ws, 0.7, 0.0)
-    assert np.array_equal(ridge, lt_explicit)
+    assert np.array_equal(ridge[0], lt_explicit)
     assert np.array_equal(ridge, lt_self)
 
 
 def test_vanishing_ridge_matches_ml():
     data, part, _ = single_component_data()
-    ws = pm.build_workspace(data, part, 0, np.array([0.3, 0.4]))
+    ws = pm.build_workspace(data, part, np.array([[0.3, 0.4]]))
     ml = pm.irwls_beta_step(ws)
     ridge = pm.irwls_beta_step(ws, 1e-12)
     assert np.max(np.abs((ridge - ml) / ml)) < 1e-8
@@ -186,7 +195,7 @@ def test_singular_ml_system_raises_and_ridge_survives():
     y = gen.poisson(1.5, size=n)
     data = pm.Dataset(y=y, X=X, Omega=np.ones((n, 1)))
     part = pm.PartitionState.from_assignment(np.zeros(n, dtype=int), 1)
-    ws = pm.build_workspace(data, part, 0, np.zeros(3))
+    ws = pm.build_workspace(data, part, np.zeros((1, 3)))
     with pytest.raises(SingularSystem):
         pm.irwls_beta_step(ws)
     out = pm.irwls_beta_step(ws, 0.5)
@@ -207,19 +216,19 @@ def test_penalized_solve_refuses_unusable_systems(gram):
 def test_irwls_row_permutation_equivariance(rng):
     data, part, _ = single_component_data(seed=11)
     beta_t = np.array([0.2, -0.1])
-    ws = pm.build_workspace(data, part, 0, beta_t)
+    ws = pm.build_workspace(data, part, beta_t[None])
     base = pm.irwls_beta_step(ws, 0.3)
     order = rng.permutation(data.n)
     data_perm = pm.Dataset(y=data.y[order], X=data.X[order],
                            Omega=data.Omega[order])
-    ws_perm = pm.build_workspace(data_perm, part, 0, beta_t)
+    ws_perm = pm.build_workspace(data_perm, part, beta_t[None])
     permuted = pm.irwls_beta_step(ws_perm, 0.3)
     assert np.allclose(base, permuted, rtol=1e-10)
 
 
 def test_ridge_solution_norm_monotone_in_lambda():
     data, part, _ = single_component_data(seed=21)
-    ws = pm.build_workspace(data, part, 0, np.array([0.1, 0.2]))
+    ws = pm.build_workspace(data, part, np.array([[0.1, 0.2]]))
     norms = [np.linalg.norm(pm.irwls_beta_step(ws, lam))
              for lam in (0.01, 0.1, 1.0, 10.0)]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -228,8 +237,7 @@ def test_ridge_solution_norm_monotone_in_lambda():
 def test_q2_gradient_vanishes_at_ml_solution():
     data, part, _ = single_component_data()
     beta_hat = iterate_ml_to_convergence(data, part, 2)
-    ws = pm.build_workspace(data, part, 0, beta_hat)
-    grad = q2_gradient(ws, beta_hat)
+    grad = q2_gradient(data, beta_hat)
     assert np.linalg.norm(grad) < 1e-6
 
 
@@ -237,8 +245,7 @@ def test_q2_gradient_at_zero_under_ridge():
     # The ridge term -lam*beta vanishes at zero, so the penalized gradient
     # there is the log-likelihood gradient X'(y - 1).
     data, part, _ = single_component_data(seed=2)
-    ws = pm.build_workspace(data, part, 0, np.zeros(2))
-    grad = q2_gradient(ws, np.zeros(2))
+    grad = q2_gradient(data, np.zeros(2))
     expected = np.asarray(data.X).T @ (data.y - 1.0)
     assert np.allclose(grad, expected, rtol=1e-12)
 
@@ -259,9 +266,8 @@ def test_q2_gradient_matches_finite_differences(make_shrinkage):
     data, part, _ = single_component_data(seed=17)
     p = data.p
     lam, d, anchor = make_shrinkage(p)
-    ws = pm.build_workspace(data, part, 0, np.zeros(p))
-    X = np.asarray(ws.X)
-    y = ws.y
+    X = np.asarray(data.X)
+    y = data.y
 
     def shrink_gradient(beta):
         grad = np.zeros(p)
@@ -284,7 +290,7 @@ def test_q2_gradient_matches_finite_differences(make_shrinkage):
     step = 1e-5
     for _ in range(25):
         beta = gen.normal(scale=0.4, size=p)
-        grad = q2_gradient(ws, beta) + shrink_gradient(beta)
+        grad = q2_gradient(data, beta) + shrink_gradient(beta)
         fd = np.empty(p)
         for k in range(p):
             delta = np.zeros(p)
@@ -294,7 +300,7 @@ def test_q2_gradient_matches_finite_differences(make_shrinkage):
 
     beta = np.zeros(p)
     for _ in range(100):
-        gram, rhs = beta_system(pm.build_workspace(data, part, 0, beta))
+        gram, rhs = beta_system(pm.build_workspace(data, part, beta[None]))
         if d is not None:  # the fixed-anchor Liu-type solve
             rhs = rhs - d * anchor
         new = penalized_wls_solve(gram, rhs, lam)
@@ -303,6 +309,88 @@ def test_q2_gradient_matches_finite_differences(make_shrinkage):
         if done:
             break
     assert done
-    ws = pm.build_workspace(data, part, 0, beta)
-    assert np.linalg.norm(q2_gradient(ws, beta) + shrink_gradient(beta)) \
+    assert np.linalg.norm(q2_gradient(data, beta) + shrink_gradient(beta)) \
         < 1e-9 * np.linalg.norm(X.T @ y)
+
+
+def random_stack(seed, J=3, p=3, n=25):
+    gen = np.random.default_rng(seed)
+    A = gen.normal(size=(J, n, p))
+    gram = np.swapaxes(A, 1, 2) @ (np.exp(gen.normal(size=(J, n, 1))) * A)
+    return gram, gen.normal(size=(J, p)), gen.uniform(0.1, 2.0, size=J), \
+        gen.normal(scale=0.5, size=J)
+
+
+@pytest.mark.parametrize("method", ["ml", "ridge", "lt"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_solve_equals_per_system_calls(method, seed):
+    gram, rhs, lam, d = random_stack(seed)
+    lam = None if method == "ml" else lam
+    d = d if method == "lt" else None
+    anchors = np.empty_like(rhs)
+    stacked = penalized_wls_solve(
+        gram, rhs, None if lam is None else lam[:, None],
+        None if d is None else d[:, None], anchor_out=anchors)
+    for j in range(gram.shape[0]):
+        anchor = np.empty(rhs.shape[1])
+        single = penalized_wls_solve(gram[j], rhs[j],
+                                     None if lam is None else lam[j],
+                                     None if d is None else d[j],
+                                     anchor_out=anchor)
+        assert np.array_equal(stacked[j], single)
+        if d is not None:
+            assert np.array_equal(anchors[j], anchor)
+
+
+@pytest.mark.parametrize("method, error", [("ml", SingularSystem),
+                                           ("ridge", NumericalFailure),
+                                           ("lt", NumericalFailure)])
+@pytest.mark.parametrize("broken", ["ill-conditioned", "non-finite"])
+def test_stacked_solve_refuses_as_the_refused_system_would(method, error,
+                                                           broken):
+    gram, rhs, lam, d = random_stack(4)
+    if broken == "non-finite":
+        gram[1, 0, 0] = np.inf
+    elif method == "ml":  # rank one: the condition exceeds COND_LIMIT
+        gram[1] = np.outer(rhs[1], rhs[1])
+    else:  # indefinite even after the ridge shift
+        gram[1] = -10.0 * np.eye(3)
+    lam = None if method == "ml" else lam
+    d = d if method == "lt" else None
+    with pytest.raises(error) as stacked:
+        penalized_wls_solve(gram, rhs, None if lam is None else lam[:, None],
+                            None if d is None else d[:, None])
+    with pytest.raises(error) as single:
+        penalized_wls_solve(gram[1], rhs[1], None if lam is None else lam[1],
+                            None if d is None else d[1])
+    assert type(stacked.value) is type(single.value)
+    assert str(stacked.value) == str(single.value)
+    for j in (0, 2):  # the others solve on their own
+        penalized_wls_solve(gram[j], rhs[j], None if lam is None else lam[j],
+                            None if d is None else d[j])
+
+
+def test_unassigned_clamped_rows_add_nothing_and_are_not_counted():
+    # Component 1's beta sends every mean of rows 0-1 (assigned to 0)
+    # past ETA_MAX and of rows 2-3 below MU_MIN: nothing of it may leak
+    # into component 1's system or the clamp count.
+    X = np.column_stack([np.ones(6), [3.0, 2.0, -2.0, -3.0, 0.1, 0.2]])
+    data = pm.Dataset(y=np.array([1, 4, 0, 2, 3, 1]), X=X,
+                      Omega=np.ones((6, 1)))
+    part = pm.PartitionState.from_assignment(np.array([0, 0, 0, 0, 1, 1]), 2)
+    beta = np.array([[0.1, 0.2], [0.0, 400.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ws = pm.build_workspace(data, part, beta)
+    assert np.isfinite(ws.gram).all() and np.isfinite(ws.rhs).all()
+    assert np.array_equal(ws.weights[1, :4], np.zeros(4))
+    alone = pm.build_workspace(
+        pm.Dataset(y=data.y[4:], X=X[4:], Omega=np.ones((2, 1))),
+        pm.PartitionState.from_assignment(np.zeros(2, dtype=int), 1),
+        beta[1:])
+    assert np.array_equal(ws.gram[1], alone.gram[0])
+    assert np.array_equal(ws.rhs[1], alone.rhs[0])
+    # Assigned rows still clamp and are counted, once per build.
+    part = pm.PartitionState.from_assignment(np.array([1, 0, 0, 1, 0, 1]), 2)
+    with pytest.warns(RuntimeWarning, match=r"^2 Poisson mean\(s\) clamped"):
+        pm.build_workspace(data, part, beta)

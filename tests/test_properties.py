@@ -8,10 +8,11 @@ import poismoe as pm
 from poismoe.errors import EmptyPartition, SingularSystem
 from poismoe.gating import (PI_FLOOR, gating_log_probabilities,
                             penalty_value, q1_value)
-from poismoe.linalg import COND_LIMIT, penalized_wls_solve
+from poismoe.linalg import COND_LIMIT, outer_basis, penalized_wls_solve
 from poismoe.model import ETA_FLOOR, ETA_MAX, draw_labels
 
 from conftest import small_mixture
+from test_gating import assert_same_gate_system
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -294,10 +295,11 @@ def test_gate_workspace_equals_row_major_oracle(seed, n, q, n_classes, scale):
             block = Omega.T @ ((-pi[:, a] * pi[:, b])[:, None] * Omega)
             gram[rows, cols], gram[cols, rows] = block, block.T
     rhs = gram @ coef + ((indicator - pi).T @ Omega).ravel()
-    got_gram, got_rhs = pm.build_gating_workspace(
-        Omega, gating_log_probabilities(Omega, alpha), coef,
-        np.ascontiguousarray(indicator.T), free)
-    assert np.array_equal(got_gram, gram) and np.array_equal(got_rhs, rhs)
+    got = pm.build_gating_workspace(
+        Omega, outer_basis(Omega), gating_log_probabilities(Omega, alpha),
+        coef, np.ascontiguousarray(indicator.T), free)
+    # Blocks from one product round apart from block-wise products.
+    assert_same_gate_system(got, (gram, rhs), coef)
 
 
 @given(seed=seeds, n=st.integers(1, 60), n_components=st.integers(1, 4),

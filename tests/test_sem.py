@@ -68,9 +68,9 @@ def test_m_step_single_component_is_one_irwls_step():
     data, part, _ = single_component_data()
     psi = pm.Coefficients(beta=np.zeros((1, 2)), alpha=np.zeros((1, 1)))
     updated = pm.m_step(data, part, psi, method="ml")
-    ws = pm.build_workspace(data, part, 0, np.zeros(2))
+    ws = pm.build_workspace(data, part, np.zeros((1, 2)))
     expected = pm.irwls_beta_step(ws)
-    assert np.array_equal(updated.beta[0], expected)
+    assert np.array_equal(updated.beta, expected)
     assert np.all(updated.alpha == 0.0)
 
 
@@ -184,8 +184,9 @@ def test_run_sem_retune_hook_is_called():
                              d_beta=[0.1, 0.1], d_alpha=[0.0, 0.0])
     calls = []
 
-    def retune(data_, part, psi_t):
-        calls.append(part.counts.copy())
+    def retune(data_, workspace, log_pi):
+        calls.append(np.count_nonzero(workspace.weights, axis=1))
+        assert log_pi.shape == (2, data.n)
         return tuning
 
     opts = pm.SemOptions(epsilon=1e-8, max_iters=10, burn_in=0, n_restarts=1,
@@ -201,7 +202,7 @@ def test_run_sem_reports_the_tuning_of_the_selected_iteration():
     data, _, _, _ = small_mixture(seed=16)
     returned = []
 
-    def retune(data_, part, psi_t):
+    def retune(data_, workspace, log_pi):
         d = 0.01 * len(returned)
         returned.append(pm.TuningParams(
             lambda_beta=[0.5, 0.5], lambda_alpha=[0.5, 0.5],
@@ -234,3 +235,30 @@ def test_selected_loglik_is_the_observed_loglik_of_psi_hat():
     fit = pm.run_sem(data, pm.MixtureSpec(2, 0), opts, method="ml")
     assert fit.loglik_trace[fit.selected_iteration] == \
         pm.observed_loglik(data, fit.psi_hat)
+
+
+@pytest.mark.parametrize("method", ["ml", "ridge", "lt"])
+def test_handed_over_gate_log_softmax_equals_recomputed(method):
+    # The chain hands the gate ascent's log-softmax to the next E-step
+    # and from there to the next M-step; each use must see bit for bit
+    # what recomputing it from the coefficients gives.
+    data, truth, _, part = small_mixture(seed=9, n=50, q=3, n_components=3)
+    tuning = pm.TuningParams(lambda_beta=[0.5, 0.9, 0.7],
+                             lambda_alpha=[0.7, 1.1, 0.4],
+                             d_beta=[0.1, -0.2, 0.3], d_alpha=[0.2, 0.1, -0.1])
+    log_pi = pm.gating.gating_log_probabilities(data.Omega, truth.alpha)
+    tau, loglik = pm.e_step(data, truth, log_pi)
+    tau_fresh, loglik_fresh = pm.e_step(data, truth)
+    assert np.array_equal(tau, tau_fresh) and loglik == loglik_fresh
+    updated = pm.m_step(data, part, truth, method=method,
+                        tuning=None if method == "ml" else tuning,
+                        log_pi=log_pi)
+    fresh = pm.m_step(data, part, truth, method=method,
+                      tuning=None if method == "ml" else tuning)
+    assert np.array_equal(updated.alpha, fresh.alpha)
+    assert np.array_equal(updated.beta, fresh.beta)
+    assert np.array_equal(
+        log_pi, pm.gating.gating_log_probabilities(data.Omega, updated.alpha))
+    tau, loglik = pm.e_step(data, updated, log_pi)
+    tau_fresh, loglik_fresh = pm.e_step(data, updated)
+    assert np.array_equal(tau, tau_fresh) and loglik == loglik_fresh

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import poismoe as pm
 from poismoe.errors import TuningFailed
+from poismoe.gating import PI_FLOOR, gating_log_probabilities
 from poismoe.tuning import LAMBDA_MAX, bias_corrections_for_partition
 
 from conftest import small_mixture
@@ -186,12 +189,90 @@ def test_optimized_mse_never_exceeds_ridge_pattern():
         assert mse(d_star) <= mse(0.0) + 1e-12
 
 
+def retune_inputs(seed=30, n_components=2, q=2):
+    data, truth, _, part = small_mixture(seed=seed, n_components=n_components,
+                                         q=q)
+    anchors = pm.Coefficients(beta=0.8 * truth.beta, alpha=0.7 * truth.alpha,
+                              reference_class=truth.reference_class)
+    return data, truth, part, anchors
+
+
+def per_component_corrections(data, part, psi_t, tuning, anchors):
+    """d per component and class, one system at a time from row subsets."""
+    n_components = psi_t.n_components
+    d_beta, d_alpha = np.zeros(n_components), np.zeros(n_components)
+    pi_t = pm.gating_probabilities(data.Omega, psi_t.alpha).T
+    pi_anchor = pm.gating_probabilities(data.Omega, anchors.alpha).T
+    for j in range(n_components):
+        X_j = data.X[part.assignment == j]
+        weights = pm.poisson_means(X_j, psi_t.beta[j])
+        d_beta[j] = pm.optimize_bias_correction(
+            X_j.T @ (weights[:, None] * X_j), tuning.lambda_beta[j],
+            X_j.T @ (weights * pm.poisson_means(X_j, anchors.beta[j])),
+            anchors.beta[j])
+        if j != psi_t.reference_class:
+            w = np.clip(pi_t[j], PI_FLOOR, 1.0 - PI_FLOOR)
+            w = w * (1.0 - w)
+            d_alpha[j] = pm.optimize_bias_correction(
+                data.Omega.T @ (w[:, None] * data.Omega),
+                tuning.lambda_alpha[j], data.Omega.T @ (w * pi_anchor[j]),
+                anchors.alpha[j])
+    return d_beta, d_alpha
+
+
+def stacked_corrections(data, part, psi_t, tuning, anchors):
+    return bias_corrections_for_partition(
+        data, pm.build_workspace(data, part, psi_t.beta),
+        gating_log_probabilities(data.Omega, psi_t.alpha), tuning, anchors,
+        pm.poisson_means(data.X, anchors.beta),
+        pm.gating_probabilities(data.Omega, anchors.alpha).T)
+
+
 def test_bias_corrections_for_partition_reference_class_keeps_zero():
-    data, truth, _, part = small_mixture(seed=30)
-    lambdas = pm.estimate_ridge_lambdas(truth, source="ridge")
-    d_beta, d_alpha = bias_corrections_for_partition(
-        data, part, truth, lambdas, truth,
-        pm.gating_probabilities(data.Omega, truth.alpha).T)
+    data, truth, part, anchors = retune_inputs()
+    lambdas = pm.estimate_ridge_lambdas(anchors, source="ridge")
+    d_beta, d_alpha = stacked_corrections(data, part, truth, lambdas, anchors)
     assert d_alpha[truth.reference_class] == 0.0
     assert np.all(np.isfinite(d_beta))
     assert np.all(np.isfinite(d_alpha))
+
+
+@pytest.mark.parametrize("n_components", [2, 3])
+def test_stacked_corrections_equal_per_component_systems(n_components):
+    data, truth, part, anchors = retune_inputs(seed=31,
+                                               n_components=n_components, q=3)
+    lambdas = pm.estimate_ridge_lambdas(anchors, source="ridge")
+    got = stacked_corrections(data, part, truth, lambdas, anchors)
+    expected = per_component_corrections(data, part, truth, lambdas, anchors)
+    for values, reference in zip(got, expected):
+        np.testing.assert_allclose(values, reference, rtol=1e-11, atol=1e-14)
+
+
+def test_stacked_optimize_equals_per_system_calls():
+    instances = [mse_inputs(*random_mse_instance(seed)) for seed in range(4)]
+    instances.append((np.zeros((4, 4)), 0.5, np.zeros(4), np.ones(4)))  # flat
+    stacked = pm.optimize_bias_correction(
+        *(np.array([inst[k] for inst in instances]) for k in range(4)))
+    single = [pm.optimize_bias_correction(*inst) for inst in instances]
+    assert stacked.shape == (5,) and stacked[4] == 0.0
+    np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=0)
+
+
+def test_optimize_refuses_only_where_the_quotients_are_not_finite():
+    # An eigenvalue of 1e100 puts s^4 past the float range, but g^2/s^4
+    # is still a number (about 1e-200): the minimizer is finite and no
+    # overflow is raised on the way. At 1e200 even s^2 overflows and
+    # g^2/s^4 is inf/inf: TuningFailed, before any quotient is formed.
+    target = np.array([0.3, -0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d_star = pm.optimize_bias_correction(np.diag([1e100, 2.0]), 0.5,
+                                             np.array([1e99, 1.0]), target)
+        assert np.isfinite(d_star)
+        with pytest.raises(TuningFailed):
+            pm.optimize_bias_correction(np.diag([1e200, 2.0]), 0.5,
+                                        np.array([1e99, 1.0]), target)
+        stack = np.array([np.eye(2), np.diag([1e200, 2.0])])
+        with pytest.raises(TuningFailed):
+            pm.optimize_bias_correction(stack, np.array([0.5, 0.5]),
+                                        np.ones((2, 2)), np.ones((2, 2)))

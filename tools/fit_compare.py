@@ -1,0 +1,172 @@
+"""Compare every fit a replication study makes in two checkouts.
+
+    python3 tools/fit_compare.py CONFIG.json BASE_CHECKOUT NEW_CHECKOUT \
+        [--tolerance 1e-10]
+
+CONFIG.json is a study config as ``poismoe replicate --config`` reads
+it. The study runs once per checkout, each in a child process
+(``fit_compare.py --dump CHECKOUT CONFIG.json``, which prints one JSON
+record per fit) that imports ``poismoe`` from that checkout's ``src``;
+``jobs`` is forced to 1. Fits are paired by replicate and method
+(``truth`` is the heart truth fit). For each pair one line reports
+
+    <replicate> <method> <relative difference> <iterations> <selected> <converged>
+
+where the relative difference is max |new - base| / max |base| over the
+beta and alpha coefficients (and, for Liu-type, the d values of its
+tuning, taken apart), ``=`` marks byte-identical coefficients, and each
+of the other three fields reads ``same`` or ``base->new``. A summary
+counts the byte-identical pairs, the pairs within 1e-10 and 1e-6, and
+lists the pairs that diverged: a failure in only one checkout, another
+iteration count, selected iteration or convergence flag, or a relative
+difference above ``--tolerance``. The exit code is 1 if any pair
+diverged.
+"""
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+BINS = (1e-10, 1e-6)
+
+
+def dump(checkout: Path, config_path: Path) -> int:
+    """Child mode: run the study with ``checkout``'s sources, print one
+    JSON record per fit."""
+    sys.path.insert(0, str(checkout / "src"))
+    import poismoe as pm
+
+    config = replace(pm.load_config(config_path), jobs=1, output_dir=None)
+    index = itertools.count()
+    replication = pm.replication
+    fit_all_methods, fit_method = (replication.fit_all_methods,
+                                   replication.fit_method)
+
+    def record(label: str, method: str, fit, note: str) -> None:
+        entry = {"replicate": label, "method": method, "ok": fit is not None}
+        if fit is None:
+            entry["note"] = note
+        else:
+            entry.update(
+                beta=fit.psi_hat.beta.tolist(),
+                alpha=fit.psi_hat.alpha.tolist(),
+                iterations_run=int(fit.iterations_run),
+                selected_iteration=int(fit.selected_iteration),
+                converged=bool(fit.converged))
+            if fit.method == "lt":
+                entry["d"] = (fit.tuning.d_beta.tolist()
+                              + fit.tuning.d_alpha.tolist())
+        print(json.dumps(entry), flush=True)
+
+    def replicate(*call_args, **kwargs):
+        result = fit_all_methods(*call_args, **kwargs)
+        label = str(next(index))
+        for method in kwargs["methods"]:
+            record(label, method, result.fit_for(method),
+                   result.failures.get(method, "failed"))
+        return result
+
+    def truth(*call_args, **kwargs):
+        fit = fit_method(*call_args, **kwargs)
+        record("truth", call_args[3], fit, "")
+        return fit
+
+    replication.fit_all_methods, replication.fit_method = replicate, truth
+    pm.run_replication_study(config)
+    return 0
+
+
+def run_checkout(checkout: Path, config_path: Path) -> dict:
+    done = subprocess.run(
+        [sys.executable, __file__, "--dump", str(checkout), str(config_path)],
+        capture_output=True, text=True, check=True)
+    fits = {}
+    for line in done.stdout.splitlines():
+        if line.startswith("{"):
+            entry = json.loads(line)
+            fits[(entry["replicate"], entry["method"])] = entry
+    return fits
+
+
+def relative_difference(base: np.ndarray, new: np.ndarray) -> float:
+    scale = float(np.max(np.abs(base), initial=0.0))
+    gap = float(np.max(np.abs(new - base), initial=0.0))
+    return gap / scale if scale > 0 else gap
+
+
+def compare(base: dict, new: dict,
+            tolerance: float) -> tuple[list[str], list[str]]:
+    lines, diverged = [], []
+    counts = {"identical": 0, **{f"{b:g}": 0 for b in BINS}}
+
+    def order(key):
+        label, method = key
+        return (label != "truth", int(label) if label.isdigit() else -1,
+                method)
+
+    for key in sorted(base.keys() | new.keys(), key=order):
+        label = " ".join(key)
+        a, b = base.get(key), new.get(key)
+        if a is None or b is None or not (a["ok"] and b["ok"]):
+            status = ("missing" if a is None or b is None else
+                      "both failed" if not (a["ok"] or b["ok"]) else
+                      "failed in base" if not a["ok"] else "failed in new")
+            lines.append(f"{label} {status}")
+            if status != "both failed":
+                diverged.append(label)
+            continue
+        coef_a = np.concatenate([np.ravel(a["beta"]), np.ravel(a["alpha"])])
+        coef_b = np.concatenate([np.ravel(b["beta"]), np.ravel(b["alpha"])])
+        identical = coef_a.tobytes() == coef_b.tobytes()
+        rel = relative_difference(coef_a, coef_b)
+        fields = []
+        for name in ("iterations_run", "selected_iteration", "converged"):
+            same = a[name] == b[name]
+            fields.append("same" if same else f"{a[name]}->{b[name]}")
+        text = "=" if identical else f"{rel:.2e}"
+        if "d" in a:
+            d_rel = relative_difference(np.array(a["d"]), np.array(b["d"]))
+            text += f" d:{d_rel:.2e}"
+        lines.append(f"{label} {text} " + " ".join(fields))
+        if identical:
+            counts["identical"] += 1
+        for bound in BINS:
+            if rel <= bound:
+                counts[f"{bound:g}"] += 1
+        if rel > tolerance or any(f != "same" for f in fields):
+            diverged.append(label)
+    total = len(base.keys() | new.keys())
+    summary = [f"fits: {total}",
+               f"byte-identical: {counts['identical']}",
+               *(f"within {b:g}: {counts[f'{b:g}']}" for b in BINS),
+               f"diverged (tolerance {tolerance:g}): {len(diverged)}"]
+    summary += [f"  {label}" for label in diverged]
+    return lines + summary, diverged
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] == "--dump":
+        return dump(Path(argv[1]).resolve(), Path(argv[2]))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("config", type=Path)
+    parser.add_argument("base", type=Path)
+    parser.add_argument("new", type=Path)
+    parser.add_argument("--tolerance", type=float, default=1e-10)
+    args = parser.parse_args(argv)
+    base = run_checkout(args.base.resolve(), args.config)
+    new = run_checkout(args.new.resolve(), args.config)
+    lines, diverged = compare(base, new, args.tolerance)
+    print("\n".join(lines))
+    return 1 if diverged else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
