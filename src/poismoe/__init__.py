@@ -16,7 +16,7 @@ from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse,
                       summarize_replicates, write_summary_csv)
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
-                    PartitionState, SemOptions, TuningParams,
+                    PartitionState, SemOptions, TuningParams, e_step,
                     observed_loglik, responsibilities)
 from .pipeline import (PipelineResult, bic_scan, bic_value, fit_all_methods,
                        fit_method)
@@ -24,7 +24,7 @@ from .poisson import (ComponentWorkspace, build_workspace, irwls_beta_step,
                       poisson_means)
 from .replication import (StudyConfig, StudyResult, default_study_options,
                           load_config, run_replication_study, save_config)
-from .sem import e_step, initialize, m_step, run_sem, s_step
+from .sem import initialize, m_step, run_sem, s_step
 from .simulate import (FmpreSample, SimulationDesign, generate_covariates,
                        generate_fmpre_sample, simulate_dataset,
                        study_presets)

@@ -6,7 +6,8 @@ component weights follow a multinomial-logit model in the concomitant
 covariates omega_i with one class fixed at zero as the reference.
 
 The mixture log-terms are class-major (J, n), like the gate's; the
-public :func:`responsibilities` and :func:`draw_labels` keep (n, J).
+public :func:`e_step`, :func:`responsibilities` and :func:`draw_labels`
+keep (n, J).
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ __all__ = [
     "MU_MIN", "MU_MAX", "ETA_MAX",
     "Dataset", "Coefficients", "PartitionState", "MixtureSpec",
     "SemOptions", "TuningParams", "FitResult",
-    "observed_loglik", "responsibilities", "draw_labels",
+    "observed_loglik", "e_step", "responsibilities", "draw_labels",
 ]
 
 
@@ -327,13 +328,27 @@ def observed_loglik(data: Dataset, psi: Coefficients) -> float:
     return _total_loglik(_log_terms(data, psi)[1])
 
 
+def e_step(data: Dataset, psi: Coefficients,
+           log_pi: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Posterior tau (one row per observation) and log-likelihood at ``psi``.
+
+    The one E-step pass: a single sweep over the class-major mixture
+    log-terms gives both. tau is an (n, J) view of that (J, n) posterior,
+    and the log-likelihood equals ``observed_loglik(data, psi)`` bit for
+    bit; a non-finite log-likelihood raises :class:`NumericalFailure`.
+    ``log_pi``, when given, is the (J, n) gate log-softmax at
+    ``psi.alpha`` (the one the gate ascent hands back), used instead of
+    recomputing it.
+    """
+    log_terms, norms = _log_terms(data, psi, log_pi)
+    loglik = _total_loglik(norms)
+    return np.exp(log_terms - norms).T, loglik
+
+
 def responsibilities(data: Dataset, psi: Coefficients) -> np.ndarray:
-    """Posterior component probabilities as an (n, J) view, normalized in
-    log space."""
-    log_terms, norms = _log_terms(data, psi)
-    if not np.isfinite(norms).all():
-        raise NumericalFailure("responsibility normalization underflowed")
-    return np.exp(log_terms - norms).T
+    """Posterior component probabilities as an (n, J) view: the posterior
+    of :func:`e_step`."""
+    return e_step(data, psi)[0]
 
 
 def draw_labels(probabilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:

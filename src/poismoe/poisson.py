@@ -84,35 +84,29 @@ class ComponentWorkspace:
     rhs: np.ndarray
 
 
-def _workspace(X: np.ndarray, X_outer: np.ndarray, y: np.ndarray,
-               beta: np.ndarray, rows: np.ndarray) -> ComponentWorkspace:
-    """Stacked systems of the (J, p) ``beta``; ``X_outer`` is
-    ``outer_basis(X)`` and ``rows`` (J, n) marks the observations of each
-    component.
-
-    The linear predictor is zeroed outside a component's rows before the
-    means are taken, so there mu is 1, nothing clamps and nothing
-    overflows, and the clamp warning counts the component's rows only.
-    """
-    eta = np.where(rows, beta @ X.T, 0.0)
-    mu = _clamped_exp(eta)
-    weights = mu * rows
-    terms = (mu * eta + (y - mu)) * rows
-    p = X.shape[1]
-    gram = rowwise_product(weights, X_outer).reshape(-1, p, p)
-    return ComponentWorkspace(weights=weights, gram=gram,
-                              rhs=rowwise_product(terms, X))
-
-
 def build_workspace(data: "Dataset", part: "PartitionState",
                     beta_t: np.ndarray) -> ComponentWorkspace:
-    """The systems of every component of ``part`` at the (J, p) ``beta_t``."""
+    """The systems of every component of ``part`` at the (J, p) ``beta_t``.
+
+    This is the only builder of beta systems: every M-step and the warm
+    start of every chain (:func:`~poismoe.sem.initialize`) solve what it
+    returns. The linear predictor is zeroed outside a component's rows
+    before the means are taken, so there mu is 1, nothing clamps and
+    nothing overflows, and the clamp warning counts the components' own
+    rows only.
+    """
     beta_t = np.asarray(beta_t, dtype=float)
     rows = part.assignment == np.arange(beta_t.shape[0])[:, None]
     empty = np.flatnonzero(~rows.any(axis=1))
     if empty.size:
         raise EmptyPartition(f"component {empty[0]} received no observations")
-    return _workspace(data.X, data.X_outer, data.y, beta_t, rows)
+    eta = np.where(rows, beta_t @ data.X.T, 0.0)
+    mu = _clamped_exp(eta)
+    weights = mu * rows
+    terms = (mu * eta + (data.y - mu)) * rows
+    gram = rowwise_product(weights, data.X_outer).reshape(-1, data.p, data.p)
+    return ComponentWorkspace(weights=weights, gram=gram,
+                              rhs=rowwise_product(terms, data.X))
 
 
 def irwls_beta_step(ws: ComponentWorkspace,

@@ -73,6 +73,9 @@ class StudyConfig:
             raise ValueError("heart mode needs a data path")
         if self.replicates < 1 or self.jobs < 1:
             raise ValueError("replicates and jobs must be positive")
+        if not self.methods or not set(self.methods) <= set(METHODS):
+            raise ValueError(f"methods must be a nonempty selection of "
+                             f"{list(METHODS)}, not {list(self.methods)}")
 
 
 @dataclass

@@ -23,13 +23,11 @@ from .errors import EmptyPartition, FitFailed, NumericalFailure, TuningFailed
 from .gating import coordinate_descent_alphas, gating_log_probabilities
 from .metrics import align_components
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
-                    PartitionState, SemOptions, TuningParams, _log_terms,
-                    _total_loglik, draw_labels, observed_loglik)
-from .poisson import (ComponentWorkspace, _workspace, build_workspace,
-                      irwls_beta_step)
+                    PartitionState, SemOptions, TuningParams, draw_labels,
+                    e_step, observed_loglik)
+from .poisson import ComponentWorkspace, build_workspace, irwls_beta_step
 
 __all__ = [
-    "e_step",
     "s_step",
     "m_step",
     "initialize",
@@ -37,21 +35,6 @@ __all__ = [
 ]
 
 Retuner = Callable[[Dataset, ComponentWorkspace, np.ndarray], TuningParams]
-
-
-def e_step(data: Dataset, psi: Coefficients,
-           log_pi: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Posterior tau (one row per observation) and log-likelihood at ``psi``.
-
-    One pass over the class-major mixture log-terms gives both; tau is
-    an (n, J) view of that (J, n) posterior, and the log-likelihood
-    equals ``observed_loglik(data, psi)`` bit for bit. ``log_pi``, when
-    given, is the (J, n) gate log-softmax at ``psi.alpha`` (the one the
-    gate ascent hands back), used instead of recomputing it.
-    """
-    log_terms, norms = _log_terms(data, psi, log_pi)
-    loglik = _total_loglik(norms)
-    return np.exp(log_terms - norms).T, loglik
 
 
 def s_step(tau: np.ndarray, rng: np.random.Generator) -> PartitionState:
@@ -102,24 +85,6 @@ def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
                         reference_class=psi_t.reference_class)
 
 
-def _warm_start_beta(data: Dataset, group: np.ndarray) -> np.ndarray:
-    """Three unpenalized IRWLS steps on the rows ``group`` from an
-    intercept-only start."""
-    X_group, X_outer, y_group = (data.X[group], data.X_outer[group],
-                                 data.y[group].astype(float))
-    fallback = np.zeros(data.p)
-    fallback[0] = np.log(y_group.mean() + 0.5)
-    beta = fallback
-    rows = np.ones((1, y_group.shape[0]), dtype=bool)
-    try:
-        for _ in range(3):
-            beta = irwls_beta_step(
-                _workspace(X_group, X_outer, y_group, beta[None], rows))[0]
-    except NumericalFailure:  # SingularSystem included
-        return fallback
-    return beta
-
-
 def _fill_empty_groups(assignment: np.ndarray, n_components: int) -> np.ndarray:
     """Move single observations out of the largest group until none is empty."""
     assignment = np.array(assignment, dtype=np.int64)
@@ -138,21 +103,28 @@ def initialize(data: Dataset, spec: MixtureSpec,
                rng: np.random.Generator) -> Coefficients:
     """Starting coefficients from a uniform random split of the observations.
 
-    Each group's beta is warmed up with a few unpenalized IRWLS steps
-    (falling back to an intercept-only fit if the group is degenerate);
-    the gating starts at zero.
+    The split is one partition, and every component's beta is warmed up
+    on it from the intercept-only start log(mean y_j + 0.5) by three
+    unpenalized stacked M-step updates, ``irwls_beta_step`` of
+    ``build_workspace``, the path every later M-step takes. If any of
+    those solves refuses (a degenerate group), every component keeps its
+    intercept-only start. The gating starts at zero.
     """
     n_components = spec.n_components
-    if n_components == 1:
-        assignment = np.zeros(data.n, dtype=np.int64)
-    else:
-        assignment = rng.integers(0, n_components, size=data.n)
-    assignment = _fill_empty_groups(assignment, n_components)
-    beta = np.empty((n_components, data.p))
-    for j in range(n_components):
-        beta[j] = _warm_start_beta(data, assignment == j)
-    alpha = np.zeros((n_components, data.q))
-    return Coefficients(beta=beta, alpha=alpha,
+    assignment = _fill_empty_groups(
+        rng.integers(0, n_components, size=data.n), n_components)
+    part = PartitionState.from_assignment(assignment, n_components)
+    start = np.zeros((n_components, data.p))
+    start[:, 0] = np.log(np.bincount(assignment, weights=data.y,
+                                     minlength=n_components)
+                         / part.counts + 0.5)
+    beta = start
+    try:
+        for _ in range(3):
+            beta = irwls_beta_step(build_workspace(data, part, beta))
+    except NumericalFailure:  # SingularSystem included
+        beta = start
+    return Coefficients(beta=beta, alpha=np.zeros((n_components, data.q)),
                         reference_class=spec.reference_class)
 
 

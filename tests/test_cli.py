@@ -233,6 +233,9 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     ("design", "phi", 1.5),
     ("design", "collinearity_from", "sqrt_convention"),
     ("design", "seed", 1.5),
+    (None, "methods", []),
+    (None, "methods", ["mle"]),
+    (None, "methods", "ml"),
 ])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):

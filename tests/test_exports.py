@@ -1,6 +1,7 @@
 """Every name a module exports through ``__all__`` resolves, importing
 the package loads numpy only (scipy is a test dependency, not a runtime one),
-and no module imports a name it does not use."""
+no module imports a name it does not use, and none imports a private
+(``_``-prefixed) name from a sibling module."""
 import ast
 import importlib
 import os
@@ -80,3 +81,13 @@ def test_module_has_no_unused_imports(name):
         "poismoe" if name == "__init__" else f"poismoe.{name}"),
         "__all__", ()))
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("name", SUBMODULES + ["__init__"])
+def test_module_imports_no_private_sibling_names(name):
+    tree = ast.parse(Path(pm.__file__).with_name(f"{name}.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("poismoe"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -219,7 +219,32 @@ def test_m_step_closed_under_label_permutation(case):
     expected = pm.m_step(data, part, psi, method="ml").permute(order)
     result = pm.m_step(data, relabeled, psi.permute(order), method="ml")
     assert np.array_equal(result.beta, expected.beta)
-    assert np.allclose(result.alpha, expected.alpha, rtol=0.0, atol=1e-8)
+    # The decrement stop guarantees the gate objective, the assignment
+    # log-likelihood, and not the rows: near the maximum the ascent
+    # rejects steps whose gain is below the objective's rounding, so
+    # each labeling stops its own few 1e-8 short of the maximizer.
+    picks = relabeled.assignment * data.n + np.arange(data.n)
+
+    def assignment_loglik(alpha):
+        return q1_value(gating_log_probabilities(data.Omega, alpha), picks)
+
+    value = assignment_loglik(expected.alpha)
+    assert abs(assignment_loglik(result.alpha) - value) \
+        <= 1e-9 * (1.0 + abs(value))
+    # One more Newton step, taken without that test, lands both on the
+    # same rows.
+    free = np.flatnonzero(np.arange(psi.n_components) != psi.reference_class)
+    indicator = (relabeled.assignment == free[:, None]).astype(float)
+
+    def newton_target(alpha):
+        log_pi = gating_log_probabilities(data.Omega, alpha)
+        gram, rhs = pm.build_gating_workspace(
+            data.Omega, data.Omega_outer, log_pi, alpha[free].ravel(),
+            indicator, free)
+        return penalized_wls_solve(gram, rhs)
+
+    assert np.allclose(newton_target(result.alpha),
+                       newton_target(expected.alpha), rtol=0.0, atol=1e-8)
 
 
 @given(seed=seeds, n_components=st.integers(2, 3), q=st.integers(2, 3),

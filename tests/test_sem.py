@@ -3,6 +3,7 @@ import pytest
 
 import poismoe as pm
 from poismoe.errors import EmptyPartition
+from poismoe.sem import _fill_empty_groups
 
 from conftest import single_component_data, small_mixture
 from test_poisson import iterate_ml_to_convergence, poisson_mle_oracle
@@ -131,6 +132,70 @@ def test_initialize_deterministic_and_zero_alpha():
     b = pm.initialize(data, spec, np.random.default_rng(5))
     assert np.array_equal(a.beta, b.beta)
     assert np.all(a.alpha == 0.0)
+
+
+def per_group_warm_start(data, assignment, n_components):
+    """Oracle: three unpenalized IRWLS steps on each group's own rows from
+    its intercept-only start, which a refused solve keeps; one group at a
+    time, the form the warm start had before it was stacked."""
+    beta = np.zeros((n_components, data.p))
+    for j in range(n_components):
+        rows = assignment == j
+        X, y = data.X[rows], data.y[rows].astype(float)
+        start = np.zeros(data.p)
+        start[0] = np.log(y.mean() + 0.5)
+        beta[j] = start
+        try:
+            for _ in range(3):
+                mu = np.exp(X @ beta[j])
+                beta[j] = pm.linalg.penalized_wls_solve(
+                    X.T @ (mu[:, None] * X), X.T @ (mu * (X @ beta[j]) + y - mu))
+        except pm.NumericalFailure:
+            beta[j] = start
+    return beta
+
+
+def initial_split(data, n_components, seed):
+    """The split ``initialize`` draws from ``default_rng(seed)``."""
+    draw = np.random.default_rng(seed).integers(0, n_components, size=data.n)
+    return _fill_empty_groups(draw, n_components)
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3, 4])
+def test_initialize_matches_per_group_warm_start(n_components):
+    for seed in range(25):
+        data, _, _, _ = small_mixture(seed=seed, n=30 * n_components,
+                                      n_components=n_components)
+        got = pm.initialize(data, pm.MixtureSpec(n_components, 0),
+                            np.random.default_rng(seed))
+        oracle = per_group_warm_start(
+            data, initial_split(data, n_components, seed), n_components)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(got.beta - oracle)) <= 1e-12 * scale
+
+
+def test_initialize_falls_back_to_intercepts_when_one_group_is_singular():
+    data, _, _, _ = small_mixture(seed=4, n=90, n_components=3)
+    assignment = initial_split(data, 3, seed=7)
+    X = np.array(data.X)
+    X[assignment == 1, 2] = 0.5  # constant next to the intercept
+    data = pm.Dataset(y=data.y, X=X, Omega=data.Omega)
+    oracle = per_group_warm_start(data, assignment, 3)
+    # One group at a time, only group 1 would keep its start.
+    assert np.all(oracle[1, 1:] == 0.0) and np.all(oracle[[0, 2], 1:] != 0.0)
+    got = pm.initialize(data, pm.MixtureSpec(3, 0), np.random.default_rng(7))
+    intercepts = np.zeros((3, data.p))
+    intercepts[:, 0] = [np.log(data.y[assignment == j].mean() + 0.5)
+                        for j in range(3)]
+    assert np.array_equal(got.beta, intercepts)
+
+
+def test_initialize_single_component_draws_nothing():
+    data, _, _, _ = small_mixture(seed=11, n_components=1)
+    rng = np.random.default_rng(13)
+    pm.initialize(data, pm.MixtureSpec(1, 0), rng)
+    assert rng.bit_generator.state == \
+        np.random.default_rng(13).bit_generator.state
 
 
 def test_run_sem_huge_epsilon_stops_after_one_iteration():

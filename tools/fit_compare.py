@@ -14,13 +14,16 @@ record per fit) that imports ``poismoe`` from that checkout's ``src``;
 
 where the relative difference is max |new - base| / max |base| over the
 beta and alpha coefficients (and, for Liu-type, the d values of its
-tuning, taken apart), ``=`` marks byte-identical coefficients, and each
-of the other three fields reads ``same`` or ``base->new``. A summary
-counts the byte-identical pairs, the pairs within 1e-10 and 1e-6, and
-lists the pairs that diverged: a failure in only one checkout, another
-iteration count, selected iteration or convergence flag, or a relative
-difference above ``--tolerance``. The exit code is 1 if any pair
-diverged.
+tuning, taken apart), and each of the other three fields reads ``same``
+or ``base->new``. ``=`` replaces the difference when the two fits are
+byte-identical: beta, alpha, ``loglik_trace``, the Liu-type d values,
+``iterations_run``, ``selected_iteration`` and ``converged`` all match
+bit for bit. A summary counts the byte-identical pairs, the pairs
+within 1e-10 and 1e-6, and lists the pairs that diverged: a failure in
+only one checkout, another iteration count, selected iteration or
+convergence flag, or a relative difference above ``--tolerance``. The
+exit code is 1 if any pair diverged. Two checkouts make byte-identical
+fits when every line reads ``=``.
 """
 from __future__ import annotations
 
@@ -35,6 +38,9 @@ from pathlib import Path
 import numpy as np
 
 BINS = (1e-10, 1e-6)
+# Record entries that a byte-identical pair matches bit for bit.
+BITWISE = ("beta", "alpha", "loglik_trace", "d", "iterations_run",
+           "selected_iteration", "converged")
 
 
 def dump(checkout: Path, config_path: Path) -> int:
@@ -57,6 +63,7 @@ def dump(checkout: Path, config_path: Path) -> int:
             entry.update(
                 beta=fit.psi_hat.beta.tolist(),
                 alpha=fit.psi_hat.alpha.tolist(),
+                loglik_trace=fit.loglik_trace.tolist(),
                 iterations_run=int(fit.iterations_run),
                 selected_iteration=int(fit.selected_iteration),
                 converged=bool(fit.converged))
@@ -101,6 +108,11 @@ def relative_difference(base: np.ndarray, new: np.ndarray) -> float:
     return gap / scale if scale > 0 else gap
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def compare(base: dict, new: dict,
             tolerance: float) -> tuple[list[str], list[str]]:
     lines, diverged = [], []
@@ -124,7 +136,8 @@ def compare(base: dict, new: dict,
             continue
         coef_a = np.concatenate([np.ravel(a["beta"]), np.ravel(a["alpha"])])
         coef_b = np.concatenate([np.ravel(b["beta"]), np.ravel(b["alpha"])])
-        identical = coef_a.tobytes() == coef_b.tobytes()
+        identical = all(same_bits(a.get(key, ()), b.get(key, ()))
+                        for key in BITWISE)
         rel = relative_difference(coef_a, coef_b)
         fields = []
         for name in ("iterations_run", "selected_iteration", "converged"):
