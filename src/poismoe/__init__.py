@@ -25,9 +25,7 @@ from .poisson import (ComponentWorkspace, build_workspace, irwls_beta_step,
 from .replication import (StudyConfig, StudyResult, default_study_options,
                           load_config, run_replication_study, save_config)
 from .sem import initialize, m_step, run_sem, s_step
-from .simulate import (FmpreSample, SimulationDesign, generate_covariates,
-                       generate_fmpre_sample, simulate_dataset,
-                       study_presets)
+from .simulate import SimulationDesign, simulate_dataset, study_presets
 from .tuning import (estimate_ridge_lambdas, lt_mse_alpha, lt_mse_beta,
                      optimize_bias_correction)
 
@@ -47,8 +45,7 @@ __all__ = [
     "estimate_ridge_lambdas", "lt_mse_beta", "lt_mse_alpha",
     "optimize_bias_correction",
     "PipelineResult", "fit_all_methods", "fit_method", "bic_value", "bic_scan",
-    "SimulationDesign", "FmpreSample", "generate_covariates",
-    "generate_fmpre_sample", "simulate_dataset", "study_presets",
+    "SimulationDesign", "simulate_dataset", "study_presets",
     "ReplicationSummary", "align_components", "sqrt_mse",
     "classification_accuracy", "summarize_replicates", "write_summary_csv",
     "load_heart_dataset",

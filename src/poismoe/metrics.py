@@ -82,16 +82,15 @@ def sqrt_mse(psi_hat_aligned: Coefficients, psi_true: Coefficients,
 
 
 def classification_accuracy(psi: Coefficients, validation: Dataset,
-                            z_true: np.ndarray,
-                            psi_true: Coefficients) -> float:
+                            z_true: np.ndarray) -> float:
     """Fraction of validation rows assigned to their true component.
 
     Predictions take the argmax of the posterior membership
-    probabilities under the coefficients ``psi`` (for a fit, its
-    ``psi_hat``), after aligning their labels to ``psi_true``.
+    probabilities under the coefficients ``psi``, whose labels must
+    already be aligned to those of ``z_true`` (for a fit, its
+    ``psi_hat`` permuted by :func:`align_components`).
     """
-    aligned = psi.permute(align_components(psi, psi_true))
-    tau = responsibilities(validation, aligned)
+    tau = responsibilities(validation, psi)
     predicted = tau.argmax(axis=1)
     z_true = np.asarray(z_true, dtype=np.int64)
     if z_true.shape[0] != validation.n:

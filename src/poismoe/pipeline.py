@@ -115,9 +115,9 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
 
 
 def fit_method(data: Dataset, spec: MixtureSpec, opts: SemOptions,
-               method: str, **kwargs) -> FitResult:
+               method: str) -> FitResult:
     """Fit one method, running its prerequisite stages as needed."""
-    result = fit_all_methods(data, spec, opts, methods=(method,), **kwargs)
+    result = fit_all_methods(data, spec, opts, methods=(method,))
     fit = result.fit_for(method)
     assert fit is not None  # raise_on_failure=True would have raised
     return fit

@@ -8,11 +8,11 @@ replicate index, so results do not depend on the parallelism width.
 """
 from __future__ import annotations
 
+import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -25,9 +25,12 @@ from .model import (Coefficients, Dataset, MixtureSpec, SemOptions,
                     responsibilities)
 from .pipeline import METHODS, fit_all_methods, fit_method
 from .simulate import (SimulationDesign, VALIDATION_SIZE, design_from_dict,
-                       design_to_dict, simulate_dataset)
+                       simulate_dataset)
 
 BLOCKS = ("beta", "alpha", "accuracy")
+# The replicates.csv column each summarized block is read from.
+_COLUMNS = {"beta": "sqrt_mse_beta", "alpha": "sqrt_mse_alpha",
+            "accuracy": "accuracy"}
 
 __all__ = ["BLOCKS", "StudyConfig", "StudyResult", "default_study_options",
            "run_replication_study", "config_to_dict", "config_from_dict",
@@ -101,36 +104,39 @@ def _fit_seed(seed: int, index: int) -> int:
 
 def _fit_and_score(config: StudyConfig, index: int, train: Dataset,
                    truth: Coefficients, n_train: int, validation: Dataset,
-                   z_true: np.ndarray) -> dict:
-    """Fit replicate ``index`` on ``train``; score each method against
-    ``truth`` (NaN with a note when its fit or scoring failed)."""
+                   z_true: np.ndarray) -> list[dict]:
+    """Fit replicate ``index`` on ``train``; return its ``replicates.csv``
+    rows, one per method, scoring the label-aligned fit against ``truth``
+    (NaN with a note when its fit or scoring failed)."""
     spec = MixtureSpec(n_components=truth.n_components,
                        reference_class=truth.reference_class)
     opts = replace(config.sem, rng_seed=_fit_seed(config.seed, index))
     result = fit_all_methods(train, spec, opts, methods=config.methods,
                              raise_on_failure=False)
-    scores: dict[str, dict] = {}
+    rows = []
     for method in config.methods:
         fit = result.fit_for(method)
-        scores[method] = {"beta": np.nan, "alpha": np.nan, "accuracy": np.nan,
-                          "note": result.failures.get(method, "failed")}
-        if fit is None:
-            continue
-        try:
-            aligned = fit.psi_hat.permute(align_components(fit.psi_hat, truth))
-            scores[method] = {
-                "beta": sqrt_mse(aligned, truth, "beta", n_train),
-                "alpha": sqrt_mse(aligned, truth, "alpha", n_train),
-                "accuracy": classification_accuracy(aligned, validation,
-                                                    z_true, truth),
-                "note": "",
-            }
-        except PoismoeError as exc:
-            scores[method]["note"] = f"scoring failed: {exc}"
-    return {"index": index, "scores": scores}
+        beta = alpha = accuracy = np.nan
+        note = result.failures.get(method, "failed")
+        if fit is not None:
+            try:
+                aligned = fit.psi_hat.permute(
+                    align_components(fit.psi_hat, truth))
+                beta, alpha, accuracy = (
+                    sqrt_mse(aligned, truth, "beta", n_train),
+                    sqrt_mse(aligned, truth, "alpha", n_train),
+                    classification_accuracy(aligned, validation, z_true))
+                note = ""
+            except PoismoeError as exc:
+                note = f"scoring failed: {exc}"
+        rows.append({"replicate": index, "method": method,
+                     "sqrt_mse_beta": beta, "sqrt_mse_alpha": alpha,
+                     "accuracy": accuracy,
+                     "failed": int(not np.isfinite(beta)), "note": note})
+    return rows
 
 
-def _simulation_replicate(args: tuple) -> dict:
+def _simulation_replicate(args: tuple) -> list[dict]:
     index, config = args
     design = config.design
     data_rng = _replicate_seed(config.seed, index, 0)
@@ -141,7 +147,7 @@ def _simulation_replicate(args: tuple) -> dict:
                           validation, z_true)
 
 
-def _heart_replicate(args: tuple) -> dict:
+def _heart_replicate(args: tuple) -> list[dict]:
     index, config, arrays, psi_true = args
     y, X, Omega = arrays
     rng = _replicate_seed(config.seed, index, 0)
@@ -155,7 +161,7 @@ def _heart_replicate(args: tuple) -> dict:
                           test, z_true)
 
 
-def _run_tasks(worker, tasks: list, jobs: int) -> list[dict]:
+def _run_tasks(worker, tasks: list, jobs: int) -> list[list[dict]]:
     if jobs == 1:
         return [worker(task) for task in tasks]
     chunksize = max(1, len(tasks) // (jobs * 4))
@@ -183,30 +189,17 @@ def run_replication_study(config: StudyConfig) -> StudyResult:
                  for index in range(config.replicates)]
         results = _run_tasks(_heart_replicate, tasks, config.jobs)
 
-    results.sort(key=lambda row: row["index"])
+    replicate_rows = [row for rows in results for row in rows]
     summaries: list[tuple[str, str, ReplicationSummary]] = []
     worst_failure = 0.0
     for method in config.methods:
-        failed = sum(1 for row in results
-                     if not np.isfinite(row["scores"][method]["beta"]))
+        rows = [row for row in replicate_rows if row["method"] == method]
+        failed = sum(row["failed"] for row in rows)
         worst_failure = max(worst_failure, failed / config.replicates)
         for block in BLOCKS:
-            values = [row["scores"][method][block] for row in results]
+            values = [row[_COLUMNS[block]] for row in rows]
             summaries.append((method, block,
                               summarize_replicates(values, metric=block)))
-
-    replicate_rows = []
-    for row in results:
-        for method in config.methods:
-            score = row["scores"][method]
-            replicate_rows.append({
-                "replicate": row["index"], "method": method,
-                "sqrt_mse_beta": score["beta"],
-                "sqrt_mse_alpha": score["alpha"],
-                "accuracy": score["accuracy"],
-                "failed": int(not np.isfinite(score["beta"])),
-                "note": score["note"],
-            })
 
     summary_path = replicates_path = None
     if config.output_dir is not None:
@@ -215,34 +208,19 @@ def run_replication_study(config: StudyConfig) -> StudyResult:
         summary_path = out / "summary.csv"
         write_summary_csv(summary_path, summaries)
         replicates_path = out / "replicates.csv"
-        _write_replicate_csv(replicates_path, replicate_rows)
+        with replicates_path.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(replicate_rows[0]),
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(replicate_rows)
     return StudyResult(summaries=summaries, replicate_rows=replicate_rows,
                        failure_fraction=worst_failure,
                        summary_path=summary_path,
                        replicates_path=replicates_path)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_replicate_csv(path: Path, rows: Iterable[dict]) -> None:
-    columns = ["replicate", "method", "sqrt_mse_beta", "sqrt_mse_alpha",
-               "accuracy", "failed", "note"]
-    with path.open("w", newline="") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_cell(row[c]) for c in columns) + "\n")
-
-
 def config_to_dict(config: StudyConfig) -> dict:
-    payload = asdict(config)
-    if config.design is not None:
-        payload["design"] = design_to_dict(config.design)
-    payload["methods"] = list(config.methods)
-    return payload
+    return asdict(config)
 
 
 # Retired fields, each with the only value a saved config could hold;

@@ -12,7 +12,7 @@ probabilities, then a Poisson count with mean exp(x' beta_class).
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,8 @@ _STUDY2_ALPHA = ((0.5, -1.0, -1.0), (0.1, 1.0, 0.05), (0.0, 0.0, 0.0))
 __all__ = [
     "MEAN_PREDICTOR_CAP", "STUDY1_CORRELATIONS", "STUDY1_SAMPLE_SIZES",
     "STUDY2_CORRELATIONS", "STUDY2_SAMPLE_SIZE", "VALIDATION_SIZE",
-    "SimulationDesign", "FmpreSample", "generate_covariates",
-    "generate_fmpre_sample", "simulate_dataset", "study_presets",
-    "design_to_dict", "design_from_dict",
+    "SimulationDesign", "simulate_dataset", "study_presets",
+    "design_from_dict",
 ]
 
 
@@ -105,64 +104,32 @@ def _design_matrix(design: SimulationDesign, n_covariates: int, n_rows: int,
     return np.column_stack(columns)
 
 
-def generate_covariates(design: SimulationDesign,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Regressor and concomitant matrices with independent shared factors."""
-    X = _design_matrix(design, design.p - 1, design.n, rng)
-    Omega = _design_matrix(design, design.q - 1, design.n, rng)
-    return X, Omega
+def simulate_dataset(design: SimulationDesign,
+                     rng: np.random.Generator) -> tuple[Dataset, np.ndarray]:
+    """Draw one sample of ``design``; return it with its true labels.
 
-
-@dataclass(frozen=True)
-class FmpreSample:
-    """One simulated sample: counts, true labels, final design matrices."""
-
-    y: np.ndarray
-    z_true: np.ndarray
-    X: np.ndarray
-    Omega: np.ndarray
-    n_resampled: int = 0
-
-
-def generate_fmpre_sample(design: SimulationDesign, X: np.ndarray,
-                          Omega: np.ndarray,
-                          rng: np.random.Generator) -> FmpreSample:
-    """Draw labels from the gating model, then Poisson counts per label.
-
-    Rows whose sampled component would exceed the mean-predictor cap are
-    redrawn (covariate row only; the label depends on Omega and is
-    kept), and the number of redraws is reported.
+    The regressors and concomitants get independent shared factors;
+    labels come from the gating model, then Poisson counts per label.
+    Rows whose sampled component would exceed the mean-predictor cap get
+    a fresh covariate row (the label depends on Omega and is kept).
     """
     truth = design.truth()
-    X = np.array(X, dtype=float)
-    Omega = np.array(Omega, dtype=float)
-    pi = gating_probabilities(Omega, truth.alpha)
-    z = draw_labels(pi, rng)
+    X = _design_matrix(design, design.p - 1, design.n, rng)
+    Omega = _design_matrix(design, design.q - 1, design.n, rng)
+    z = draw_labels(gating_probabilities(Omega, truth.alpha), rng)
     beta = truth.beta
     eta = np.einsum("ij,ij->i", X, beta[z])
-    n_resampled = 0
     for i in np.flatnonzero(eta > MEAN_PREDICTOR_CAP):
         for _ in range(1000):
             X[i] = _design_matrix(design, design.p - 1, 1, rng)[0]
             eta[i] = X[i] @ beta[z[i]]
-            n_resampled += 1
             if eta[i] <= MEAN_PREDICTOR_CAP:
                 break
         else:
             raise NumericalFailure("could not draw a covariate row with a "
                                    "representable Poisson mean")
     y = rng.poisson(np.exp(eta))
-    return FmpreSample(y=y, z_true=z, X=X, Omega=Omega,
-                       n_resampled=n_resampled)
-
-
-def simulate_dataset(design: SimulationDesign,
-                     rng: np.random.Generator) -> tuple[Dataset, np.ndarray]:
-    """Convenience wrapper returning a Dataset plus truth labels."""
-    X, Omega = generate_covariates(design, rng)
-    sample = generate_fmpre_sample(design, X, Omega, rng)
-    data = Dataset(y=sample.y, X=sample.X, Omega=sample.Omega)
-    return data, sample.z_true
+    return Dataset(y=y, X=X, Omega=Omega), z
 
 
 def study_presets(which: str, *, phi: float | None = None,
@@ -194,10 +161,6 @@ def study_presets(which: str, *, phi: float | None = None,
             reference_class=2, phi=rho, rho=rho,
             collinearity_form=collinearity_form)
     raise ValueError(f"unknown preset {which!r}")
-
-
-def design_to_dict(design: SimulationDesign) -> dict:
-    return asdict(design)
 
 
 def design_from_dict(payload: dict) -> SimulationDesign:

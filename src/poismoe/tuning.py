@@ -121,8 +121,9 @@ def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
     whole stack. The quotients are taken as (g/s^2)^2 and (g/s^2)/s^2,
     which cannot overflow, and an s whose square would overflow raises
     :class:`TuningFailed` before any quotient is formed: there g^2 / s^4
-    is inf/inf, so the MSE has no finite coefficients. If any system of
-    a stack fails, the whole call raises.
+    is inf/inf, so the MSE has no finite coefficients. Coefficients that
+    overflow anyway raise :class:`TuningFailed` too, without a numpy
+    warning. If any system of a stack fails, the whole call raises.
     """
     try:
         g, vecs = np.linalg.eigh(np.asarray(gram, dtype=float))
@@ -132,15 +133,21 @@ def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
     if not (np.abs(s) <= _SQRT_MAX).all():
         raise TuningFailed("MSE coefficients are not finite")
     s_sq = s * s
-    ratio = g / s_sq
-    u = (np.asarray(mean_vec, dtype=float)[..., None, :] @ vecs)[..., 0, :] / s_sq
-    w = (np.asarray(target, dtype=float)[..., None, :] @ vecs)[..., 0, :]
-    numerator = (ratio * ratio).sum(axis=-1) + (u * (g * u - w)).sum(axis=-1)
-    denominator = (ratio / s_sq).sum(axis=-1) + (u * u).sum(axis=-1)
+    # Overflow (say, of a mean vector near the largest float) leaves
+    # non-finite coefficients, which the checks below refuse.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = g / s_sq
+        u = (np.asarray(mean_vec, dtype=float)[..., None, :]
+             @ vecs)[..., 0, :] / s_sq
+        w = (np.asarray(target, dtype=float)[..., None, :] @ vecs)[..., 0, :]
+        numerator = ((ratio * ratio).sum(axis=-1)
+                     + (u * (g * u - w)).sum(axis=-1))
+        denominator = (ratio / s_sq).sum(axis=-1) + (u * u).sum(axis=-1)
+        flat = denominator == 0.0
+        d_opt = np.where(flat, 0.0,
+                         numerator / np.where(flat, 1.0, denominator))
     if not (np.isfinite(numerator).all() and np.isfinite(denominator).all()):
         raise TuningFailed("MSE coefficients are not finite")
-    flat = denominator == 0.0
-    d_opt = np.where(flat, 0.0, numerator / np.where(flat, 1.0, denominator))
     if not np.isfinite(d_opt).all():
         raise TuningFailed("bias-correction minimizer is not finite")
     return float(d_opt) if d_opt.ndim == 0 else d_opt

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from scipy.stats import chi2
 import poismoe as pm
 from poismoe.simulate import (STUDY1_CORRELATIONS, STUDY1_SAMPLE_SIZES,
                               STUDY2_CORRELATIONS, STUDY2_SAMPLE_SIZE,
-                              MEAN_PREDICTOR_CAP, design_from_dict,
-                              design_to_dict)
+                              MEAN_PREDICTOR_CAP, design_from_dict)
 
 
 def test_study1_preset_constants():
@@ -43,7 +43,7 @@ def test_preset_overrides():
 
 def test_zero_correlation_gives_independent_standard_covariates():
     design = pm.study_presets("study1", phi=0.0, rho=0.0, n=20_000)
-    X, _ = pm.generate_covariates(design, np.random.default_rng(0))
+    X = pm.simulate_dataset(design, np.random.default_rng(0))[0].X
     assert np.allclose(X[:, 0], 1.0)
     corr = np.corrcoef(X[:, 1:].T)
     off_diag = corr[~np.eye(4, dtype=bool)]
@@ -54,7 +54,8 @@ def test_zero_correlation_gives_independent_standard_covariates():
 def test_sqrt_convention_population_correlations():
     design = pm.study_presets("study1", phi=0.9, rho=0.8, n=100_000,
                               collinearity_form="sqrt_convention")
-    X, Omega = pm.generate_covariates(design, np.random.default_rng(7))
+    data, _ = pm.simulate_dataset(design, np.random.default_rng(7))
+    X, Omega = data.X, data.Omega
     assert np.corrcoef(X[:, 1], X[:, 2])[0, 1] == pytest.approx(0.81,
                                                                 abs=0.01)
     assert np.corrcoef(X[:, 3], X[:, 4])[0, 1] == pytest.approx(0.64,
@@ -65,21 +66,19 @@ def test_sqrt_convention_population_correlations():
 
 def test_covariates_are_reproducible():
     design = pm.study_presets("study1", n=50)
-    a = pm.generate_covariates(design, np.random.default_rng(3))
-    b = pm.generate_covariates(design, np.random.default_rng(3))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    a, _ = pm.simulate_dataset(design, np.random.default_rng(3))
+    b, _ = pm.simulate_dataset(design, np.random.default_rng(3))
+    assert np.array_equal(a.X, b.X) and np.array_equal(a.Omega, b.Omega)
 
 
 def test_degenerate_gating_gives_pure_poisson():
     design = pm.SimulationDesign(
         n=4000, beta_true=((0.0,), (5.0,)), alpha_true=((50.0,), (0.0,)),
         reference_class=1)
-    rng = np.random.default_rng(11)
-    X, Omega = pm.generate_covariates(design, rng)
-    sample = pm.generate_fmpre_sample(design, X, Omega, rng)
-    assert np.all(sample.z_true == 0)
+    data, z = pm.simulate_dataset(design, np.random.default_rng(11))
+    assert np.all(z == 0)
     # mean of Poisson(1) within 4 sigma
-    assert abs(sample.y.mean() - 1.0) < 4.0 / np.sqrt(design.n)
+    assert abs(data.y.mean() - 1.0) < 4.0 / np.sqrt(design.n)
 
 
 def test_component_means_match_law_of_large_numbers():
@@ -101,12 +100,10 @@ def test_labels_match_gating_probabilities_chi2():
         n=10_000, beta_true=((0.2, 0.1), (0.8, -0.2), (1.5, 0.3)),
         alpha_true=((0.5, -0.4), (-0.3, 0.6), (0.0, 0.0)),
         reference_class=2)
-    rng = np.random.default_rng(31)
-    X, Omega = pm.generate_covariates(design, rng)
-    sample = pm.generate_fmpre_sample(design, X, Omega, rng)
-    pi = pm.gating_probabilities(sample.Omega, design.truth().alpha)
+    data, z = pm.simulate_dataset(design, np.random.default_rng(31))
+    pi = pm.gating_probabilities(data.Omega, design.truth().alpha)
     expected = pi.sum(axis=0)
-    observed = np.bincount(sample.z_true, minlength=3)
+    observed = np.bincount(z, minlength=3)
     statistic = float(((observed - expected) ** 2 / expected).sum())
     assert statistic < chi2.ppf(0.999, df=2)
 
@@ -115,14 +112,17 @@ def test_mean_overflow_rows_are_resampled():
     design = pm.SimulationDesign(
         n=4000, beta_true=((25.0, 5.0),), alpha_true=((0.0, 0.0),),
         reference_class=0)
-    rng = np.random.default_rng(17)
-    X, Omega = pm.generate_covariates(design, rng)
-    sample = pm.generate_fmpre_sample(design, X, Omega, rng)
-    assert sample.n_resampled > 0
-    eta = np.einsum("ij,ij->i", sample.X,
-                    np.asarray(design.truth().beta)[sample.z_true])
-    assert np.all(eta <= MEAN_PREDICTOR_CAP)
-    assert np.all(sample.y >= 0)
+    # Covariates are drawn first, so a zero-slope design from the same
+    # seed keeps the first draw (no row of it needs a redraw).
+    first, _ = pm.simulate_dataset(replace(design, beta_true=((0.0, 0.0),)),
+                                   np.random.default_rng(17))
+    beta = np.asarray(design.truth().beta[0])
+    over = first.X @ beta > MEAN_PREDICTOR_CAP
+    assert over.any()
+    data, _ = pm.simulate_dataset(design, np.random.default_rng(17))
+    assert np.all(data.X @ beta <= MEAN_PREDICTOR_CAP)
+    assert np.array_equal(data.X[~over], first.X[~over])
+    assert np.all(data.y >= 0)
 
 
 def test_sampling_is_deterministic():
@@ -135,7 +135,7 @@ def test_sampling_is_deterministic():
 
 def test_design_serialization_roundtrip():
     design = pm.study_presets("study1", phi=0.9, rho=0.85, n=120)
-    text = json.dumps(design_to_dict(design))
+    text = json.dumps(asdict(design))
     assert design_from_dict(json.loads(text)) == design
 
 

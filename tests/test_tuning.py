@@ -276,3 +276,15 @@ def test_optimize_refuses_only_where_the_quotients_are_not_finite():
         with pytest.raises(TuningFailed):
             pm.optimize_bias_correction(stack, np.array([0.5, 0.5]),
                                         np.ones((2, 2)), np.ones((2, 2)))
+
+
+def test_overflowing_mean_vector_raises_without_a_warning():
+    # A Gram of order one with a mean vector near 1e300 gives u ~ 1e300,
+    # so u * u overflows: TuningFailed, and numpy prints no warning.
+    stack = np.array([np.eye(2), np.diag([3.0, 0.5])])
+    mean_vec = np.array([[1.0, 2.0], [1e300, -1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TuningFailed):
+            pm.optimize_bias_correction(stack, np.array([0.5, 0.5]),
+                                        mean_vec, np.ones((2, 2)))

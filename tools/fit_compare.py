@@ -6,9 +6,10 @@
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. The study runs once per checkout, each in a child process
 (``fit_compare.py --dump CHECKOUT CONFIG.json``, which prints one JSON
-record per fit) that imports ``poismoe`` from that checkout's ``src``;
-``jobs`` is forced to 1. Fits are paired by replicate and method
-(``truth`` is the heart truth fit). For each pair one line reports
+record per fit, then one with the study's ``summaries``,
+``replicate_rows`` and ``failure_fraction``) that imports ``poismoe``
+from that checkout's ``src``; ``jobs`` is forced to 1. Fits are paired
+by replicate and method (``truth`` is the heart truth fit). For each pair one line reports
 
     <replicate> <method> <relative difference> <iterations> <selected> <converged>
 
@@ -21,9 +22,10 @@ byte-identical: beta, alpha, ``loglik_trace``, the Liu-type d values,
 bit for bit. A summary counts the byte-identical pairs, the pairs
 within 1e-10 and 1e-6, and lists the pairs that diverged: a failure in
 only one checkout, another iteration count, selected iteration or
-convergence flag, or a relative difference above ``--tolerance``. The
-exit code is 1 if any pair diverged. Two checkouts make byte-identical
-fits when every line reads ``=``.
+convergence flag, or a relative difference above ``--tolerance``. A
+last line says whether the study outputs match bit for bit. The exit
+code is 1 if any pair diverged or the study outputs differ. Two
+checkouts make byte-identical fits when every line reads ``=``.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import itertools
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,20 +88,30 @@ def dump(checkout: Path, config_path: Path) -> int:
         return fit
 
     replication.fit_all_methods, replication.fit_method = replicate, truth
-    pm.run_replication_study(config)
+    result = pm.run_replication_study(config)
+    # json writes each float as its shortest round-trip repr, so equal
+    # records mean bit-equal values.
+    print(json.dumps({"study": {
+        "summaries": [[method, block, asdict(summary)]
+                      for method, block, summary in result.summaries],
+        "replicate_rows": result.replicate_rows,
+        "failure_fraction": result.failure_fraction}}))
     return 0
 
 
-def run_checkout(checkout: Path, config_path: Path) -> dict:
+def run_checkout(checkout: Path, config_path: Path) -> tuple[dict, str]:
+    """The checkout's fits by (replicate, method), and its study record."""
     done = subprocess.run(
         [sys.executable, __file__, "--dump", str(checkout), str(config_path)],
         capture_output=True, text=True, check=True)
-    fits = {}
+    fits, study = {}, ""
     for line in done.stdout.splitlines():
-        if line.startswith("{"):
+        if line.startswith('{"study"'):
+            study = line
+        elif line.startswith("{"):
             entry = json.loads(line)
             fits[(entry["replicate"], entry["method"])] = entry
-    return fits
+    return fits, study
 
 
 def relative_difference(base: np.ndarray, new: np.ndarray) -> float:
@@ -174,11 +186,15 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--tolerance", type=float, default=1e-10)
     args = parser.parse_args(argv)
-    base = run_checkout(args.base.resolve(), args.config)
-    new = run_checkout(args.new.resolve(), args.config)
+    base, base_study = run_checkout(args.base.resolve(), args.config)
+    new, new_study = run_checkout(args.new.resolve(), args.config)
     lines, diverged = compare(base, new, args.tolerance)
+    same_study = bool(base_study) and base_study == new_study
+    lines.append("study outputs (summaries, replicate_rows, "
+                 "failure_fraction): "
+                 + ("bit-identical" if same_study else "differ"))
     print("\n".join(lines))
-    return 1 if diverged else 0
+    return 1 if diverged or not same_study else 0
 
 
 if __name__ == "__main__":
