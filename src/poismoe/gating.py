@@ -11,11 +11,29 @@ the outer-product basis of Omega (:func:`~poismoe.linalg.outer_basis`).
 Each iterate's log-softmax is computed once, when its objective is
 evaluated, and also yields the next step's system. The ascent starts
 from the log-softmax the E-step of its start already used and hands the
-one of its result back to the next E-step. It stops on the Newton
-decrement, the objective increase the quadratic model predicts for a
-full step, taken relative to the objective: on a partition the gate
-separates, the objective has no maximizer, and alpha keeps moving by
-sizeable steps while the objective gains almost nothing.
+one of its result back to the next E-step.
+
+The ascent stops once further steps cannot pay, judged by the Newton
+decrement (the objective gain the quadratic model predicts for a full
+step) against the tolerance taken relative to the objective
+(Boyd & Vandenberghe 2004, sections 9.5-9.6):
+
+* R1, before a trial: a step whose decrement is within the tolerance is
+  the last one, and it is taken untried. Its gain is below the
+  tolerance and, near the maximum, below the objective's rounding, so a
+  trial comparison would only let rounding decide whether to halve it;
+* R2, after two full steps: Newton's quadratic convergence makes
+  delta_k**2 / delta_{k-1} an upper bound on the next decrement (exact at
+  a linear rate), so the ascent stops when that bound is within the
+  tolerance instead of building a system only to confirm it;
+* R3, on a separated tail: on a partition the gate (quasi-)separates the
+  objective has no maximizer (Albert & Anderson 1984), alpha drifts
+  along the separating direction and the decrements fall linearly or
+  slower. The ascent stops when they have fallen by less than half on
+  each of the last two full steps, are within ``SEPARATED_TAIL_LEVEL``
+  times the tolerance, and could not reach the tolerance within the
+  steps left at their current rate, so the step cap would end it with
+  a gain of that order anyway.
 
 Every array over classes and observations here is class-major (J, n),
 so a reduction over classes runs over J contiguous rows; only
@@ -37,8 +55,14 @@ if TYPE_CHECKING:
 # stays positive definite when a class probability underflows.
 PI_FLOOR = 1e-10
 
+# R3 ends a separated tail only once its decrements are within this
+# multiple of the ascent's tolerance, so it leaves the damped opening
+# steps and the quadratic phase of a well-posed ascent alone.
+SEPARATED_TAIL_LEVEL = 1e4
+
 __all__ = [
     "PI_FLOOR",
+    "SEPARATED_TAIL_LEVEL",
     "log_sum_exp",
     "gating_log_probabilities",
     "gating_probabilities",
@@ -143,6 +167,22 @@ def penalty_value(coef: np.ndarray, lam: np.ndarray | None,
     return float(value)
 
 
+def _further_steps_cannot_pay(decrements: list[float], threshold: float,
+                              steps_left: int) -> bool:
+    """Rules R2 and R3 on the decrements of the run of full steps that
+    ended at the current iterate, oldest first (see the module notes)."""
+    if len(decrements) < 2 or not decrements[-2] > 0.0:
+        return False
+    last = decrements[-1]
+    rate = last / decrements[-2]
+    if last * rate <= threshold:  # R2: predicted next decrement
+        return True
+    return (len(decrements) >= 3  # R3: a linear-or-slower tail
+            and rate > 0.5 and decrements[-2] > 0.5 * decrements[-3]
+            and last <= SEPARATED_TAIL_LEVEL * threshold
+            and last * min(rate, 1.0) ** steps_left > threshold)
+
+
 def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                               part: "PartitionState",
                               lam: np.ndarray | None, d: np.ndarray | None,
@@ -153,7 +193,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                               log_pi: np.ndarray | None = None) -> np.ndarray:
     """Penalized Newton ascent on all non-reference gating rows jointly.
 
-    The name predates the joint update: each step now solves the whole
+    The name predates the joint update and stays because the benchmark
+    tracer looks this function up by name. Each step solves the whole
     stacked system of :func:`build_gating_workspace` once, through
     ``penalized_wls_solve``. ``lam`` and ``d`` hold one value per class
     (the reference entry is ignored), or are None for ML and ridge as in
@@ -166,11 +207,24 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     ``q1_value + penalty_value``. One log-softmax per iterate serves both
     F and the next step's system. A step that lowers F is halved toward
     the current rows up to 10 times; if it never recovers, the current
-    rows are kept and the ascent ends. Before the halving, the Newton
-    decrement ``1/2 * step' (gram + diag(lam)) step`` of the full step is
-    taken; once the step is accepted, stepping stops if that decrement is
-    at most ``inner_tol * (1 + |F|)``, and in any case after
-    ``inner_max`` Newton steps. ``inner_max=0`` returns the input
+    rows are kept and the ascent ends. The Newton decrement
+    ``delta = 1/2 * step' (gram + diag(lam)) step`` of each full step
+    is compared with the tolerance ``inner_tol * (1 + |F|)``, F at the
+    current rows:
+
+    * R1: a step with delta within the tolerance is taken without a
+      trial evaluation, and the ascent ends on it;
+    * R2: after a full step that followed a full step, the ascent stops
+      if ``delta_k**2 / delta_{k-1}`` is within the tolerance;
+    * R3: it also stops on a separated tail, where the last two full
+      steps each cut delta by less than half, delta is within
+      ``SEPARATED_TAIL_LEVEL`` times the tolerance and, at its current
+      rate, would still exceed the tolerance after the steps left.
+
+    In any case stepping ends after ``inner_max`` Newton steps. None of
+    the rules fires at ``inner_tol=0`` unless delta is not positive (a
+    step of zero), so there the ascent tries and halves every step as the
+    plain halving ascent does. ``inner_max=0`` returns the input
     unchanged. The reference row comes back as zeros.
 
     ``basis``, when given, is ``outer_basis(Omega)`` (``Dataset.Omega_outer``).
@@ -198,7 +252,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     if log_pi is None:
         log_pi = gating_log_probabilities(Omega, alpha)
     q1 = q1_value(log_pi, picks)
-    for _ in range(inner_max):
+    full_steps: list[float] = []  # decrements of the latest full steps
+    for taken in range(1, inner_max + 1):
         gram, rhs = build_gating_workspace(Omega, basis, log_pi, coef,
                                            indicator, free)
         proposal = penalized_wls_solve(gram, rhs, lam, d, anchor_out=anchor)
@@ -207,8 +262,12 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         step = proposal - coef
         curvature = gram @ step if lam is None else gram @ step + lam * step
         decrement = 0.5 * float(step @ curvature)
+        if decrement <= inner_tol * (1.0 + abs(baseline)):  # R1
+            alpha[free] = proposal.reshape(len(free), q)
+            log_pi = None
+            break
         trial = alpha.copy()
-        for _ in range(11):
+        for halvings in range(11):
             trial[free] = proposal.reshape(len(free), q)
             trial_log_pi = gating_log_probabilities(Omega, trial)
             trial_q1 = q1_value(trial_log_pi, picks)
@@ -220,9 +279,16 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         else:  # never recovered: keep the current rows
             break
         alpha, coef, log_pi, q1 = trial, proposal, trial_log_pi, trial_q1
-        if decrement <= inner_tol * (1.0 + abs(value)):
+        if halvings:
+            full_steps.clear()
+            continue
+        full_steps.append(decrement)
+        if _further_steps_cannot_pay(full_steps,
+                                     inner_tol * (1.0 + abs(value)),
+                                     inner_max - taken):
             break
     alpha[reference] = 0.0
     if handed_over is not None:
-        handed_over[...] = log_pi
+        handed_over[...] = (gating_log_probabilities(Omega, alpha)
+                            if log_pi is None else log_pi)
     return alpha

@@ -83,7 +83,9 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
 
     With ``raise_on_failure=False`` a failed stage, and every stage
     after it, is recorded in ``result.failures`` instead of raising,
-    which is what the replication harness wants.
+    which is what the replication harness wants. A failed stage's entry
+    is the ``FitFailed`` message followed by the reason each restart
+    failed, joined by `` | ``.
     """
     for method in methods:
         if method not in METHODS:
@@ -110,7 +112,8 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         except FitFailed as exc:
             if raise_on_failure:
                 raise
-            result.failures[method] = f"{type(exc).__name__}: {exc}"
+            result.failures[method] = " | ".join(
+                [f"{type(exc).__name__}: {exc}", *exc.diagnostics])
     return result
 
 

@@ -169,8 +169,9 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
     update alike, and the gate log-softmax passes from E-step to gate
     ascent and back without being recomputed. Empty partitions and
     singular systems end the chain the way the stopping rule would,
-    except ``converged`` stays False and the cause is recorded. A chain interrupted before its first completed
-    iteration has nothing to select from and counts as a failed restart.
+    except ``converged`` stays False and the cause is recorded. A chain
+    interrupted before its first completed iteration has nothing to
+    select from and counts as a failed restart.
     """
     psis: list[Coefficients] = []
     logliks: list[float] = []

@@ -505,6 +505,92 @@ def test_separable_ml_ascent_stops_on_the_decrement(monkeypatch):
     assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
 
 
+def spy_on_builds(monkeypatch):
+    """Record the arguments and the result of every gate system build."""
+    builds = []
+    build = pm.gating.build_gating_workspace
+
+    def counted_build(*args):
+        builds.append((args, build(*args)))
+        return builds[-1][1]
+
+    monkeypatch.setattr(pm.gating, "build_gating_workspace", counted_build)
+    return builds
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: binary_gating_problem(seed=13)[:2] + (np.zeros((2, 2)),),
+    lambda: three_class_problem(seed=22)[:2] + (np.zeros((3, 3)),),
+], ids=["two-class", "three-class"])
+@pytest.mark.parametrize("lam", [None, 0.8], ids=["ml", "ridge"])
+def test_well_posed_ascent_builds_no_confirming_system(monkeypatch,
+                                                        make_problem, lam):
+    # On these partitions Newton converges quadratically, and the
+    # predicted next decrement delta_k**2 / delta_{k-1} ends the ascent
+    # before it builds a system only to find a step within the tolerance.
+    Omega, part, start = make_problem()
+    n_classes = start.shape[0]
+    lams = None if lam is None else [lam] * n_classes
+    builds = spy_on_builds(monkeypatch)
+    stopped = pm.coordinate_descent_alphas(Omega, start, part, lams, None,
+                                           reference=1)
+    monkeypatch.undo()
+    free = [j for j in range(n_classes) if j != 1]
+
+    def objective(alpha):
+        return q1_at(Omega, alpha, part) + penalty_value(
+            alpha[free].ravel(), lam)
+
+    tolerance = 1e-11 * (1.0 + abs(objective(stopped)))
+    for (_, _, _, coef, _, _), (gram, rhs) in builds:
+        penalty = None if lam is None else np.full(coef.size, lam)
+        step = penalized_wls_solve(gram, rhs, penalty) - coef
+        curvature = gram @ step + (0.0 if lam is None else lam * step)
+        assert 0.5 * step @ curvature > tolerance
+    tight = pm.coordinate_descent_alphas(Omega, start, part, lams, None,
+                                         reference=1, inner_tol=1e-15,
+                                         inner_max=300)
+    value, reference = objective(stopped), objective(tight)
+    assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
+
+
+def quasi_separated_problem(n_separated=500):
+    """Two-class partition with no ML gate: rows with x < 2 are all class
+    0 and rows with x > 3 all class 1, so alpha can grow without bound
+    along (-2.5, 1, 0), which leaves the scores of the eight mixed rows
+    at x = 2.5 unchanged. F tends to the best fit of those rows alone,
+    about -4.63."""
+    gen = np.random.default_rng(0)
+    x = np.r_[gen.uniform(0.0, 2.0, n_separated),
+              gen.uniform(3.0, 6.0, n_separated), np.full(8, 2.5)]
+    s = np.r_[gen.integers(1, 4, 2 * n_separated), [1, 1, 1, 1, 2, 2, 3, 3]]
+    labels = np.r_[np.zeros(n_separated, int), np.ones(n_separated, int),
+                   [0, 1, 0, 1, 0, 1, 1, 1]]
+    Omega = np.column_stack([np.ones_like(x), x, s.astype(float)])
+    return Omega, pm.PartitionState.from_assignment(labels, 2)
+
+
+def test_separated_tail_ends_well_before_the_cap(monkeypatch):
+    # As in a chain, the ascent starts where the last M-step's ascent on
+    # the same partition stopped: deep in the separated tail, where each
+    # step gains less and less while alpha keeps drifting.
+    Omega, part = quasi_separated_problem()
+    start = pm.coordinate_descent_alphas(Omega, np.zeros((2, 3)), part,
+                                         None, None, reference=1)
+    builds = spy_on_builds(monkeypatch)
+    stopped = pm.coordinate_descent_alphas(Omega, start, part, None, None,
+                                           reference=1)
+    monkeypatch.undo()
+    assert len(builds) <= 25
+    capped = pm.coordinate_descent_alphas(Omega, start, part, None, None,
+                                          reference=1, inner_tol=0.0,
+                                          inner_max=50)
+    assert -6.0 < q1_at(Omega, capped, part) < -4.0
+    gap = np.abs(pm.gating_probabilities(Omega, stopped)
+                 - pm.gating_probabilities(Omega, capped))
+    assert gap.max() <= 1e-5
+
+
 def test_q1_gradient_vanishes_at_converged_ml():
     Omega, part, _ = binary_gating_problem(seed=16)
     alpha = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,

@@ -22,8 +22,12 @@ def test_failed_stage_is_recorded_with_every_stage_after_it():
     result = pm.fit_all_methods(collinear_data(), SPEC, OPTS,
                                 raise_on_failure=False)
     assert (result.ml, result.ridge, result.lt) == (None, None, None)
+    singular = ("SingularSystem: weighted system is not (numerically) "
+                "positive definite; at lambda=0 use the ridge or Liu-type "
+                "estimator")
     assert result.failures == {
-        "ml": "FitFailed: all 2 restarts failed",
+        "ml": (f"FitFailed: all 2 restarts failed | restart 0: {singular}"
+               f" | restart 1: {singular}"),
         "ridge": "prerequisite ML fit failed",
         "lt": "prerequisite ridge fit failed",
     }
