@@ -2,8 +2,10 @@
 
 Estimation runs a stochastic EM whose M-step solves penalized IRWLS
 updates of one two-parameter family: unpenalized (ML), ridge (lambda),
-or Liu-type shrinkage (lambda, d) anchored on the ridge fit. The package also ships the tuning plug-ins, synthetic-study
-generators, replication harness, evaluation metrics, and a CLI.
+or Liu-type (lambda, d), the shrinkage S^-1 (S - d I) of the ridge
+result with S = G + lambda I and 0 <= d <= lambda_min(S). The package
+also ships the tuning plug-ins, synthetic-study generators, replication
+harness, evaluation metrics, and a CLI.
 """
 
 from .errors import (DataFormatError, DimensionError, EmptyPartition,

@@ -11,7 +11,11 @@ the outer-product basis of Omega (:func:`~poismoe.linalg.outer_basis`).
 Each iterate's log-softmax is computed once, when its objective is
 evaluated, and also yields the next step's system. The ascent starts
 from the log-softmax the E-step of its start already used and hands the
-one of its result back to the next E-step.
+one of its result back to the next E-step. The ascent is ML or ridge;
+a Liu-type gate runs the ridge ascent and then shrinks its result by
+one Liu-type step on the last Newton system (Liu 2003; Inan & Erdogan
+2013 for the logit model), the form
+:func:`~poismoe.linalg.penalized_wls_solve` defines for both sides.
 
 The ascent stops once further steps cannot pay, judged by the Newton
 decrement (the objective gain the quadratic model predicts for a full
@@ -150,21 +154,11 @@ def q1_value(log_pi: np.ndarray, picks: np.ndarray) -> float:
     return float(log_pi.take(picks).sum())
 
 
-def penalty_value(coef: np.ndarray, lam: np.ndarray | None,
-                  d: np.ndarray | None = None,
-                  anchor: np.ndarray | None = None) -> float:
-    """Shrinkage term of the gate objective, in ``penalized_wls_solve``'s sign.
-
-    ``-1/2 * sum(lam * coef**2) - sum(d * coef * anchor)``, whose
-    gradient ``-lam*coef - d*anchor`` is the shift the solve applies;
-    exactly 0.0 for ML (``lam=None``).
-    """
-    if lam is None:
-        return 0.0
-    value = -0.5 * (lam * coef * coef).sum()
-    if d is not None:
-        value -= (d * coef * anchor).sum()
-    return float(value)
+def penalty_value(coef: np.ndarray, lam: np.ndarray | None) -> float:
+    """Ridge term ``-1/2 * sum(lam * coef**2)`` of the gate objective,
+    whose gradient ``-lam*coef`` is the shift the solve applies; exactly
+    0.0 for ML (``lam=None``)."""
+    return 0.0 if lam is None else float(-0.5 * (lam * coef * coef).sum())
 
 
 def _further_steps_cannot_pay(decrements: list[float], threshold: float,
@@ -199,29 +193,21 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     ``penalized_wls_solve``. ``lam`` and ``d`` hold one value per class
     (the reference entry is ignored), or are None for ML and ridge as in
     ``penalized_wls_solve``; each free class's value is repeated over its
-    q coordinates. The Liu-type step anchors on the ridge solve of the
-    same stacked system, taken from the factorization of its own solve,
-    so its anchor moves with every step.
+    q coordinates. The ascent itself is ML (``lam=None``) or ridge; a
+    Liu-type call runs the ridge ascent with its ``lam`` and then takes
+    one Liu-type step from the ridge result alpha_r on the last Newton
+    system built, ``alpha_r - S^-1 (d * alpha_r)`` with S that system's
+    ``gram + diag(lam)`` (``penalized_wls_solve`` with ``ridge``).
 
     The objective F is the penalized assignment log-likelihood
     ``q1_value + penalty_value``. One log-softmax per iterate serves both
     F and the next step's system. A step that lowers F is halved toward
     the current rows up to 10 times; if it never recovers, the current
     rows are kept and the ascent ends. The Newton decrement
-    ``delta = 1/2 * step' (gram + diag(lam)) step`` of each full step
-    is compared with the tolerance ``inner_tol * (1 + |F|)``, F at the
-    current rows:
-
-    * R1: a step with delta within the tolerance is taken without a
-      trial evaluation, and the ascent ends on it;
-    * R2: after a full step that followed a full step, the ascent stops
-      if ``delta_k**2 / delta_{k-1}`` is within the tolerance;
-    * R3: it also stops on a separated tail, where the last two full
-      steps each cut delta by less than half, delta is within
-      ``SEPARATED_TAIL_LEVEL`` times the tolerance and, at its current
-      rate, would still exceed the tolerance after the steps left.
-
-    In any case stepping ends after ``inner_max`` Newton steps. None of
+    ``delta = 1/2 * step' (gram + diag(lam)) step`` of each full step,
+    against the tolerance ``inner_tol * (1 + |F|)`` with F at the
+    current rows, ends the ascent by the rules R1-R3 of the module
+    notes, and in any case after ``inner_max`` Newton steps. None of
     the rules fires at ``inner_tol=0`` unless delta is not positive (a
     step of zero), so there the ascent tries and halves every step as the
     plain halving ascent does. ``inner_max=0`` returns the input
@@ -241,12 +227,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     indicator = (part.assignment == free[:, None]).astype(float)
     if basis is None:
         basis = outer_basis(Omega)
-    anchor = None
     if lam is not None:
         lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
-    if d is not None:
-        d = np.repeat(np.asarray(d, dtype=float)[free], q)
-        anchor = np.empty(len(free) * q)
     coef = alpha[free].ravel()
     handed_over = log_pi
     if log_pi is None:
@@ -256,23 +238,20 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     for taken in range(1, inner_max + 1):
         gram, rhs = build_gating_workspace(Omega, basis, log_pi, coef,
                                            indicator, free)
-        proposal = penalized_wls_solve(gram, rhs, lam, d, anchor_out=anchor)
-        baseline = q1 if lam is None else (  # ML: no penalty terms
-            q1 + penalty_value(coef, lam, d, anchor))
+        proposal = penalized_wls_solve(gram, rhs, lam)
+        baseline = q1 + penalty_value(coef, lam)
         step = proposal - coef
         curvature = gram @ step if lam is None else gram @ step + lam * step
         decrement = 0.5 * float(step @ curvature)
         if decrement <= inner_tol * (1.0 + abs(baseline)):  # R1
-            alpha[free] = proposal.reshape(len(free), q)
-            log_pi = None
+            coef, log_pi = proposal, None
             break
         trial = alpha.copy()
         for halvings in range(11):
             trial[free] = proposal.reshape(len(free), q)
             trial_log_pi = gating_log_probabilities(Omega, trial)
             trial_q1 = q1_value(trial_log_pi, picks)
-            value = trial_q1 if lam is None else (
-                trial_q1 + penalty_value(proposal, lam, d, anchor))
+            value = trial_q1 + penalty_value(proposal, lam)
             if value >= baseline:
                 break
             proposal = 0.5 * (proposal + coef)
@@ -287,6 +266,12 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                                      inner_tol * (1.0 + abs(value)),
                                      inner_max - taken):
             break
+    if d is not None and inner_max > 0:
+        coef = penalized_wls_solve(
+            gram, None, lam, np.repeat(np.asarray(d, dtype=float)[free], q),
+            ridge=coef)
+        log_pi = None
+    alpha[free] = coef.reshape(len(free), q)
     alpha[reference] = 0.0
     if handed_over is not None:
         handed_over[...] = (gating_log_probabilities(Omega, alpha)

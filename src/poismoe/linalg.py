@@ -34,30 +34,28 @@ def rowwise_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ matrix)[:, 0]
 
 
-def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
+def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray | None,
                         lam: float | np.ndarray | None = None,
-                        d: float | np.ndarray | None = None,
-                        anchor_out: np.ndarray | None = None) -> np.ndarray:
+                        d: float | np.ndarray | None = None, *,
+                        ridge: np.ndarray | None = None) -> np.ndarray:
     """Solve the IRWLS normal equations of the ML, ridge or Liu-type update.
 
-    The three estimators are one family in (lam, d). For a coefficient
-    vector b, every coordinate (the intercept included) is penalized and
-    the maximized objective adds ``-1/2 * sum(lam * b * b)`` (ridge) and
-    ``-sum(d * b * anchor)`` (Liu-type), so the normal equations are
-    ``(gram + diag(lam)) b = rhs - d*anchor``.
+    ``lam=None`` is ML: ``gram @ b = rhs``. Otherwise every coordinate
+    (the intercept included) is shrunk by ``lam``, S = gram + diag(lam),
+    and the ridge result is ``b_r = S^-1 rhs``; ``d=None`` returns it.
+    With ``d`` the result is Liu-type, the one definition of that
+    estimator here (Liu 2003): ``b_LT = b_r - S^-1 (d * b_r)``, that is
+    ``S^-1 (S - D) b_r`` with D = diag(d). For a scalar d each
+    coordinate of ``b_r`` in the eigenbasis of S is scaled by (s - d)/s,
+    which lies in [0, 1] for 0 <= d <= s[0]. ``ridge``, when given, is a ridge result the caller
+    already has (the gate's ridge ascent, :mod:`~poismoe.gating`), and
+    replaces ``S^-1 rhs``; ``rhs`` is then not read.
 
     ``gram`` is one (F, F) system with ``rhs`` of length F, or a stack
     (J, F, F) of independent systems with ``rhs`` (J, F). ``lam`` and
     ``d`` broadcast against ``rhs``: a scalar, one value per coordinate
     (a gate block that stacks several classes), or one value per system
     of a stack as (J, 1).
-
-    ``lam=None`` is ML: ``gram @ b = rhs``. ``d=None`` is ridge.
-    Otherwise the solve is Liu-type and takes the ridge solve of the same
-    system as anchor, which gives ``S^-1 (S - d I) S^-1 rhs`` with
-    ``S = gram + lam I``; the anchor is copied into ``anchor_out`` when
-    that is given. A Liu-type solve with a fixed anchor is the ridge
-    solve of ``rhs - d*anchor``.
 
     One ``np.linalg.eigh`` call diagonalizes every S, S = V diag(s) V',
     and each solve is V (V'r / s); each system of a stack gets the same
@@ -85,12 +83,9 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     def solve(vector: np.ndarray) -> np.ndarray:
         return (vecs @ (vecs_t @ vector[..., None] / s))[..., 0]
 
+    solution = solve(rhs) if ridge is None else ridge
     if d is not None:
-        anchor = solve(rhs)
-        if anchor_out is not None:
-            anchor_out[...] = anchor
-        rhs = rhs - d * anchor
-    solution = solve(rhs)
+        solution = solution - solve(d * solution)
     if not np.isfinite(solution).all():
         raise NumericalFailure("weighted least-squares solve produced non-finite values")
     return solution

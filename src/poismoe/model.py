@@ -234,6 +234,8 @@ class SemOptions:
 class TuningParams:
     """Per-component ridge parameters and Liu-type bias corrections.
 
+    Every lambda is positive and every d finite and non-negative: a
+    negative d would scale the ridge result up, not shrink it.
     ``source`` records which stage supplied the plug-in estimates.
     """
 
@@ -250,8 +252,8 @@ class TuningParams:
         da = np.array(self.d_alpha, dtype=float)
         if not ((lb > 0).all() and (la > 0).all()):
             raise ValueError("lambda entries must be strictly positive")
-        if not (np.isfinite(db).all() and np.isfinite(da).all()):
-            raise ValueError("bias corrections must be finite")
+        if not all(np.isfinite(d).all() and (d >= 0).all() for d in (db, da)):
+            raise ValueError("bias corrections must be finite and non-negative")
         for name, arr in (("lambda_beta", lb), ("lambda_alpha", la),
                           ("d_beta", db), ("d_alpha", da)):
             object.__setattr__(self, name, _readonly(arr))

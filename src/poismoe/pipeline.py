@@ -4,7 +4,8 @@ Each stage feeds the next: the ML fit supplies the ridge plug-in
 lambdas, and the ridge fit supplies the Liu-type lambdas and the plug-in
 coefficients of the bias-correction MSE. The Liu-type chain keeps its
 lambdas fixed and re-optimizes d in closed form at every M-step from the
-current partition.
+current partition, within [0, lambda_min(S)]; each of its updates
+shrinks the ridge update of the same systems by S^-1 (S - d I).
 """
 from __future__ import annotations
 

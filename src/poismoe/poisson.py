@@ -3,7 +3,7 @@
 Inside a component the count mean is exp(x' beta). One M-step update is
 a weighted least-squares solve on the working response
 ``z* = X beta + (y - mu) / mu`` with weights mu, optionally shrunk by a
-ridge lambda and a Liu-type bias correction d
+ridge lambda, and its result then by a Liu-type bias correction d
 (:func:`~poismoe.linalg.penalized_wls_solve`).
 
 All J components are updated together, in the class-major (J, n) layout
@@ -116,8 +116,9 @@ def irwls_beta_step(ws: ComponentWorkspace,
 
     All J systems are solved by one stacked ``penalized_wls_solve``.
     ``lam=None`` is the ML step, ``d=None`` the ridge step, and otherwise
-    the step is Liu-type, anchored on its own ridge solve; ``lam`` and
-    ``d`` are scalars or hold one value per component.
+    the step is Liu-type, ``b_r - S^-1 (d * b_r)`` for the ridge step b_r,
+    from the same factorization; ``lam`` and ``d`` are scalars or hold
+    one value per component.
     """
     def per_component(value):
         return None if value is None else np.asarray(value, dtype=float)[..., None]

@@ -60,9 +60,11 @@ def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
     here when not given); the gate is refit by
     :func:`coordinate_descent_alphas` at its default tolerance and step
     cap. ``tuning`` holds the ridge lambdas and Liu-type bias corrections
-    of ``method``, one per component or class; every Liu-type update
-    anchors on its own ridge solve, the estimator form the tuning MSE
-    describes. ``log_pi``, when given, is the (J, n) gate log-softmax at
+    of ``method``, one per component or class. Every Liu-type update is
+    the shrinkage ``S^-1 (S - d I) b_r`` of its ridge result b_r, the
+    estimator the tuning MSE scores: for beta the ridge IRWLS step, for
+    the gate the ridge ascent's result, shrunk on its last Newton system.
+    ``log_pi``, when given, is the (J, n) gate log-softmax at
     ``psi_t.alpha``; the gate ascent starts from it and leaves in it the
     log-softmax of the new gating rows.
     """

@@ -2,10 +2,11 @@
 
 Ridge parameters come from the classic plug-in p / ||coef||^2 (per
 component, separately for the regression and gating blocks). The
-Liu-type correction d minimizes a plug-in mean-squared error that is
-exactly quadratic in d; one eigendecomposition of the Gram matrix gives
-its coefficients and so the minimizer in closed form, and one stacked
-eigendecomposition gives those of every component (or class) at once.
+Liu-type correction d minimizes the plug-in mean-squared error of the
+estimator :func:`~poismoe.linalg.penalized_wls_solve` applies. It is
+exactly quadratic in d; one stacked eigendecomposition of the Gram
+matrices gives its minimizer over [0, lambda_min(S)] in closed form for
+every component (or class) at once.
 """
 from __future__ import annotations
 
@@ -59,16 +60,17 @@ def estimate_ridge_lambdas(psi_source: Coefficients,
 
 def _lt_mse(d: float, gram: np.ndarray, lam: float, mean_vec: np.ndarray,
             target: np.ndarray) -> float:
-    """tr Var + squared bias for the Liu-type estimator pattern.
+    """tr Var + squared bias of the Liu-type estimator B(d) rhs.
 
-    With S = gram + lam*I and B(d) = S^-1 (gram - d*I) S^-1, the
-    variance term is tr[B gram B'] and the mean is B @ mean_vec. The test
-    oracle for :func:`optimize_bias_correction`, so built apart from its
-    eigenbasis, with np.linalg.solve."""
+    With S = gram + lam*I and B(d) = S^-1 (S - d*I) S^-1, the estimator
+    ``penalized_wls_solve`` applies, the variance term is tr[B gram B']
+    and the mean is B @ mean_vec; d=0 scores the ridge solve S^-1 rhs.
+    The test oracle for :func:`optimize_bias_correction`, so built apart
+    from its eigenbasis, with np.linalg.solve."""
     size = gram.shape[0]
     system = gram + lam * np.eye(size)
     try:
-        half = np.linalg.solve(system, gram - d * np.eye(size))
+        half = np.linalg.solve(system, system - d * np.eye(size))
         shrink = np.linalg.solve(system, half.T).T
     except np.linalg.LinAlgError as exc:
         raise TuningFailed("MSE system could not be solved") from exc
@@ -105,25 +107,28 @@ def lt_mse_alpha(d_star: float, Omega: np.ndarray, Wg_j: np.ndarray,
 
 def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
                              target: np.ndarray):
-    """Exact minimizer of the Liu-type plug-in MSE over d.
+    """Minimizer of the Liu-type plug-in MSE over 0 <= d <= lambda_min(S).
 
     With gram = V diag(g) V', s = g + lam, u = V'mean_vec / s^2 and
     w = V'target, the MSE that ``lt_mse_beta``/``lt_mse_alpha`` evaluate
-    is sum g (g - d)^2 / s^4 + ||(g - d) u - w||^2, a quadratic in d
+    is sum g (s - d)^2 / s^4 + ||(s - d) u - w||^2, a quadratic in d
     whose minimizer is
-    d* = [sum g^2/s^4 + u.(g u - w)] / [sum g/s^4 + ||u||^2].
-    A zero denominator means a flat MSE (zero Gram and mean), where any
-    d is optimal and 0 (the ridge solve) is returned.
+    d* = [sum g/s^3 + u.(s u - w)] / [sum g/s^4 + ||u||^2],
+    clipped into [0, max(s[0], 0)], where every eigen-factor (s - d)/s
+    lies in [0, 1] (s[0] = lam + g_min can round below 0 for a singular
+    Gram at a tiny lam). A flat MSE (zero Gram and mean, a zero
+    denominator) gives 0, the ridge solve.
 
     ``gram`` is one (k, k) system, giving a float, or a stack (K, k, k)
     with ``lam`` (K,) and ``mean_vec``, ``target`` (K, k), giving the K
     minimizers as an array; one ``np.linalg.eigh`` call diagonalizes the
-    whole stack. The quotients are taken as (g/s^2)^2 and (g/s^2)/s^2,
-    which cannot overflow, and an s whose square would overflow raises
-    :class:`TuningFailed` before any quotient is formed: there g^2 / s^4
-    is inf/inf, so the MSE has no finite coefficients. Coefficients that
-    overflow anyway raise :class:`TuningFailed` too, without a numpy
-    warning. If any system of a stack fails, the whole call raises.
+    whole stack. The quotients are taken as (g/s^2)/s, (g/s^2)/s^2 and
+    (V'mean_vec/s^2) s, which cannot overflow, and an s whose square
+    would overflow raises :class:`TuningFailed` before any quotient is
+    formed: there g / s^2 is inf/inf, so the MSE has no finite
+    coefficients. Coefficients that overflow anyway raise
+    :class:`TuningFailed` too, without a numpy warning. If any system of
+    a stack fails, the whole call raises.
     """
     try:
         g, vecs = np.linalg.eigh(np.asarray(gram, dtype=float))
@@ -140,8 +145,8 @@ def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
         u = (np.asarray(mean_vec, dtype=float)[..., None, :]
              @ vecs)[..., 0, :] / s_sq
         w = (np.asarray(target, dtype=float)[..., None, :] @ vecs)[..., 0, :]
-        numerator = ((ratio * ratio).sum(axis=-1)
-                     + (u * (g * u - w)).sum(axis=-1))
+        numerator = ((ratio / s).sum(axis=-1)
+                     + (u * (s * u - w)).sum(axis=-1))
         denominator = (ratio / s_sq).sum(axis=-1) + (u * u).sum(axis=-1)
         flat = denominator == 0.0
         d_opt = np.where(flat, 0.0,
@@ -150,6 +155,7 @@ def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
         raise TuningFailed("MSE coefficients are not finite")
     if not np.isfinite(d_opt).all():
         raise TuningFailed("bias-correction minimizer is not finite")
+    d_opt = np.clip(d_opt, 0.0, np.maximum(s[..., 0], 0.0))
     return float(d_opt) if d_opt.ndim == 0 else d_opt
 
 
@@ -164,9 +170,11 @@ def bias_corrections_for_partition(data: Dataset,
 
     ``workspace`` holds the stacked beta systems about to be solved
     (:func:`~poismoe.poisson.build_workspace` of the partition at the
-    chain iterate) and ``log_pi`` the iterate's (J, n) gate log-softmax,
-    so the MSE describes exactly the systems the M-step solves. The
-    anchors supply the "true" coefficients of the bias term, their
+    chain iterate) and ``log_pi`` the iterate's (J, n) gate log-softmax.
+    The beta MSE describes exactly the systems the M-step solves; the
+    gate's d is scored on each class's diagonal block at the iterate,
+    while the gate applies it on the stacked system of its last ridge
+    Newton step. The anchors supply the "true" coefficients of the bias term, their
     plug-in means ``anchor_means = poisson_means(X, anchors.beta)`` and
     their gate probabilities ``anchor_pi``, both (J, n). The regression
     side reads its Grams from the workspace and weighs the rows of the

@@ -417,38 +417,41 @@ def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
 def stepwise_ascent(Omega, alpha_t, part, lam, d, reference, steps):
     """The gate ascent spelled out step by step: the workspace and the
     baseline objective are rebuilt from the rows alpha at every step, and
-    a step is halved until q1_value + penalty_value does not drop."""
+    a step is halved until q1_value + penalty_value does not drop. A
+    Liu-type call then shrinks the ridge result alpha_r once on the last
+    system built: alpha_r - S^-1 (d alpha_r), S = gram + diag(lam), the
+    second term as a ridge solve. ``d="bound"`` takes S's smallest
+    eigenvalue, the largest d the tuning allows. Returns the rows and
+    the d applied."""
     alpha = np.array(alpha_t, dtype=float)
     free = [j for j in range(alpha.shape[0]) if j != reference]
     q = Omega.shape[1]
     indicator = (part.assignment[:, None] == free).astype(float)
     if lam is not None:
         lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
-    if d is not None:
-        d = np.repeat(np.asarray(d, dtype=float)[free], q)
-    anchor = None
     for _ in range(steps):
         coef = alpha[free].ravel()
         gram, rhs = workspace_at(Omega, alpha, indicator, free)
-        shifted = rhs
-        if d is not None:
-            anchor = penalized_wls_solve(gram, rhs, lam)
-            shifted = rhs - d * anchor
-        proposal = penalized_wls_solve(gram, shifted, lam)
-        baseline = q1_at(Omega, alpha, part) + penalty_value(coef, lam, d,
-                                                             anchor)
+        proposal = penalized_wls_solve(gram, rhs, lam)
+        baseline = q1_at(Omega, alpha, part) + penalty_value(coef, lam)
         trial = alpha.copy()
         for _ in range(11):
             trial[free] = proposal.reshape(len(free), q)
             if (q1_at(Omega, trial, part)
-                    + penalty_value(proposal, lam, d, anchor)) >= baseline:
+                    + penalty_value(proposal, lam)) >= baseline:
                 break
             proposal = 0.5 * (proposal + coef)
         else:
             break
         alpha = trial
+    if d is not None:
+        if d == "bound":
+            d = float(np.linalg.eigvalsh(gram + np.diag(lam))[0])
+        coef = alpha[free].ravel()
+        shrink = penalized_wls_solve(gram, d * coef, lam)
+        alpha[free] = (coef - shrink).reshape(len(free), q)
     alpha[reference] = 0.0
-    return alpha
+    return alpha, d
 
 
 def poor_start_problem(n_classes):
@@ -462,16 +465,19 @@ def poor_start_problem(n_classes):
 
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("lam, d", [(None, None), (0.8, None), (0.8, 0.4),
-                                    (0.8, -0.3)],
-                         ids=["ml", "ridge", "lt-pos", "lt-neg"])
+                                    (0.8, -0.3), (0.8, "bound")],
+                         ids=["ml", "ridge", "lt-pos", "lt-neg", "lt-bound"])
 @pytest.mark.parametrize("steps", [1, 4, 12])
 def test_ascent_equals_stepwise_oracle(n_classes, lam, d, steps):
     # Reusing the accepted trial's log-softmax and q1 must not change a
-    # single bit against rebuilding everything from alpha at each step.
+    # single bit against rebuilding everything from alpha at each step,
+    # and a Liu-type call is the ridge ascent and one Liu-type step. The
+    # gate applies any d it is given; the tuning keeps d in [0, s_min].
     Omega, start, part, reference = poor_start_problem(n_classes)
     lams = None if lam is None else [lam] * n_classes
+    expected, d = stepwise_ascent(Omega, start, part, lams, d, reference,
+                                  steps)
     ds = None if d is None else [d] * n_classes
-    expected = stepwise_ascent(Omega, start, part, lams, ds, reference, steps)
     got = pm.coordinate_descent_alphas(Omega, start, part, lams, ds,
                                        reference, inner_tol=0.0,
                                        inner_max=steps)
@@ -607,28 +613,25 @@ def test_q1_gradient_at_zero_alpha():
     assert np.allclose(grad, expected, rtol=1e-12)
 
 
-# Shrinkage (lam, d, anchor) of the gate objective: ML, ridge, and
-# Liu-type with a negative and a positive bias correction.
+# Shrinkage lam of the gate objective: ML and ridge. A Liu-type gate
+# ascends the ridge objective.
 @pytest.mark.parametrize("make_shrinkage", [
-    lambda q: (None, None, None),
-    lambda q: (0.9, None, None),
-    lambda q: (0.9, -0.4, np.linspace(0.2, 0.8, q)),
-    lambda q: (0.9, 0.4, np.linspace(0.2, 0.8, q)),
+    lambda q: None,
+    lambda q: 0.9,
 ])
 def test_q1_gradient_matches_finite_differences(make_shrinkage):
     # The objective the gate ascent halves steps on (q1 + penalty_value)
-    # has gradient q1_gradient - lam*a - d*anchor: the shift the solve
-    # applies, so step acceptance and the solve agree on the sign of d.
+    # has gradient q1_gradient - lam*a: the shift the solve applies, so
+    # step acceptance and the solve agree.
     Omega, part, _ = binary_gating_problem(seed=19)
     q = Omega.shape[1]
-    lam, d, anchor = make_shrinkage(q)
+    lam = make_shrinkage(q)
     gen = np.random.default_rng(20)
     step = 1e-5
 
     def objective(a_free):
         alpha = np.vstack([a_free, np.zeros(q)])
-        return q1_at(Omega, alpha, part) + penalty_value(a_free, lam, d,
-                                                         anchor)
+        return q1_at(Omega, alpha, part) + penalty_value(a_free, lam)
 
     for _ in range(25):
         a_free = gen.normal(scale=0.5, size=q)
@@ -636,8 +639,6 @@ def test_q1_gradient_matches_finite_differences(make_shrinkage):
         grad = q1_gradient(Omega, alpha, part, 0)
         if lam is not None:
             grad = grad - lam * a_free
-        if d is not None:
-            grad = grad - d * anchor
         fd = np.empty(q)
         for k in range(q):
             delta = np.zeros(q)

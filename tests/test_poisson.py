@@ -327,19 +327,14 @@ def test_stacked_solve_equals_per_system_calls(method, seed):
     gram, rhs, lam, d = random_stack(seed)
     lam = None if method == "ml" else lam
     d = d if method == "lt" else None
-    anchors = np.empty_like(rhs)
     stacked = penalized_wls_solve(
         gram, rhs, None if lam is None else lam[:, None],
-        None if d is None else d[:, None], anchor_out=anchors)
+        None if d is None else d[:, None])
     for j in range(gram.shape[0]):
-        anchor = np.empty(rhs.shape[1])
         single = penalized_wls_solve(gram[j], rhs[j],
                                      None if lam is None else lam[j],
-                                     None if d is None else d[j],
-                                     anchor_out=anchor)
+                                     None if d is None else d[j])
         assert np.array_equal(stacked[j], single)
-        if d is not None:
-            assert np.array_equal(anchors[j], anchor)
 
 
 @pytest.mark.parametrize("method, error", [("ml", SingularSystem),

@@ -126,12 +126,16 @@ def test_closed_form_d_minimizes_the_oracle_mse(seed, p, lam, delta, gating):
         def mse(d):
             return pm.lt_mse_beta(d, design, weights, lam, target, plugin)
 
-    d_star = pm.optimize_bias_correction(
-        design.T @ (weights[:, None] * design), lam,
-        design.T @ (weights * plugin), target)
+    gram = design.T @ (weights[:, None] * design)
+    d_star = pm.optimize_bias_correction(gram, lam,
+                                         design.T @ (weights * plugin), target)
+    # The minimizer over [0, lambda_min(S)], S = gram + lam I.
+    upper = max(lam + float(np.linalg.eigh(gram)[0][0]), 0.0)
+    assert 0.0 <= d_star <= upper
     best = mse(d_star)
-    step = delta * max(1.0, abs(d_star))
-    for other in (d_star - step, d_star + step, 0.0):
+    step = delta * max(1.0, d_star)
+    for other in (max(d_star - step, 0.0), min(d_star + step, upper), 0.0,
+                  upper):
         assert _relative_le(best, mse(other))
 
 
@@ -272,6 +276,44 @@ def test_gate_ascent_reaches_the_tight_objective(seed, n_components, q, lam):
     value = objective(ascend())
     tight = objective(ascend(inner_tol=1e-15, inner_max=300))
     assert abs(value - tight) <= 1e-9 * (1.0 + abs(tight))
+
+
+@given(seed=seeds, n_components=st.integers(2, 3), q=st.integers(1, 3),
+       lam=st.floats(0.01, 5.0), fraction=st.floats(0.0, 1.0))
+def test_liu_type_gate_shrinks_the_ridge_gate_in_the_eigenbasis(
+        seed, n_components, q, lam, fraction):
+    # With S = gram + lam I of the last Newton system and one d in
+    # [0, lambda_min(S)] for every class, each coordinate of the
+    # Liu-type gate result in S's eigenbasis is the ridge result's times
+    # (s - d)/s, a factor in [0, 1].
+    data, psi, _, part = small_mixture(seed=seed % 1000, n=30 * n_components,
+                                       q=q, n_components=n_components)
+    free = [j for j in range(n_components) if j != psi.reference_class]
+    lams = [lam] * n_components
+    grams = []
+    build = pm.gating.build_gating_workspace
+
+    def spied(*args):
+        system = build(*args)
+        grams.append(system[0])
+        return system
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm.gating, "build_gating_workspace", spied)
+        ridge = pm.coordinate_descent_alphas(
+            data.Omega, psi.alpha, part, lams, None, psi.reference_class)
+    s, vecs = np.linalg.eigh(grams[-1] + lam * np.eye(grams[-1].shape[0]))
+    d = fraction * s[0]
+    liu = pm.coordinate_descent_alphas(data.Omega, psi.alpha, part, lams,
+                                       [d] * n_components,
+                                       psi.reference_class)
+    factors = (s - d) / s
+    assert np.all((factors >= 0.0) & (factors <= 1.0))
+    expected = factors * (vecs.T @ ridge[free].ravel())
+    got = vecs.T @ liu[free].ravel()
+    scale = 1.0 + np.max(np.abs(ridge))
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-10 * scale)
+    assert np.all(liu[psi.reference_class] == 0.0)
 
 
 # Row-major oracles: the observation-major (n, J) forms of the gate's

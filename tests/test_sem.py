@@ -310,7 +310,7 @@ def test_handed_over_gate_log_softmax_equals_recomputed(method):
     data, truth, _, part = small_mixture(seed=9, n=50, q=3, n_components=3)
     tuning = pm.TuningParams(lambda_beta=[0.5, 0.9, 0.7],
                              lambda_alpha=[0.7, 1.1, 0.4],
-                             d_beta=[0.1, -0.2, 0.3], d_alpha=[0.2, 0.1, -0.1])
+                             d_beta=[0.1, 0.2, 0.3], d_alpha=[0.2, 0.1, 0.05])
     log_pi = pm.gating.gating_log_probabilities(data.Omega, truth.alpha)
     tau, loglik = pm.e_step(data, truth, log_pi)
     tau_fresh, loglik_fresh = pm.e_step(data, truth)

@@ -43,6 +43,27 @@ def test_fit_compare_of_a_checkout_with_itself_reads_all_identical(
     assert lines[-1].endswith("bit-identical")
 
 
+def test_fit_compare_summary_of_a_checkout_with_itself_reads_the_same(
+        tiny_study):
+    done = run_tool("fit_compare.py", tiny_study, ROOT, ROOT, "--summary")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.strip().splitlines()
+    rows = [line for line in lines[lines.index(
+        "method block M L U (base | new)") + 1:] if " | " in line]
+    assert [row.split()[0] for row in rows] == [
+        method for method in METHODS for _ in pm.replication.BLOCKS]
+    for row in rows:
+        base, new = row.split(" | ")
+        assert base.split()[2:] == new.split()
+    chains = [line.split() for line in lines if line.startswith("chains ")]
+    assert {fields[1] for fields in chains} == set(METHODS)
+    for _, method, end, base, new in chains:
+        assert base == new and int(base) > 0
+    for method in METHODS:  # one chain per replicate and restart
+        assert sum(int(fields[3]) for fields in chains
+                   if fields[1] == method) == 2
+
+
 def test_gate_replay_of_a_checkout_with_itself_reports_no_difference(
         tiny_study):
     done = run_tool("gate_replay.py", tiny_study, ROOT, ROOT)

@@ -27,6 +27,12 @@ def mse_inputs(X, weights, lam, target, mean_vec):
             target)
 
 
+def restricted_bound(gram, lam):
+    """max(lambda_min(S), 0), S = gram + lam I, from the eigenvalues the
+    optimizer itself computes."""
+    return max(lam + float(np.linalg.eigh(gram)[0][0]), 0.0)
+
+
 def test_lambda_plugin_values():
     psi = pm.Coefficients(beta=np.array([[1.0, 1.0]]),
                           alpha=np.zeros((1, 1)))
@@ -56,26 +62,26 @@ def test_lambda_plugin_scale_covariance():
 
 
 def test_lt_mse_beta_identity_matrix_oracle():
-    # X = I, W = 1 gives A = I; with lam = 1 the shrink matrix is
-    # (1 - d)/4 * I, so trace Var = p (1-d)^2 / 16 and the mean is
-    # (1 - d)/4 * m.
+    # X = I, W = 1 gives A = I; with lam = 1, S = 2I and the shrink
+    # matrix S^-1 (S - dI) S^-1 is (2 - d)/4 * I, so trace Var =
+    # p (2-d)^2 / 16 and the mean is (2 - d)/4 * m.
     p = 3
     X = np.eye(p)
     weights = np.ones(p)
     m = np.array([1.0, 2.0, 3.0])
     target = np.array([0.5, -0.2, 0.1])
-    for d in (0.0, 0.7, -2.0):
-        expected = p * (1 - d) ** 2 / 16.0 \
-            + float(np.sum(((1 - d) / 4.0 * m - target) ** 2))
+    for d in (0.0, 0.7, 2.0):
+        expected = p * (2 - d) ** 2 / 16.0 \
+            + float(np.sum(((2 - d) / 4.0 * m - target) ** 2))
         assert pm.lt_mse_beta(d, X, weights, 1.0, target, m) == \
             pytest.approx(expected, rel=1e-12)
 
 
 def test_lt_mse_beta_zero_d_is_ridge_pattern():
+    # At d = 0 the Liu-type estimator is the ridge solve S^-1 rhs.
     X, weights, lam, target, mean_vec = random_mse_instance(3)
     gram = X.T @ (weights[:, None] * X)
-    S_inv = np.linalg.inv(gram + lam * np.eye(X.shape[1]))
-    shrink = S_inv @ gram @ S_inv
+    shrink = np.linalg.inv(gram + lam * np.eye(X.shape[1]))
     expected = float(np.trace(shrink @ gram @ shrink.T)) \
         + float(np.sum((shrink @ (X.T @ (weights * mean_vec)) - target) ** 2))
     assert pm.lt_mse_beta(0.0, X, weights, lam, target, mean_vec) == \
@@ -83,14 +89,14 @@ def test_lt_mse_beta_zero_d_is_ridge_pattern():
 
 
 def test_lt_mse_alpha_scalar_oracle():
-    # One gating covariate: A = sum(w), S = A + lam, B = (A - d)/S^2.
+    # One gating covariate: A = sum(w), S = A + lam, B = (S - d)/S^2.
     Omega = np.ones((4, 1))
     weights = np.array([0.1, 0.2, 0.15, 0.05])
     pi_plugin = np.array([0.3, 0.6, 0.5, 0.2])
     lam, d = 0.8, 1.7
     A = weights.sum()
     m = float(weights @ pi_plugin)
-    B = (A - d) / (A + lam) ** 2
+    B = (A + lam - d) / (A + lam) ** 2
     expected = B * A * B + (B * m - 0.4) ** 2
     assert pm.lt_mse_alpha(d, Omega, weights, lam, np.array([0.4]),
                            pi_plugin) == pytest.approx(expected, rel=1e-12)
@@ -110,9 +116,11 @@ def test_mse_is_exactly_quadratic(seed):
     for d in (2.0, -3.5, 7.25):
         assert a * d * d + b * d + c == pytest.approx(mse(d), rel=1e-9)
     assert a > 0
-    d_star = pm.optimize_bias_correction(*mse_inputs(X, weights, lam, target,
-                                                     mean_vec))
-    assert d_star == pytest.approx(-b / (2 * a), rel=1e-8)
+    inputs = mse_inputs(X, weights, lam, target, mean_vec)
+    d_star = pm.optimize_bias_correction(*inputs)
+    upper = restricted_bound(inputs[0], lam)
+    assert d_star == pytest.approx(float(np.clip(-b / (2 * a), 0.0, upper)),
+                                   rel=1e-8)
 
 
 def test_quadratic_interpolation_predicts_held_out_point():
@@ -129,12 +137,13 @@ def test_quadratic_interpolation_predicts_held_out_point():
 
 
 def test_optimize_known_parabola():
-    # X = I, W = 1, lam = 1: MSE(d) = p (1-d)^2/16 + ||(1-d) m/4 - t||^2,
-    # minimized at d = 1 - 4 m.t / (p + ||m||^2) = 1 - 1.6/17 = 77/85.
+    # X = I, W = 1, lam = 1: MSE(d) = p (2-d)^2/16 + ||(2-d) m/4 - t||^2,
+    # minimized at d = 2 - 4 m.t / (p + ||m||^2) = 2 - 1.6/17 = 162/85,
+    # inside [0, lambda_min(S)] = [0, 2].
     m = np.array([1.0, 2.0, 3.0])
     target = np.array([0.5, -0.2, 0.1])
     d_star = pm.optimize_bias_correction(np.eye(3), 1.0, m, target)
-    assert d_star == pytest.approx(77.0 / 85.0, rel=1e-13)
+    assert d_star == pytest.approx(162.0 / 85.0, rel=1e-13)
 
 
 def test_optimize_flat_mse_gives_zero():
@@ -162,16 +171,16 @@ def test_optimize_raises_on_nonfinite():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_closed_form_matches_dense_grid(seed):
+    # The minimizer over the restricted interval [0, lambda_min(S)].
     X, weights, lam, target, mean_vec = random_mse_instance(seed + 100)
 
     def mse(d):
         return pm.lt_mse_beta(d, X, weights, lam, target, mean_vec)
 
     gram = X.T @ (weights[:, None] * X)
-    bound = 10.0 * (lam + float(np.linalg.norm(gram, 2))) + 1.0
     d_star = pm.optimize_bias_correction(*mse_inputs(X, weights, lam, target,
                                                      mean_vec))
-    grid = np.linspace(-bound, bound, 10_000)
+    grid = np.linspace(0.0, restricted_bound(gram, lam), 10_000)
     cell = grid[1] - grid[0]
     best = grid[int(np.argmin([mse(float(g)) for g in grid]))]
     assert abs(d_star - best) <= cell
@@ -288,3 +297,37 @@ def test_overflowing_mean_vector_raises_without_a_warning():
         with pytest.raises(TuningFailed):
             pm.optimize_bias_correction(stack, np.array([0.5, 0.5]),
                                         mean_vec, np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_optimize_stays_in_the_restricted_interval(seed):
+    # d lies in [0, max(lam + g_min, 0)], every eigen-factor (s - d)/s of
+    # the estimator in [0, 1], also for a singular Gram at lam = 1e-12,
+    # where lam + g_min rounds below 0 for some seeds and d must be 0.
+    gen = np.random.default_rng(seed)
+    A = 100.0 * gen.normal(size=(20, 3))
+    A[:, 2] = A[:, 0] - A[:, 1]
+    weights = np.exp(gen.normal(size=20))
+    gram = A.T @ (weights[:, None] * A)
+    mean_vec = A.T @ (weights * np.exp(gen.normal(size=20)))
+    target = gen.normal(size=3)
+    for lam in (1e-12, 0.3, 50.0):
+        d_star = pm.optimize_bias_correction(gram, lam, mean_vec, target)
+        upper = restricted_bound(gram, lam)
+        assert 0.0 <= d_star <= upper
+        if lam + np.linalg.eigh(gram)[0][0] < 0.0:
+            assert d_star == 0.0
+    # Unclipped, these minimizers fall on either side of the interval.
+    stack = np.array([np.eye(2), np.eye(2)])
+    below, above = pm.optimize_bias_correction(
+        stack, np.array([1.0, 1.0]), np.array([[4.0, 4.0], [0.1, 0.1]]),
+        np.array([[9.0, 9.0], [-1.0, -1.0]]))
+    assert (below, above) == (0.0, 2.0)
+
+
+def test_tuning_params_refuse_a_negative_bias_correction():
+    for d_beta, d_alpha in (([-0.1, 0.2], [0.0, 0.1]),
+                            ([0.1, 0.2], [0.0, -1e-300])):
+        with pytest.raises(ValueError, match="non-negative"):
+            pm.TuningParams(lambda_beta=[0.5, 0.5], lambda_alpha=[0.5, 0.5],
+                            d_beta=d_beta, d_alpha=d_alpha)

@@ -1,13 +1,14 @@
 """Compare every fit a replication study makes in two checkouts.
 
     python3 tools/fit_compare.py CONFIG.json BASE_CHECKOUT NEW_CHECKOUT \
-        [--tolerance 1e-10]
+        [--tolerance 1e-10] [--summary]
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. The study runs once per checkout, each in a child process
 (``fit_compare.py --dump CHECKOUT CONFIG.json``, which prints one JSON
 record per fit, then one with the study's ``summaries``,
-``replicate_rows`` and ``failure_fraction``) that imports ``poismoe``
+``replicate_rows`` and ``failure_fraction``, then one with the count of
+chain ends per method) that imports ``poismoe``
 from that checkout's ``src``; ``jobs`` is forced to 1. Fits are paired
 by replicate and method (``truth`` is the heart truth fit). For each pair one line reports
 
@@ -26,6 +27,21 @@ convergence flag, or a relative difference above ``--tolerance``. A
 last line says whether the study outputs match bit for bit. The exit
 code is 1 if any pair diverged or the study outputs differ. Two
 checkouts make byte-identical fits when every line reads ``=``.
+
+``--summary`` adds the Monte-Carlo view of the two runs. One line per
+method and block of the study ``summaries``
+
+    <method> <block> <M> <L> <U> | <M> <L> <U>
+
+gives the median and the 5th/95th percentiles over the replicates, base
+then new. One line per method and chain end
+
+    chains <method> <end> <base count> <new count>
+
+counts how the chains of every restart ended: ``epsilon`` (the
+log-likelihood stop), ``cap`` (``max_iters``) or the type of the
+interruption, such as ``EmptyPartition``; ``truth`` counts the heart
+truth fit's chains.
 """
 from __future__ import annotations
 
@@ -82,12 +98,31 @@ def dump(checkout: Path, config_path: Path) -> int:
                    result.failures.get(method, "failed"))
         return result
 
+    in_truth = [False]
+    chain_ends: dict[str, dict[str, int]] = {}
+    run_chain = pm.sem._run_chain
+
     def truth(*call_args, **kwargs):
-        fit = fit_method(*call_args, **kwargs)
+        in_truth[0] = True
+        try:
+            fit = fit_method(*call_args, **kwargs)
+        finally:
+            in_truth[0] = False
         record("truth", call_args[3], fit, "")
         return fit
 
+    def counted_chain(*call_args, **kwargs):
+        outcome = run_chain(*call_args, **kwargs)
+        end = ("epsilon" if outcome.converged else
+               outcome.interruption.split(":")[0] if outcome.interruption
+               else "cap")
+        ends = chain_ends.setdefault(
+            "truth" if in_truth[0] else call_args[3], {})
+        ends[end] = ends.get(end, 0) + 1
+        return outcome
+
     replication.fit_all_methods, replication.fit_method = replicate, truth
+    pm.sem._run_chain = counted_chain
     result = pm.run_replication_study(config)
     # json writes each float as its shortest round-trip repr, so equal
     # records mean bit-equal values.
@@ -96,22 +131,53 @@ def dump(checkout: Path, config_path: Path) -> int:
                       for method, block, summary in result.summaries],
         "replicate_rows": result.replicate_rows,
         "failure_fraction": result.failure_fraction}}))
+    print(json.dumps({"chains": chain_ends}))
     return 0
 
 
-def run_checkout(checkout: Path, config_path: Path) -> tuple[dict, str]:
-    """The checkout's fits by (replicate, method), and its study record."""
+def run_checkout(checkout: Path,
+                 config_path: Path) -> tuple[dict, str, dict]:
+    """The checkout's fits by (replicate, method), its study record and
+    its chain ends by method."""
     done = subprocess.run(
         [sys.executable, __file__, "--dump", str(checkout), str(config_path)],
         capture_output=True, text=True, check=True)
-    fits, study = {}, ""
+    fits, study, chains = {}, "", {}
     for line in done.stdout.splitlines():
         if line.startswith('{"study"'):
             study = line
+        elif line.startswith('{"chains"'):
+            chains = json.loads(line)["chains"]
         elif line.startswith("{"):
             entry = json.loads(line)
             fits[(entry["replicate"], entry["method"])] = entry
-    return fits, study
+    return fits, study, chains
+
+
+def monte_carlo_summary(base_study: str, new_study: str, base_chains: dict,
+                        new_chains: dict) -> list[str]:
+    """The ``--summary`` lines: M/L/U per method and block, base | new,
+    then chain ends per method."""
+    def by_key(study: str) -> dict:
+        summaries = json.loads(study)["study"]["summaries"] if study else []
+        return {(method, block): summary
+                for method, block, summary in summaries}
+
+    def columns(summary) -> str:
+        return ("- - -" if summary is None else
+                " ".join(f"{summary[k]:.4g}" for k in ("M", "L", "U")))
+
+    base, new = by_key(base_study), by_key(new_study)
+    lines = ["method block M L U (base | new)"]
+    for key in dict.fromkeys([*base, *new]):  # the study's order
+        lines.append(f"{' '.join(key)} {columns(base.get(key))} | "
+                     f"{columns(new.get(key))}")
+    for method in sorted(base_chains.keys() | new_chains.keys()):
+        a, b = base_chains.get(method, {}), new_chains.get(method, {})
+        for end in sorted(a.keys() | b.keys()):
+            lines.append(f"chains {method} {end} {a.get(end, 0)} "
+                         f"{b.get(end, 0)}")
+    return lines
 
 
 def relative_difference(base: np.ndarray, new: np.ndarray) -> float:
@@ -185,14 +251,20 @@ def main(argv=None) -> int:
     parser.add_argument("base", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("--tolerance", type=float, default=1e-10)
+    parser.add_argument("--summary", action="store_true")
     args = parser.parse_args(argv)
-    base, base_study = run_checkout(args.base.resolve(), args.config)
-    new, new_study = run_checkout(args.new.resolve(), args.config)
+    base, base_study, base_chains = run_checkout(args.base.resolve(),
+                                                 args.config)
+    new, new_study, new_chains = run_checkout(args.new.resolve(),
+                                              args.config)
     lines, diverged = compare(base, new, args.tolerance)
     same_study = bool(base_study) and base_study == new_study
     lines.append("study outputs (summaries, replicate_rows, "
                  "failure_fraction): "
                  + ("bit-identical" if same_study else "differ"))
+    if args.summary:
+        lines += monte_carlo_summary(base_study, new_study, base_chains,
+                                     new_chains)
     print("\n".join(lines))
     return 1 if diverged or not same_study else 0
 

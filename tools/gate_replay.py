@@ -24,9 +24,10 @@ ML), and one line per group reports
     largest gate-probability gap.
 
 F is the assignment log-likelihood minus 1/2 sum(lam alpha^2) over the
-free rows, computed here with numpy from the returned rows; for
-Liu-type calls it leaves out the anchor term, so their objective gap
-only describes the ridge part. Two checkouts that ascend alike report
+free rows, computed here with numpy from the returned rows. That is the
+objective every ascent maximizes; a Liu-type call maximizes it and then
+shrinks the result by one Liu-type step, so its F is the ridge
+objective at the shrunk rows. Two checkouts that ascend alike report
 every call bit-identical and every gap 0. The exit code is 1 when the
 base replay does not reproduce the recorded results bit for bit (the
 replay would not be faithful), else 0.
