@@ -45,10 +45,12 @@ so a reduction over classes runs over J contiguous rows; only
 """
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .linalg import outer_basis, penalized_wls_solve, rowwise_product
 
 if TYPE_CHECKING:
@@ -197,13 +199,14 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     Liu-type call runs the ridge ascent with its ``lam`` and then takes
     one Liu-type step from the ridge result alpha_r on the last Newton
     system built, ``alpha_r - S^-1 (d * alpha_r)`` with S that system's
-    ``gram + diag(lam)`` (``penalized_wls_solve`` with ``ridge``).
+    ``gram + diag(lam)``, one ``penalized_wls_solve`` of ``d * alpha_r``.
 
     The objective F is the penalized assignment log-likelihood
     ``q1_value + penalty_value``. One log-softmax per iterate serves both
     F and the next step's system. A step that lowers F is halved toward
     the current rows up to 10 times; if it never recovers, the current
-    rows are kept and the ascent ends. The Newton decrement
+    rows are kept and the ascent ends; a trial whose F is not finite
+    raises :class:`NumericalFailure` instead. The Newton decrement
     ``delta = 1/2 * step' (gram + diag(lam)) step`` of each full step,
     against the tolerance ``inner_tol * (1 + |F|)`` with F at the
     current rows, ends the ascent by the rules R1-R3 of the module
@@ -252,6 +255,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
             trial_log_pi = gating_log_probabilities(Omega, trial)
             trial_q1 = q1_value(trial_log_pi, picks)
             value = trial_q1 + penalty_value(proposal, lam)
+            if not math.isfinite(value):
+                raise NumericalFailure("gate objective is not finite")
             if value >= baseline:
                 break
             proposal = 0.5 * (proposal + coef)
@@ -267,9 +272,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                                      inner_max - taken):
             break
     if d is not None and inner_max > 0:
-        coef = penalized_wls_solve(
-            gram, None, lam, np.repeat(np.asarray(d, dtype=float)[free], q),
-            ridge=coef)
+        coef = coef - penalized_wls_solve(
+            gram, np.repeat(np.asarray(d, dtype=float)[free], q) * coef, lam)
         log_pi = None
     alpha[free] = coef.reshape(len(free), q)
     alpha[reference] = 0.0

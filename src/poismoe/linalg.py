@@ -34,10 +34,9 @@ def rowwise_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ matrix)[:, 0]
 
 
-def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray | None,
+def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
                         lam: float | np.ndarray | None = None,
-                        d: float | np.ndarray | None = None, *,
-                        ridge: np.ndarray | None = None) -> np.ndarray:
+                        d: float | np.ndarray | None = None) -> np.ndarray:
     """Solve the IRWLS normal equations of the ML, ridge or Liu-type update.
 
     ``lam=None`` is ML: ``gram @ b = rhs``. Otherwise every coordinate
@@ -47,9 +46,9 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray | None,
     estimator here (Liu 2003): ``b_LT = b_r - S^-1 (d * b_r)``, that is
     ``S^-1 (S - D) b_r`` with D = diag(d). For a scalar d each
     coordinate of ``b_r`` in the eigenbasis of S is scaled by (s - d)/s,
-    which lies in [0, 1] for 0 <= d <= s[0]. ``ridge``, when given, is a ridge result the caller
-    already has (the gate's ridge ascent, :mod:`~poismoe.gating`), and
-    replaces ``S^-1 rhs``; ``rhs`` is then not read.
+    which lies in [0, 1] for 0 <= d <= s[0]. A caller that already has
+    its ridge result b_r (the gate's ridge ascent, :mod:`~poismoe.gating`)
+    takes the same step as ``b_r - penalized_wls_solve(gram, d * b_r, lam)``.
 
     ``gram`` is one (F, F) system with ``rhs`` of length F, or a stack
     (J, F, F) of independent systems with ``rhs`` (J, F). ``lam`` and
@@ -83,7 +82,7 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray | None,
     def solve(vector: np.ndarray) -> np.ndarray:
         return (vecs @ (vecs_t @ vector[..., None] / s))[..., 0]
 
-    solution = solve(rhs) if ridge is None else ridge
+    solution = solve(rhs)
     if d is not None:
         solution = solution - solve(d * solution)
     if not np.isfinite(solution).all():

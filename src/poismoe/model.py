@@ -21,20 +21,16 @@ from .errors import DimensionError, NumericalFailure
 from .gating import gating_log_probabilities, log_sum_exp
 from .linalg import outer_basis
 
-# Poisson means are kept inside [MU_MIN, MU_MAX]: poisson_means returns
-# exactly MU_MAX for a linear predictor eta > ETA_MAX and exactly MU_MIN for
-# a mean exp(eta) below MU_MIN, and its warning counts those entries.
-# ETA_MAX caps the exponent so exp() cannot overflow. The log-likelihood
-# (_log_terms) clips eta itself into [ETA_FLOOR, ETA_MAX];
-# ETA_FLOOR bounds the linear predictor below so products like y * eta stay
-# finite for any finite coefficients.
-MU_MIN = 1e-300
-MU_MAX = 1e300
-ETA_MAX = float(np.log(MU_MAX))
+# ETA_MAX, the log of a 1e300 mean, is the largest linear predictor a chain
+# may use: poisson_means raises NumericalFailure above it. The log-likelihood
+# (_log_terms) clips eta itself into [ETA_FLOOR, ETA_MAX]; ETA_FLOOR bounds
+# the linear predictor below so products like y * eta stay finite for any
+# finite coefficients.
+ETA_MAX = float(np.log(1e300))
 ETA_FLOOR = -1e12
 
 __all__ = [
-    "MU_MIN", "MU_MAX", "ETA_MAX",
+    "ETA_MAX",
     "Dataset", "Coefficients", "PartitionState", "MixtureSpec",
     "SemOptions", "TuningParams", "FitResult",
     "observed_loglik", "e_step", "responsibilities", "draw_labels",

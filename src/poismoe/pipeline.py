@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FitFailed
+from .errors import PoismoeError
 from .gating import gating_probabilities
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
                     SemOptions, TuningParams, observed_loglik)
@@ -84,9 +84,10 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
 
     With ``raise_on_failure=False`` a failed stage, and every stage
     after it, is recorded in ``result.failures`` instead of raising,
-    which is what the replication harness wants. A failed stage's entry
-    is the ``FitFailed`` message followed by the reason each restart
-    failed, joined by `` | ``.
+    which is what the replication harness wants. Any ``PoismoeError`` of
+    a stage, its set-up included (ridge anchors whose means overflow),
+    fails it. Its entry is the error's type and message, for
+    ``FitFailed`` followed by each restart's reason, joined by `` | ``.
     """
     for method in methods:
         if method not in METHODS:
@@ -94,7 +95,7 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     last = max((METHODS.index(method) for method in methods), default=0)
     result = PipelineResult()
     for stage, method in enumerate(METHODS[:last + 1]):
-        tuning = retune = None
+        tuning = retune = plugin = None
         if stage > 0:
             source = METHODS[stage - 1]
             plugin = result.fit_for(source)
@@ -102,19 +103,21 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                 label = "ML" if source == "ml" else source
                 result.failures[method] = f"prerequisite {label} fit failed"
                 continue
-            tuning = estimate_ridge_lambdas(plugin.psi_hat, source=source)
-            if method == "lt":
-                retune = _make_retuner(data, tuning, plugin.psi_hat)
         stage_opts = replace(opts, rng_seed=_stage_seed(opts.rng_seed, stage))
         try:
+            if plugin is not None:
+                tuning = estimate_ridge_lambdas(plugin.psi_hat, source=source)
+                if method == "lt":
+                    retune = _make_retuner(data, tuning, plugin.psi_hat)
             setattr(result, method, run_sem(data, spec, stage_opts,
                                             method=method, tuning=tuning,
                                             retune=retune))
-        except FitFailed as exc:
+        except PoismoeError as exc:
             if raise_on_failure:
                 raise
             result.failures[method] = " | ".join(
-                [f"{type(exc).__name__}: {exc}", *exc.diagnostics])
+                [f"{type(exc).__name__}: {exc}",
+                 *getattr(exc, "diagnostics", ())])
     return result
 
 

@@ -12,11 +12,11 @@ and are exactly zero on the rows it was not assigned, so one stacked
 product against the design's outer-product basis (``Dataset.X_outer``,
 :func:`~poismoe.linalg.rowwise_product`) forms every component's Gram,
 one more forms every right-hand side, and one stacked solve updates
-every beta.
+every beta. No mean is clamped: a NaN linear predictor or one above
+``model.ETA_MAX`` raises NumericalFailure, which ends the chain.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyPartition, NumericalFailure
 from .linalg import penalized_wls_solve, rowwise_product
-from .model import ETA_MAX, MU_MAX, MU_MIN
+from .model import ETA_MAX
 
 if TYPE_CHECKING:
     from .model import Dataset, PartitionState
@@ -37,35 +37,25 @@ __all__ = [
 ]
 
 
-def _clamped_exp(eta: np.ndarray) -> np.ndarray:
-    """exp(eta) clamped into [MU_MIN, MU_MAX]; warns when clamping."""
-    mu = np.exp(np.minimum(eta, ETA_MAX))
-    if np.isnan(mu).any():
-        raise NumericalFailure("linear predictor is NaN")
-    over = eta > ETA_MAX
-    under = mu < MU_MIN
-    clamped = np.count_nonzero(over | under)
-    if clamped:
-        warnings.warn(f"{clamped} Poisson mean(s) clamped into "
-                      f"[{MU_MIN:g}, {MU_MAX:g}]", RuntimeWarning, stacklevel=3)
-        mu[over] = MU_MAX
-        mu[under] = MU_MIN
-    return mu
+def _checked_exp(eta: np.ndarray) -> np.ndarray:
+    """exp(eta); a NaN eta, or one above ETA_MAX, raises NumericalFailure."""
+    if not (eta <= ETA_MAX).all():  # a NaN compares False
+        raise NumericalFailure(
+            "linear predictor is NaN" if np.isnan(eta).any() else
+            f"Poisson mean overflows: linear predictor above {ETA_MAX:.6g}")
+    return np.exp(eta)
 
 
 def poisson_means(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """exp(beta . x) for every row x of ``X``, clamped into [MU_MIN, MU_MAX];
-    warns when clamping.
+    """exp(beta . x) for every row x of ``X``.
 
     ``beta`` is one coefficient vector, giving an (n,) vector, or a stack
-    (J, p), giving the class-major (J, n) means. An entry with
-    eta > ETA_MAX comes back as exactly MU_MAX, and one whose exp falls
-    below MU_MIN as exactly MU_MIN; the warning counts those entries.
-    Means in range are exp(eta) unchanged. A NaN eta raises
-    :class:`NumericalFailure`. The log-likelihood does not use these
-    means; it clips eta itself (``model._log_terms``).
+    (J, p), giving the class-major (J, n) means. A NaN eta, or one above
+    ``model.ETA_MAX`` (a mean past 1e300), raises :class:`NumericalFailure`;
+    a very negative eta gives its exp, down to 0. The log-likelihood does
+    not use these means; it clips eta itself (``model._log_terms``).
     """
-    return _clamped_exp(np.asarray(beta, dtype=float) @ X.T)
+    return _checked_exp(np.asarray(beta, dtype=float) @ X.T)
 
 
 @dataclass(frozen=True)
@@ -91,9 +81,9 @@ def build_workspace(data: "Dataset", part: "PartitionState",
     This is the only builder of beta systems: every M-step and the warm
     start of every chain (:func:`~poismoe.sem.initialize`) solve what it
     returns. The linear predictor is zeroed outside a component's rows
-    before the means are taken, so there mu is 1, nothing clamps and
-    nothing overflows, and the clamp warning counts the components' own
-    rows only.
+    before the means are taken, so there mu is 1 and nothing overflows:
+    only a component's own rows can end the chain with the
+    :class:`NumericalFailure` of an overflowing mean.
     """
     beta_t = np.asarray(beta_t, dtype=float)
     rows = part.assignment == np.arange(beta_t.shape[0])[:, None]
@@ -101,7 +91,7 @@ def build_workspace(data: "Dataset", part: "PartitionState",
     if empty.size:
         raise EmptyPartition(f"component {empty[0]} received no observations")
     eta = np.where(rows, beta_t @ data.X.T, 0.0)
-    mu = _clamped_exp(eta)
+    mu = _checked_exp(eta)
     weights = mu * rows
     terms = (mu * eta + (data.y - mu)) * rows
     gram = rowwise_product(weights, data.X_outer).reshape(-1, data.p, data.p)

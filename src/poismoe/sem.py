@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyPartition, FitFailed, NumericalFailure, TuningFailed
+from .errors import (DimensionError, EmptyPartition, FitFailed,
+                     NumericalFailure, TuningFailed)
 from .gating import coordinate_descent_alphas, gating_log_probabilities
 from .metrics import align_components
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
@@ -91,7 +92,7 @@ def _fill_empty_groups(assignment: np.ndarray, n_components: int) -> np.ndarray:
     """Move single observations out of the largest group until none is empty."""
     assignment = np.array(assignment, dtype=np.int64)
     if assignment.shape[0] < n_components:
-        raise ValueError("fewer observations than components")
+        raise DimensionError("fewer observations than components")
     counts = np.bincount(assignment, minlength=n_components)
     for j in np.flatnonzero(counts == 0):
         donor = int(counts.argmax())
@@ -109,8 +110,8 @@ def initialize(data: Dataset, spec: MixtureSpec,
     on it from the intercept-only start log(mean y_j + 0.5) by three
     unpenalized stacked M-step updates, ``irwls_beta_step`` of
     ``build_workspace``, the path every later M-step takes. If any of
-    those solves refuses (a degenerate group), every component keeps its
-    intercept-only start. The gating starts at zero.
+    those updates fails (a degenerate group, an overflowing mean), every
+    component keeps its intercept-only start. The gating starts at zero.
     """
     n_components = spec.n_components
     assignment = _fill_empty_groups(
@@ -169,8 +170,8 @@ def _run_chain(data: Dataset, spec: MixtureSpec, opts: SemOptions, method: str,
     Each iterate gets one ``e_step``, whose posterior feeds the next
     S-step. Each M-step's systems are built once, for the retune and the
     update alike, and the gate log-softmax passes from E-step to gate
-    ascent and back without being recomputed. Empty partitions and
-    singular systems end the chain the way the stopping rule would,
+    ascent and back without being recomputed. An interruption (see
+    :func:`run_sem`) ends the chain the way the stopping rule would,
     except ``converged`` stays False and the cause is recorded. A chain
     interrupted before its first completed iteration has nothing to
     select from and counts as a failed restart.
@@ -214,14 +215,19 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     ``retune(data, workspace, log_pi)``, when given, supplies each
     M-step's tuning from the systems of the partition just drawn at the
     current iterate and the iterate's gate log-softmax.
-    Chains that lose a component to an empty stochastic assignment or
-    hit a singular unpenalized system are recorded as failed restarts;
-    if every restart fails a :class:`FitFailed` is raised with the
-    per-restart diagnostics. ``FitResult.tuning`` holds the tuning the
-    selected iteration's M-step used.
+    A chain is interrupted by an empty assignment, a failed retune or a
+    :class:`NumericalFailure`: a singular or indefinite system, an
+    overflowing Poisson mean, a non-finite gate objective or
+    log-likelihood. If every restart fails a :class:`FitFailed` is raised
+    with the per-restart diagnostics; fewer observations than components
+    raise :class:`DimensionError` before any chain runs.
+    ``FitResult.tuning`` holds the tuning the selected iteration's M-step
+    used.
     """
     if method not in ("ml", "ridge", "lt"):
         raise ValueError(f"unknown method {method!r}")
+    if data.n < spec.n_components:
+        raise DimensionError("fewer observations than components")
     best: tuple[float, Coefficients, int, _ChainOutcome] | None = None
     failures: list[str] = []
     for restart in range(opts.n_restarts):

@@ -646,3 +646,20 @@ def test_q1_gradient_matches_finite_differences(make_shrinkage):
             fd[k] = (objective(a_free + delta) - objective(a_free - delta)) \
                 / (2 * step)
         assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0) < 1e-5
+
+
+def test_non_finite_trial_objective_is_a_numerical_failure(monkeypatch):
+    # Make the trial's scores overflow (inf - inf in the log-softmax gives
+    # NaN): the ascent must end with a typed failure, not halve the step
+    # ten times and silently keep the current rows.
+    data, truth, _, part = small_mixture(seed=2)
+    alpha = np.zeros_like(truth.alpha)
+    log_pi = gating_log_probabilities(data.Omega, alpha)
+    honest = pm.gating.gating_log_probabilities
+    monkeypatch.setattr(pm.gating, "gating_log_probabilities",
+                        lambda Omega, coef: honest(Omega * 1e308, coef))
+    for lam in (None, np.full(2, 0.5)):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalFailure, match="gate objective"):
+            pm.coordinate_descent_alphas(data.Omega, alpha, part, lam, None,
+                                         0, log_pi=log_pi.copy())

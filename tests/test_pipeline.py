@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,3 +50,43 @@ def test_stages_run_up_to_the_last_requested_method():
     assert lt.tuning.source == "ridge"
     with pytest.raises(ValueError, match="unknown method"):
         pm.fit_method(data, SPEC, OPTS, "lasso")
+
+
+def test_fewer_observations_than_components_fail_every_stage_typed():
+    data, _, _ = single_component_data(n=2)
+    spec = pm.MixtureSpec(n_components=3)
+    result = pm.fit_all_methods(data, spec, OPTS, raise_on_failure=False)
+    assert (result.ml, result.ridge, result.lt) == (None, None, None)
+    assert result.failures == {
+        "ml": "DimensionError: fewer observations than components",
+        "ridge": "prerequisite ML fit failed",
+        "lt": "prerequisite ridge fit failed",
+    }
+    with pytest.raises(pm.DimensionError):
+        pm.fit_all_methods(data, spec, OPTS)
+
+
+def test_overflowing_anchor_means_fail_the_liu_type_stage(monkeypatch):
+    # A ridge fit whose Poisson means overflow on the data cannot anchor
+    # the Liu-type tuning: that stage records the typed failure of its
+    # set-up instead of letting it escape.
+    data, _, _ = single_component_data(seed=4)
+    run_sem = pm.pipeline.run_sem
+
+    def ridge_runs_away(*args, **kwargs):
+        fit = run_sem(*args, **kwargs)
+        if kwargs["method"] == "ridge":
+            beta = fit.psi_hat.beta.copy()
+            beta[:, 1] = 1e3
+            fit = replace(fit, psi_hat=replace(fit.psi_hat, beta=beta))
+        return fit
+
+    monkeypatch.setattr(pm.pipeline, "run_sem", ridge_runs_away)
+    result = pm.fit_all_methods(data, SPEC, OPTS, raise_on_failure=False)
+    assert result.ml is not None and result.ridge is not None
+    assert result.lt is None
+    assert list(result.failures) == ["lt"]
+    assert result.failures["lt"].startswith(
+        "NumericalFailure: Poisson mean overflows")
+    with pytest.raises(pm.NumericalFailure, match="overflows"):
+        pm.fit_all_methods(data, SPEC, OPTS)

@@ -8,7 +8,7 @@ import scipy.optimize
 import poismoe as pm
 from poismoe.errors import EmptyPartition, NumericalFailure, SingularSystem
 from poismoe.linalg import penalized_wls_solve
-from poismoe.model import MU_MAX, MU_MIN
+from poismoe.model import ETA_MAX
 
 from conftest import single_component_data
 
@@ -63,16 +63,27 @@ def test_poisson_mean_values():
         pytest.approx(math.exp(-3.15), rel=1e-12)
 
 
-def test_poisson_mean_clamps_and_warns():
-    with pytest.warns(RuntimeWarning):
-        mu = pm.poisson_means(np.array([[1.0]]), np.array([1000.0]))
-    assert mu.tolist() == [MU_MAX]
+def test_poisson_mean_overflow_is_a_numerical_failure():
+    # No clamp: a mean past exp(ETA_MAX) ends the chain as a typed
+    # interruption, and the largest usable one is exp(ETA_MAX) itself.
+    assert pm.poisson_means(np.array([[1.0]]), np.array([ETA_MAX])).tolist() \
+        == [math.exp(ETA_MAX)]
+    for eta in ([1000.0], [np.nextafter(ETA_MAX, np.inf)],
+                [-1000.0, 3.0, 700.0, -0.5]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="overflows"):
+                pm.poisson_means(np.eye(len(eta)), np.array(eta))
 
 
-def test_poisson_mean_floor_clamps_and_warns():
-    with pytest.warns(RuntimeWarning):
-        mu = pm.poisson_means(np.array([[1.0]]), np.array([-1000.0]))
-    assert mu.tolist() == [MU_MIN]
+def test_poisson_mean_underflow_is_exp_without_warning():
+    # No floor: a very negative linear predictor gives its exp, down to 0.
+    eta = np.array([-1000.0, -700.0, 3.0, -0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = pm.poisson_means(np.eye(eta.size), eta)
+    assert mu.tolist() == [0.0, math.exp(-700.0), math.exp(3.0),
+                           math.exp(-0.5)]
 
 
 def test_poisson_mean_in_range_does_not_warn():
@@ -82,15 +93,6 @@ def test_poisson_mean_in_range_does_not_warn():
         pm.poisson_means(np.array([[1.0, 1.0]]), np.array([1.0, 1.0]))
         pm.poisson_means(np.array([[1.0, 2.0, -1.0]]),
                          np.array([0.85, -1.0, 2.0]))
-
-
-def test_poisson_means_warning_counts_replaced_entries():
-    eta = np.array([1000.0, -1000.0, 3.0, 700.0, -0.5])
-    X = np.diag(np.ones(eta.size))
-    with pytest.warns(RuntimeWarning, match=r"^3 Poisson mean\(s\) clamped"):
-        mu = pm.poisson_means(X, eta)
-    assert mu.tolist() == [MU_MAX, MU_MIN, math.exp(3.0), MU_MAX,
-                           math.exp(-0.5)]
 
 
 def test_nan_linear_predictor_is_a_numerical_failure():
@@ -365,10 +367,10 @@ def test_stacked_solve_refuses_as_the_refused_system_would(method, error,
                             None if d is None else d[j])
 
 
-def test_unassigned_clamped_rows_add_nothing_and_are_not_counted():
+def test_unassigned_overflowing_rows_add_nothing_and_do_not_raise():
     # Component 1's beta sends every mean of rows 0-1 (assigned to 0)
-    # past ETA_MAX and of rows 2-3 below MU_MIN: nothing of it may leak
-    # into component 1's system or the clamp count.
+    # past ETA_MAX and those of rows 2-3 to 0: nothing of it may leak
+    # into component 1's system or end the chain.
     X = np.column_stack([np.ones(6), [3.0, 2.0, -2.0, -3.0, 0.1, 0.2]])
     data = pm.Dataset(y=np.array([1, 4, 0, 2, 3, 1]), X=X,
                       Omega=np.ones((6, 1)))
@@ -385,7 +387,9 @@ def test_unassigned_clamped_rows_add_nothing_and_are_not_counted():
         beta[1:])
     assert np.array_equal(ws.gram[1], alone.gram[0])
     assert np.array_equal(ws.rhs[1], alone.rhs[0])
-    # Assigned rows still clamp and are counted, once per build.
+    # An assigned row whose mean overflows is a NumericalFailure.
     part = pm.PartitionState.from_assignment(np.array([1, 0, 0, 1, 0, 1]), 2)
-    with pytest.warns(RuntimeWarning, match=r"^2 Poisson mean\(s\) clamped"):
-        pm.build_workspace(data, part, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="overflows"):
+            pm.build_workspace(data, part, beta)

@@ -1,7 +1,10 @@
-"""Property tests for the solve, closed-form tuning, gating, labels and relabeling."""
+"""Property tests for the solve, closed-form tuning, gating, labels,
+relabeling, and how small fits end."""
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import poismoe as pm
@@ -10,6 +13,7 @@ from poismoe.gating import (PI_FLOOR, gating_log_probabilities,
                             penalty_value, q1_value)
 from poismoe.linalg import COND_LIMIT, outer_basis, penalized_wls_solve
 from poismoe.model import ETA_FLOOR, ETA_MAX, draw_labels
+from poismoe.pipeline import METHODS
 
 from conftest import small_mixture
 from test_gating import assert_same_gate_system
@@ -409,3 +413,37 @@ def test_labels_equal_row_major_oracle(seed, n, n_components, shrink,
         assert np.bincount(expected, minlength=n_components).min() == 0
     else:
         assert np.array_equal(part.assignment, expected)
+
+
+@settings(max_examples=100)
+@given(seed=seeds, n=st.integers(2, 40), n_components=st.integers(1, 4),
+       p=st.integers(1, 3), q=st.integers(1, 3),
+       log_count=st.floats(0.0, 7.0), duplicated=st.booleans())
+def test_small_fits_end_finite_or_typed(seed, n, n_components, p, q,
+                                        log_count, duplicated):
+    # Small, collinear, heavy-count data: every stage either fits with
+    # finite results or records a PoismoeError, and nothing warns (a
+    # clamped mean or a numpy overflow would raise here).
+    gen = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), gen.normal(size=(n, p - 1))])
+    Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
+    if duplicated:
+        X = np.column_stack([X, X[:, -1]])
+        Omega = np.column_stack([Omega, Omega[:, -1]])
+    y = gen.poisson(10.0 ** (log_count * gen.random(n)))  # up to 1e7
+    data = pm.Dataset(y=y, X=X, Omega=Omega)
+    opts = pm.SemOptions(epsilon=1e-6, max_iters=15, burn_in=2,
+                         n_restarts=1, rng_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = pm.fit_all_methods(data, pm.MixtureSpec(n_components),
+                                    opts, raise_on_failure=False)
+    for method in METHODS:
+        fit = result.fit_for(method)
+        if fit is None:
+            assert result.failures[method]
+        else:
+            assert method not in result.failures
+            assert np.isfinite(fit.psi_hat.beta).all()
+            assert np.isfinite(fit.psi_hat.alpha).all()
+            assert np.isfinite(fit.loglik_trace).all()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import poismoe as pm
-from poismoe.errors import EmptyPartition
+from poismoe.errors import DimensionError, EmptyPartition
 from poismoe.sem import _fill_empty_groups
 
 from conftest import single_component_data, small_mixture
@@ -188,6 +188,16 @@ def test_initialize_falls_back_to_intercepts_when_one_group_is_singular():
     intercepts[:, 0] = [np.log(data.y[assignment == j].mean() + 0.5)
                         for j in range(3)]
     assert np.array_equal(got.beta, intercepts)
+
+
+def test_fewer_observations_than_components_is_a_dimension_error():
+    data, _, _ = single_component_data(n=2)
+    spec = pm.MixtureSpec(3, 0)
+    with pytest.raises(DimensionError, match="fewer observations"):
+        pm.initialize(data, spec, np.random.default_rng(0))
+    opts = pm.SemOptions(epsilon=1e-6, max_iters=3, burn_in=1, n_restarts=2)
+    with pytest.raises(DimensionError, match="fewer observations"):
+        pm.run_sem(data, spec, opts)
 
 
 def test_initialize_single_component_draws_nothing():

@@ -1,9 +1,13 @@
 """Smoke tests of the comparison tools under ``tools/``: a checkout
-compared with itself must report no difference."""
+compared with itself must report no difference, and ``fit_compare.py``
+scores both checkouts of a heart study against one truth."""
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import poismoe as pm
@@ -62,6 +66,62 @@ def test_fit_compare_summary_of_a_checkout_with_itself_reads_the_same(
     for method in METHODS:  # one chain per replicate and restart
         assert sum(int(fields[3]) for fields in chains
                    if fields[1] == method) == 2
+
+
+def write_heart_population(path, rows=80, seed=0):
+    """A Cleveland "processed"-format file: two latent groups whose stage
+    is a Poisson count in ST depression and slope, capped at 4."""
+    gen = np.random.default_rng(seed)
+    lines = []
+    for _ in range(rows):
+        sick = gen.random() < 0.45
+        oldpeak = round(float(gen.gamma(2.5 if sick else 1.2, 0.7)), 1)
+        slope = int(gen.integers(1, 4))
+        eta = (-0.4 + 0.25 * oldpeak + 0.15 * slope if sick
+               else -1.6 + 0.15 * oldpeak + 0.1 * slope)
+        stage = min(4, int(gen.poisson(np.exp(eta))))
+        lines.append(",".join(["63.0", "1.0", "1.0", "145.0", "233.0",
+                               "1.0", "2.0", "150.0", "0.0", str(oldpeak),
+                               f"{slope}.0", "0.0", "6.0", str(stage)]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_fit_compare_scores_both_checkouts_against_the_base_truth(tmp_path):
+    # The variant checkout makes another heart truth fit. Its own truth
+    # line shows that, but its replicates are scored against the base
+    # checkout's truth, so with the same replicate fits the study outputs
+    # match bit for bit.
+    config = pm.replication.config_to_dict(pm.StudyConfig(
+        mode="heart", heart_path=str(write_heart_population(
+            tmp_path / "heart.csv")),
+        train_n=25, test_n=40, replicates=2, seed=3,
+        sem=pm.SemOptions(epsilon=1e-6, max_iters=8, burn_in=2,
+                          n_restarts=1)))
+    del config["truth_sem"]  # the checkout's _truth_fit_options applies
+    config_path = tmp_path / "heart.json"
+    config_path.write_text(json.dumps(config))
+    variant = tmp_path / "variant"
+    shutil.copytree(ROOT / "src", variant / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = variant / "src" / "poismoe" / "replication.py"
+    source = module.read_text()
+    default = ("SemOptions(epsilon=1e-8, max_iters=300, burn_in=100, "
+               "n_restarts=4)")
+    assert default in source
+    module.write_text(source.replace(
+        default, "SemOptions(epsilon=1e-8, max_iters=6, burn_in=1, "
+                 "n_restarts=1)"))
+    done = run_tool("fit_compare.py", config_path, ROOT, variant)
+    assert done.returncode == 1, done.stderr  # the truth fits differ
+    lines = done.stdout.strip().splitlines()
+    truth = [line for line in lines if line.startswith("truth ml ")]
+    assert len(truth) == 1 and truth[0].split()[2] != "=", truth
+    pairs = [line for line in lines if line.split()[0] in ("0", "1")]
+    assert len(pairs) == 6
+    for line in pairs:
+        assert line.split()[2] == "=", line
+    assert lines[-1].endswith("bit-identical"), lines
 
 
 def test_gate_replay_of_a_checkout_with_itself_reports_no_difference(

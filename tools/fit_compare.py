@@ -5,12 +5,17 @@
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. The study runs once per checkout, each in a child process
-(``fit_compare.py --dump CHECKOUT CONFIG.json``, which prints one JSON
-record per fit, then one with the study's ``summaries``,
-``replicate_rows`` and ``failure_fraction``, then one with the count of
-chain ends per method) that imports ``poismoe``
-from that checkout's ``src``; ``jobs`` is forced to 1. Fits are paired
-by replicate and method (``truth`` is the heart truth fit). For each pair one line reports
+(``fit_compare.py --dump CHECKOUT CONFIG.json [TRUTH.json]``, which
+prints one JSON record per fit, then one with the study's
+``summaries``, ``replicate_rows`` and ``failure_fraction``, then one
+with the count of chain ends per method) that imports ``poismoe``
+from that checkout's ``src``; ``jobs`` is forced to 1. The base
+checkout runs first. A heart study's truth is itself an ML fit, so the
+new checkout scores its replicates against the base checkout's truth
+fit (TRUTH.json, its record), and both checkouts are judged against one
+truth; the new checkout's own truth fit is still made and reported.
+Fits are paired by replicate and method (``truth`` is the heart truth
+fit). For each pair one line reports
 
     <replicate> <method> <relative difference> <iterations> <selected> <converged>
 
@@ -50,6 +55,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -61,11 +67,17 @@ BITWISE = ("beta", "alpha", "loglik_trace", "d", "iterations_run",
            "selected_iteration", "converged")
 
 
-def dump(checkout: Path, config_path: Path) -> int:
+def dump(checkout: Path, config_path: Path,
+         truth_path: Path | None = None) -> int:
     """Child mode: run the study with ``checkout``'s sources, print one
-    JSON record per fit."""
+    JSON record per fit. With ``truth_path``, the record of another
+    checkout's truth fit, the replicates are scored against its
+    coefficients instead of this checkout's own truth fit."""
     sys.path.insert(0, str(checkout / "src"))
     import poismoe as pm
+
+    pinned = (None if truth_path is None
+              else json.loads(truth_path.read_text()))
 
     config = replace(pm.load_config(config_path), jobs=1, output_dir=None)
     index = itertools.count()
@@ -109,6 +121,10 @@ def dump(checkout: Path, config_path: Path) -> int:
         finally:
             in_truth[0] = False
         record("truth", call_args[3], fit, "")
+        if pinned is not None:
+            fit = replace(fit, psi_hat=pm.Coefficients(
+                beta=pinned["beta"], alpha=pinned["alpha"],
+                reference_class=fit.psi_hat.reference_class))
         return fit
 
     def counted_chain(*call_args, **kwargs):
@@ -135,13 +151,14 @@ def dump(checkout: Path, config_path: Path) -> int:
     return 0
 
 
-def run_checkout(checkout: Path,
-                 config_path: Path) -> tuple[dict, str, dict]:
+def run_checkout(checkout: Path, config_path: Path,
+                 truth_path: Path | None = None) -> tuple[dict, str, dict]:
     """The checkout's fits by (replicate, method), its study record and
-    its chain ends by method."""
+    its chain ends by method; ``truth_path`` pins the heart truth."""
+    pin = [] if truth_path is None else [str(truth_path)]
     done = subprocess.run(
-        [sys.executable, __file__, "--dump", str(checkout), str(config_path)],
-        capture_output=True, text=True, check=True)
+        [sys.executable, __file__, "--dump", str(checkout), str(config_path),
+         *pin], capture_output=True, text=True, check=True)
     fits, study, chains = {}, "", {}
     for line in done.stdout.splitlines():
         if line.startswith('{"study"'):
@@ -245,7 +262,8 @@ def compare(base: dict, new: dict,
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "--dump":
-        return dump(Path(argv[1]).resolve(), Path(argv[2]))
+        truth_path = Path(argv[3]) if len(argv) > 3 else None
+        return dump(Path(argv[1]).resolve(), Path(argv[2]), truth_path)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", type=Path)
     parser.add_argument("base", type=Path)
@@ -255,8 +273,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, base_study, base_chains = run_checkout(args.base.resolve(),
                                                  args.config)
-    new, new_study, new_chains = run_checkout(args.new.resolve(),
-                                              args.config)
+    with tempfile.TemporaryDirectory() as tmp:
+        truth_path = None
+        truth = base.get(("truth", "ml"))
+        if truth is not None and truth["ok"]:
+            truth_path = Path(tmp) / "truth.json"
+            truth_path.write_text(json.dumps(truth))
+        new, new_study, new_chains = run_checkout(args.new.resolve(),
+                                                  args.config, truth_path)
     lines, diverged = compare(base, new, args.tolerance)
     same_study = bool(base_study) and base_study == new_study
     lines.append("study outputs (summaries, replicate_rows, "
