@@ -68,12 +68,29 @@ def test_poisson_mean_overflow_is_a_numerical_failure():
     # interruption, and the largest usable one is exp(ETA_MAX) itself.
     assert pm.poisson_means(np.array([[1.0]]), np.array([ETA_MAX])).tolist() \
         == [math.exp(ETA_MAX)]
-    for eta in ([1000.0], [np.nextafter(ETA_MAX, np.inf)],
-                [-1000.0, 3.0, 700.0, -0.5]):
+    for eta in (1000.0, np.nextafter(ETA_MAX, np.inf)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailure, match="overflows"):
-                pm.poisson_means(np.eye(len(eta)), np.array(eta))
+                pm.poisson_means(np.array([[1.0]]), np.array([eta]))
+
+
+def test_poisson_means_with_any_overflowing_entry_fail_as_a_whole():
+    # One overflowing entry among usable, underflowing and very negative
+    # ones refuses the whole vector: no entry is replaced or counted.
+    X = np.eye(5)
+    usable = np.array([-1000.0, 3.0, 690.0, -0.5, ETA_MAX])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pm.poisson_means(X, usable).tolist() == \
+            np.exp(usable).tolist()
+    for k in range(5):
+        eta = usable.copy()
+        eta[k] = 1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match="overflows"):
+                pm.poisson_means(X, eta)
 
 
 def test_poisson_mean_underflow_is_exp_without_warning():
