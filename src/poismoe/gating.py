@@ -51,7 +51,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalFailure
-from .linalg import outer_basis, penalized_wls_solve, rowwise_product
+from .linalg import (factored_solve, outer_basis, penalized_wls_solve,
+                     rowwise_product)
 
 if TYPE_CHECKING:
     from .model import PartitionState
@@ -80,18 +81,24 @@ __all__ = [
 ]
 
 
+def _column_log_sum_exp(values: np.ndarray) -> np.ndarray:
+    """:func:`log_sum_exp` as (..., 1, n), ready to broadcast."""
+    peak = values.max(axis=-2, keepdims=True)
+    return peak + np.log(np.exp(values - peak).sum(axis=-2, keepdims=True))
+
+
 def log_sum_exp(values: np.ndarray) -> np.ndarray:
-    """log(sum(exp(values))) over the class axis 0 of a (J, n) array, as
-    an (n,) vector, each column shifted by its maximum so no exp
+    """log(sum(exp(values))) over the class axis -2 of a (..., J, n)
+    array, as (..., n), each column shifted by its maximum so no exp
     overflows (an all -inf column: nan)."""
-    peak = values.max(axis=0)
-    return peak + np.log(np.exp(values - peak).sum(axis=0))
+    return _column_log_sum_exp(values)[..., 0, :]
 
 
 def gating_log_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Log-softmax of the class scores alpha @ Omega.T, class-major (J, n)."""
+    """Log-softmax of the class scores alpha @ Omega.T, class-major (J, n);
+    (B, J, n) for a (B, J, q) batch of chains' rows."""
     scores = np.asarray(alpha, dtype=float) @ Omega.T
-    return scores - log_sum_exp(scores)
+    return scores - _column_log_sum_exp(scores)
 
 
 def gating_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -129,38 +136,63 @@ def build_gating_workspace(Omega: np.ndarray, basis: np.ndarray,
     (:func:`~poismoe.linalg.rowwise_product`), so relabeling the classes
     permutes the blocks bit for bit.
     ``indicator`` is (len(free), n), one row per free class in the order
-    of ``free``, holding 1 where an observation is assigned to that
-    class. ``rhs = gram @ coef + Omega'(indicator - pi)``, so
+    of ``free`` (an index array, or the equivalent slice), holding 1
+    where an observation is assigned to that class.
+    ``rhs = gram @ coef + Omega'(indicator - pi)``, so
     ``rhs - gram @ coef`` is the stacked gradient of the assignment
-    log-likelihood.
+    log-likelihood. With a leading chain axis on ``log_pi``, ``coef``
+    and ``indicator`` the result is every chain's system, (B, F, F) and
+    (B, F), each bit for bit its own call's.
     """
-    pi = np.exp(log_pi[free])
-    m, q = len(free), Omega.shape[1]
-    weights = -(pi[:, None] * pi)
-    pairs = weights.reshape(m * m, -1)
-    pairs[::m + 1] = gate_variance_weights(pi)
-    gram = rowwise_product(pairs, basis).reshape(m, m, q, q)
-    gram = gram.transpose(0, 2, 1, 3)
-    gram = gram.reshape(m * q, m * q)
-    # BLAS rounds this product by the layout of its left factor; the
-    # transposed (n, F) copy keeps it observation-major.
-    residual = np.ascontiguousarray((indicator - pi).T)
-    rhs = gram @ coef + (residual.T @ Omega).ravel()
+    pi = np.exp(log_pi[..., free, :])
+    *lead, m, _ = pi.shape
+    q = Omega.shape[1]
+    if m == 1:  # one block, diagonal, and one gradient row
+        gram = rowwise_product(gate_variance_weights(pi), basis).reshape(
+            *lead, q, q)
+        gradient = rowwise_product(indicator - pi, Omega)
+    else:
+        weights = -(pi[..., :, None, :] * pi[..., None, :, :])
+        pairs = weights.reshape(*lead, m * m, -1)
+        pairs[..., ::m + 1, :] = gate_variance_weights(pi)
+        gram = rowwise_product(pairs, basis).reshape(*lead, m, m, q, q)
+        gram = gram.swapaxes(-3, -2).reshape(*lead, m * q, m * q)
+        # BLAS rounds this product by the layout of its left factor; the
+        # transposed (n, F) copy keeps it observation-major (for one row
+        # both layouts are the row itself).
+        residual = np.ascontiguousarray((indicator - pi).swapaxes(-1, -2))
+        gradient = residual.swapaxes(-1, -2) @ Omega
+    rhs = np.matvec(gram, coef) + gradient.reshape(*lead, m * q)
     return gram, rhs
 
 
-def q1_value(log_pi: np.ndarray, picks: np.ndarray) -> float:
+def q1_value(log_pi: np.ndarray, picks: np.ndarray) -> float | np.ndarray:
     """Assignment log-likelihood sum_i log pi_{i, z_i} (no penalty terms)
     from the (J, n) log-softmax ``log_pi``. ``picks`` holds the flat
-    indices ``z_i * n + i`` of the assigned entries."""
-    return float(log_pi.take(picks).sum())
+    indices ``z_i * n + i`` of the assigned entries. For a (B, J, n)
+    batch of chains ``picks`` is (B, n), flat indices into the batch,
+    and the result one value per chain."""
+    value = log_pi.take(picks).sum(axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
-def penalty_value(coef: np.ndarray, lam: np.ndarray | None) -> float:
+def penalty_value(coef: np.ndarray, lam: np.ndarray | None) -> float | np.ndarray:
     """Ridge term ``-1/2 * sum(lam * coef**2)`` of the gate objective,
     whose gradient ``-lam*coef`` is the shift the solve applies; exactly
-    0.0 for ML (``lam=None``)."""
-    return 0.0 if lam is None else float(-0.5 * (lam * coef * coef).sum())
+    0.0 for ML (``lam=None``). A (B, F) batch gives one value per chain."""
+    if lam is None:
+        return 0.0
+    value = -0.5 * (lam * coef * coef).sum(axis=-1)
+    return float(value) if value.ndim == 0 else value
+
+
+def _rows(flags: list[bool]) -> slice | np.ndarray:
+    """The positions of the true ``flags``: a slice (which indexes by
+    view) when they are contiguous, else an index array."""
+    rows = [row for row, flag in enumerate(flags) if flag]
+    if rows and rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return np.array(rows, dtype=np.intp)
 
 
 def _further_steps_cannot_pay(decrements: list[float], threshold: float,
@@ -199,7 +231,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     Liu-type call runs the ridge ascent with its ``lam`` and then takes
     one Liu-type step from the ridge result alpha_r on the last Newton
     system built, ``alpha_r - S^-1 (d * alpha_r)`` with S that system's
-    ``gram + diag(lam)``, one ``penalized_wls_solve`` of ``d * alpha_r``.
+    ``gram + diag(lam)``, solved with the eigenpairs of S that the last
+    step's ``penalized_wls_solve`` already computed.
 
     The objective F is the penalized assignment log-likelihood
     ``q1_value + penalty_value``. One log-softmax per iterate serves both
@@ -216,68 +249,195 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     plain halving ascent does. ``inner_max=0`` returns the input
     unchanged. The reference row comes back as zeros.
 
+    ``alpha_t`` is one chain's (J, q) rows with ``part`` its partition,
+    or a (B, J, q) batch of chains with ``part`` holding one assignment
+    row per chain; ``lam`` is shared by every chain and ``d`` is (J,) or
+    one row per chain, (B, J). The chains ascend in lockstep: every
+    Newton step and every round of trials is one stacked computation
+    over the chains still taking it, and each chain's decrement, rules
+    R1-R3 and halvings are its own, so a chain whose ascent stops leaves
+    the stack and each chain's result is bit for bit its own call's. A
+    non-finite trial objective in any chain raises for the whole call.
+
     ``basis``, when given, is ``outer_basis(Omega)`` (``Dataset.Omega_outer``).
-    ``log_pi``, when given, is the (J, n) log-softmax at ``alpha_t``
-    (whose reference row must be zero), used instead of recomputing it;
-    on return it holds the log-softmax at the returned rows.
+    ``log_pi``, when given, is the (J, n) (or (B, J, n)) log-softmax at
+    ``alpha_t`` (whose reference row must be zero), used instead of
+    recomputing it; on return it holds the log-softmax at the returned
+    rows.
     """
     alpha = np.array(alpha_t, dtype=float)
-    free = np.flatnonzero(np.arange(alpha.shape[0]) != reference)
-    if not free.size:
-        return np.zeros_like(alpha)
-    n, q = Omega.shape
-    picks = part.assignment * n + np.arange(n)
-    indicator = (part.assignment == free[:, None]).astype(float)
+    single = alpha.ndim == 2
+    if single:
+        alpha = alpha[None]
+    chains, n_classes, q = alpha.shape
+    if n_classes == 1:
+        return np.zeros_like(alpha[0] if single else alpha)
+    m = n_classes - 1
+    # The free rows as a slice (a view) when the reference is at an end.
+    free = (slice(1, None) if reference == 0 else
+            slice(0, m) if reference == m else
+            np.flatnonzero(np.arange(n_classes) != reference))
+    assignment = part.assignment.reshape(chains, -1)
+    n = assignment.shape[1]
     if basis is None:
         basis = outer_basis(Omega)
     if lam is not None:
         lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
-    coef = alpha[free].ravel()
     handed_over = log_pi
-    if log_pi is None:
-        log_pi = gating_log_probabilities(Omega, alpha)
-    q1 = q1_value(log_pi, picks)
-    full_steps: list[float] = []  # decrements of the latest full steps
+    # The working set: one row per chain still ascending, ``ids`` its
+    # chain. ``picks`` indexes each row's own (J, n) log-softmax, and
+    # ``stacked_picks`` the same entries in the working stack.
+    ids = np.arange(chains)
+    coef = alpha[:, free].reshape(chains, m * q)
+    # Read, never written, until the handed-over array gets the result.
+    current = (gating_log_probabilities(Omega, alpha) if log_pi is None
+               else log_pi.reshape(chains, n_classes, n))
+    picks = assignment * n + np.arange(n)
+    if chains > 1:
+        offsets = n_classes * n * np.arange(chains)[:, None]
+        stacked_picks = picks + offsets
+    else:
+        stacked_picks = picks
+    indicator = (assignment[:, None, :]
+                 == np.arange(n_classes)[free, None]).astype(float)
+    # Each row's F at its current rows; after a step it is the kept
+    # trial's F, the same sum of the same terms a recomputation gives.
+    objective = (q1_value(current, stacked_picks)
+                 + penalty_value(coef, lam)).tolist()
+    full_steps: list[list[float]] = [[] for _ in range(chains)]
+    # Each chain's result: its rows, its log-softmax unless ``stale``,
+    # and the eigenpairs of its last Newton system. Chains that all stop
+    # at once hand over their arrays whole; only a chain that stops
+    # before the others is copied in row by row.
+    result_coef = result_log_pi = vecs = values = None
+    if chains > 1:
+        result_coef = np.empty_like(coef)
+        result_log_pi = np.empty_like(current)
+        if d is not None:
+            vecs = np.empty((chains, m * q, m * q))
+            values = np.empty((chains, m * q))
+    stale = [False] * chains
+    factors = None
+
+    def leave(stop: list[bool], final_coef: np.ndarray,
+              final_log_pi: np.ndarray | None) -> None:
+        """Store the results of the rows in ``stop`` and drop them."""
+        nonlocal ids, coef, current, objective, picks, stacked_picks
+        nonlocal indicator, alpha, factors
+        nonlocal result_coef, result_log_pi, vecs, values, stale
+        if all(stop) and ids.size == chains:  # every chain, at once
+            result_coef = final_coef
+            if final_log_pi is None:
+                stale = [True] * chains
+            else:
+                result_log_pi = final_log_pi
+            if d is not None and factors is not None:
+                vecs, values = factors
+            ids = ids[:0]
+            return
+        mask = _rows(stop)
+        rows = ids[mask]
+        result_coef[rows] = final_coef[mask]
+        if final_log_pi is None:
+            for chain in rows.tolist():
+                stale[chain] = True
+        else:
+            result_log_pi[rows] = final_log_pi[mask]
+        if d is not None and factors is not None:
+            vecs[rows], values[rows] = factors[0][mask], factors[1][mask]
+        if all(stop):
+            ids = ids[:0]
+            return
+        keep = _rows([not stop_ for stop_ in stop])
+        if factors is not None:
+            factors = factors[0][keep], factors[1][keep]
+        ids, coef, current = ids[keep], coef[keep], current[keep]
+        picks, indicator, alpha = picks[keep], indicator[keep], alpha[keep]
+        stacked_picks = picks + offsets[:ids.size] if ids.size > 1 else picks
+        objective = [level for level, stop_ in zip(objective, stop)
+                     if not stop_]
+
     for taken in range(1, inner_max + 1):
-        gram, rhs = build_gating_workspace(Omega, basis, log_pi, coef,
+        if not ids.size:
+            break
+        gram, rhs = build_gating_workspace(Omega, basis, current, coef,
                                            indicator, free)
-        proposal = penalized_wls_solve(gram, rhs, lam)
-        baseline = q1 + penalty_value(coef, lam)
+        proposal, factors = penalized_wls_solve(gram, rhs, lam,
+                                                keep_factors=True)
         step = proposal - coef
-        curvature = gram @ step if lam is None else gram @ step + lam * step
-        decrement = 0.5 * float(step @ curvature)
-        if decrement <= inner_tol * (1.0 + abs(baseline)):  # R1
-            coef, log_pi = proposal, None
-            break
-        trial = alpha.copy()
-        for halvings in range(11):
-            trial[free] = proposal.reshape(len(free), q)
-            trial_log_pi = gating_log_probabilities(Omega, trial)
-            trial_q1 = q1_value(trial_log_pi, picks)
-            value = trial_q1 + penalty_value(proposal, lam)
-            if not math.isfinite(value):
-                raise NumericalFailure("gate objective is not finite")
-            if value >= baseline:
+        curvature = np.matvec(gram, step)
+        if lam is not None:
+            curvature = curvature + lam * step
+        decrement = (0.5 * np.vecdot(step, curvature)).tolist()
+        last = [gain <= inner_tol * (1.0 + abs(level))  # R1
+                for gain, level in zip(decrement, objective)]
+        if any(last):  # taken untried: these chains end at the proposal
+            going = [not stop for stop in last]
+            leave(last, proposal, None)
+            if not ids.size:
                 break
-            proposal = 0.5 * (proposal + coef)
-        else:  # never recovered: keep the current rows
-            break
-        alpha, coef, log_pi, q1 = trial, proposal, trial_log_pi, trial_q1
-        if halvings:
-            full_steps.clear()
-            continue
-        full_steps.append(decrement)
-        if _further_steps_cannot_pay(full_steps,
-                                     inner_tol * (1.0 + abs(value)),
-                                     inner_max - taken):
-            break
+            proposal = proposal[_rows(going)]
+            decrement = [gain for gain, go in zip(decrement, going) if go]
+        # Rounds of trials over the whole working set: a row that no
+        # longer lowers F keeps its proposal, and its trial repeats bit
+        # for bit, so the last round holds each row's first kept trial
+        # and ``halvings`` the halvings it took (-1: never kept).
+        halvings = [-1] * ids.size
+        for round_ in range(11):
+            trial = alpha.copy()
+            trial[:, free] = proposal.reshape(-1, m, q)
+            trial_log_pi = gating_log_probabilities(Omega, trial)
+            levels = (q1_value(trial_log_pi, stacked_picks)
+                      + penalty_value(proposal, lam)).tolist()
+            if not all(map(math.isfinite, levels)):
+                raise NumericalFailure("gate objective is not finite")
+            kept = [level >= base for level, base in zip(levels, objective)]
+            halvings = [round_ if keep and halved < 0 else halved
+                        for keep, halved in zip(kept, halvings)]
+            if all(kept):
+                break
+            proposal = np.where(np.array(kept)[:, None], proposal,
+                                0.5 * (proposal + coef))
+        if min(halvings) >= 0:
+            alpha, coef, current, objective = (trial, proposal, trial_log_pi,
+                                               levels)
+        else:  # a row that never recovered keeps its rows and ends there
+            recovered = np.array([halved >= 0 for halved in halvings])
+            alpha = np.where(recovered[:, None, None], trial, alpha)
+            coef = np.where(recovered[:, None], proposal, coef)
+            current = np.where(recovered[:, None, None], trial_log_pi,
+                               current)
+            objective = [level if halved >= 0 else base for level, base,
+                         halved in zip(levels, objective, halvings)]
+        stop = []
+        for chain, halved, gain, level in zip(ids.tolist(), halvings,
+                                              decrement, objective):
+            if halved < 0:
+                stop.append(True)
+            elif halved:
+                full_steps[chain].clear()
+                stop.append(False)
+            else:
+                full_steps[chain].append(gain)
+                stop.append(_further_steps_cannot_pay(
+                    full_steps[chain], inner_tol * (1.0 + abs(level)),
+                    inner_max - taken))
+        if any(stop):
+            leave(stop, coef, current)
+    if ids.size:  # chains stopped by the step cap
+        leave([True] * ids.size, coef, current)
     if d is not None and inner_max > 0:
-        coef = coef - penalized_wls_solve(
-            gram, np.repeat(np.asarray(d, dtype=float)[free], q) * coef, lam)
-        log_pi = None
-    alpha[free] = coef.reshape(len(free), q)
-    alpha[reference] = 0.0
+        d = np.repeat(np.asarray(d, dtype=float)[..., free], q, axis=-1)
+        result_coef = result_coef - factored_solve((vecs, values),
+                                                   d * result_coef)
+        stale = [True] * chains
+    alpha = np.zeros((chains, n_classes, q))
+    alpha[:, free] = result_coef.reshape(chains, m, q)
     if handed_over is not None:
-        handed_over[...] = (gating_log_probabilities(Omega, alpha)
-                            if log_pi is None else log_pi)
-    return alpha
+        if all(stale):
+            result_log_pi = gating_log_probabilities(Omega, alpha)
+        elif any(stale):
+            rows = np.array(stale)
+            result_log_pi[rows] = gating_log_probabilities(Omega, alpha[rows])
+        handed_over[...] = result_log_pi.reshape(handed_over.shape)
+    return alpha[0] if single else alpha

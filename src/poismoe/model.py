@@ -7,7 +7,11 @@ covariates omega_i with one class fixed at zero as the reference.
 
 The mixture log-terms are class-major (J, n), like the gate's; the
 public :func:`e_step`, :func:`responsibilities` and :func:`draw_labels`
-keep (n, J).
+keep (n, J). The chain driver (:mod:`~poismoe.sem`) advances several
+chains in lockstep, so :class:`Coefficients`, :class:`PartitionState`,
+:func:`e_step` and :func:`draw_labels` also take a leading chain axis B,
+one row per chain, which every per-chain result ignores: a chain's rows
+give the same values, bit for bit, alone or in a batch.
 """
 from __future__ import annotations
 
@@ -104,7 +108,9 @@ class Coefficients:
     """Stacked regression and gating coefficients for all J components.
 
     ``beta`` is (J, p), ``alpha`` is (J, q); the row at
-    ``reference_class`` of ``alpha`` is identically zero.
+    ``reference_class`` of ``alpha`` is identically zero. A batch of
+    chains stacks them as (B, J, p) and (B, J, q); only one chain's
+    coefficients can be permuted.
     """
 
     beta: np.ndarray
@@ -114,14 +120,14 @@ class Coefficients:
     def __post_init__(self) -> None:
         beta = np.array(self.beta, dtype=float, ndmin=2)
         alpha = np.array(self.alpha, dtype=float, ndmin=2)
-        if beta.shape[0] != alpha.shape[0]:
+        if beta.shape[:-1] != alpha.shape[:-1] or beta.ndim > 3:
             raise DimensionError("beta and alpha must have one row per component")
         if not (np.isfinite(beta).all() and np.isfinite(alpha).all()):
             raise ValueError("coefficients must be finite")
         ref = int(self.reference_class)
-        if not 0 <= ref < alpha.shape[0]:
+        if not 0 <= ref < alpha.shape[-2]:
             raise ValueError("reference_class out of range")
-        if (alpha[ref] != 0.0).any():
+        if (alpha[..., ref, :] != 0.0).any():
             raise ValueError("the reference gating row must be zero")
         object.__setattr__(self, "beta", _readonly(beta))
         object.__setattr__(self, "alpha", _readonly(alpha))
@@ -129,15 +135,15 @@ class Coefficients:
 
     @property
     def n_components(self) -> int:
-        return self.beta.shape[0]
+        return self.beta.shape[-2]
 
     @property
     def p(self) -> int:
-        return self.beta.shape[1]
+        return self.beta.shape[-1]
 
     @property
     def q(self) -> int:
-        return self.alpha.shape[1]
+        return self.alpha.shape[-1]
 
     def permute(self, order: Sequence[int]) -> "Coefficients":
         """Relabel components so that new component j is old ``order[j]``.
@@ -156,7 +162,12 @@ class Coefficients:
 
 @dataclass(frozen=True)
 class PartitionState:
-    """Hard component assignment from one stochastic classification step."""
+    """Hard component assignment from one stochastic classification step.
+
+    ``assignment`` (n,) holds each observation's component and ``counts``
+    (J,) the size of each component; a batch of chains stacks them as
+    (B, n) and (B, J), one row per chain. A count may be zero.
+    """
 
     assignment: np.ndarray
     counts: np.ndarray
@@ -164,10 +175,15 @@ class PartitionState:
     def __post_init__(self) -> None:
         assignment = np.array(self.assignment, dtype=np.int64)
         counts = np.array(self.counts, dtype=np.int64)
-        if assignment.ndim != 1 or counts.ndim != 1:
-            raise DimensionError("assignment and counts must be vectors")
-        expected = np.bincount(assignment, minlength=counts.shape[0])
-        if expected.shape[0] > counts.shape[0] or (expected != counts).any():
+        if (assignment.ndim != counts.ndim or assignment.ndim not in (1, 2)
+                or assignment.shape[:-1] != counts.shape[:-1]):
+            raise DimensionError("assignment and counts must be vectors, "
+                                 "or matrices with one row per chain")
+        try:
+            expected = _count_labels(assignment, counts.shape[-1])
+        except ValueError as exc:  # a negative label, or ragged counts
+            raise ValueError("counts do not match the assignment") from exc
+        if expected.shape != counts.shape or (expected != counts).any():
             raise ValueError("counts do not match the assignment")
         object.__setattr__(self, "assignment", _readonly(assignment))
         object.__setattr__(self, "counts", _readonly(counts))
@@ -175,12 +191,23 @@ class PartitionState:
     @classmethod
     def from_assignment(cls, assignment: np.ndarray, n_components: int) -> "PartitionState":
         assignment = np.asarray(assignment, dtype=np.int64)
-        counts = np.bincount(assignment, minlength=n_components)
-        return cls(assignment=assignment, counts=counts)
+        return cls(assignment=assignment,
+                   counts=_count_labels(assignment, n_components))
 
     @property
     def n_components(self) -> int:
-        return self.counts.shape[0]
+        return self.counts.shape[-1]
+
+
+def _count_labels(assignment: np.ndarray, n_components: int) -> np.ndarray:
+    """Component sizes of an (n,) assignment, or of each row of a (B, n)
+    batch of them, as (J,) or (B, J); labels must lie in [0, J)."""
+    if assignment.ndim == 1:
+        return np.bincount(assignment, minlength=n_components)
+    # A label of J or more lengthens its row's count, and the rows then
+    # do not stack into (B, J): the caller's shape check refuses them.
+    return np.array([np.bincount(row, minlength=n_components)
+                     for row in assignment])
 
 
 @dataclass(frozen=True)
@@ -313,12 +340,14 @@ def _log_terms(data: Dataset, psi: Coefficients,
     return log_terms, log_sum_exp(log_terms)
 
 
-def _total_loglik(norms: np.ndarray) -> float:
-    """Sum of the row normalizers; NumericalFailure when it is not finite."""
-    value = float(norms.sum())
-    if not np.isfinite(value):
+def _total_loglik(norms: np.ndarray) -> float | np.ndarray:
+    """Sum of the row normalizers, one per chain for a (B, n) batch;
+    NumericalFailure when any is not finite."""
+    value = norms.sum(axis=-1)
+    totals = value.tolist()
+    if not all(map(math.isfinite, totals if value.ndim else [totals])):
         raise NumericalFailure("observed log-likelihood is not finite")
-    return value
+    return totals if value.ndim == 0 else value
 
 
 def observed_loglik(data: Dataset, psi: Coefficients) -> float:
@@ -336,11 +365,13 @@ def e_step(data: Dataset, psi: Coefficients,
     bit; a non-finite log-likelihood raises :class:`NumericalFailure`.
     ``log_pi``, when given, is the (J, n) gate log-softmax at
     ``psi.alpha`` (the one the gate ascent hands back), used instead of
-    recomputing it.
+    recomputing it. For a batch of chains (``psi`` with a chain axis,
+    ``log_pi`` (B, J, n)) tau is (B, n, J) and the log-likelihoods a (B,)
+    array, and any chain's non-finite log-likelihood raises.
     """
     log_terms, norms = _log_terms(data, psi, log_pi)
     loglik = _total_loglik(norms)
-    return np.exp(log_terms - norms).T, loglik
+    return np.exp(log_terms - norms[..., None, :]).swapaxes(-1, -2), loglik
 
 
 def responsibilities(data: Dataset, psi: Coefficients) -> np.ndarray:
@@ -349,13 +380,24 @@ def responsibilities(data: Dataset, psi: Coefficients) -> np.ndarray:
     return e_step(data, psi)[0]
 
 
-def draw_labels(probabilities: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def draw_labels(probabilities: np.ndarray,
+                rng: np.random.Generator | Sequence[np.random.Generator]
+                ) -> np.ndarray:
     """One categorical draw per row of the (n, J) ``probabilities``
     (inverse CDF, summed over the class-major transpose).
 
     Uses one uniform per row; rounding that leaves a row's cumulative sum
-    below its uniform gives the last class.
+    below its uniform gives the last class. A batch (B, n, J) of chains
+    takes one generator per chain, in chain order, and each draws its
+    chain's n uniforms as it would alone, giving (B, n) labels.
     """
-    u = rng.random(probabilities.shape[0])
-    cutpoints = np.cumsum(probabilities.T[:-1], axis=0)
-    return (cutpoints < u).sum(axis=0)
+    n = probabilities.shape[-2]
+    if probabilities.ndim == 2:
+        u = rng.random(n)
+    else:
+        u = np.empty((len(rng), 1, n))
+        for chain, row in zip(rng, u):
+            chain.random(out=row[0])
+    cutpoints = np.cumsum(probabilities.swapaxes(-1, -2)[..., :-1, :],
+                          axis=-2)
+    return (cutpoints < u).sum(axis=-2)

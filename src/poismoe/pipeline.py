@@ -51,9 +51,10 @@ def _make_retuner(data: Dataset, tuning_lt: TuningParams,
 
     The returned ``retuner(data, workspace, log_pi)`` keeps the lambdas
     of ``tuning_lt`` and re-optimizes d in closed form against the
-    systems the next update will solve. Plug-in truth stays at the ridge
-    ``anchors``: their means and gate probabilities are computed once,
-    for every chain of the fit.
+    systems the next update will solve, for every chain of the batch at
+    once: its d values are (B, J), one row per chain. Plug-in truth
+    stays at the ridge ``anchors``: their means and gate probabilities
+    are computed once, for every chain of the fit.
     """
     anchor_means = poisson_means(data.X, anchors.beta)
     anchor_pi = gating_probabilities(data.Omega, anchors.alpha).T

@@ -12,8 +12,10 @@ and are exactly zero on the rows it was not assigned, so one stacked
 product against the design's outer-product basis (``Dataset.X_outer``,
 :func:`~poismoe.linalg.rowwise_product`) forms every component's Gram,
 one more forms every right-hand side, and one stacked solve updates
-every beta. No mean is clamped: a NaN linear predictor or one above
-``model.ETA_MAX`` raises NumericalFailure, which ends the chain.
+every beta. A batch of chains adds a leading chain axis to every
+array, (B, J, n) and so on; each chain's systems and updates are bit for
+bit its own call's. No mean is clamped: a NaN linear predictor or one
+above ``model.ETA_MAX`` raises NumericalFailure, which ends the chain.
 """
 from __future__ import annotations
 
@@ -67,6 +69,7 @@ class ComponentWorkspace:
     on every other row. ``gram`` (J, p, p) stacks X' diag(weights_j) X,
     and ``rhs`` (J, p) stacks X' (weights_j * z*_j), built row by row as
     mu*eta + y - mu so that a row outside the component adds exactly 0.
+    For a batch of chains each array has a leading chain axis.
     """
 
     weights: np.ndarray
@@ -83,18 +86,23 @@ def build_workspace(data: "Dataset", part: "PartitionState",
     returns. The linear predictor is zeroed outside a component's rows
     before the means are taken, so there mu is 1 and nothing overflows:
     only a component's own rows can end the chain with the
-    :class:`NumericalFailure` of an overflowing mean.
+    :class:`NumericalFailure` of an overflowing mean. A batch of chains
+    passes (B, J, p) ``beta_t`` with one assignment row per chain in
+    ``part``; an overflow in any chain raises for the batch.
     """
     beta_t = np.asarray(beta_t, dtype=float)
-    rows = part.assignment == np.arange(beta_t.shape[0])[:, None]
-    empty = np.flatnonzero(~rows.any(axis=1))
+    n_components = beta_t.shape[-2]
+    rows = part.assignment[..., None, :] == np.arange(n_components)[:, None]
+    empty = np.flatnonzero(~rows.any(axis=-1))
     if empty.size:
-        raise EmptyPartition(f"component {empty[0]} received no observations")
+        raise EmptyPartition(f"component {empty[0] % n_components} "
+                             "received no observations")
     eta = np.where(rows, beta_t @ data.X.T, 0.0)
     mu = _checked_exp(eta)
     weights = mu * rows
     terms = (mu * eta + (data.y - mu)) * rows
-    gram = rowwise_product(weights, data.X_outer).reshape(-1, data.p, data.p)
+    gram = rowwise_product(weights, data.X_outer).reshape(
+        *weights.shape[:-1], data.p, data.p)
     return ComponentWorkspace(weights=weights, gram=gram,
                               rhs=rowwise_product(terms, data.X))
 
@@ -108,7 +116,8 @@ def irwls_beta_step(ws: ComponentWorkspace,
     ``lam=None`` is the ML step, ``d=None`` the ridge step, and otherwise
     the step is Liu-type, ``b_r - S^-1 (d * b_r)`` for the ridge step b_r,
     from the same factorization; ``lam`` and ``d`` are scalars or hold
-    one value per component.
+    one value per component, (J,), or per chain and component, (B, J),
+    for a batch of chains, which all share the one stacked solve.
     """
     def per_component(value):
         return None if value is None else np.asarray(value, dtype=float)[..., None]

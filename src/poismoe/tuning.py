@@ -181,7 +181,10 @@ def bias_corrections_for_partition(data: Dataset,
     partition; the gating side uses all rows and the diagonal-block
     weights of the gate's Newton system. One stacked
     :func:`optimize_bias_correction` call serves the J components and
-    one the J-1 free classes; the reference class keeps d=0.
+    one the J-1 free classes; the reference class keeps d=0. A batch of
+    chains (a workspace and ``log_pi`` with a leading chain axis) is
+    served by the same two calls, giving (B, J) corrections whose rows
+    are each chain's own, bit for bit.
     """
     d_beta = optimize_bias_correction(
         workspace.gram, tuning.lambda_beta,
@@ -189,11 +192,12 @@ def bias_corrections_for_partition(data: Dataset,
         anchors.beta)
     n_components, q = anchors.n_components, anchors.q
     free = np.flatnonzero(np.arange(n_components) != anchors.reference_class)
-    d_alpha = np.zeros(n_components)
+    d_alpha = np.zeros((*log_pi.shape[:-2], n_components))
     if free.size:
-        weights = gate_variance_weights(np.exp(log_pi[free]))
-        grams = rowwise_product(weights, data.Omega_outer).reshape(-1, q, q)
-        d_alpha[free] = optimize_bias_correction(
+        weights = gate_variance_weights(np.exp(log_pi[..., free, :]))
+        grams = rowwise_product(weights, data.Omega_outer).reshape(
+            *weights.shape[:-1], q, q)
+        d_alpha[..., free] = optimize_bias_correction(
             grams, tuning.lambda_alpha[free],
             rowwise_product(weights * anchor_pi[free], data.Omega),
             anchors.alpha[free])

@@ -548,7 +548,9 @@ def test_well_posed_ascent_builds_no_confirming_system(monkeypatch,
             alpha[free].ravel(), lam)
 
     tolerance = 1e-11 * (1.0 + abs(objective(stopped)))
-    for (_, _, _, coef, _, _), (gram, rhs) in builds:
+    for (_, _, _, coefs, _, _), (grams, rhss) in builds:
+        # Each build stacks the systems of a batch of chains, here one.
+        coef, gram, rhs = coefs[0], grams[0], rhss[0]
         penalty = None if lam is None else np.full(coef.size, lam)
         step = penalized_wls_solve(gram, rhs, penalty) - coef
         curvature = gram @ step + (0.0 if lam is None else lam * step)
@@ -663,3 +665,37 @@ def test_non_finite_trial_objective_is_a_numerical_failure(monkeypatch):
                 pytest.raises(NumericalFailure, match="gate objective"):
             pm.coordinate_descent_alphas(data.Omega, alpha, part, lam, None,
                                          0, log_pi=log_pi.copy())
+
+
+@pytest.mark.parametrize("method", ["ml", "ridge", "lt"])
+@pytest.mark.parametrize("inner_max", [0, 1, 50])
+def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max):
+    # Three chains with their own partitions, starts and Liu-type d
+    # ascend in lockstep; each result, and each handed-over log-softmax,
+    # is bit for bit the chain's own call's.
+    gen = np.random.default_rng(8)
+    n, q, n_classes = 40, 2, 3
+    Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
+    starts = gen.normal(scale=0.5, size=(3, n_classes, q))
+    starts[:, 1] = 0.0
+    parts = [gen.integers(0, n_classes, size=n) for _ in range(3)]
+    lam = None if method == "ml" else np.array([0.4, 0.9, 0.7])
+    ds = None if method != "lt" else gen.uniform(0.0, 0.05, size=(3, n_classes))
+    batch_log_pi = gating_log_probabilities(Omega, starts)
+    together = pm.coordinate_descent_alphas(
+        Omega, starts, pm.PartitionState.from_assignment(np.stack(parts),
+                                                         n_classes),
+        lam, ds, 1, inner_max=inner_max, log_pi=batch_log_pi)
+    for chain in range(3):
+        log_pi = gating_log_probabilities(Omega, starts[chain])
+        alone = pm.coordinate_descent_alphas(
+            Omega, starts[chain],
+            pm.PartitionState.from_assignment(parts[chain], n_classes),
+            lam, None if ds is None else ds[chain], 1, inner_max=inner_max,
+            log_pi=log_pi)
+        assert together[chain].tobytes() == alone.tobytes()
+        assert batch_log_pi[chain].tobytes() == log_pi.tobytes()
+    if inner_max == 0:
+        expected = starts.copy()
+        expected[:, 1] = 0.0
+        assert np.array_equal(together, expected)

@@ -299,7 +299,7 @@ def test_liu_type_gate_shrinks_the_ridge_gate_in_the_eigenbasis(
 
     def spied(*args):
         system = build(*args)
-        grams.append(system[0])
+        grams.append(system[0][0])  # the one chain of the batch
         return system
 
     with pytest.MonkeyPatch.context() as patch:
@@ -447,3 +447,31 @@ def test_small_fits_end_finite_or_typed(seed, n, n_components, p, q,
             assert np.isfinite(fit.psi_hat.beta).all()
             assert np.isfinite(fit.psi_hat.alpha).all()
             assert np.isfinite(fit.loglik_trace).all()
+
+
+@settings(max_examples=40)
+@given(seed=seeds, n_components=st.integers(2, 3),
+       restarts=st.integers(1, 4), method=st.sampled_from(METHODS),
+       n=st.integers(6, 40))
+def test_a_chain_runs_alike_alone_and_in_a_batch(seed, n_components,
+                                                  restarts, method, n):
+    # Lockstep restarts: each chain's iterates, log-likelihoods, tunings,
+    # convergence and interruption are bit for bit what it gives alone,
+    # whatever the other chains do beside it (stop, fail or run on).
+    from test_sem import batch_and_solo_runs, chain_record
+    data, truth, _, _ = small_mixture(seed=seed % 1000, n=n, q=2,
+                                      n_components=n_components)
+    opts = pm.SemOptions(epsilon=1e-3, max_iters=10, burn_in=0,
+                         n_restarts=restarts, rng_seed=seed)
+    tuning = retune = None
+    if method != "ml":
+        tuning = pm.estimate_ridge_lambdas(truth, source="truth")
+        if method == "lt":
+            retune = pm.pipeline._make_retuner(data, tuning, truth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch, solo = batch_and_solo_runs(
+            data, pm.MixtureSpec(n_components, 0), opts, method, tuning,
+            retune)
+    for together, alone in zip(batch, solo):
+        assert chain_record(together) == chain_record(alone)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import poismoe as pm
+from poismoe import sem
 from poismoe.errors import DimensionError, EmptyPartition
 from poismoe.sem import _fill_empty_groups
 
@@ -260,8 +261,9 @@ def test_run_sem_retune_hook_is_called():
     calls = []
 
     def retune(data_, workspace, log_pi):
-        calls.append(np.count_nonzero(workspace.weights, axis=1))
-        assert log_pi.shape == (2, data.n)
+        # The hook sees the batch of chains, here the one restart.
+        calls.append(np.count_nonzero(workspace.weights, axis=-1))
+        assert log_pi.shape == (1, 2, data.n)
         return tuning
 
     opts = pm.SemOptions(epsilon=1e-8, max_iters=10, burn_in=0, n_restarts=1,
@@ -337,3 +339,71 @@ def test_handed_over_gate_log_softmax_equals_recomputed(method):
     tau, loglik = pm.e_step(data, updated, log_pi)
     tau_fresh, loglik_fresh = pm.e_step(data, updated)
     assert np.array_equal(tau, tau_fresh) and loglik == loglik_fresh
+
+
+def restart_generators(seed, restarts):
+    """The generators ``run_sem`` gives the listed restarts."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+            for r in restarts]
+
+
+def chain_record(outcome):
+    """A chain's outcome as bytes and plain values: its iterates,
+    log-likelihoods, per-iterate tunings, convergence and interruption."""
+    tunings = []
+    for index in range(len(outcome.logliks)):
+        tuning = outcome.tuning(index)
+        tunings.append(None if tuning is None else tuple(
+            np.asarray(getattr(tuning, name)).tobytes() for name in
+            ("lambda_beta", "lambda_alpha", "d_beta", "d_alpha")))
+    return ([beta.tobytes() for beta in outcome.betas],
+            [alpha.tobytes() for alpha in outcome.alphas],
+            np.asarray(outcome.logliks).tobytes(), tunings,
+            outcome.converged, outcome.interruption)
+
+
+def batch_and_solo_runs(data, spec, opts, method="ml", tuning=None,
+                        retune=None):
+    """Every restart's outcome from one lockstep batch, and each
+    restart's outcome run alone."""
+    restarts = range(opts.n_restarts)
+    batch = sem._run_chains(data, spec, opts, method, tuning,
+                            restart_generators(opts.rng_seed, restarts),
+                            retune)
+    solo = [sem._run_chains(data, spec, opts, method, tuning,
+                            restart_generators(opts.rng_seed, [r]),
+                            retune)[0] for r in restarts]
+    return batch, solo
+
+
+def test_interrupted_chains_leave_the_batch_and_the_others_run_on():
+    # On this data restart 0 draws an empty component after 6 iterations
+    # and restart 1 meets a singular system after 3, while restart 2 runs
+    # to the cap. Each keeps what it had completed, with its own reason,
+    # and every chain matches its run alone bit for bit.
+    data, _, _, _ = small_mixture(seed=234, n=12, p=3, q=2)
+    opts = pm.SemOptions(epsilon=1e-300, max_iters=25, burn_in=0,
+                         n_restarts=3, rng_seed=234)
+    batch, solo = batch_and_solo_runs(data, pm.MixtureSpec(2, 0), opts)
+    assert [len(o.logliks) for o in batch] == [6, 3, 25]
+    assert batch[0].interruption.startswith("EmptyPartition: component")
+    assert batch[1].interruption.startswith("SingularSystem: ")
+    assert batch[2].interruption is None and not batch[2].converged
+    for together, alone in zip(batch, solo):
+        assert chain_record(together) == chain_record(alone)
+
+
+def test_fit_failed_diagnostics_keep_restart_order():
+    # Every restart fails before its first iteration, for two reasons;
+    # the diagnostics list them by restart, each with its solo reason.
+    data, _, _, _ = small_mixture(seed=7, n=4, p=3, q=2)
+    opts = pm.SemOptions(epsilon=1e-300, max_iters=5, burn_in=0,
+                         n_restarts=3, rng_seed=7)
+    _, solo = batch_and_solo_runs(data, pm.MixtureSpec(2, 0), opts)
+    reasons = [outcome.interruption for outcome in solo]
+    assert [reason.split(":")[0] for reason in reasons] == [
+        "SingularSystem", "EmptyPartition", "SingularSystem"]
+    with pytest.raises(pm.FitFailed) as failed:
+        pm.run_sem(data, pm.MixtureSpec(2, 0), opts)
+    assert failed.value.diagnostics == [
+        f"restart {r}: {reason}" for r, reason in enumerate(reasons)]

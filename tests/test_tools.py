@@ -2,6 +2,7 @@
 compared with itself must report no difference, and ``fit_compare.py``
 scores both checkouts of a heart study against one truth."""
 import json
+import pickle
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,18 @@ def tiny_study(tmp_path_factory):
         replicates=2, seed=1,
         sem=pm.SemOptions(epsilon=1e-6, max_iters=10, burn_in=2,
                           n_restarts=1)), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def two_restart_study(tmp_path_factory):
+    """The tiny study with two restarts per fit, which run as one batch."""
+    path = tmp_path_factory.mktemp("tools") / "restarts.json"
+    pm.save_config(pm.StudyConfig(
+        mode="simulation", design=pm.study_presets("study1", n=60),
+        replicates=2, seed=1,
+        sem=pm.SemOptions(epsilon=1e-6, max_iters=10, burn_in=2,
+                          n_restarts=2)), path)
     return path
 
 
@@ -140,3 +153,39 @@ def test_gate_replay_of_a_checkout_with_itself_reports_no_difference(
             assert base == new
         for key in ("f_gap", "f_gap_capped", "coef_gap", "prob_gap"):
             assert float(fields[key]) == 0.0
+
+
+def test_fit_compare_counts_every_chain_of_a_batch(two_restart_study):
+    done = run_tool("fit_compare.py", two_restart_study, ROOT, ROOT,
+                    "--summary")
+    assert done.returncode == 0, done.stderr
+    chains = [line.split() for line in done.stdout.splitlines()
+              if line.startswith("chains ")]
+    for method in METHODS:  # two chains per replicate
+        for side in (3, 4):
+            assert sum(int(fields[side]) for fields in chains
+                       if fields[1] == method) == 4
+
+
+def test_gate_replay_records_each_chain_of_a_batch(two_restart_study,
+                                                   tmp_path):
+    # A lockstep call ascends both restarts at once; the record holds one
+    # call per chain, which replays bit for bit on its own.
+    record = tmp_path / "record.pkl"
+    done = run_tool("gate_replay.py", "--record", ROOT, two_restart_study,
+                    record)
+    assert done.returncode == 0, done.stderr
+    with record.open("rb") as handle:
+        calls = pickle.load(handle)["calls"]
+    assert calls and all(call["alpha_t"].ndim == 2
+                         and call["assignment"].ndim == 1
+                         and call["alpha"].shape == call["alpha_t"].shape
+                         for call in calls)
+    done = run_tool("gate_replay.py", two_restart_study, ROOT, ROOT)
+    assert done.returncode == 0, done.stderr
+    header, *rows, verdict = done.stdout.strip().splitlines()
+    assert verdict.endswith(": yes")
+    for row in rows:
+        fields = dict(zip(header.split(), row.split()))
+        assert int(fields["calls"]) > 0
+        assert fields["identical"] == fields["calls"]

@@ -112,7 +112,6 @@ def dump(checkout: Path, config_path: Path,
 
     in_truth = [False]
     chain_ends: dict[str, dict[str, int]] = {}
-    run_chain = pm.sem._run_chain
 
     def truth(*call_args, **kwargs):
         in_truth[0] = True
@@ -127,18 +126,28 @@ def dump(checkout: Path, config_path: Path,
                 reference_class=fit.psi_hat.reference_class))
         return fit
 
-    def counted_chain(*call_args, **kwargs):
-        outcome = run_chain(*call_args, **kwargs)
+    def count(outcome, method: str) -> None:
         end = ("epsilon" if outcome.converged else
                outcome.interruption.split(":")[0] if outcome.interruption
                else "cap")
-        ends = chain_ends.setdefault(
-            "truth" if in_truth[0] else call_args[3], {})
+        ends = chain_ends.setdefault("truth" if in_truth[0] else method, {})
         ends[end] = ends.get(end, 0) + 1
-        return outcome
+
+    # The batched driver returns every restart's outcome of a fit; a
+    # checkout from before it ran one ``_run_chain`` call per restart.
+    # Both take the method as their fourth argument.
+    batched = hasattr(pm.sem, "_run_chains")
+    name = "_run_chains" if batched else "_run_chain"
+    run_chains = getattr(pm.sem, name)
+
+    def counted_chains(*call_args, **kwargs):
+        outcomes = run_chains(*call_args, **kwargs)
+        for outcome in (outcomes if batched else [outcomes]):
+            count(outcome, call_args[3])
+        return outcomes
 
     replication.fit_all_methods, replication.fit_method = replicate, truth
-    pm.sem._run_chain = counted_chain
+    setattr(pm.sem, name, counted_chains)
     result = pm.run_replication_study(config)
     # json writes each float as its shortest round-trip repr, so equal
     # records mean bit-equal values.

@@ -6,7 +6,9 @@ CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. The study runs once, with BASE_CHECKOUT's sources, in a child
 process (``gate_replay.py --record CHECKOUT CONFIG.json RECORD``) that
 records the inputs and the result of every
-``sem.coordinate_descent_alphas`` call. Each checkout then replays
+``sem.coordinate_descent_alphas`` call; a call that ascends a batch of
+chains in lockstep is recorded as one call per chain, in chain order.
+Each checkout then replays
 every recorded call in a child process of its own
 (``gate_replay.py --replay CHECKOUT RECORD OUT``), counting the Newton
 systems it builds (``gating.build_gating_workspace``) and the trial
@@ -71,18 +73,30 @@ def record(checkout: Path, config_path: Path, out: Path) -> int:
                 if key in kwargs}
         if not omegas or omegas[-1] is not Omega:
             omegas.append(Omega)
-        calls.append({
-            "group": ("truth" if in_truth[0] else "ml" if lam is None
-                      else "ridge" if d is None else "lt"),
-            "omega": len(omegas) - 1, "alpha_t": np.array(alpha_t),
-            "assignment": np.array(part.assignment),
-            "n_components": part.n_components,
-            "lam": None if lam is None else np.array(lam, dtype=float),
-            "d": None if d is None else np.array(d, dtype=float),
-            "reference": reference, "stop": stop,
-            "cap": stop.get("inner_max", default_cap)})
+        # One record per chain: a batched call's (B, J, q) rows, (B, n)
+        # assignments and (B, J) bias corrections are split by chain.
+        alphas = np.array(alpha_t, dtype=float)
+        batch = alphas.reshape(-1, *alphas.shape[-2:])
+        assignments = np.array(part.assignment).reshape(len(batch), -1)
+        ds = (None if d is None else
+              np.broadcast_to(np.array(d, dtype=float),
+                              (len(batch), alphas.shape[-2])))
+        first = len(calls)
+        for chain in range(len(batch)):
+            calls.append({
+                "group": ("truth" if in_truth[0] else "ml" if lam is None
+                          else "ridge" if d is None else "lt"),
+                "omega": len(omegas) - 1, "alpha_t": batch[chain],
+                "assignment": assignments[chain],
+                "n_components": part.n_components,
+                "lam": None if lam is None else np.array(lam, dtype=float),
+                "d": None if ds is None else np.array(ds[chain]),
+                "reference": reference, "stop": stop,
+                "cap": stop.get("inner_max", default_cap)})
         result = ascent(Omega, alpha_t, part, lam, d, reference, **kwargs)
-        calls[-1]["alpha"] = np.array(result)
+        rows = np.array(result).reshape(batch.shape)
+        for chain, call in enumerate(calls[first:]):
+            call["alpha"] = rows[chain]
         return result
 
     def truth(*args, **kwargs):
