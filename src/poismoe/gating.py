@@ -186,15 +186,6 @@ def penalty_value(coef: np.ndarray, lam: np.ndarray | None) -> float | np.ndarra
     return float(value) if value.ndim == 0 else value
 
 
-def _rows(flags: list[bool]) -> slice | np.ndarray:
-    """The positions of the true ``flags``: a slice (which indexes by
-    view) when they are contiguous, else an index array."""
-    rows = [row for row, flag in enumerate(flags) if flag]
-    if rows and rows[-1] - rows[0] == len(rows) - 1:
-        return slice(rows[0], rows[-1] + 1)
-    return np.array(rows, dtype=np.intp)
-
-
 def _further_steps_cannot_pay(decrements: list[float], threshold: float,
                               steps_left: int) -> bool:
     """Rules R2 and R3 on the decrements of the run of full steps that
@@ -255,9 +246,12 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     one row per chain, (B, J). The chains ascend in lockstep: every
     Newton step and every round of trials is one stacked computation
     over the chains still taking it, and each chain's decrement, rules
-    R1-R3 and halvings are its own, so a chain whose ascent stops leaves
-    the stack and each chain's result is bit for bit its own call's. A
-    non-finite trial objective in any chain raises for the whole call.
+    R1-R3 and halvings are its own. A chain whose ascent stops leaves
+    the stack: its rows, its log-softmax and the eigenpairs of its last
+    Newton system go into a slot of its own, and the slots are stacked
+    once, after the ascent, so each chain's result is bit for bit its
+    own call's. A non-finite trial objective in any chain raises for the
+    whole call.
 
     ``basis``, when given, is ``outer_basis(Omega)`` (``Dataset.Omega_outer``).
     ``log_pi``, when given, is the (J, n) (or (B, J, n)) log-softmax at
@@ -305,57 +299,34 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     objective = (q1_value(current, stacked_picks)
                  + penalty_value(coef, lam)).tolist()
     full_steps: list[list[float]] = [[] for _ in range(chains)]
-    # Each chain's result: its rows, its log-softmax unless ``stale``,
-    # and the eigenpairs of its last Newton system. Chains that all stop
-    # at once hand over their arrays whole; only a chain that stops
-    # before the others is copied in row by row.
-    result_coef = result_log_pi = vecs = values = None
-    if chains > 1:
-        result_coef = np.empty_like(coef)
-        result_log_pi = np.empty_like(current)
-        if d is not None:
-            vecs = np.empty((chains, m * q, m * q))
-            values = np.empty((chains, m * q))
-    stale = [False] * chains
+    # Each chain's result once it stops: its rows, its log-softmax (None
+    # when stale) and the eigenpairs of its last Newton system.
+    slots: list[tuple] = [()] * chains
     factors = None
 
     def leave(stop: list[bool], final_coef: np.ndarray,
               final_log_pi: np.ndarray | None) -> None:
-        """Store the results of the rows in ``stop`` and drop them."""
+        """Put the results of the rows in ``stop`` into their chains'
+        slots and drop those rows from the working set."""
         nonlocal ids, coef, current, objective, picks, stacked_picks
         nonlocal indicator, alpha, factors
-        nonlocal result_coef, result_log_pi, vecs, values, stale
-        if all(stop) and ids.size == chains:  # every chain, at once
-            result_coef = final_coef
-            if final_log_pi is None:
-                stale = [True] * chains
-            else:
-                result_log_pi = final_log_pi
-            if d is not None and factors is not None:
-                vecs, values = factors
-            ids = ids[:0]
-            return
-        mask = _rows(stop)
-        rows = ids[mask]
-        result_coef[rows] = final_coef[mask]
-        if final_log_pi is None:
-            for chain in rows.tolist():
-                stale[chain] = True
-        else:
-            result_log_pi[rows] = final_log_pi[mask]
-        if d is not None and factors is not None:
-            vecs[rows], values[rows] = factors[0][mask], factors[1][mask]
+        for row, chain in enumerate(ids.tolist()):
+            if stop[row]:
+                slots[chain] = (
+                    final_coef[row],
+                    None if final_log_pi is None else final_log_pi[row],
+                    None if factors is None else (factors[0][row],
+                                                  factors[1][row]))
         if all(stop):
             ids = ids[:0]
             return
-        keep = _rows([not stop_ for stop_ in stop])
+        keep = np.flatnonzero([not stop_ for stop_ in stop])
         if factors is not None:
             factors = factors[0][keep], factors[1][keep]
         ids, coef, current = ids[keep], coef[keep], current[keep]
         picks, indicator, alpha = picks[keep], indicator[keep], alpha[keep]
         stacked_picks = picks + offsets[:ids.size] if ids.size > 1 else picks
-        objective = [level for level, stop_ in zip(objective, stop)
-                     if not stop_]
+        objective = [objective[row] for row in keep.tolist()]
 
     for taken in range(1, inner_max + 1):
         if not ids.size:
@@ -372,12 +343,12 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         last = [gain <= inner_tol * (1.0 + abs(level))  # R1
                 for gain, level in zip(decrement, objective)]
         if any(last):  # taken untried: these chains end at the proposal
-            going = [not stop for stop in last]
+            going = [row for row, stop in enumerate(last) if not stop]
             leave(last, proposal, None)
             if not ids.size:
                 break
-            proposal = proposal[_rows(going)]
-            decrement = [gain for gain, go in zip(decrement, going) if go]
+            proposal = proposal[going]
+            decrement = [decrement[row] for row in going]
         # Rounds of trials over the whole working set: a row that no
         # longer lowers F keeps its proposal, and its trial repeats bit
         # for bit, so the last round holds each row's first kept trial
@@ -426,18 +397,20 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
             leave(stop, coef, current)
     if ids.size:  # chains stopped by the step cap
         leave([True] * ids.size, coef, current)
+    coefs, log_pis, eigenpairs = zip(*slots)
+    coef = np.array(coefs)
     if d is not None and inner_max > 0:
         d = np.repeat(np.asarray(d, dtype=float)[..., free], q, axis=-1)
-        result_coef = result_coef - factored_solve((vecs, values),
-                                                   d * result_coef)
-        stale = [True] * chains
+        vecs, values = zip(*eigenpairs)
+        coef = coef - factored_solve((np.array(vecs), np.array(values)),
+                                     d * coef)
+        log_pis = [None] * chains
     alpha = np.zeros((chains, n_classes, q))
-    alpha[:, free] = result_coef.reshape(chains, m, q)
+    alpha[:, free] = coef.reshape(chains, m, q)
     if handed_over is not None:
-        if all(stale):
-            result_log_pi = gating_log_probabilities(Omega, alpha)
-        elif any(stale):
-            rows = np.array(stale)
-            result_log_pi[rows] = gating_log_probabilities(Omega, alpha[rows])
-        handed_over[...] = result_log_pi.reshape(handed_over.shape)
+        if any(row is None for row in log_pis):
+            fresh = gating_log_probabilities(Omega, alpha)
+            log_pis = [fresh[chain] if row is None else row
+                       for chain, row in enumerate(log_pis)]
+        handed_over[...] = np.array(log_pis).reshape(handed_over.shape)
     return alpha[0] if single else alpha

@@ -15,8 +15,9 @@ give the same values, bit for bit, alone or in a batch.
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -181,18 +182,22 @@ class PartitionState:
                                  "or matrices with one row per chain")
         try:
             expected = _count_labels(assignment, counts.shape[-1])
-        except ValueError as exc:  # a negative label, or ragged counts
+        except ValueError as exc:  # a label outside [0, J)
             raise ValueError("counts do not match the assignment") from exc
-        if expected.shape != counts.shape or (expected != counts).any():
+        if (expected != counts).any():
             raise ValueError("counts do not match the assignment")
         object.__setattr__(self, "assignment", _readonly(assignment))
         object.__setattr__(self, "counts", _readonly(counts))
 
     @classmethod
     def from_assignment(cls, assignment: np.ndarray, n_components: int) -> "PartitionState":
-        assignment = np.asarray(assignment, dtype=np.int64)
-        return cls(assignment=assignment,
-                   counts=_count_labels(assignment, n_components))
+        """The partition of ``assignment``, its labels counted once."""
+        assignment = np.array(assignment, dtype=np.int64)
+        part = object.__new__(cls)
+        object.__setattr__(part, "counts", _readonly(
+            _count_labels(assignment, n_components)))
+        object.__setattr__(part, "assignment", _readonly(assignment))
+        return part
 
     @property
     def n_components(self) -> int:
@@ -201,13 +206,22 @@ class PartitionState:
 
 def _count_labels(assignment: np.ndarray, n_components: int) -> np.ndarray:
     """Component sizes of an (n,) assignment, or of each row of a (B, n)
-    batch of them, as (J,) or (B, J); labels must lie in [0, J)."""
+    batch of them, as (J,) or (B, J); a label outside [0, J) raises
+    ValueError. A batch is one ``bincount``, each row's labels offset
+    by J times the row."""
+    if assignment.ndim not in (1, 2):
+        raise DimensionError("an assignment must be a vector, "
+                             "or a matrix with one row per chain")
+    if assignment.size and not (0 <= assignment.min()
+                                and assignment.max() < n_components):
+        raise ValueError(f"labels must lie in [0, {n_components})")
     if assignment.ndim == 1:
         return np.bincount(assignment, minlength=n_components)
-    # A label of J or more lengthens its row's count, and the rows then
-    # do not stack into (B, J): the caller's shape check refuses them.
-    return np.array([np.bincount(row, minlength=n_components)
-                     for row in assignment])
+    chains = assignment.shape[0]
+    offsets = n_components * np.arange(chains)[:, None]
+    return np.bincount((assignment + offsets).ravel(),
+                       minlength=chains * n_components
+                       ).reshape(chains, n_components)
 
 
 @dataclass(frozen=True)
@@ -271,15 +285,19 @@ class TuningParams:
     def __post_init__(self) -> None:
         lb = np.array(self.lambda_beta, dtype=float)
         la = np.array(self.lambda_alpha, dtype=float)
-        db = np.array(self.d_beta, dtype=float)
-        da = np.array(self.d_alpha, dtype=float)
         if not ((lb > 0).all() and (la > 0).all()):
             raise ValueError("lambda entries must be strictly positive")
+        for name, arr in (("lambda_beta", lb), ("lambda_alpha", la)):
+            object.__setattr__(self, name, _readonly(arr))
+        self._set_bias_corrections(self.d_beta, self.d_alpha)
+
+    def _set_bias_corrections(self, d_beta, d_alpha) -> None:
+        db = np.array(d_beta, dtype=float)
+        da = np.array(d_alpha, dtype=float)
         if not all(np.isfinite(d).all() and (d >= 0).all() for d in (db, da)):
             raise ValueError("bias corrections must be finite and non-negative")
-        for name, arr in (("lambda_beta", lb), ("lambda_alpha", la),
-                          ("d_beta", db), ("d_alpha", da)):
-            object.__setattr__(self, name, _readonly(arr))
+        object.__setattr__(self, "d_beta", _readonly(db))
+        object.__setattr__(self, "d_alpha", _readonly(da))
 
     @classmethod
     def ridge_only(cls, lambda_beta, lambda_alpha,
@@ -291,8 +309,11 @@ class TuningParams:
                    source=source)
 
     def with_bias_corrections(self, d_beta, d_alpha) -> "TuningParams":
-        return replace(self, d_beta=np.asarray(d_beta, dtype=float),
-                       d_alpha=np.asarray(d_alpha, dtype=float))
+        """This tuning with the bias corrections ``d_beta`` and ``d_alpha``;
+        only they are checked, the lambdas are already."""
+        tuning = copy.copy(self)
+        tuning._set_bias_corrections(d_beta, d_alpha)
+        return tuning
 
 
 @dataclass(frozen=True)

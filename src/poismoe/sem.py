@@ -19,8 +19,11 @@ their solve, the gate ascent, the LT retune) is one stacked computation
 for all of them. One chain is the B=1 case of the same loop. Each chain
 keeps its own random stream and every stacked product rounds a chain's
 rows as a call of its own would, so a chain's iterates do not depend on
-which other chains run beside it. A chain that stops, or is
-interrupted, leaves the batch and the others go on unchanged.
+which other chains run beside it. A chain that stops leaves the batch
+and the others go on unchanged. A step that raises for the batch is
+retried chain by chain: the chains that raise alone are interrupted,
+and the others take the step again as one batch, with the bits each
+got alone.
 """
 from __future__ import annotations
 
@@ -48,11 +51,6 @@ __all__ = [
 Retuner = Callable[[Dataset, ComponentWorkspace, np.ndarray], TuningParams]
 
 
-def _empty_partition(counts: np.ndarray) -> EmptyPartition:
-    empty = int(np.flatnonzero(counts == 0)[0])
-    return EmptyPartition(f"component {empty} received no observations")
-
-
 def s_step(tau: np.ndarray,
            rng: np.random.Generator | Sequence[np.random.Generator]
            ) -> PartitionState:
@@ -62,12 +60,14 @@ def s_step(tau: np.ndarray,
     (B, n, J) batch of chains with one generator per chain, each drawing
     its chain's uniforms as it would alone. One chain's empty component
     raises :class:`EmptyPartition`; a batch returns every chain's draw,
-    and the caller ends the chains whose ``counts`` hold a zero.
+    and ``build_workspace`` raises for a chain whose ``counts`` hold a
+    zero.
     """
     tau = np.asarray(tau, dtype=float)
     part = PartitionState.from_assignment(draw_labels(tau, rng), tau.shape[-1])
     if tau.ndim == 2 and (part.counts == 0).any():
-        raise _empty_partition(part.counts)
+        empty = int(np.flatnonzero(part.counts == 0)[0])
+        raise EmptyPartition(f"component {empty} received no observations")
     return part
 
 
@@ -244,24 +244,6 @@ class _Batch:
                       loglik=[self.loglik[row] for row in rows]
                       if self.loglik is not None else None)
 
-    @staticmethod
-    def concatenate(parts: list["_Batch"]) -> "_Batch":
-        """One batch of the chains of ``parts``, each re-run alone and
-        recorded; their tunings were each their own, so none is kept."""
-        if len(parts) == 1:
-            return parts[0]
-        first = parts[0]
-        return _Batch(
-            chains=[chain for part in parts for chain in part.chains],
-            psi=Coefficients(beta=np.concatenate([b.psi.beta for b in parts]),
-                             alpha=np.concatenate([b.psi.alpha for b in parts]),
-                             reference_class=first.psi.reference_class),
-            log_pi=np.concatenate([b.log_pi for b in parts]),
-            tau=np.concatenate([b.tau for b in parts]),
-            loglik=[value for part in parts for value in part.loglik],
-            previous=(None if first.previous is None else
-                      [value for part in parts for value in part.previous]))
-
 
 def _take_part(part: PartitionState | None,
                rows: list[int]) -> PartitionState | None:
@@ -269,29 +251,25 @@ def _take_part(part: PartitionState | None,
         assignment=part.assignment[rows], counts=part.counts[rows])
 
 
-def _each_chain_on_failure(step, batch: _Batch, part: PartitionState | None,
-                           outcomes: list[_ChainOutcome],
-                           record) -> _Batch | None:
-    """``step(batch, part)`` for the whole batch; if it raises a chain
-    interruption, the same step for each chain alone, so that only the
-    failing chains end, each with its own reason. Every step is
-    deterministic given its inputs, so a chain re-run alone computes what
-    it computed in the batch. ``record(batch)`` stores each surviving
-    chain's new iterate; the survivors come back as one batch."""
+def _step_survivors(step, batch: _Batch, part: PartitionState | None,
+                    outcomes: list[_ChainOutcome]) -> _Batch | None:
+    """``step(batch, part)`` for the whole batch. If it raises a chain
+    interruption, the step is retried for each chain alone: the chains
+    that raise end with their own reason, and the others take the step
+    once more as one batch. A chain's result does not depend on the
+    chains beside it, so each survivor gets what it got alone."""
     try:
-        done = step(batch, part)
-    except _CHAIN_INTERRUPTIONS as exc:
-        if len(batch.chains) == 1:
-            outcomes[batch.chains[0]].interruption = _interruption(exc)
-            return None
-        survivors = [_each_chain_on_failure(step, batch.take([row]),
-                                            _take_part(part, [row]),
-                                            outcomes, record)
-                     for row in range(len(batch.chains))]
-        survivors = [chain for chain in survivors if chain is not None]
-        return _Batch.concatenate(survivors) if survivors else None
-    record(done)
-    return done
+        return step(batch, part)
+    except _CHAIN_INTERRUPTIONS:
+        pass
+    rows = []
+    for row, chain in enumerate(batch.chains):
+        try:
+            step(batch.take([row]), _take_part(part, [row]))
+            rows.append(row)
+        except _CHAIN_INTERRUPTIONS as exc:
+            outcomes[chain].interruption = _interruption(exc)
+    return step(batch.take(rows), _take_part(part, rows)) if rows else None
 
 
 def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
@@ -304,18 +282,19 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     Each chain starts from :func:`initialize` with its own generator.
     Each lockstep iteration then takes one ``s_step``, one
     ``build_workspace``, one retune, one :func:`m_step` and one
-    ``e_step`` for the whole batch; the posterior of each E-step feeds
-    the next S-step, and the gate log-softmax passes from E-step to gate
-    ascent and back without being recomputed. A chain leaves the batch
-    when its log-likelihood change falls below ``epsilon`` (converged),
-    and all stop at ``opts.max_iters``. An interruption (see
-    :func:`run_sem`) belongs to one chain: it ends that chain the way the
-    stopping rule would, except ``converged`` stays False and the cause
-    is recorded, and the other chains go on. An empty component is read
-    from the drawn counts; any other interruption re-runs the step chain
-    by chain to find which chains raise. A chain interrupted before its
-    first completed iteration has nothing to select from and counts as a
-    failed restart.
+    ``e_step`` for the whole batch, and records each chain's new
+    iterate; the posterior of each E-step feeds the next S-step, and the
+    gate log-softmax passes from E-step to gate ascent and back without
+    being recomputed. A chain leaves the batch when its log-likelihood
+    change falls below ``epsilon`` (converged), and all stop at
+    ``opts.max_iters``. An interruption (see :func:`run_sem`) belongs to
+    one chain: it ends that chain the way the stopping rule would,
+    except ``converged`` stays False and the cause is recorded, and the
+    other chains go on. A step that raises an interruption, an empty
+    component drawn by the S-step included, is retried chain by chain to
+    find which chains raise, and the others take it again as one batch.
+    A chain interrupted before its first completed iteration has nothing
+    to select from and counts as a failed restart.
     """
     outcomes = [_ChainOutcome(reference_class=spec.reference_class)
                 for _ in rngs]
@@ -343,7 +322,7 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         workspace = build_workspace(data, part, batch.psi.beta)
         tuning_t = (tuning if retune is None
                     else retune(data, workspace, batch.log_pi))
-        log_pi = batch.log_pi.copy()  # the batch's stays for a re-run
+        log_pi = batch.log_pi.copy()  # the batch's stays for a retry
         psi = m_step(data, part, batch.psi, method=method, tuning=tuning_t,
                      workspace=workspace, log_pi=log_pi)
         tau, loglik = e_step(data, psi, log_pi)
@@ -351,41 +330,26 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                       loglik=loglik.tolist(), previous=batch.loglik,
                       tuning=tuning_t)
 
-    def record(batch: _Batch) -> None:
-        if batch.previous is None:
-            return
+    batch = _step_survivors(start, batch, None, outcomes)
+    for _ in range(opts.max_iters):
+        if batch is None:
+            break
+        part = s_step(batch.tau, [rngs[chain] for chain in batch.chains])
+        batch = _step_survivors(iterate, batch, part, outcomes)
+        if batch is None:
+            break
         shared = batch.tuning is None or batch.tuning.d_beta.ndim < 2
-        for row, (chain, loglik) in enumerate(zip(batch.chains,
-                                                  batch.loglik)):
+        converged = []
+        for row, (chain, loglik, previous) in enumerate(
+                zip(batch.chains, batch.loglik, batch.previous)):
             outcome = outcomes[chain]
             outcome.betas.append(batch.psi.beta[row])
             outcome.alphas.append(batch.psi.alpha[row])
             outcome.logliks.append(loglik)
             outcome.tunings.append((batch.tuning, None if shared else row))
-
-    batch = _each_chain_on_failure(start, batch, None, outcomes, record)
-    for _ in range(opts.max_iters):
-        if batch is None:
-            break
-        part = s_step(batch.tau, [rngs[chain] for chain in batch.chains])
-        counts = part.counts.tolist()
-        if any(0 in row for row in counts):
-            for chain, row in zip(batch.chains, counts):
-                if 0 in row:
-                    outcomes[chain].interruption = _interruption(
-                        _empty_partition(np.array(row)))
-            rows = [row for row, sizes in enumerate(counts) if 0 not in sizes]
-            if not rows:
-                break
-            batch, part = batch.take(rows), _take_part(part, rows)
-        batch = _each_chain_on_failure(iterate, batch, part, outcomes, record)
-        if batch is None:
-            break
-        converged = [abs(loglik - previous) < opts.epsilon
-                     for loglik, previous in zip(batch.loglik, batch.previous)]
+            outcome.converged = abs(loglik - previous) < opts.epsilon
+            converged.append(outcome.converged)
         if any(converged):
-            for chain, done in zip(batch.chains, converged):
-                outcomes[chain].converged = done
             rows = [row for row, done in enumerate(converged) if not done]
             if not rows:
                 break

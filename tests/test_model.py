@@ -123,6 +123,38 @@ def test_sem_options_validation():
         pm.SemOptions(estimate_selection="mode")
 
 
+def test_partition_counts_each_chain_and_refuses_labels_out_of_range():
+    labels = np.array([[0, 2, 2, 1], [1, 1, 1, 1]])
+    batch = pm.PartitionState.from_assignment(labels, 3)
+    assert batch.counts.tolist() == [[1, 1, 2], [0, 4, 0]]
+    assert pm.PartitionState.from_assignment(labels[0], 3).counts.tolist() \
+        == [1, 1, 2]
+    for bad in ([[0, 1], [3, 0]], [[0, -1], [1, 0]], [0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="labels must lie in"):
+            pm.PartitionState.from_assignment(np.array(bad), 3)
+    with pytest.raises(DimensionError):
+        pm.PartitionState.from_assignment(np.zeros((1, 2, 3), dtype=int), 3)
+    # Counts a caller passes are checked against the assignment.
+    pm.PartitionState(assignment=labels, counts=[[1, 1, 2], [0, 4, 0]])
+    for counts in ([[1, 1, 2], [0, 3, 1]], [[1, 1, 1], [0, 4, 0]]):
+        with pytest.raises(ValueError, match="counts do not match"):
+            pm.PartitionState(assignment=labels, counts=counts)
+
+
+def test_with_bias_corrections_checks_the_new_d_only():
+    tuning = pm.TuningParams.ridge_only([0.5, 0.7], [0.3, 0.2], source="x")
+    lt = tuning.with_bias_corrections([[0.1, 0.0], [0.2, 0.3]], [0.4, 0.5])
+    assert lt.lambda_beta is tuning.lambda_beta and lt.source == "x"
+    assert lt.d_beta.tolist() == [[0.1, 0.0], [0.2, 0.3]]
+    assert not lt.d_alpha.flags.writeable
+    assert tuning.d_beta.tolist() == [0.0, 0.0]
+    for d in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tuning.with_bias_corrections([0.1, d], [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tuning.with_bias_corrections([0.1, 0.1], [d, 0.0])
+
+
 def test_responsibilities_rows_sum_to_one():
     data, truth, _, _ = small_mixture(seed=11)
     tau = pm.responsibilities(data, truth)

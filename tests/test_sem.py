@@ -376,7 +376,8 @@ def batch_and_solo_runs(data, spec, opts, method="ml", tuning=None,
     return batch, solo
 
 
-def test_interrupted_chains_leave_the_batch_and_the_others_run_on():
+def test_interrupted_chains_leave_the_batch_and_the_others_run_on(
+        monkeypatch):
     # On this data restart 0 draws an empty component after 6 iterations
     # and restart 1 meets a singular system after 3, while restart 2 runs
     # to the cap. Each keeps what it had completed, with its own reason,
@@ -384,6 +385,14 @@ def test_interrupted_chains_leave_the_batch_and_the_others_run_on():
     data, _, _, _ = small_mixture(seed=234, n=12, p=3, q=2)
     opts = pm.SemOptions(epsilon=1e-300, max_iters=25, burn_in=0,
                          n_restarts=3, rng_seed=234)
+    chains_per_e_step = []
+
+    def spy(data, psi, log_pi):
+        chains_per_e_step.append(psi.beta.shape[0])
+        return e_step(data, psi, log_pi)
+
+    e_step = sem.e_step
+    monkeypatch.setattr(sem, "e_step", spy)
     batch, solo = batch_and_solo_runs(data, pm.MixtureSpec(2, 0), opts)
     assert [len(o.logliks) for o in batch] == [6, 3, 25]
     assert batch[0].interruption.startswith("EmptyPartition: component")
@@ -391,6 +400,11 @@ def test_interrupted_chains_leave_the_batch_and_the_others_run_on():
     assert batch[2].interruption is None and not batch[2].converged
     for together, alone in zip(batch, solo):
         assert chain_record(together) == chain_record(alone)
+    # The batch's first E-steps: the start and three iterations of all
+    # three chains; the fourth iteration raises, each chain retries it
+    # alone (restart 1 raises before its E-step), and restarts 0 and 2
+    # take it again as one batch, then two more iterations.
+    assert chains_per_e_step[:9] == [3] * 4 + [1, 1] + [2] * 3
 
 
 def test_fit_failed_diagnostics_keep_restart_order():

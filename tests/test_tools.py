@@ -153,6 +153,10 @@ def test_gate_replay_of_a_checkout_with_itself_reports_no_difference(
             assert base == new
         for key in ("f_gap", "f_gap_capped", "coef_gap", "prob_gap"):
             assert float(fields[key]) == 0.0
+    # Only the LT calls carry the base chain's tuning into the new gate.
+    labelled = [row.endswith("(replayed on the base chain's d)")
+                for row in rows]
+    assert labelled == [False, False, True]
 
 
 def test_fit_compare_counts_every_chain_of_a_batch(two_restart_study):

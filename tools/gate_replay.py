@@ -29,7 +29,10 @@ F is the assignment log-likelihood minus 1/2 sum(lam alpha^2) over the
 free rows, computed here with numpy from the returned rows. That is the
 objective every ascent maximizes; a Liu-type call maximizes it and then
 shrinks the result by one Liu-type step, so its F is the ridge
-objective at the shrunk rows. Two checkouts that ascend alike report
+objective at the shrunk rows. The ``lt`` calls are replayed on the base
+chain's d: a new checkout whose tuning picks other d values never makes
+those calls, so its ``lt`` line, which says so, judges the new gate on
+inputs only the base produces. Two checkouts that ascend alike report
 every call bit-identical and every gap 0. The exit code is 1 when the
 base replay does not reproduce the recorded results bit for bit (the
 replay would not be faithful), else 0.
@@ -49,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 GROUPS = ("truth", "ml", "ridge", "lt")
+LT_LABEL = "(replayed on the base chain's d)"
 
 
 def import_checkout(checkout: Path):
@@ -208,7 +212,8 @@ def summarize(recording: dict, base: list[dict],
             group, f"{row['calls']:.0f}", pair("steps"), pair("trials"),
             pair("capped"), f"{row['identical']:.0f}",
             f"{row['f_gap']:.1e}", f"{row['f_gap_capped']:.1e}",
-            f"{row['coef_gap']:.1e}", f"{row['prob_gap']:.1e}"]))
+            f"{row['coef_gap']:.1e}", f"{row['prob_gap']:.1e}"]
+            + ([LT_LABEL] if group == "lt" else [])))
     return lines
 
 
