@@ -67,9 +67,16 @@ PI_FLOOR = 1e-10
 # steps and the quadratic phase of a well-posed ascent alone.
 SEPARATED_TAIL_LEVEL = 1e4
 
+# The ascent's tolerance, relative to the objective, and its step cap,
+# read each time it runs.
+INNER_TOL = 1e-11
+INNER_MAX = 50
+
 __all__ = [
     "PI_FLOOR",
     "SEPARATED_TAIL_LEVEL",
+    "INNER_TOL",
+    "INNER_MAX",
     "log_sum_exp",
     "gating_log_probabilities",
     "gating_probabilities",
@@ -205,9 +212,7 @@ def _further_steps_cannot_pay(decrements: list[float], threshold: float,
 def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                               part: "PartitionState",
                               lam: np.ndarray | None, d: np.ndarray | None,
-                              reference: int,
-                              inner_tol: float = 1e-11,
-                              inner_max: int = 50, *,
+                              reference: int, *,
                               basis: np.ndarray | None = None,
                               log_pi: np.ndarray | None = None) -> np.ndarray:
     """Penalized Newton ascent on all non-reference gating rows jointly.
@@ -232,13 +237,10 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     rows are kept and the ascent ends; a trial whose F is not finite
     raises :class:`NumericalFailure` instead. The Newton decrement
     ``delta = 1/2 * step' (gram + diag(lam)) step`` of each full step,
-    against the tolerance ``inner_tol * (1 + |F|)`` with F at the
+    against the tolerance ``INNER_TOL * (1 + |F|)`` with F at the
     current rows, ends the ascent by the rules R1-R3 of the module
-    notes, and in any case after ``inner_max`` Newton steps. None of
-    the rules fires at ``inner_tol=0`` unless delta is not positive (a
-    step of zero), so there the ascent tries and halves every step as the
-    plain halving ascent does. ``inner_max=0`` returns the input
-    unchanged. The reference row comes back as zeros.
+    notes, and in any case after ``INNER_MAX`` Newton steps. The
+    reference row comes back as zeros.
 
     ``alpha_t`` is one chain's (J, q) rows with ``part`` its partition,
     or a (B, J, q) batch of chains with ``part`` holding one assignment
@@ -302,7 +304,6 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     # Each chain's result once it stops: its rows, its log-softmax (None
     # when stale) and the eigenpairs of its last Newton system.
     slots: list[tuple] = [()] * chains
-    factors = None
 
     def leave(stop: list[bool], final_coef: np.ndarray,
               final_log_pi: np.ndarray | None) -> None:
@@ -315,20 +316,18 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                 slots[chain] = (
                     final_coef[row],
                     None if final_log_pi is None else final_log_pi[row],
-                    None if factors is None else (factors[0][row],
-                                                  factors[1][row]))
+                    (factors[0][row], factors[1][row]))
         if all(stop):
             ids = ids[:0]
             return
         keep = np.flatnonzero([not stop_ for stop_ in stop])
-        if factors is not None:
-            factors = factors[0][keep], factors[1][keep]
+        factors = factors[0][keep], factors[1][keep]
         ids, coef, current = ids[keep], coef[keep], current[keep]
         picks, indicator, alpha = picks[keep], indicator[keep], alpha[keep]
         stacked_picks = picks + offsets[:ids.size] if ids.size > 1 else picks
         objective = [objective[row] for row in keep.tolist()]
 
-    for taken in range(1, inner_max + 1):
+    for taken in range(1, INNER_MAX + 1):
         if not ids.size:
             break
         gram, rhs = build_gating_workspace(Omega, basis, current, coef,
@@ -340,7 +339,7 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         if lam is not None:
             curvature = curvature + lam * step
         decrement = (0.5 * np.vecdot(step, curvature)).tolist()
-        last = [gain <= inner_tol * (1.0 + abs(level))  # R1
+        last = [gain <= INNER_TOL * (1.0 + abs(level))  # R1
                 for gain, level in zip(decrement, objective)]
         if any(last):  # taken untried: these chains end at the proposal
             going = [row for row, stop in enumerate(last) if not stop]
@@ -391,15 +390,15 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
             else:
                 full_steps[chain].append(gain)
                 stop.append(_further_steps_cannot_pay(
-                    full_steps[chain], inner_tol * (1.0 + abs(level)),
-                    inner_max - taken))
+                    full_steps[chain], INNER_TOL * (1.0 + abs(level)),
+                    INNER_MAX - taken))
         if any(stop):
             leave(stop, coef, current)
     if ids.size:  # chains stopped by the step cap
         leave([True] * ids.size, coef, current)
     coefs, log_pis, eigenpairs = zip(*slots)
     coef = np.array(coefs)
-    if d is not None and inner_max > 0:
+    if d is not None:
         d = np.repeat(np.asarray(d, dtype=float)[..., free], q, axis=-1)
         vecs, values = zip(*eigenpairs)
         coef = coef - factored_solve((np.array(vecs), np.array(values)),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -164,6 +163,9 @@ def _heart_replicate(args: tuple) -> list[dict]:
 def _run_tasks(worker, tasks: list, jobs: int) -> list[list[dict]]:
     if jobs == 1:
         return [worker(task) for task in tasks]
+    # Loads multiprocessing, which only a parallel study needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(tasks) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks, chunksize=chunksize))

@@ -58,17 +58,12 @@ def s_step(tau: np.ndarray,
 
     ``tau`` is one chain's (n, J) posterior with its generator, or a
     (B, n, J) batch of chains with one generator per chain, each drawing
-    its chain's uniforms as it would alone. One chain's empty component
-    raises :class:`EmptyPartition`; a batch returns every chain's draw,
-    and ``build_workspace`` raises for a chain whose ``counts`` hold a
-    zero.
+    its chain's uniforms as it would alone. A draw may leave a component
+    empty; ``build_workspace`` raises :class:`EmptyPartition` for a chain
+    whose ``counts`` hold a zero.
     """
     tau = np.asarray(tau, dtype=float)
-    part = PartitionState.from_assignment(draw_labels(tau, rng), tau.shape[-1])
-    if tau.ndim == 2 and (part.counts == 0).any():
-        empty = int(np.flatnonzero(part.counts == 0)[0])
-        raise EmptyPartition(f"component {empty} received no observations")
-    return part
+    return PartitionState.from_assignment(draw_labels(tau, rng), tau.shape[-1])
 
 
 def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
@@ -81,12 +76,12 @@ def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
     rows, all J in one stacked solve of the class-major systems of
     ``workspace`` (``build_workspace(data, part, psi_t.beta)``, built
     here when not given); the gate is refit by
-    :func:`coordinate_descent_alphas` at its default tolerance and step
-    cap. ``tuning`` holds the ridge lambdas and Liu-type bias corrections
-    of ``method``, one per component or class. Every Liu-type update is
-    the shrinkage ``S^-1 (S - d I) b_r`` of its ridge result b_r, the
-    estimator the tuning MSE scores: for beta the ridge IRWLS step, for
-    the gate the ridge ascent's result, shrunk on its last Newton system.
+    :func:`coordinate_descent_alphas`. ``tuning`` holds the ridge lambdas
+    and Liu-type bias corrections of ``method``, one per component or
+    class. Every Liu-type update is the shrinkage ``S^-1 (S - d I) b_r``
+    of its ridge result b_r, the estimator the tuning MSE scores: for
+    beta the ridge IRWLS step, for the gate the ridge ascent's result,
+    shrunk on its last Newton system.
     ``log_pi``, when given, is the (J, n) gate log-softmax at
     ``psi_t.alpha``; the gate ascent starts from it and leaves in it the
     log-softmax of the new gating rows.
@@ -212,10 +207,6 @@ class _ChainOutcome:
 _CHAIN_INTERRUPTIONS = (EmptyPartition, NumericalFailure, TuningFailed)
 
 
-def _interruption(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 @dataclass
 class _Batch:
     """The chains still running, one row each: ``chains`` holds their
@@ -268,7 +259,7 @@ def _step_survivors(step, batch: _Batch, part: PartitionState | None,
             step(batch.take([row]), _take_part(part, [row]))
             rows.append(row)
         except _CHAIN_INTERRUPTIONS as exc:
-            outcomes[chain].interruption = _interruption(exc)
+            outcomes[chain].interruption = f"{type(exc).__name__}: {exc}"
     return step(batch.take(rows), _take_part(part, rows)) if rows else None
 
 
@@ -279,7 +270,9 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     """Every chain of a fit, advanced in lockstep; an interruption keeps
     the iterates a chain completed so far.
 
-    Each chain starts from :func:`initialize` with its own generator.
+    Each chain starts from :func:`initialize` with its own generator; no
+    start is interrupted, since ``run_sem`` refuses fewer observations
+    than components and the warm start keeps its own failures.
     Each lockstep iteration then takes one ``s_step``, one
     ``build_workspace``, one retune, one :func:`m_step` and one
     ``e_step`` for the whole batch, and records each chain's new
@@ -298,17 +291,9 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     """
     outcomes = [_ChainOutcome(reference_class=spec.reference_class)
                 for _ in rngs]
-    starts, chains = [], []
-    for chain, rng in enumerate(rngs):
-        try:
-            starts.append(initialize(data, spec, rng))
-            chains.append(chain)
-        except _CHAIN_INTERRUPTIONS as exc:
-            outcomes[chain].interruption = _interruption(exc)
-    if not starts:
-        return outcomes
+    starts = [initialize(data, spec, rng) for rng in rngs]
     alpha = np.stack([start.alpha for start in starts])
-    batch = _Batch(chains=chains,
+    batch = _Batch(chains=list(range(len(rngs))),
                    psi=Coefficients(beta=np.stack([s.beta for s in starts]),
                                     alpha=alpha,
                                     reference_class=spec.reference_class),

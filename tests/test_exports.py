@@ -1,5 +1,6 @@
 """Every name a module exports through ``__all__`` resolves, importing
-the package loads numpy only (scipy is a test dependency, not a runtime one),
+the package loads numpy only (scipy is a test dependency, not a runtime one,
+and multiprocessing waits for a parallel study),
 no module imports a name it does not use, and none imports a private
 (``_``-prefixed) name from a sibling module."""
 import ast
@@ -29,14 +30,25 @@ def test_submodule_exports_resolve(name):
     assert [attr for attr in exported if not hasattr(module, attr)] == []
 
 
-def test_import_loads_no_scipy():
+def loaded_by_import(package: str) -> str:
+    """The modules of ``package`` that ``import poismoe`` loads in a
+    fresh interpreter, as a printed sorted list."""
     src = str(Path(pm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, poismoe; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
+             f"if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_multiprocessing():
+    # Only a parallel study (jobs > 1) needs its process pool.
+    assert loaded_by_import("multiprocessing") == "[]"
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:

@@ -289,9 +289,20 @@ def test_workspace_rhs_minus_gram_step_is_stacked_gradient():
                        atol=1e-12 * np.max(np.abs(rhs)))
 
 
+def ascend_with_stops(*args, inner_tol=pm.gating.INNER_TOL,
+                      inner_max=pm.gating.INNER_MAX, **kwargs):
+    """``coordinate_descent_alphas`` with its tolerance ``INNER_TOL`` and
+    step cap ``INNER_MAX`` set to ``inner_tol`` and ``inner_max`` for
+    this one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pm.gating, "INNER_TOL", inner_tol)
+        patch.setattr(pm.gating, "INNER_MAX", inner_max)
+        return pm.coordinate_descent_alphas(*args, **kwargs)
+
+
 def one_step(Omega, alpha, part, lam=None, d=None):
     """One Newton step on class 0 (reference 1); lam and d are scalars."""
-    return pm.coordinate_descent_alphas(
+    return ascend_with_stops(
         Omega, alpha, part, None if lam is None else [lam, lam],
         None if d is None else [d, d], reference=1, inner_max=1)[0]
 
@@ -310,11 +321,11 @@ def test_alpha_step_liu_zero_d_equals_ridge():
     # stacked (J=3): per-class lambdas, the reference entry ignored
     Omega, part, alpha, _ = three_class_problem(seed=9)
     lams = [1.3, 0.0, 0.4]
-    ridge = pm.coordinate_descent_alphas(Omega, alpha, part, lams, None,
-                                         reference=1, inner_max=1)
-    lt_self = pm.coordinate_descent_alphas(Omega, alpha, part, lams,
-                                           [0.0] * 3, reference=1,
-                                           inner_max=1)
+    ridge = ascend_with_stops(Omega, alpha, part, lams, None,
+                              reference=1, inner_max=1)
+    lt_self = ascend_with_stops(Omega, alpha, part, lams,
+                                [0.0] * 3, reference=1,
+                                inner_max=1)
     assert np.array_equal(ridge, lt_self)
 
 
@@ -337,9 +348,9 @@ def test_alpha_step_well_posed_with_floored_weights():
 
 def test_coordinate_descent_ml_matches_logistic_newton():
     Omega, part, assignment = binary_gating_problem()
-    alpha = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
-                                         None, None, reference=1,
-                                         inner_tol=1e-13, inner_max=300)
+    alpha = ascend_with_stops(Omega, np.zeros((2, 2)), part,
+                              None, None, reference=1,
+                              inner_tol=1e-13, inner_max=300)
     oracle = logistic_mle_oracle(Omega, (assignment == 0).astype(float), 2)
     assert np.max(np.abs((alpha[0] - oracle) / oracle)) < 1e-6
     assert np.all(alpha[1] == 0.0)
@@ -359,14 +370,6 @@ def test_coordinate_descent_single_sweep_equals_one_step():
     assert np.allclose(swept, single, rtol=1e-12)
 
 
-def test_coordinate_descent_zero_sweeps_is_identity():
-    Omega, part, _ = binary_gating_problem(seed=14)
-    alpha0 = np.array([[0.4, -0.2], [0.0, 0.0]])
-    out = pm.coordinate_descent_alphas(Omega, alpha0, part, None, None,
-                                       reference=1, inner_max=0)
-    assert np.array_equal(out, alpha0)
-
-
 def test_coordinate_descent_three_class_matches_multinomial_newton():
     gen = np.random.default_rng(21)
     n, q, n_classes = 150, 3, 3
@@ -378,9 +381,9 @@ def test_coordinate_descent_three_class_matches_multinomial_newton():
     pi /= pi.sum(axis=1, keepdims=True)
     z = (gen.random(n)[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
     part = pm.PartitionState.from_assignment(np.minimum(z, 2), 3)
-    alpha = pm.coordinate_descent_alphas(Omega, np.zeros((3, q)), part,
-                                         None, None, reference=2,
-                                         inner_tol=1e-12, inner_max=500)
+    alpha = ascend_with_stops(Omega, np.zeros((3, q)), part,
+                              None, None, reference=2,
+                              inner_tol=1e-12, inner_max=500)
 
     indicators = np.eye(n_classes)[part.assignment]
 
@@ -408,8 +411,8 @@ def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
 
     for _ in range(8):
         before = penalized_total(alpha)
-        alpha = pm.coordinate_descent_alphas(Omega, alpha, part, lam, None,
-                                             reference=1, inner_max=1)
+        alpha = ascend_with_stops(Omega, alpha, part, lam, None,
+                                  reference=1, inner_max=1)
         after = penalized_total(alpha)
         assert after >= before - 1e-10
 
@@ -478,9 +481,9 @@ def test_ascent_equals_stepwise_oracle(n_classes, lam, d, steps):
     expected, d = stepwise_ascent(Omega, start, part, lams, d, reference,
                                   steps)
     ds = None if d is None else [d] * n_classes
-    got = pm.coordinate_descent_alphas(Omega, start, part, lams, ds,
-                                       reference, inner_tol=0.0,
-                                       inner_max=steps)
+    got = ascend_with_stops(Omega, start, part, lams, ds,
+                            reference, inner_tol=0.0,
+                            inner_max=steps)
     assert np.array_equal(got, expected)
 
 
@@ -500,13 +503,13 @@ def test_separable_ml_ascent_stops_on_the_decrement(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(pm.gating, "build_gating_workspace", counted_build)
-    stopped = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
-                                           None, None, reference=1,
-                                           inner_max=300)
+    stopped = ascend_with_stops(Omega, np.zeros((2, 2)), part,
+                                None, None, reference=1,
+                                inner_max=300)
     assert len(builds) < 50
-    long_run = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
-                                            None, None, reference=1,
-                                            inner_tol=0.0, inner_max=300)
+    long_run = ascend_with_stops(Omega, np.zeros((2, 2)), part,
+                                 None, None, reference=1,
+                                 inner_tol=0.0, inner_max=300)
     value, reference = q1_at(Omega, stopped, part), q1_at(Omega, long_run, part)
     assert abs(value - reference) <= 1e-9 * (1.0 + abs(reference))
 
@@ -547,7 +550,7 @@ def test_well_posed_ascent_builds_no_confirming_system(monkeypatch,
         return q1_at(Omega, alpha, part) + penalty_value(
             alpha[free].ravel(), lam)
 
-    tolerance = 1e-11 * (1.0 + abs(objective(stopped)))
+    tolerance = pm.gating.INNER_TOL * (1.0 + abs(objective(stopped)))
     for (_, _, _, coefs, _, _), (grams, rhss) in builds:
         # Each build stacks the systems of a batch of chains, here one.
         coef, gram, rhs = coefs[0], grams[0], rhss[0]
@@ -555,9 +558,9 @@ def test_well_posed_ascent_builds_no_confirming_system(monkeypatch,
         step = penalized_wls_solve(gram, rhs, penalty) - coef
         curvature = gram @ step + (0.0 if lam is None else lam * step)
         assert 0.5 * step @ curvature > tolerance
-    tight = pm.coordinate_descent_alphas(Omega, start, part, lams, None,
-                                         reference=1, inner_tol=1e-15,
-                                         inner_max=300)
+    tight = ascend_with_stops(Omega, start, part, lams, None,
+                              reference=1, inner_tol=1e-15,
+                              inner_max=300)
     value, reference = objective(stopped), objective(tight)
     assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
 
@@ -590,9 +593,9 @@ def test_separated_tail_ends_well_before_the_cap(monkeypatch):
                                            reference=1)
     monkeypatch.undo()
     assert len(builds) <= 25
-    capped = pm.coordinate_descent_alphas(Omega, start, part, None, None,
-                                          reference=1, inner_tol=0.0,
-                                          inner_max=50)
+    capped = ascend_with_stops(Omega, start, part, None, None,
+                               reference=1, inner_tol=0.0,
+                               inner_max=50)
     assert -6.0 < q1_at(Omega, capped, part) < -4.0
     gap = np.abs(pm.gating_probabilities(Omega, stopped)
                  - pm.gating_probabilities(Omega, capped))
@@ -601,9 +604,9 @@ def test_separated_tail_ends_well_before_the_cap(monkeypatch):
 
 def test_q1_gradient_vanishes_at_converged_ml():
     Omega, part, _ = binary_gating_problem(seed=16)
-    alpha = pm.coordinate_descent_alphas(Omega, np.zeros((2, 2)), part,
-                                         None, None, reference=1,
-                                         inner_tol=1e-13, inner_max=300)
+    alpha = ascend_with_stops(Omega, np.zeros((2, 2)), part,
+                              None, None, reference=1,
+                              inner_tol=1e-13, inner_max=300)
     grad = q1_gradient(Omega, alpha, part, 0)
     assert np.linalg.norm(grad) < 1e-6
 
@@ -668,7 +671,7 @@ def test_non_finite_trial_objective_is_a_numerical_failure(monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["ml", "ridge", "lt"])
-@pytest.mark.parametrize("inner_max", [0, 1, 50])
+@pytest.mark.parametrize("inner_max", [1, 50])
 def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max):
     # Three chains with their own partitions, starts and Liu-type d
     # ascend in lockstep; each result, and each handed-over log-softmax,
@@ -682,20 +685,16 @@ def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max):
     lam = None if method == "ml" else np.array([0.4, 0.9, 0.7])
     ds = None if method != "lt" else gen.uniform(0.0, 0.05, size=(3, n_classes))
     batch_log_pi = gating_log_probabilities(Omega, starts)
-    together = pm.coordinate_descent_alphas(
+    together = ascend_with_stops(
         Omega, starts, pm.PartitionState.from_assignment(np.stack(parts),
                                                          n_classes),
         lam, ds, 1, inner_max=inner_max, log_pi=batch_log_pi)
     for chain in range(3):
         log_pi = gating_log_probabilities(Omega, starts[chain])
-        alone = pm.coordinate_descent_alphas(
+        alone = ascend_with_stops(
             Omega, starts[chain],
             pm.PartitionState.from_assignment(parts[chain], n_classes),
             lam, None if ds is None else ds[chain], 1, inner_max=inner_max,
             log_pi=log_pi)
         assert together[chain].tobytes() == alone.tobytes()
         assert batch_log_pi[chain].tobytes() == log_pi.tobytes()
-    if inner_max == 0:
-        expected = starts.copy()
-        expected[:, 1] = 0.0
-        assert np.array_equal(together, expected)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import poismoe as pm
-from poismoe.errors import EmptyPartition, SingularSystem
+from poismoe.errors import SingularSystem
 from poismoe.gating import (PI_FLOOR, gating_log_probabilities,
                             penalty_value, q1_value)
 from poismoe.linalg import COND_LIMIT, outer_basis, penalized_wls_solve
@@ -16,7 +16,7 @@ from poismoe.model import ETA_FLOOR, ETA_MAX, draw_labels
 from poismoe.pipeline import METHODS
 
 from conftest import small_mixture
-from test_gating import assert_same_gate_system
+from test_gating import ascend_with_stops, assert_same_gate_system
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -194,15 +194,11 @@ def test_s_step_labels_lie_in_range(seed, n, n_components, shrink):
     tau = gen.exponential(size=(n, n_components)) ** 3
     tau /= tau.sum(axis=1, keepdims=True)
     tau *= 1.0 - shrink  # rows may fall just short of one
-    try:
-        part = pm.s_step(tau, np.random.default_rng(seed))
-    except EmptyPartition:
-        labels = draw_labels(tau, np.random.default_rng(seed))
-        assert np.bincount(labels, minlength=n_components).min() == 0
-    else:
-        labels = part.assignment
-        assert np.array_equal(part.counts,
-                              np.bincount(labels, minlength=n_components))
+    # An empty component is drawn like any other partition.
+    part = pm.s_step(tau, np.random.default_rng(seed))
+    labels = part.assignment
+    assert np.array_equal(part.counts,
+                          np.bincount(labels, minlength=n_components))
     assert labels.shape == (n,)
     assert labels.min() >= 0 and labels.max() < n_components
 
@@ -273,7 +269,7 @@ def test_gate_ascent_reaches_the_tight_objective(seed, n_components, q, lam):
             alpha[free].ravel(), None if lam is None else lam)
 
     def ascend(**stop):
-        return pm.coordinate_descent_alphas(
+        return ascend_with_stops(
             data.Omega, np.zeros_like(psi.alpha), part, lams, None,
             psi.reference_class, **stop)
 
@@ -407,12 +403,8 @@ def test_labels_equal_row_major_oracle(seed, n, n_components, shrink,
                           n_components - 1)
     assert np.array_equal(draw_labels(tau, np.random.default_rng(seed)),
                           expected)
-    try:
-        part = pm.s_step(tau, np.random.default_rng(seed))
-    except EmptyPartition:
-        assert np.bincount(expected, minlength=n_components).min() == 0
-    else:
-        assert np.array_equal(part.assignment, expected)
+    part = pm.s_step(tau, np.random.default_rng(seed))
+    assert np.array_equal(part.assignment, expected)
 
 
 @settings(max_examples=100)

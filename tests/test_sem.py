@@ -59,11 +59,21 @@ def test_s_step_is_deterministic_given_seed():
     assert np.array_equal(a.assignment, b.assignment)
 
 
-def test_s_step_raises_on_empty_component(rng):
-    tau = np.zeros((6, 2))
-    tau[:, 0] = 1.0
-    with pytest.raises(EmptyPartition):
-        pm.s_step(tau, rng)
+def test_empty_s_step_draw_raises_in_build_workspace(rng):
+    # The S-step returns a draw that leaves a component empty, for one
+    # chain and for a batch; the M-step's beta systems refuse it.
+    data = pm.Dataset(y=np.arange(6), X=np.ones((6, 1)), Omega=np.ones((6, 1)))
+    empty = np.zeros((6, 2))
+    empty[:, 0] = 1.0
+    split = np.repeat(np.eye(2), 3, axis=0)
+    one = pm.s_step(empty, rng)
+    batch = pm.s_step(np.stack([split, empty]), [rng, rng])
+    assert one.counts.tolist() == [6, 0]
+    assert batch.counts.tolist() == [[3, 3], [6, 0]]
+    for part, beta in ((one, np.zeros((2, 1))), (batch, np.zeros((2, 2, 1)))):
+        with pytest.raises(EmptyPartition,
+                           match="^component 1 received no observations$"):
+            pm.build_workspace(data, part, beta)
 
 
 def test_m_step_single_component_is_one_irwls_step():

@@ -133,21 +133,18 @@ def dump(checkout: Path, config_path: Path,
         ends = chain_ends.setdefault("truth" if in_truth[0] else method, {})
         ends[end] = ends.get(end, 0) + 1
 
-    # The batched driver returns every restart's outcome of a fit; a
-    # checkout from before it ran one ``_run_chain`` call per restart.
-    # Both take the method as their fourth argument.
-    batched = hasattr(pm.sem, "_run_chains")
-    name = "_run_chains" if batched else "_run_chain"
-    run_chains = getattr(pm.sem, name)
+    # The chain driver returns every restart's outcome of a fit and
+    # takes the method as its fourth argument.
+    run_chains = pm.sem._run_chains
 
     def counted_chains(*call_args, **kwargs):
         outcomes = run_chains(*call_args, **kwargs)
-        for outcome in (outcomes if batched else [outcomes]):
+        for outcome in outcomes:
             count(outcome, call_args[3])
         return outcomes
 
     replication.fit_all_methods, replication.fit_method = replicate, truth
-    setattr(pm.sem, name, counted_chains)
+    pm.sem._run_chains = counted_chains
     result = pm.run_replication_study(config)
     # json writes each float as its shortest round-trip repr, so equal
     # records mean bit-equal values.

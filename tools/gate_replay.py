@@ -13,8 +13,9 @@ every recorded call in a child process of its own
 (``gate_replay.py --replay CHECKOUT RECORD OUT``), counting the Newton
 systems it builds (``gating.build_gating_workspace``) and the trial
 objectives it evaluates (``gating.q1_value``, less the one at the
-start). A call is capped when it builds ``inner_max`` systems (the
-base's default unless the call set it). Calls are grouped by estimator
+start). A call is capped when it builds as many systems as the base's
+step cap allows (``gating.INNER_MAX``, or the ``inner_max`` default of
+a checkout whose ascent still takes it). Calls are grouped by estimator
 (``ml``, ``ridge``, ``lt``; ``truth`` is the heart truth fit, which is
 ML), and one line per group reports
 
@@ -70,11 +71,10 @@ def record(checkout: Path, config_path: Path, out: Path) -> int:
     omegas: list[np.ndarray] = []
     calls: list[dict] = []
     in_truth = [False]
-    default_cap = inspect.signature(ascent).parameters["inner_max"].default
+    parameter = inspect.signature(ascent).parameters.get("inner_max")
+    cap = pm.gating.INNER_MAX if parameter is None else parameter.default
 
     def recorded(Omega, alpha_t, part, lam, d, reference, **kwargs):
-        stop = {key: kwargs[key] for key in ("inner_tol", "inner_max")
-                if key in kwargs}
         if not omegas or omegas[-1] is not Omega:
             omegas.append(Omega)
         # One record per chain: a batched call's (B, J, q) rows, (B, n)
@@ -95,8 +95,7 @@ def record(checkout: Path, config_path: Path, out: Path) -> int:
                 "n_components": part.n_components,
                 "lam": None if lam is None else np.array(lam, dtype=float),
                 "d": None if ds is None else np.array(ds[chain]),
-                "reference": reference, "stop": stop,
-                "cap": stop.get("inner_max", default_cap)})
+                "reference": reference, "cap": cap})
         result = ascent(Omega, alpha_t, part, lam, d, reference, **kwargs)
         rows = np.array(result).reshape(batch.shape)
         for chain, call in enumerate(calls[first:]):
@@ -144,8 +143,7 @@ def replay(checkout: Path, record_path: Path, out: Path) -> int:
         counts.update(build=0, q1=0)
         alpha = gating.coordinate_descent_alphas(
             Omega, call["alpha_t"], part, call["lam"], call["d"],
-            call["reference"], basis=pm.linalg.outer_basis(Omega),
-            **call["stop"])
+            call["reference"], basis=pm.linalg.outer_basis(Omega))
         rows.append({"alpha": np.array(alpha), "steps": counts["build"],
                      "trials": max(counts["q1"] - 1, 0)})
     with out.open("wb") as handle:
