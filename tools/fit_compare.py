@@ -2,6 +2,7 @@
 
     python3 tools/fit_compare.py CONFIG.json BASE_CHECKOUT NEW_CHECKOUT \
         [--tolerance 1e-10] [--summary]
+    python3 tools/fit_compare.py --pin [CHECKOUT]
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. The study runs once per checkout, each in a child process
@@ -47,12 +48,23 @@ counts how the chains of every restart ended: ``epsilon`` (the
 log-likelihood stop), ``cap`` (``max_iters``) or the type of the
 interruption, such as ``EmptyPartition``; ``truth`` counts the heart
 truth fit's chains.
+
+``--pin`` rewrites the pinned-fit fixture ``tests/data/pinned_fits.json``
+that ``tests/test_pinned_fits.py`` refits. The fixture names its
+studies (each a study config, and for a heart study the rows of its
+population file); ``--pin`` keeps them and refits each with CHECKOUT's
+sources (by default this checkout's). Every fit, the heart truth fit
+included, is stored as its beta, alpha and Liu-type d (``float.hex``),
+``iterations_run``, ``selected_iteration``, ``converged`` and
+``n_failed_restarts``; a failed stage as the error types of its note.
+One line per study counts the fits whose entry changed.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -61,6 +73,7 @@ from pathlib import Path
 
 import numpy as np
 
+PINNED = Path(__file__).resolve().parents[1] / "tests/data/pinned_fits.json"
 BINS = (1e-10, 1e-6)
 # Record entries that a byte-identical pair matches bit for bit.
 BITWISE = ("beta", "alpha", "loglik_trace", "d", "iterations_run",
@@ -154,6 +167,88 @@ def dump(checkout: Path, config_path: Path,
         "replicate_rows": result.replicate_rows,
         "failure_fraction": result.failure_fraction}}))
     print(json.dumps({"chains": chain_ends}))
+    return 0
+
+
+def hexed(values):
+    """Nested lists of floats as the same lists of ``float.hex`` strings."""
+    return ([hexed(value) for value in values] if isinstance(values, list)
+            else float.hex(values))
+
+
+def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
+    """Run one study of the pinned-fit fixture with the package ``pm``;
+    one fixture entry per fit, in the order the study makes them (a
+    heart population file is written into ``workdir`` first)."""
+    payload = dict(study["config"])
+    if "heart_rows" in study:
+        payload["heart_path"] = str(workdir / f"{study['name']}.csv")
+        Path(payload["heart_path"]).write_text(
+            "\n".join(study["heart_rows"]) + "\n")
+    replication = pm.replication
+    fit_all_methods, fit_method = (replication.fit_all_methods,
+                                   replication.fit_method)
+    fits: list[dict] = []
+    index = itertools.count()
+
+    def entry(label: str, method: str, fit, note: str) -> dict:
+        pinned = {"replicate": label, "method": method}
+        if fit is None:
+            pinned["error"] = " | ".join(re.findall(r"([A-Z]\w*): ",
+                                                    note)) or note
+            return pinned
+        pinned.update(beta=hexed(fit.psi_hat.beta.tolist()),
+                      alpha=hexed(fit.psi_hat.alpha.tolist()),
+                      iterations_run=int(fit.iterations_run),
+                      selected_iteration=int(fit.selected_iteration),
+                      converged=bool(fit.converged),
+                      n_failed_restarts=int(fit.n_failed_restarts))
+        if fit.tuning is not None and fit.method == "lt":
+            pinned["d"] = hexed(fit.tuning.d_beta.tolist()
+                                + fit.tuning.d_alpha.tolist())
+        return pinned
+
+    def replicate(*call_args, **kwargs):
+        result = fit_all_methods(*call_args, **kwargs)
+        label = str(next(index))
+        for method in kwargs["methods"]:
+            fits.append(entry(label, method, result.fit_for(method),
+                              result.failures.get(method, "")))
+        return result
+
+    def truth(*call_args, **kwargs):
+        fit = fit_method(*call_args, **kwargs)
+        fits.append(entry("truth", call_args[3], fit, ""))
+        return fit
+
+    replication.fit_all_methods, replication.fit_method = replicate, truth
+    try:
+        pm.run_replication_study(pm.replication.config_from_dict(payload))
+    finally:
+        replication.fit_all_methods, replication.fit_method = (
+            fit_all_methods, fit_method)
+    return fits
+
+
+def pin(checkout: Path) -> int:
+    """``--pin``: refit the fixture's studies with ``checkout``'s sources
+    and rewrite the fixture."""
+    sys.path.insert(0, str(checkout / "src"))
+    import poismoe as pm
+
+    fixture = json.loads(PINNED.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        for study in fixture["studies"]:
+            fits = pinned_fits(pm, study, Path(tmp))
+            old = study.get("fits", [])
+            changed = sum(a != b for a, b in itertools.zip_longest(fits, old))
+            print(f"{study['name']}: {len(fits)} fits, {changed} changed")
+            study["fits"] = fits
+    # One line per innermost list keeps the fixture's diffs readable.
+    text = re.sub(r"\[[^\[\]{}]*\]",
+                  lambda match: re.sub(r"\s*\n\s*", "", match.group(0)),
+                  json.dumps(fixture, indent=1))
+    PINNED.write_text(text + "\n")
     return 0
 
 
@@ -270,6 +365,9 @@ def main(argv=None) -> int:
     if argv and argv[0] == "--dump":
         truth_path = Path(argv[3]) if len(argv) > 3 else None
         return dump(Path(argv[1]).resolve(), Path(argv[2]), truth_path)
+    if argv and argv[0] == "--pin":
+        return pin(Path(argv[1] if len(argv) > 1 else PINNED.parents[2])
+                   .resolve())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", type=Path)
     parser.add_argument("base", type=Path)
