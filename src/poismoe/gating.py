@@ -25,7 +25,9 @@ step) against the tolerance taken relative to the objective
 * R1, before a trial: a step whose decrement is within the tolerance is
   the last one, and it is taken untried. Its gain is below the
   tolerance and, near the maximum, below the objective's rounding, so a
-  trial comparison would only let rounding decide whether to halve it;
+  trial comparison would only let rounding decide whether to halve it.
+  The step still rides the trial round, as kept: the round's
+  log-softmax at its rows is the one the ascent hands back;
 * R2, after two full steps: Newton's quadratic convergence makes
   delta_k**2 / delta_{k-1} an upper bound on the next decrement (exact at
   a linear rate), so the ascent stops when that bound is within the
@@ -39,12 +41,16 @@ step) against the tolerance taken relative to the objective
   steps left at their current rate, so the step cap would end it with
   a gain of that order anyway.
 
+Every stop (R1, R2/R3, a step that never recovers, the step cap) is one
+flag per chain, applied once per Newton step.
+
 Every array over classes and observations here is class-major (J, n),
 so a reduction over classes runs over J contiguous rows; only
 :func:`gating_probabilities` returns the public (n, J) layout, as a view.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -248,12 +254,9 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     one row per chain, (B, J). The chains ascend in lockstep: every
     Newton step and every round of trials is one stacked computation
     over the chains still taking it, and each chain's decrement, rules
-    R1-R3 and halvings are its own. A chain whose ascent stops leaves
-    the stack: its rows, its log-softmax and the eigenpairs of its last
-    Newton system go into a slot of its own, and the slots are stacked
-    once, after the ascent, so each chain's result is bit for bit its
-    own call's. A non-finite trial objective in any chain raises for the
-    whole call.
+    R1-R3 and halvings are its own, so each chain's result is bit for
+    bit its own call's. A non-finite trial objective of any chain that
+    tries its step raises for the whole call. ``INNER_MAX`` below 1 raises ``ValueError``.
 
     ``basis``, when given, is ``outer_basis(Omega)`` (``Dataset.Omega_outer``).
     ``log_pi``, when given, is the (J, n) (or (B, J, n)) log-softmax at
@@ -261,6 +264,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     recomputing it; on return it holds the log-softmax at the returned
     rows.
     """
+    if INNER_MAX < 1:
+        raise ValueError(f"gating.INNER_MAX must be at least 1: {INNER_MAX}")
     alpha = np.array(alpha_t, dtype=float)
     single = alpha.ndim == 2
     if single:
@@ -279,21 +284,16 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         basis = outer_basis(Omega)
     if lam is not None:
         lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
-    handed_over = log_pi
-    # The working set: one row per chain still ascending, ``ids`` its
-    # chain. ``picks`` indexes each row's own (J, n) log-softmax, and
+    # The working stack: one row per chain still ascending, ``ids`` its
+    # chain. ``picks`` indexes each chain's own (J, n) log-softmax, and
     # ``stacked_picks`` the same entries in the working stack.
     ids = np.arange(chains)
     coef = alpha[:, free].reshape(chains, m * q)
-    # Read, never written, until the handed-over array gets the result.
     current = (gating_log_probabilities(Omega, alpha) if log_pi is None
                else log_pi.reshape(chains, n_classes, n))
     picks = assignment * n + np.arange(n)
-    if chains > 1:
-        offsets = n_classes * n * np.arange(chains)[:, None]
-        stacked_picks = picks + offsets
-    else:
-        stacked_picks = picks
+    offsets = n_classes * n * ids[:, None]
+    stacked_picks = picks + offsets
     indicator = (assignment[:, None, :]
                  == np.arange(n_classes)[free, None]).astype(float)
     # Each row's F at its current rows; after a step it is the kept
@@ -301,35 +301,11 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     objective = (q1_value(current, stacked_picks)
                  + penalty_value(coef, lam)).tolist()
     full_steps: list[list[float]] = [[] for _ in range(chains)]
-    # Each chain's result once it stops: its rows, its log-softmax (None
-    # when stale) and the eigenpairs of its last Newton system.
-    slots: list[tuple] = [()] * chains
-
-    def leave(stop: list[bool], final_coef: np.ndarray,
-              final_log_pi: np.ndarray | None) -> None:
-        """Put the results of the rows in ``stop`` into their chains'
-        slots and drop those rows from the working set."""
-        nonlocal ids, coef, current, objective, picks, stacked_picks
-        nonlocal indicator, alpha, factors
-        for row, chain in enumerate(ids.tolist()):
-            if stop[row]:
-                slots[chain] = (
-                    final_coef[row],
-                    None if final_log_pi is None else final_log_pi[row],
-                    (factors[0][row], factors[1][row]))
-        if all(stop):
-            ids = ids[:0]
-            return
-        keep = np.flatnonzero([not stop_ for stop_ in stop])
-        factors = factors[0][keep], factors[1][keep]
-        ids, coef, current = ids[keep], coef[keep], current[keep]
-        picks, indicator, alpha = picks[keep], indicator[keep], alpha[keep]
-        stacked_picks = picks + offsets[:ids.size] if ids.size > 1 else picks
-        objective = [objective[row] for row in keep.tolist()]
-
+    # Each chain's result, written by index when it stops: its free
+    # rows, its log-softmax and the eigenpairs of its last Newton system.
+    rows, log_pis = np.empty((chains, m * q)), np.empty(current.shape)
+    eigenpairs = np.empty((chains, m * q, m * q)), np.empty((chains, m * q))
     for taken in range(1, INNER_MAX + 1):
-        if not ids.size:
-            break
         gram, rhs = build_gating_workspace(Omega, basis, current, coef,
                                            indicator, free)
         proposal, factors = penalized_wls_solve(gram, rhs, lam,
@@ -341,27 +317,25 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
         decrement = (0.5 * np.vecdot(step, curvature)).tolist()
         last = [gain <= INNER_TOL * (1.0 + abs(level))  # R1
                 for gain, level in zip(decrement, objective)]
-        if any(last):  # taken untried: these chains end at the proposal
-            going = [row for row, stop in enumerate(last) if not stop]
-            leave(last, proposal, None)
-            if not ids.size:
-                break
-            proposal = proposal[going]
-            decrement = [decrement[row] for row in going]
-        # Rounds of trials over the whole working set: a row that no
-        # longer lowers F keeps its proposal, and its trial repeats bit
-        # for bit, so the last round holds each row's first kept trial
-        # and ``halvings`` the halvings it took (-1: never kept).
+        # Rounds of trials over the working stack: a row that no longer
+        # lowers F keeps its proposal, and its trial repeats bit for bit,
+        # so the last round holds each row's first kept trial and
+        # ``halvings`` the halvings it took (-1: never kept). An R1 row
+        # counts as kept untried: its F decides nothing.
         halvings = [-1] * ids.size
         for round_ in range(11):
             trial = alpha.copy()
             trial[:, free] = proposal.reshape(-1, m, q)
             trial_log_pi = gating_log_probabilities(Omega, trial)
-            levels = (q1_value(trial_log_pi, stacked_picks)
-                      + penalty_value(proposal, lam)).tolist()
-            if not all(map(math.isfinite, levels)):
+            levels = (objective if all(last) else
+                      (q1_value(trial_log_pi, stacked_picks)
+                       + penalty_value(proposal, lam)).tolist())
+            if not all(map(math.isfinite, levels)) and not all(
+                    untried or math.isfinite(level)
+                    for untried, level in zip(last, levels)):
                 raise NumericalFailure("gate objective is not finite")
-            kept = [level >= base for level, base in zip(levels, objective)]
+            kept = [untried or level >= base
+                    for untried, level, base in zip(last, levels, objective)]
             halvings = [round_ if keep and halved < 0 else halved
                         for keep, halved in zip(kept, halvings)]
             if all(kept):
@@ -380,9 +354,9 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
             objective = [level if halved >= 0 else base for level, base,
                          halved in zip(levels, objective, halvings)]
         stop = []
-        for chain, halved, gain, level in zip(ids.tolist(), halvings,
-                                              decrement, objective):
-            if halved < 0:
+        for chain, untried, halved, gain, level in zip(
+                ids.tolist(), last, halvings, decrement, objective):
+            if untried or halved < 0 or taken == INNER_MAX:  # or the cap
                 stop.append(True)
             elif halved:
                 full_steps[chain].clear()
@@ -392,24 +366,25 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                 stop.append(_further_steps_cannot_pay(
                     full_steps[chain], INNER_TOL * (1.0 + abs(level)),
                     INNER_MAX - taken))
-        if any(stop):
-            leave(stop, coef, current)
-    if ids.size:  # chains stopped by the step cap
-        leave([True] * ids.size, coef, current)
-    coefs, log_pis, eigenpairs = zip(*slots)
-    coef = np.array(coefs)
+        if any(stop):  # the one exit: stopped rows leave the stack
+            leaving = np.array(stop)
+            for result, final in zip((rows, log_pis, *eigenpairs),
+                                     (coef, current, *factors)):
+                result[ids[leaving]] = final[leaving]
+            if all(stop):
+                break
+            going = ~leaving
+            ids, coef, current = ids[going], coef[going], current[going]
+            alpha, indicator = alpha[going], indicator[going]
+            stacked_picks = picks[ids] + offsets[:ids.size]
+            objective = list(itertools.compress(objective, going.tolist()))
     if d is not None:
         d = np.repeat(np.asarray(d, dtype=float)[..., free], q, axis=-1)
-        vecs, values = zip(*eigenpairs)
-        coef = coef - factored_solve((np.array(vecs), np.array(values)),
-                                     d * coef)
-        log_pis = [None] * chains
+        rows = rows - factored_solve(eigenpairs, d * rows)
     alpha = np.zeros((chains, n_classes, q))
-    alpha[:, free] = coef.reshape(chains, m, q)
-    if handed_over is not None:
-        if any(row is None for row in log_pis):
-            fresh = gating_log_probabilities(Omega, alpha)
-            log_pis = [fresh[chain] if row is None else row
-                       for chain, row in enumerate(log_pis)]
-        handed_over[...] = np.array(log_pis).reshape(handed_over.shape)
+    alpha[:, free] = rows.reshape(chains, m, q)
+    if log_pi is not None:  # only the Liu-type step moves the rows again
+        log_pi[...] = (log_pis if d is None else
+                       gating_log_probabilities(Omega, alpha)
+                       ).reshape(log_pi.shape)
     return alpha[0] if single else alpha

@@ -670,12 +670,39 @@ def test_non_finite_trial_objective_is_a_numerical_failure(monkeypatch):
                                          0, log_pi=log_pi.copy())
 
 
+def exit_of_one_chain(*args, inner_max):
+    """How the ascent of one chain alone stops: "cap" (``inner_max``
+    systems built), "R2/R3" (the rules' last verdict, before the cap),
+    "R1" (one system built and no trial objective) or "other"."""
+    builds, verdicts, objectives = [], [], []
+    with pytest.MonkeyPatch.context() as patch:
+        for name, calls in (("build_gating_workspace", builds),
+                            ("_further_steps_cannot_pay", verdicts),
+                            ("q1_value", objectives)):
+            def spy(*call_args, _honest=getattr(pm.gating, name),
+                    _calls=calls):
+                _calls.append(_honest(*call_args))
+                return _calls[-1]
+            patch.setattr(pm.gating, name, spy)
+        ascend_with_stops(*args, inner_max=inner_max)
+    if len(builds) == inner_max:
+        return "cap"
+    if verdicts and verdicts[-1] is True:
+        return "R2/R3"
+    return "R1" if len(builds) == len(objectives) == 1 else "other"
+
+
 @pytest.mark.parametrize("method", ["ml", "ridge", "lt"])
-@pytest.mark.parametrize("inner_max", [1, 50])
-def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max):
+@pytest.mark.parametrize("inner_max, exits", [
+    (1, None), (50, None), (8, ("R1", "R2/R3", "cap"))])
+def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max,
+                                                       exits):
     # Three chains with their own partitions, starts and Liu-type d
     # ascend in lockstep; each result, and each handed-over log-softmax,
-    # is bit for bit the chain's own call's.
+    # is bit for bit the chain's own call's, and that log-softmax is the
+    # one at the returned rows. With ``exits`` the three chains stop in
+    # the same call by R1 (starting at their optimum), by R2/R3 and at
+    # the step cap (starting ever farther from it).
     gen = np.random.default_rng(8)
     n, q, n_classes = 40, 2, 3
     Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
@@ -684,6 +711,13 @@ def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max):
     parts = [gen.integers(0, n_classes, size=n) for _ in range(3)]
     lam = None if method == "ml" else np.array([0.4, 0.9, 0.7])
     ds = None if method != "lt" else gen.uniform(0.0, 0.05, size=(3, n_classes))
+    if exits:
+        starts[0] = ascend_with_stops(
+            Omega, starts[0], pm.PartitionState.from_assignment(
+                parts[0], n_classes), lam, None, 1, inner_tol=1e-15,
+            inner_max=300)
+        starts[1:] = np.multiply.outer([3.0, 15.0], [[1.0, -1.0], [0.0, 0.0],
+                                                    [-1.0, 1.0]])
     batch_log_pi = gating_log_probabilities(Omega, starts)
     together = ascend_with_stops(
         Omega, starts, pm.PartitionState.from_assignment(np.stack(parts),
@@ -691,10 +725,24 @@ def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max):
         lam, ds, 1, inner_max=inner_max, log_pi=batch_log_pi)
     for chain in range(3):
         log_pi = gating_log_probabilities(Omega, starts[chain])
-        alone = ascend_with_stops(
-            Omega, starts[chain],
-            pm.PartitionState.from_assignment(parts[chain], n_classes),
-            lam, None if ds is None else ds[chain], 1, inner_max=inner_max,
-            log_pi=log_pi)
+        chain_part = pm.PartitionState.from_assignment(parts[chain],
+                                                       n_classes)
+        d = None if ds is None else ds[chain]
+        alone = ascend_with_stops(Omega, starts[chain], chain_part, lam, d,
+                                  1, inner_max=inner_max, log_pi=log_pi)
         assert together[chain].tobytes() == alone.tobytes()
         assert batch_log_pi[chain].tobytes() == log_pi.tobytes()
+        assert log_pi.tobytes() == gating_log_probabilities(
+            Omega, alone).tobytes()
+        if exits:
+            assert exit_of_one_chain(Omega, starts[chain], chain_part, lam, d,
+                                     1, inner_max=inner_max) == exits[chain]
+
+
+@pytest.mark.parametrize("inner_max", [0, -1])
+def test_a_step_cap_below_one_is_refused(inner_max):
+    # With no Newton step there would be no result to hand back.
+    Omega, part, _ = binary_gating_problem(seed=9)
+    with pytest.raises(ValueError, match=r"gating\.INNER_MAX"):
+        ascend_with_stops(Omega, np.zeros((2, 2)), part, None, None,
+                          reference=1, inner_max=inner_max)
