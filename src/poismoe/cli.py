@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataFormatError, FitFailed, PoismoeError
 from .heart import load_heart_dataset
-from .model import Dataset, FitResult, MixtureSpec, SemOptions
+from .model import Dataset, FitResult, MixtureSpec, SemOptions, observed_loglik
 from .pipeline import bic_scan, bic_value, fit_method
 from .replication import (StudyConfig, default_study_options, load_config,
                           run_replication_study, save_config)
@@ -98,7 +98,7 @@ def _fit_payload(data: Dataset, fit: FitResult) -> dict:
         "alpha": fit.psi_hat.alpha.tolist(),
         "reference_class": fit.psi_hat.reference_class,
         "loglik_trace": fit.loglik_trace.tolist(),
-        "loglik": float(fit.loglik_trace[fit.selected_iteration]),
+        "loglik": observed_loglik(data, fit.psi_hat),
         "converged": fit.converged,
         "iterations_run": fit.iterations_run,
         "selected_iteration": fit.selected_iteration,
@@ -138,10 +138,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         spec = MixtureSpec(n_components=args.components,
                            reference_class=args.reference)
         fit = fit_method(data, spec, opts, args.method)
+    payload = _fit_payload(data, fit)
     (out / "fit.json").write_text(
-        json.dumps(_fit_payload(data, fit), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out / 'fit.json'} "
-          f"(loglik {fit.loglik_trace[fit.selected_iteration]:.4f}, "
+        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out / 'fit.json'} (loglik {payload['loglik']:.4f}, "
           f"converged={fit.converged})")
     return 0
 

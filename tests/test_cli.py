@@ -146,6 +146,33 @@ def test_bic_scan_selects_two_components(tmp_path):
     assert len(scan["scan"]) == 3
 
 
+def test_fit_under_mean_selection_reports_the_loglik_of_its_estimate(
+        tmp_path, capsys):
+    # The post-burn-in mean is no iterate of the chain, so its
+    # log-likelihood is not on the trace; BIC and loglik describe the
+    # same estimate.
+    design = pm.SimulationDesign(
+        n=150, beta_true=((0.0, 0.3), (3.0, -0.2)),
+        alpha_true=((0.7, 0.5), (0.0, 0.0)), reference_class=1)
+    data, _ = pm.simulate_dataset(design, np.random.default_rng(3))
+    path = tmp_path / "mix.csv"
+    rows = [[int(data.y[i]), float(data.X[i, 1]), float(data.Omega[i, 1])]
+            for i in range(data.n)]
+    write_csv(path, ["count", "x1", "w1"], rows)
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", str(path), "--response", "count",
+               "--x", "x1", "--omega", "w1", "--components", "2",
+               "--selection", "post_burnin_mean", "--seed", "11",
+               "--out", str(out), "--max-iters", "40", "--burn-in", "10",
+               "--restarts", "2"])
+    assert rc == 0
+    payload = json.loads((out / "fit.json").read_text())
+    k = 2 * 2 + 1 * 2  # J*p + (J-1)*q
+    assert payload["bic"] == -2.0 * payload["loglik"] + k * float(np.log(150))
+    assert payload["loglik"] not in payload["loglik_trace"]
+    assert f"(loglik {payload['loglik']:.4f}," in capsys.readouterr().out
+
+
 def run_simulate(tmp_path, tag, jobs, seed=99):
     out = tmp_path / tag
     rc = main(["simulate", "--preset", "study1", "--phi", "0.9",
