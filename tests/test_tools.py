@@ -1,6 +1,7 @@
 """Smoke tests of the comparison tools under ``tools/``: a checkout
-compared with itself must report no difference, and ``fit_compare.py``
-scores both checkouts of a heart study against one truth."""
+compared with itself must report no difference, ``fit_compare.py``
+scores both checkouts of a heart study against one truth, and
+``work_count.py`` sees one extra call per E-step."""
 import json
 import pickle
 import shutil
@@ -193,3 +194,47 @@ def test_gate_replay_records_each_chain_of_a_batch(two_restart_study,
         fields = dict(zip(header.split(), row.split()))
         assert int(fields["calls"]) > 0
         assert fields["identical"] == fields["calls"]
+
+
+def work_counts(*args):
+    """``work_count.py``'s report as {figure: [base, new, change]}, and
+    its lines."""
+    done = run_tool("work_count.py", *args)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.strip().splitlines()
+    return {line.split()[0]: line.split()[1:] for line in lines}, lines
+
+
+def test_work_count_of_a_checkout_with_itself_reads_equal_counts(tiny_study):
+    figures, lines = work_counts(tiny_study, ROOT, ROOT)
+    for name in ("calls", "c_calls", "iterations", "iterations:lt",
+                 "calls/iteration", "c_calls/iteration"):
+        base, new, change = figures[name]
+        assert base == new and change == "+0.00%", name
+    assert int(figures["calls"][0]) > 0 and int(figures["iterations"][0]) > 0
+    assert lines[-1] == "functions whose call counts differ: 0"
+
+
+def test_work_count_reads_one_more_c_call_per_e_step(tiny_study, tmp_path):
+    variant = tmp_path / "variant"
+    shutil.copytree(ROOT / "src", variant / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = variant / "src" / "poismoe" / "model.py"
+    source = module.read_text()
+    first_line = "    log_terms, norms = _log_terms(data, psi, log_pi)\n"
+    assert source.count(first_line) == 1
+    module.write_text(source.replace(first_line,
+                                     "    np.empty(0)\n" + first_line))
+    figures, lines = work_counts(tiny_study, ROOT, variant)
+    done = run_tool("work_count.py", "--count", ROOT, tiny_study)
+    e_steps = json.loads(done.stdout)["functions"]["py model.py:e_step"]
+    calls, c_calls, iterations, per_iteration = (
+        [float(value) for value in figures[name][:2]] for name in
+        ("calls", "c_calls", "iterations", "c_calls/iteration"))
+    assert calls[0] == calls[1] and iterations[0] == iterations[1]
+    assert c_calls[1] - c_calls[0] == e_steps > iterations[0]
+    assert (per_iteration[1] - per_iteration[0]
+            == pytest.approx(e_steps / iterations[0], abs=0.01))
+    empty = [line.split() for line in lines if line.startswith("  ")]
+    assert [fields[:2] for fields in empty] == [["c", "numpy.empty"]]
+    assert int(empty[0][3]) - int(empty[0][2]) == e_steps
