@@ -256,7 +256,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     over the chains still taking it, and each chain's decrement, rules
     R1-R3 and halvings are its own, so each chain's result is bit for
     bit its own call's. A non-finite trial objective of any chain that
-    tries its step raises for the whole call. ``INNER_MAX`` below 1 raises ``ValueError``.
+    tries its step raises for the whole call. ``INNER_MAX`` below 1
+    raises ``ValueError``.
 
     ``basis``, when given, is ``outer_basis(Omega)`` (``Dataset.Omega_outer``).
     ``log_pi``, when given, is the (J, n) (or (B, J, n)) log-softmax at
@@ -289,6 +290,7 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     # ``stacked_picks`` the same entries in the working stack.
     ids = np.arange(chains)
     coef = alpha[:, free].reshape(chains, m * q)
+    # A view of ``log_pi``: read, never written, until it gets the result.
     current = (gating_log_probabilities(Omega, alpha) if log_pi is None
                else log_pi.reshape(chains, n_classes, n))
     picks = assignment * n + np.arange(n)

@@ -694,7 +694,8 @@ def exit_of_one_chain(*args, inner_max):
 
 @pytest.mark.parametrize("method", ["ml", "ridge", "lt"])
 @pytest.mark.parametrize("inner_max, exits", [
-    (1, None), (50, None), (8, ("R1", "R2/R3", "cap"))])
+    pytest.param(1, None, id="1"), pytest.param(50, None, id="50"),
+    pytest.param(8, ("R1", "R2/R3", "cap"), id="every_exit")])
 def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max,
                                                        exits):
     # Three chains with their own partitions, starts and Liu-type d

@@ -203,7 +203,7 @@ def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
                       selected_iteration=int(fit.selected_iteration),
                       converged=bool(fit.converged),
                       n_failed_restarts=int(fit.n_failed_restarts))
-        if fit.tuning is not None and fit.method == "lt":
+        if fit.method == "lt":
             pinned["d"] = hexed(fit.tuning.d_beta.tolist()
                                 + fit.tuning.d_alpha.tolist())
         return pinned
