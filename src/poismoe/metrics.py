@@ -98,21 +98,20 @@ def classification_accuracy(psi: Coefficients, validation: Dataset,
     return float(np.mean(predicted == z_true))
 
 
-def summarize_replicates(values: Iterable[float], metric: str = "",
-                         n_failed: int = 0) -> ReplicationSummary:
+def summarize_replicates(values: Iterable[float],
+                         metric: str = "") -> ReplicationSummary:
     """Median plus 5th/95th percentiles (linear-interpolation order statistics).
 
-    Non-finite entries are dropped and counted as additional failures.
+    Non-finite entries are dropped and counted as failures.
     """
     arr = np.asarray(list(values), dtype=float)
     finite = arr[np.isfinite(arr)]
-    n_failed = n_failed + int(arr.shape[0] - finite.shape[0])
     if finite.shape[0] == 0:
         raise SummaryUndefined(f"no finite values to summarize for {metric!r}")
     low, mid, high = np.percentile(finite, [5.0, 50.0, 95.0], method="linear")
     return ReplicationSummary(metric=metric, M=float(mid), L=float(low),
                               U=float(high), n_replicates=int(finite.shape[0]),
-                              n_failed=n_failed)
+                              n_failed=int(arr.shape[0] - finite.shape[0]))
 
 
 def write_summary_csv(path: str | Path,

@@ -244,9 +244,9 @@ class SemOptions:
 
     A chain stops once the observed log-likelihood moves by less than
     ``epsilon`` or after ``max_iters`` iterations; ``n_restarts`` chains
-    are seeded from ``rng_seed``. The estimate is the post-``burn_in``
-    iterate with the best log-likelihood or the label-aligned
-    post-``burn_in`` mean (``estimate_selection``).
+    are seeded from ``rng_seed``. The estimate is the best-log-likelihood
+    iterate or the label-aligned mean (``estimate_selection``) of the
+    iterates after ``burn_in``, or of all of them if the chain stops first.
     """
 
     epsilon: float = 1e-6

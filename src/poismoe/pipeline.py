@@ -144,6 +144,8 @@ def bic_value(data: Dataset, psi: Coefficients) -> float:
 def bic_scan(data: Dataset, j_max: int, opts: SemOptions, method: str = "ml",
              reference_class: int = 0) -> list[tuple[int, float, FitResult]]:
     """Fit J = 1..j_max and report (J, BIC, fit) for each."""
+    if j_max < 1:
+        raise ValueError(f"j_max must be at least 1, not {j_max}")
     rows = []
     for n_components in range(1, j_max + 1):
         spec = MixtureSpec(n_components=n_components,

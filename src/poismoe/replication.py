@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, PoismoeError
+from .errors import DataFormatError, PoismoeError, SummaryUndefined
 from .heart import load_heart_dataset
 from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse, summarize_replicates,
@@ -200,8 +200,11 @@ def run_replication_study(config: StudyConfig) -> StudyResult:
         worst_failure = max(worst_failure, failed / config.replicates)
         for block in BLOCKS:
             values = [row[_COLUMNS[block]] for row in rows]
-            summaries.append((method, block,
-                              summarize_replicates(values, metric=block)))
+            try:
+                summaries.append((method, block,
+                                  summarize_replicates(values, metric=block)))
+            except SummaryUndefined:  # every replicate of the method failed
+                pass
 
     summary_path = replicates_path = None
     if config.output_dir is not None:

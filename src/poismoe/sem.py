@@ -364,7 +364,8 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     diagnostics, in restart order; fewer observations than components
     raise :class:`DimensionError` before any chain runs.
     ``FitResult.tuning`` holds the tuning the selected iteration's M-step
-    used, for the selected chain.
+    used, for the selected chain. A chain that stops before ``burn_in``
+    selects among all its iterates, not only those after it.
     """
     if method not in ("ml", "ridge", "lt"):
         raise ValueError(f"unknown method {method!r}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import poismoe as pm
-from poismoe.cli import main
+from poismoe.cli import HIGH_FAILURE_EXIT, main
 
 from conftest import single_component_data
 from test_poisson import poisson_mle_oracle
@@ -146,6 +146,16 @@ def test_bic_scan_selects_two_components(tmp_path):
     assert len(scan["scan"]) == 3
 
 
+def test_bic_scan_refuses_an_empty_range(tmp_path, capsys,
+                                        single_component_csv):
+    path, _ = single_component_csv
+    rc = main(["fit", "--data", str(path), "--response", "count",
+               "--x", "x1", "--omega", "w1", "--bic-scan", "0",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: j_max must be at least 1, not 0\n"
+
+
 def test_fit_under_mean_selection_reports_the_loglik_of_its_estimate(
         tmp_path, capsys):
     # The post-burn-in mean is no iterate of the chain, so its
@@ -194,6 +204,28 @@ def test_simulate_outputs_independent_of_parallelism(tmp_path):
     serial = run_simulate(tmp_path, "w1", jobs=1)
     parallel = run_simulate(tmp_path, "w2", jobs=2)
     assert serial == parallel
+
+
+def test_a_study_whose_every_fit_fails_keeps_its_rows(tmp_path, capsys):
+    # n=8 makes every ML system singular, so ridge and LT lack their
+    # prerequisite: no method has a finite value to summarize.
+    out = tmp_path / "out"
+    rc = main(["simulate", "--preset", "study1", "--n", "8",
+               "--replicates", "2", "--seed", "3", "--max-iters", "8",
+               "--burn-in", "2", "--restarts", "1", "--out", str(out)])
+    assert rc == HIGH_FAILURE_EXIT
+    assert "100% of replicates failed" in capsys.readouterr().err
+    with (out / "replicates.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["replicate"], row["method"]) for row in rows] == [
+        (r, m) for r in "01" for m in ("ml", "ridge", "lt")]
+    assert all(row["failed"] == "1" for row in rows)
+    notes = [row["note"] for row in rows]
+    assert all("SingularSystem" in note for note in notes[::3])
+    assert notes[1::3] == ["prerequisite ML fit failed"] * 2
+    assert notes[2::3] == ["prerequisite ridge fit failed"] * 2
+    assert (out / "summary.csv").read_text().splitlines() == [
+        "method,parameter_block,M,L,U,n_replicates,n_failed"]
 
 
 def test_replicate_from_config_reproduces_run(tmp_path):

@@ -131,9 +131,9 @@ def test_summary_constant_and_singleton():
 
 
 def test_summary_counts_nonfinite_as_failures():
-    summary = pm.summarize_replicates([1.0, np.nan, 2.0, np.inf], n_failed=1)
+    summary = pm.summarize_replicates([1.0, np.nan, 2.0, np.inf])
     assert summary.n_replicates == 2
-    assert summary.n_failed == 3
+    assert summary.n_failed == 2
 
 
 def test_summary_upper_bound_monotone():
