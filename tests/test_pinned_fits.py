@@ -4,6 +4,7 @@ tier-1. A change that moves estimates on purpose rewrites the fixture
 with ``python3 tools/fit_compare.py --pin``."""
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import poismoe as pm
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))  # fit_compare imports harness
 _spec = importlib.util.spec_from_file_location(
     "fit_compare", ROOT / "tools" / "fit_compare.py")
 fit_compare = importlib.util.module_from_spec(_spec)

@@ -1,7 +1,8 @@
 """Smoke tests of the comparison tools under ``tools/``: a checkout
 compared with itself must report no difference, ``fit_compare.py``
-scores both checkouts of a heart study against one truth, and
-``work_count.py`` sees one extra call per E-step."""
+scores both checkouts of a heart study against one truth,
+``work_count.py`` sees one extra call per E-step, and the study
+harness they share restores what it patches."""
 import json
 import pickle
 import shutil
@@ -16,6 +17,8 @@ import poismoe as pm
 from poismoe.pipeline import METHODS
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import harness  # noqa: E402  (tools/ is not a package)
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +241,17 @@ def test_work_count_reads_one_more_c_call_per_e_step(tiny_study, tmp_path):
     empty = [line.split() for line in lines if line.startswith("  ")]
     assert [fields[:2] for fields in empty] == [["c", "numpy.empty"]]
     assert int(empty[0][3]) - int(empty[0][2]) == e_steps
+
+
+def test_the_harness_restores_the_fit_hooks_after_a_failed_study(tmp_path):
+    # Tier-1 runs pinned studies in its own process, so a study that
+    # raises must not leave the harness's wrappers in the package.
+    replication = pm.replication
+    originals = (replication.fit_all_methods, replication.fit_method)
+    study = harness.Study(pm, {"mode": "heart",
+                               "heart_path": str(tmp_path / "none.csv")})
+    with pytest.raises(FileNotFoundError):
+        study.run()
+    assert replication.fit_all_methods is originals[0]
+    assert replication.fit_method is originals[1]
+    assert study.label is None

@@ -4,19 +4,23 @@
         [--tolerance 1e-10] [--summary]
     python3 tools/fit_compare.py --pin [CHECKOUT]
 
+A fit's record is what the pinned-fit fixture stores: its beta, alpha
+and Liu-type d (``float.hex``), ``iterations_run``,
+``selected_iteration``, ``converged`` and ``n_failed_restarts``; a
+failed stage's is the error types of its note.
+
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
-it. The study runs once per checkout, each in a child process
-(``fit_compare.py --dump CHECKOUT CONFIG.json [TRUTH.json]``, which
-prints one JSON record per fit, then one with the study's
+it. The study runs once per checkout (``harness.Study``), each in a
+child process (``fit_compare.py --dump CHECKOUT CONFIG.json [TRUTH]``,
+which prints one JSON record per fit, then one with the study's
 ``summaries``, ``replicate_rows`` and ``failure_fraction``, then one
-with the count of chain ends per method) that imports ``poismoe``
-from that checkout's ``src``; ``jobs`` is forced to 1. The base
-checkout runs first. A heart study's truth is itself an ML fit, so the
-new checkout scores its replicates against the base checkout's truth
-fit (TRUTH.json, its record), and both checkouts are judged against one
-truth; the new checkout's own truth fit is still made and reported.
-Fits are paired by replicate and method (``truth`` is the heart truth
-fit). For each pair one line reports
+with the count of chain ends per method). The base checkout runs
+first. A heart study's truth is itself an ML fit, so the new checkout
+scores its replicates against the base checkout's truth fit (TRUTH,
+its record), and both checkouts are judged against one truth; the new
+checkout's own truth fit is still made and reported. Fits are paired
+by replicate and method (``truth`` is the heart truth fit). For each
+pair one line reports
 
     <replicate> <method> <relative difference> <iterations> <selected> <converged>
 
@@ -24,15 +28,14 @@ where the relative difference is max |new - base| / max |base| over the
 beta and alpha coefficients (and, for Liu-type, the d values of its
 tuning, taken apart), and each of the other three fields reads ``same``
 or ``base->new``. ``=`` replaces the difference when the two fits are
-byte-identical: beta, alpha, ``loglik_trace``, the Liu-type d values,
-``iterations_run``, ``selected_iteration`` and ``converged`` all match
-bit for bit. A summary counts the byte-identical pairs, the pairs
-within 1e-10 and 1e-6, and lists the pairs that diverged: a failure in
-only one checkout, another iteration count, selected iteration or
-convergence flag, or a relative difference above ``--tolerance``. A
-last line says whether the study outputs match bit for bit. The exit
-code is 1 if any pair diverged or the study outputs differ. Two
-checkouts make byte-identical fits when every line reads ``=``.
+byte-identical: their records are equal. A summary counts the
+byte-identical pairs, the pairs within 1e-10 and 1e-6, and lists the
+pairs that diverged: a failure in only one checkout, another iteration
+count, selected iteration or convergence flag, or a relative difference
+above ``--tolerance``. A last line says whether the study outputs match
+bit for bit. The exit code is 1 if any pair diverged or the study
+outputs differ. Two checkouts make byte-identical fits when every line
+reads ``=``.
 
 ``--summary`` adds the Monte-Carlo view of the two runs. One line per
 method and block of the study ``summaries``
@@ -52,12 +55,10 @@ truth fit's chains.
 ``--pin`` rewrites the pinned-fit fixture ``tests/data/pinned_fits.json``
 that ``tests/test_pinned_fits.py`` refits. The fixture names its
 studies (each a study config, and for a heart study the rows of its
-population file); ``--pin`` keeps them and refits each with CHECKOUT's
-sources (by default this checkout's). Every fit, the heart truth fit
-included, is stored as its beta, alpha and Liu-type d (``float.hex``),
-``iterations_run``, ``selected_iteration``, ``converged`` and
-``n_failed_restarts``; a failed stage as the error types of its note.
-One line per study counts the fits whose entry changed.
+population file); ``--pin`` keeps them, refits each with CHECKOUT's
+sources (by default this checkout's) and stores the record of every
+fit, the heart truth fit's included. One line per study counts the
+fits whose record changed.
 """
 from __future__ import annotations
 
@@ -65,100 +66,79 @@ import argparse
 import itertools
 import json
 import re
-import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+import harness
+
 PINNED = Path(__file__).resolve().parents[1] / "tests/data/pinned_fits.json"
 BINS = (1e-10, 1e-6)
-# Record entries that a byte-identical pair matches bit for bit.
-BITWISE = ("beta", "alpha", "loglik_trace", "d", "iterations_run",
-           "selected_iteration", "converged")
 
 
-def dump(checkout: Path, config_path: Path,
-         truth_path: Path | None = None) -> int:
+def hexed(values):
+    """Nested lists of floats as the same lists of ``float.hex`` strings."""
+    return ([hexed(value) for value in values] if isinstance(values, list)
+            else float.hex(values))
+
+
+def unhexed(values) -> np.ndarray:
+    """The float array of nested lists of ``float.hex`` strings."""
+    return np.frompyfunc(float.fromhex, 1, 1)(np.array(values)).astype(float)
+
+
+def record(label: str, method: str, fit, note: str) -> dict:
+    """One fit as the pinned-fit fixture stores it."""
+    entry = {"replicate": label, "method": method}
+    if fit is None:
+        entry["error"] = " | ".join(re.findall(r"([A-Z]\w*): ", note)) or note
+        return entry
+    entry.update(beta=hexed(fit.psi_hat.beta.tolist()),
+                 alpha=hexed(fit.psi_hat.alpha.tolist()),
+                 iterations_run=int(fit.iterations_run),
+                 selected_iteration=int(fit.selected_iteration),
+                 converged=bool(fit.converged),
+                 n_failed_restarts=int(fit.n_failed_restarts))
+    if fit.method == "lt":
+        entry["d"] = hexed(fit.tuning.d_beta.tolist()
+                           + fit.tuning.d_alpha.tolist())
+    return entry
+
+
+def dump(checkout: Path, config_path: Path, truth: str | None = None) -> int:
     """Child mode: run the study with ``checkout``'s sources, print one
-    JSON record per fit. With ``truth_path``, the record of another
+    JSON record per fit. With ``truth``, the record of another
     checkout's truth fit, the replicates are scored against its
     coefficients instead of this checkout's own truth fit."""
-    sys.path.insert(0, str(checkout / "src"))
-    import poismoe as pm
-
-    pinned = (None if truth_path is None
-              else json.loads(truth_path.read_text()))
-
-    config = replace(pm.load_config(config_path), jobs=1, output_dir=None)
-    index = itertools.count()
-    replication = pm.replication
-    fit_all_methods, fit_method = (replication.fit_all_methods,
-                                   replication.fit_method)
-
-    def record(label: str, method: str, fit, note: str) -> None:
-        entry = {"replicate": label, "method": method, "ok": fit is not None}
-        if fit is None:
-            entry["note"] = note
-        else:
-            entry.update(
-                beta=fit.psi_hat.beta.tolist(),
-                alpha=fit.psi_hat.alpha.tolist(),
-                loglik_trace=fit.loglik_trace.tolist(),
-                iterations_run=int(fit.iterations_run),
-                selected_iteration=int(fit.selected_iteration),
-                converged=bool(fit.converged))
-            if fit.method == "lt":
-                entry["d"] = (fit.tuning.d_beta.tolist()
-                              + fit.tuning.d_alpha.tolist())
-        print(json.dumps(entry), flush=True)
-
-    def replicate(*call_args, **kwargs):
-        result = fit_all_methods(*call_args, **kwargs)
-        label = str(next(index))
-        for method in kwargs["methods"]:
-            record(label, method, result.fit_for(method),
-                   result.failures.get(method, "failed"))
-        return result
-
-    in_truth = [False]
+    pm = harness.import_checkout(checkout)
+    pinned = None if truth is None else json.loads(truth)
+    study = harness.Study(
+        pm, json.loads(config_path.read_text()),
+        None if pinned is None else (unhexed(pinned["beta"]),
+                                     unhexed(pinned["alpha"])))
     chain_ends: dict[str, dict[str, int]] = {}
-
-    def truth(*call_args, **kwargs):
-        in_truth[0] = True
-        try:
-            fit = fit_method(*call_args, **kwargs)
-        finally:
-            in_truth[0] = False
-        record("truth", call_args[3], fit, "")
-        if pinned is not None:
-            fit = replace(fit, psi_hat=pm.Coefficients(
-                beta=pinned["beta"], alpha=pinned["alpha"],
-                reference_class=fit.psi_hat.reference_class))
-        return fit
-
-    def count(outcome, method: str) -> None:
-        end = ("epsilon" if outcome.converged else
-               outcome.interruption.split(":")[0] if outcome.interruption
-               else "cap")
-        ends = chain_ends.setdefault("truth" if in_truth[0] else method, {})
-        ends[end] = ends.get(end, 0) + 1
-
     # The chain driver returns every restart's outcome of a fit and
     # takes the method as its fourth argument.
     run_chains = pm.sem._run_chains
 
-    def counted_chains(*call_args, **kwargs):
-        outcomes = run_chains(*call_args, **kwargs)
+    def counted_chains(*args, **kwargs):
+        outcomes = run_chains(*args, **kwargs)
+        ends = chain_ends.setdefault(
+            "truth" if study.label == "truth" else args[3], {})
         for outcome in outcomes:
-            count(outcome, call_args[3])
+            end = ("epsilon" if outcome.converged else
+                   outcome.interruption.split(":")[0]
+                   if outcome.interruption else "cap")
+            ends[end] = ends.get(end, 0) + 1
         return outcomes
 
-    replication.fit_all_methods, replication.fit_method = replicate, truth
     pm.sem._run_chains = counted_chains
-    result = pm.run_replication_study(config)
+    result, fits = study.run()
+    for fit in fits:
+        print(json.dumps(record(*fit)))
     # json writes each float as its shortest round-trip repr, so equal
     # records mean bit-equal values.
     print(json.dumps({"study": {
@@ -170,12 +150,6 @@ def dump(checkout: Path, config_path: Path,
     return 0
 
 
-def hexed(values):
-    """Nested lists of floats as the same lists of ``float.hex`` strings."""
-    return ([hexed(value) for value in values] if isinstance(values, list)
-            else float.hex(values))
-
-
 def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
     """Run one study of the pinned-fit fixture with the package ``pm``;
     one fixture entry per fit, in the order the study makes them (a
@@ -185,57 +159,14 @@ def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
         payload["heart_path"] = str(workdir / f"{study['name']}.csv")
         Path(payload["heart_path"]).write_text(
             "\n".join(study["heart_rows"]) + "\n")
-    replication = pm.replication
-    fit_all_methods, fit_method = (replication.fit_all_methods,
-                                   replication.fit_method)
-    fits: list[dict] = []
-    index = itertools.count()
-
-    def entry(label: str, method: str, fit, note: str) -> dict:
-        pinned = {"replicate": label, "method": method}
-        if fit is None:
-            pinned["error"] = " | ".join(re.findall(r"([A-Z]\w*): ",
-                                                    note)) or note
-            return pinned
-        pinned.update(beta=hexed(fit.psi_hat.beta.tolist()),
-                      alpha=hexed(fit.psi_hat.alpha.tolist()),
-                      iterations_run=int(fit.iterations_run),
-                      selected_iteration=int(fit.selected_iteration),
-                      converged=bool(fit.converged),
-                      n_failed_restarts=int(fit.n_failed_restarts))
-        if fit.method == "lt":
-            pinned["d"] = hexed(fit.tuning.d_beta.tolist()
-                                + fit.tuning.d_alpha.tolist())
-        return pinned
-
-    def replicate(*call_args, **kwargs):
-        result = fit_all_methods(*call_args, **kwargs)
-        label = str(next(index))
-        for method in kwargs["methods"]:
-            fits.append(entry(label, method, result.fit_for(method),
-                              result.failures.get(method, "")))
-        return result
-
-    def truth(*call_args, **kwargs):
-        fit = fit_method(*call_args, **kwargs)
-        fits.append(entry("truth", call_args[3], fit, ""))
-        return fit
-
-    replication.fit_all_methods, replication.fit_method = replicate, truth
-    try:
-        pm.run_replication_study(pm.replication.config_from_dict(payload))
-    finally:
-        replication.fit_all_methods, replication.fit_method = (
-            fit_all_methods, fit_method)
-    return fits
+    _, fits = harness.Study(pm, payload).run()
+    return [record(*fit) for fit in fits]
 
 
 def pin(checkout: Path) -> int:
     """``--pin``: refit the fixture's studies with ``checkout``'s sources
     and rewrite the fixture."""
-    sys.path.insert(0, str(checkout / "src"))
-    import poismoe as pm
-
+    pm = harness.import_checkout(checkout)
     fixture = json.loads(PINNED.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         for study in fixture["studies"]:
@@ -253,20 +184,19 @@ def pin(checkout: Path) -> int:
 
 
 def run_checkout(checkout: Path, config_path: Path,
-                 truth_path: Path | None = None) -> tuple[dict, str, dict]:
-    """The checkout's fits by (replicate, method), its study record and
-    its chain ends by method; ``truth_path`` pins the heart truth."""
-    pin = [] if truth_path is None else [str(truth_path)]
-    done = subprocess.run(
-        [sys.executable, __file__, "--dump", str(checkout), str(config_path),
-         *pin], capture_output=True, text=True, check=True)
+                 truth: str | None = None) -> tuple[dict, str, dict]:
+    """The checkout's fit records by (replicate, method), its study
+    record and its chain ends by method; ``truth`` pins the heart
+    truth."""
     fits, study, chains = {}, "", {}
-    for line in done.stdout.splitlines():
+    for line in harness.run_child(
+            __file__, "--dump", checkout, config_path,
+            *([] if truth is None else [truth])).splitlines():
         if line.startswith('{"study"'):
             study = line
         elif line.startswith('{"chains"'):
             chains = json.loads(line)["chains"]
-        elif line.startswith("{"):
+        else:
             entry = json.loads(line)
             fits[(entry["replicate"], entry["method"])] = entry
     return fits, study, chains
@@ -304,11 +234,6 @@ def relative_difference(base: np.ndarray, new: np.ndarray) -> float:
     return gap / scale if scale > 0 else gap
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def compare(base: dict, new: dict,
             tolerance: float) -> tuple[list[str], list[str]]:
     lines, diverged = [], []
@@ -322,18 +247,18 @@ def compare(base: dict, new: dict,
     for key in sorted(base.keys() | new.keys(), key=order):
         label = " ".join(key)
         a, b = base.get(key), new.get(key)
-        if a is None or b is None or not (a["ok"] and b["ok"]):
+        if a is None or b is None or "error" in a or "error" in b:
             status = ("missing" if a is None or b is None else
-                      "both failed" if not (a["ok"] or b["ok"]) else
-                      "failed in base" if not a["ok"] else "failed in new")
+                      "both failed" if "error" in a and "error" in b else
+                      "failed in base" if "error" in a else "failed in new")
             lines.append(f"{label} {status}")
             if status != "both failed":
                 diverged.append(label)
             continue
-        coef_a = np.concatenate([np.ravel(a["beta"]), np.ravel(a["alpha"])])
-        coef_b = np.concatenate([np.ravel(b["beta"]), np.ravel(b["alpha"])])
-        identical = all(same_bits(a.get(key, ()), b.get(key, ()))
-                        for key in BITWISE)
+        coef_a, coef_b = (np.concatenate([unhexed(fit["beta"]).ravel(),
+                                          unhexed(fit["alpha"]).ravel()])
+                          for fit in (a, b))
+        identical = a == b
         rel = relative_difference(coef_a, coef_b)
         fields = []
         for name in ("iterations_run", "selected_iteration", "converged"):
@@ -341,7 +266,7 @@ def compare(base: dict, new: dict,
             fields.append("same" if same else f"{a[name]}->{b[name]}")
         text = "=" if identical else f"{rel:.2e}"
         if "d" in a:
-            d_rel = relative_difference(np.array(a["d"]), np.array(b["d"]))
+            d_rel = relative_difference(unhexed(a["d"]), unhexed(b["d"]))
             text += f" d:{d_rel:.2e}"
         lines.append(f"{label} {text} " + " ".join(fields))
         if identical:
@@ -363,8 +288,7 @@ def compare(base: dict, new: dict,
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "--dump":
-        truth_path = Path(argv[3]) if len(argv) > 3 else None
-        return dump(Path(argv[1]).resolve(), Path(argv[2]), truth_path)
+        return dump(Path(argv[1]).resolve(), Path(argv[2]), *argv[3:])
     if argv and argv[0] == "--pin":
         return pin(Path(argv[1] if len(argv) > 1 else PINNED.parents[2])
                    .resolve())
@@ -377,14 +301,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, base_study, base_chains = run_checkout(args.base.resolve(),
                                                  args.config)
-    with tempfile.TemporaryDirectory() as tmp:
-        truth_path = None
-        truth = base.get(("truth", "ml"))
-        if truth is not None and truth["ok"]:
-            truth_path = Path(tmp) / "truth.json"
-            truth_path.write_text(json.dumps(truth))
-        new, new_study, new_chains = run_checkout(args.new.resolve(),
-                                                  args.config, truth_path)
+    truth = base.get(("truth", "ml"))  # made only if the fit succeeds
+    new, new_study, new_chains = run_checkout(
+        args.new.resolve(), args.config,
+        None if truth is None else json.dumps(truth))
     lines, diverged = compare(base, new, args.tolerance)
     same_study = bool(base_study) and base_study == new_study
     lines.append("study outputs (summaries, replicate_rows, "

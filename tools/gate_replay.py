@@ -3,19 +3,18 @@
     python3 tools/gate_replay.py CONFIG.json BASE_CHECKOUT NEW_CHECKOUT
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
-it. The study runs once, with BASE_CHECKOUT's sources, in a child
-process (``gate_replay.py --record CHECKOUT CONFIG.json RECORD``) that
-records the inputs and the result of every
-``sem.coordinate_descent_alphas`` call; a call that ascends a batch of
-chains in lockstep is recorded as one call per chain, in chain order.
-Each checkout then replays
-every recorded call in a child process of its own
+it. The study runs once (``harness.Study``), with BASE_CHECKOUT's
+sources, in a child process
+(``gate_replay.py --record CHECKOUT CONFIG.json RECORD``) that records
+the inputs and the result of every ``sem.coordinate_descent_alphas``
+call; a call that ascends a batch of chains in lockstep is recorded as
+one call per chain, in chain order. Each checkout then replays every
+recorded call in a child process of its own
 (``gate_replay.py --replay CHECKOUT RECORD OUT``), counting the Newton
 systems it builds (``gating.build_gating_workspace``) and the trial
 objectives it evaluates (``gating.q1_value``, less the one at the
 start). A call is capped when it builds as many systems as the base's
-step cap allows (``gating.INNER_MAX``, or the ``inner_max`` default of
-a checkout whose ascent still takes it). Calls are grouped by estimator
+step cap ``gating.INNER_MAX`` allows. Calls are grouped by estimator
 (``ml``, ``ridge``, ``lt``; ``truth`` is the heart truth fit, which is
 ML), and one line per group reports
 
@@ -41,38 +40,28 @@ replay would not be faithful), else 0.
 from __future__ import annotations
 
 import argparse
-import inspect
+import json
 import pickle
-import subprocess
 import sys
 import tempfile
 from collections import defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+
+import harness
 
 GROUPS = ("truth", "ml", "ridge", "lt")
 LT_LABEL = "(replayed on the base chain's d)"
 
 
-def import_checkout(checkout: Path):
-    sys.path.insert(0, str(checkout / "src"))
-    import poismoe
-    return poismoe
-
-
 def record(checkout: Path, config_path: Path, out: Path) -> int:
     """Child mode: run the study, keep every gate call's inputs and result."""
-    pm = import_checkout(checkout)
-    config = replace(pm.load_config(config_path), jobs=1, output_dir=None)
-    sem, replication = pm.sem, pm.replication
-    ascent, fit_method = sem.coordinate_descent_alphas, replication.fit_method
+    pm = harness.import_checkout(checkout)
+    study = harness.Study(pm, json.loads(config_path.read_text()))
+    ascent = pm.sem.coordinate_descent_alphas
     omegas: list[np.ndarray] = []
     calls: list[dict] = []
-    in_truth = [False]
-    parameter = inspect.signature(ascent).parameters.get("inner_max")
-    cap = pm.gating.INNER_MAX if parameter is None else parameter.default
 
     def recorded(Omega, alpha_t, part, lam, d, reference, **kwargs):
         if not omegas or omegas[-1] is not Omega:
@@ -88,29 +77,23 @@ def record(checkout: Path, config_path: Path, out: Path) -> int:
         first = len(calls)
         for chain in range(len(batch)):
             calls.append({
-                "group": ("truth" if in_truth[0] else "ml" if lam is None
+                "group": ("truth" if study.label == "truth" else
+                          "ml" if lam is None
                           else "ridge" if d is None else "lt"),
                 "omega": len(omegas) - 1, "alpha_t": batch[chain],
                 "assignment": assignments[chain],
                 "n_components": part.n_components,
                 "lam": None if lam is None else np.array(lam, dtype=float),
                 "d": None if ds is None else np.array(ds[chain]),
-                "reference": reference, "cap": cap})
+                "reference": reference, "cap": pm.gating.INNER_MAX})
         result = ascent(Omega, alpha_t, part, lam, d, reference, **kwargs)
         rows = np.array(result).reshape(batch.shape)
         for chain, call in enumerate(calls[first:]):
             call["alpha"] = rows[chain]
         return result
 
-    def truth(*args, **kwargs):
-        in_truth[0] = True
-        try:
-            return fit_method(*args, **kwargs)
-        finally:
-            in_truth[0] = False
-
-    sem.coordinate_descent_alphas, replication.fit_method = recorded, truth
-    pm.run_replication_study(config)
+    pm.sem.coordinate_descent_alphas = recorded
+    study.run()
     with out.open("wb") as handle:
         pickle.dump({"omegas": [np.array(o) for o in omegas],
                      "calls": calls}, handle)
@@ -119,7 +102,7 @@ def record(checkout: Path, config_path: Path, out: Path) -> int:
 
 def replay(checkout: Path, record_path: Path, out: Path) -> int:
     """Child mode: rerun every recorded call, counting steps and trials."""
-    pm = import_checkout(checkout)
+    pm = harness.import_checkout(checkout)
     gating = pm.gating
     with record_path.open("rb") as handle:
         recording = pickle.load(handle)
@@ -215,10 +198,6 @@ def summarize(recording: dict, base: list[dict],
     return lines
 
 
-def run_child(*args: str) -> None:
-    subprocess.run([sys.executable, __file__, *args], check=True)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "--record":
@@ -232,11 +211,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        run_child("--record", str(args.base), str(args.config),
-                  str(work / "record.pkl"))
+        harness.run_child(__file__, "--record", args.base, args.config,
+                          work / "record.pkl")
         for name, checkout in (("base", args.base), ("new", args.new)):
-            run_child("--replay", str(checkout), str(work / "record.pkl"),
-                      str(work / f"{name}.pkl"))
+            harness.run_child(__file__, "--replay", checkout,
+                              work / "record.pkl", work / f"{name}.pkl")
         loaded = {}
         for name in ("record", "base", "new"):
             with (work / f"{name}.pkl").open("rb") as handle:

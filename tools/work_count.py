@@ -4,15 +4,15 @@
         [--top 15]
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
-it. The study runs once per checkout, each in a child process
-(``work_count.py --count CHECKOUT CONFIG.json``, which prints one JSON
-record) that imports ``poismoe`` from that checkout's ``src``; ``jobs``
-is forced to 1. A ``sys.setprofile`` hook counts every Python-level
-``call`` event and every C-level ``c_call`` event of the study, by
-function; events in this file's own frames are left out. The counts
-see calls, not arithmetic, and repeat exactly from run to run, so they
-resolve a change in per-call overhead that timing cannot. The report
-gives, base then new and the relative change,
+it. The study runs once per checkout (``harness.Study``), each in a
+child process (``work_count.py --count CHECKOUT CONFIG.json``, which
+prints one JSON record). A ``sys.setprofile`` hook counts every
+Python-level ``call`` event and every C-level ``c_call`` event of the
+study, by function; events in the frames of this file and of
+``harness.py`` are left out. The counts see calls, not arithmetic, and
+repeat exactly from run to run, so they resolve a change in per-call
+overhead that timing cannot. The report gives, base then new and the
+relative change,
 
     calls, c_calls       totals over the study,
     iterations           the SEM iterations of its fits (each fit's
@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
+
+import harness
 
 HERE = str(Path(__file__).resolve())
 
@@ -40,28 +40,13 @@ HERE = str(Path(__file__).resolve())
 def count(checkout: Path, config_path: Path) -> int:
     """Child mode: run the study under the counting hook, print its
     record."""
-    sys.path.insert(0, str(checkout / "src"))
-    import poismoe as pm
-
-    config = replace(pm.load_config(config_path), jobs=1, output_dir=None)
-    replication = pm.replication
-    fit_all_methods, fit_method = (replication.fit_all_methods,
-                                   replication.fit_method)
-    results: list = []
-
-    def replicate(*call_args, **kwargs):
-        results.append(fit_all_methods(*call_args, **kwargs))
-        return results[-1]
-
-    def truth(*call_args, **kwargs):
-        results.append(fit_method(*call_args, **kwargs))
-        return results[-1]
-
+    pm = harness.import_checkout(checkout)
+    study = harness.Study(pm, json.loads(config_path.read_text()))
     python_calls: Counter = Counter()
     c_calls: Counter = Counter()
 
     def hook(frame, event, arg):
-        if frame.f_code.co_filename == HERE:
+        if frame.f_code.co_filename in (HERE, harness.HERE):
             return
         if event == "call":
             python_calls[frame.f_code] += 1
@@ -69,20 +54,11 @@ def count(checkout: Path, config_path: Path) -> int:
             c_calls[(getattr(arg, "__module__", None),
                      getattr(arg, "__qualname__", repr(arg)))] += 1
 
-    replication.fit_all_methods, replication.fit_method = replicate, truth
-    sys.setprofile(hook)
-    try:
-        pm.run_replication_study(config)
-    finally:
-        sys.setprofile(None)
+    _, fits = study.run(profile=hook)
     iterations: Counter = Counter()
-    for result in results:
-        if isinstance(result, pm.FitResult):
-            iterations["truth"] += result.iterations_run
-            continue
-        for method in config.methods:
-            fit = result.fit_for(method)
-            iterations[method] += 0 if fit is None else fit.iterations_run
+    for label, method, fit, _ in fits:
+        iterations["truth" if label == "truth" else method] += (
+            0 if fit is None else fit.iterations_run)
     functions = Counter()
     for code, calls in python_calls.items():
         functions[f"py {Path(code.co_filename).name}:{code.co_qualname}"] \
@@ -94,13 +70,6 @@ def count(checkout: Path, config_path: Path) -> int:
                       "iterations": dict(iterations),
                       "functions": dict(functions)}))
     return 0
-
-
-def run_checkout(checkout: Path, config_path: Path) -> dict:
-    done = subprocess.run(
-        [sys.executable, __file__, "--count", str(checkout),
-         str(config_path)], capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def change(base: float, new: float) -> str:
@@ -144,8 +113,9 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--top", type=int, default=15)
     args = parser.parse_args(argv)
-    base = run_checkout(args.base.resolve(), args.config)
-    new = run_checkout(args.new.resolve(), args.config)
+    base, new = (json.loads(harness.run_child(
+        __file__, "--count", checkout.resolve(), args.config))
+        for checkout in (args.base, args.new))
     print("\n".join(report(base, new, args.top)))
     return 0
 
