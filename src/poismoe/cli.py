@@ -117,30 +117,30 @@ def _fit_payload(data: Dataset, fit: FitResult) -> dict:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    data = _read_table(args.data, args.response,
-                       args.x.split(","), args.omega.split(","))
+    columns = [[name.strip() for name in names.split(",")]
+               for names in (args.x, args.omega)]  # as the header's names
+    data = _read_table(args.data, args.response.strip(), *columns)
     opts = replace(_sem_options(args, SemOptions()), rng_seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    files = {}  # written only once every fit has succeeded
     if args.bic_scan is not None:
         rows = bic_scan(data, args.bic_scan, opts, method=args.method,
                         reference_class=args.reference)
-        best_j, _, best_fit = min(rows, key=lambda r: r[1])
-        scan_payload = {"criterion": "bic",
-                        "scan": [{"components": j, "bic": b}
-                                 for j, b, _ in rows],
-                        "selected_components": best_j}
-        (out / "bic_scan.json").write_text(
-            json.dumps(scan_payload, indent=2, sort_keys=True) + "\n")
-        fit = best_fit
+        best_j, _, fit = min(rows, key=lambda r: r[1])
+        files["bic_scan.json"] = {"criterion": "bic",
+                                  "scan": [{"components": j, "bic": b}
+                                           for j, b, _ in rows],
+                                  "selected_components": best_j}
         print(f"BIC selected {best_j} component(s)")
     else:
         spec = MixtureSpec(n_components=args.components,
                            reference_class=args.reference)
         fit = fit_method(data, spec, opts, args.method)
-    payload = _fit_payload(data, fit)
-    (out / "fit.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    payload = files["fit.json"] = _fit_payload(data, fit)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        (out / name).write_text(
+            json.dumps(content, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out / 'fit.json'} (loglik {payload['loglik']:.4f}, "
           f"converged={fit.converged})")
     return 0

@@ -57,8 +57,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NumericalFailure
-from .linalg import (factored_solve, outer_basis, penalized_wls_solve,
-                     rowwise_product)
+from .linalg import outer_basis, penalized_wls_solve, rowwise_product
 
 if TYPE_CHECKING:
     from .model import PartitionState
@@ -89,7 +88,6 @@ __all__ = [
     "gate_variance_weights",
     "build_gating_workspace",
     "q1_value",
-    "penalty_value",
     "coordinate_descent_alphas",
 ]
 
@@ -233,8 +231,7 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     Liu-type call runs the ridge ascent with its ``lam`` and then takes
     one Liu-type step from the ridge result alpha_r on the last Newton
     system built, ``alpha_r - S^-1 (d * alpha_r)`` with S that system's
-    ``gram + diag(lam)``, solved with the eigenpairs of S that the last
-    step's ``penalized_wls_solve`` already computed.
+    ``gram + diag(lam)``.
 
     The objective F is the penalized assignment log-likelihood
     ``q1_value + penalty_value``. One log-softmax per iterate serves both
@@ -304,14 +301,13 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                  + penalty_value(coef, lam)).tolist()
     full_steps: list[list[float]] = [[] for _ in range(chains)]
     # Each chain's result, written by index when it stops: its free
-    # rows, its log-softmax and the eigenpairs of its last Newton system.
+    # rows, its log-softmax and the gram of its last Newton system.
     rows, log_pis = np.empty((chains, m * q)), np.empty(current.shape)
-    eigenpairs = np.empty((chains, m * q, m * q)), np.empty((chains, m * q))
+    systems = np.empty((chains, m * q, m * q))
     for taken in range(1, INNER_MAX + 1):
         gram, rhs = build_gating_workspace(Omega, basis, current, coef,
                                            indicator, free)
-        proposal, factors = penalized_wls_solve(gram, rhs, lam,
-                                                keep_factors=True)
+        proposal = penalized_wls_solve(gram, rhs, lam)
         step = proposal - coef
         curvature = np.matvec(gram, step)
         if lam is not None:
@@ -370,8 +366,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
                     INNER_MAX - taken))
         if any(stop):  # the one exit: stopped rows leave the stack
             leaving = np.array(stop)
-            for result, final in zip((rows, log_pis, *eigenpairs),
-                                     (coef, current, *factors)):
+            for result, final in zip((rows, log_pis, systems),
+                                     (coef, current, gram)):
                 result[ids[leaving]] = final[leaving]
             if all(stop):
                 break
@@ -382,7 +378,7 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
             objective = list(itertools.compress(objective, going.tolist()))
     if d is not None:
         d = np.repeat(np.asarray(d, dtype=float)[..., free], q, axis=-1)
-        rows = rows - factored_solve(eigenpairs, d * rows)
+        rows = rows - penalized_wls_solve(systems, d * rows, lam)
     alpha = np.zeros((chains, n_classes, q))
     alpha[:, free] = rows.reshape(chains, m, q)
     if log_pi is not None:  # only the Liu-type step moves the rows again

@@ -1,4 +1,5 @@
-"""Shared solve path for the penalized weighted least-squares updates."""
+"""Shared solve path for the penalized weighted least-squares updates:
+:func:`penalized_wls_solve`, whose one return value is the solution."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,7 +10,7 @@ from .errors import NumericalFailure, SingularSystem
 COND_LIMIT = 1e12
 
 __all__ = ["COND_LIMIT", "outer_basis", "rowwise_product",
-           "penalized_wls_solve", "factored_solve"]
+           "penalized_wls_solve"]
 
 
 def outer_basis(design: np.ndarray) -> np.ndarray:
@@ -39,8 +40,7 @@ def rowwise_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
                         lam: float | np.ndarray | None = None,
-                        d: float | np.ndarray | None = None, *,
-                        keep_factors: bool = False):
+                        d: float | np.ndarray | None = None) -> np.ndarray:
     """Solve the IRWLS normal equations of the ML, ridge or Liu-type update.
 
     ``lam=None`` is ML: ``gram @ b = rhs``. Otherwise every coordinate
@@ -52,9 +52,8 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     coordinate of ``b_r`` in the eigenbasis of S is scaled by (s - d)/s,
     which lies in [0, 1] for 0 <= d <= s[0]. A caller that already has
     its ridge result b_r (the gate's ridge ascent, :mod:`~poismoe.gating`)
-    takes the same step as ``b_r - factored_solve(factors, d * b_r)``
-    with the factors of S that ``keep_factors=True`` returned alongside
-    the solution.
+    takes the same step as ``b_r - penalized_wls_solve(gram, d * b_r, lam)``,
+    which solves S through the same ``eigh`` and so matches bit for bit.
 
     ``gram`` is one (F, F) system with ``rhs`` of length F, or a stack
     (..., F, F) of independent systems with ``rhs`` (..., F), such as
@@ -68,7 +67,8 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
     result, bit for bit, as a call of its own. Every S must be finite
     with s[0] > 0, and for ML also have a 2-norm condition
     s[-1]/s[0] <= COND_LIMIT; if any fails, ML raises
-    :class:`SingularSystem` and ridge or Liu-type :class:`NumericalFailure`.
+    :class:`SingularSystem` and ridge or Liu-type :class:`NumericalFailure`
+    (which a non-finite solution also raises).
     """
     system = gram
     if lam is not None:
@@ -85,32 +85,14 @@ def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,
                for row in s.reshape(-1, s.shape[-1]).tolist()):
         raise failure("weighted system is not (numerically) positive definite; "
                       "at lambda=0 use the ridge or Liu-type estimator")
-    factors = (vecs, s)
-    solution = _eigen_solve(factors, rhs)
+    solution = _eigen_solve(vecs, s, rhs)
     if d is not None:
-        solution = solution - _eigen_solve(factors, d * solution)
-    _check_finite(solution)
-    return (solution, factors) if keep_factors else solution
-
-
-def _eigen_solve(factors: tuple[np.ndarray, np.ndarray],
-                 vector: np.ndarray) -> np.ndarray:
-    vecs, s = factors
-    return np.matvec(vecs, np.matvec(vecs.swapaxes(-1, -2), vector) / s)
-
-
-def _check_finite(solution: np.ndarray) -> None:
+        solution = solution - _eigen_solve(vecs, s, d * solution)
     if not np.isfinite(solution).all():
         raise NumericalFailure("weighted least-squares solve produced non-finite values")
-
-
-def factored_solve(factors: tuple[np.ndarray, np.ndarray],
-                   rhs: np.ndarray) -> np.ndarray:
-    """S^-1 rhs from the eigenpairs ``(V, s)`` of S that
-    ``penalized_wls_solve(..., keep_factors=True)`` returned, computed
-    as that solve computes it, so it matches a fresh
-    ``penalized_wls_solve`` of the same system bit for bit. A non-finite
-    result raises :class:`NumericalFailure`."""
-    solution = _eigen_solve(factors, rhs)
-    _check_finite(solution)
     return solution
+
+
+def _eigen_solve(vecs: np.ndarray, s: np.ndarray,
+                 vector: np.ndarray) -> np.ndarray:
+    return np.matvec(vecs, np.matvec(vecs.swapaxes(-1, -2), vector) / s)

@@ -156,6 +156,44 @@ def test_bic_scan_refuses_an_empty_range(tmp_path, capsys,
     assert capsys.readouterr().err == "error: j_max must be at least 1, not 0\n"
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--bic-scan", "0"], "error: j_max must be at least 1, not 0\n"),
+    (["--components", "9"],
+     "error: DimensionError: fewer observations than components\n"),
+], ids=["bic-scan", "components"])
+def test_a_refused_fit_leaves_no_output_directory(tmp_path, capsys, extra,
+                                                 message):
+    path = tmp_path / "five.csv"
+    write_csv(path, ["count", "x1", "w1"],
+              [[i, 0.1 * i, 0.3 * i - 0.5] for i in range(5)])
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", str(path), "--response", "count",
+               "--x", "x1", "--omega", "w1", "--out", str(out)] + extra)
+    assert rc == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_fit_strips_spaces_from_requested_column_names(tmp_path):
+    data, _, _ = single_component_data(seed=5)
+    path = tmp_path / "two.csv"
+    x = data.X[:, 1]
+    write_csv(path, ["count", "x1", "x2", "w1"],
+              np.column_stack([data.y, x, x * x, -x]).tolist())
+    outputs = []
+    for tag, response, x_cols, omega in [("plain", "count", "x1,x2", "w1"),
+                                         ("spaced", " count ", "x1, x2",
+                                          " w1")]:
+        out = tmp_path / tag
+        rc = main(["fit", "--data", str(path), "--response", response,
+                   "--x", x_cols, "--omega", omega,
+                   "--components", "1", "--restarts", "1", "--max-iters",
+                   "20", "--burn-in", "0", "--out", str(out)])
+        assert rc == 0
+        outputs.append((out / "fit.json").read_text())
+    assert outputs[0] == outputs[1]
+
+
 def test_fit_under_mean_selection_reports_the_loglik_of_its_estimate(
         tmp_path, capsys):
     # The post-burn-in mean is no iterate of the chain, so its

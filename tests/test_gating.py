@@ -565,6 +565,39 @@ def test_well_posed_ascent_builds_no_confirming_system(monkeypatch,
     assert abs(value - reference) <= 1e-12 * (1.0 + abs(reference))
 
 
+@pytest.mark.parametrize("exit_rule", ["r1", "r2", "cap"])
+def test_liu_type_step_solves_the_last_ridge_system(monkeypatch, exit_rule):
+    # Whichever rule ends the ridge ascent, a Liu-type call returns its
+    # rows alpha_r shrunk once on the last system it built:
+    # alpha_r - penalized_wls_solve(gram, d * alpha_r, lam), bit for bit.
+    Omega, part, alpha, _ = three_class_problem(seed=22)
+    lam, d, free, q = 0.8, 0.4, [0, 2], Omega.shape[1]
+    lams, ds = [lam] * 3, [d] * 3
+    start, limits = np.zeros((3, q)), {}
+    if exit_rule == "r1":  # started at its optimum: the first step is R1
+        start = ascend_with_stops(Omega, start, part, lams, None, reference=1,
+                                  inner_tol=1e-15, inner_max=300)
+    elif exit_rule == "cap":
+        start, limits = 6.0 * alpha, dict(inner_tol=0.0, inner_max=4)
+    builds = spy_on_builds(monkeypatch)
+    ridge = ascend_with_stops(Omega, start, part, lams, None, reference=1,
+                              **limits)
+    monkeypatch.undo()
+    expected_builds = {"r1": 1, "cap": 4}.get(exit_rule)
+    if expected_builds is None:  # R2/R3: stopped short of the cap
+        assert 2 <= len(builds) < pm.gating.INNER_MAX
+    else:
+        assert len(builds) == expected_builds
+    gram = builds[-1][1][0][0]
+    rows = ridge[free].ravel()
+    expected = np.zeros_like(ridge)
+    expected[free] = (rows - penalized_wls_solve(
+        gram, d * rows, np.full(rows.size, lam))).reshape(len(free), q)
+    lt = ascend_with_stops(Omega, start, part, lams, ds, reference=1,
+                           **limits)
+    assert np.array_equal(lt, expected)
+
+
 def quasi_separated_problem(n_separated=500):
     """Two-class partition with no ML gate: rows with x < 2 are all class
     0 and rows with x > 3 all class 1, so alpha can grow without bound
