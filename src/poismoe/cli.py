@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--method", default="ml", choices=["ml", "ridge", "lt"])
     fit.add_argument("--components", type=int, default=2)
     fit.add_argument("--reference", type=int, default=0,
-                     help="reference gating class (0-based)")
+                     help="reference gating class (0-based); with "
+                          "--bic-scan, a J with fewer classes takes J - 1")
     fit.add_argument("--bic-scan", type=int, default=None, metavar="J_MAX")
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--out", required=True)

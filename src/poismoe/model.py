@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +45,15 @@ __all__ = [
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def refuse_non_integers(instance) -> None:
+    """ValueError naming an ``int`` field holding a non-integer or bool."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(
+                value, (int, np.integer))):
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -257,6 +266,7 @@ class SemOptions:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        refuse_non_integers(self)
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1 or self.n_restarts < 1:

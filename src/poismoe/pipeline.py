@@ -47,24 +47,23 @@ def _stage_seed(base_seed: int, stage: int) -> int:
 
 def _make_retuner(data: Dataset, tuning_lt: TuningParams,
                   anchors: Coefficients):
-    """Retuner for ``run_sem`` on ``data``: LT lambdas, d fit per M-step.
+    """Retuner for ``run_sem`` on ``data``: d fit per M-step.
 
-    The returned ``retuner(data, workspace, log_pi)`` keeps the lambdas
-    of ``tuning_lt`` and re-optimizes d in closed form against the
-    systems the next update will solve, for every chain of the batch at
-    once: its d values are (B, J), one row per chain. Plug-in truth
-    stays at the ridge ``anchors``: their means and gate probabilities
-    are computed once, for every chain of the fit.
+    The returned ``retuner(data, workspace, log_pi)`` re-optimizes d in
+    closed form, under the lambdas of ``tuning_lt``, against the systems
+    the next update will solve, for every chain of the batch at once: it
+    returns ``(d_beta, d_alpha)``, each (B, J). Plug-in truth stays at
+    the ridge ``anchors``, whose means and gate probabilities it computes
+    once per fit.
     """
     anchor_means = poisson_means(data.X, anchors.beta)
     anchor_pi = gating_probabilities(data.Omega, anchors.alpha).T
 
     def retuner(data: Dataset, workspace: ComponentWorkspace,
-                log_pi: np.ndarray) -> TuningParams:
-        d_beta, d_alpha = bias_corrections_for_partition(
+                log_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return bias_corrections_for_partition(
             data, workspace, log_pi, tuning_lt, anchors, anchor_means,
             anchor_pi)
-        return tuning_lt.with_bias_corrections(d_beta, d_alpha)
 
     return retuner
 
@@ -143,9 +142,11 @@ def bic_value(data: Dataset, psi: Coefficients) -> float:
 
 def bic_scan(data: Dataset, j_max: int, opts: SemOptions, method: str = "ml",
              reference_class: int = 0) -> list[tuple[int, float, FitResult]]:
-    """Fit J = 1..j_max and report (J, BIC, fit) for each."""
+    """Fit J = 1..j_max and report (J, BIC, fit) for each; a J with no
+    class ``reference_class`` takes its last class, J - 1, as reference."""
     if j_max < 1:
         raise ValueError(f"j_max must be at least 1, not {j_max}")
+    MixtureSpec(j_max, reference_class)  # refuses one past the largest J
     rows = []
     for n_components in range(1, j_max + 1):
         spec = MixtureSpec(n_components=n_components,

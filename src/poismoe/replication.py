@@ -21,7 +21,7 @@ from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse, summarize_replicates,
                       write_summary_csv)
 from .model import (Coefficients, Dataset, MixtureSpec, SemOptions,
-                    responsibilities)
+                    refuse_non_integers, responsibilities)
 from .pipeline import METHODS, fit_all_methods, fit_method
 from .simulate import (SimulationDesign, VALIDATION_SIZE, design_from_dict,
                        simulate_dataset)
@@ -67,6 +67,7 @@ class StudyConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
+        refuse_non_integers(self)
         if self.mode not in ("simulation", "heart"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "simulation" and self.design is None:

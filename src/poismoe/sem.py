@@ -48,7 +48,7 @@ __all__ = [
     "run_sem",
 ]
 
-Retuner = Callable[[Dataset, ComponentWorkspace, np.ndarray], TuningParams]
+Retuner = Callable[[Dataset, ComponentWorkspace, np.ndarray], tuple]
 
 
 def s_step(tau: np.ndarray,
@@ -157,31 +157,20 @@ def initialize(data: Dataset, spec: MixtureSpec,
 
 @dataclass
 class _ChainOutcome:
-    """One restart's completed iterates, kept as the batch arrays' rows.
-
-    ``tunings`` holds, per iterate, the M-step's tuning and the chain's
-    row in its (B, J) bias corrections, or None when they are shared.
-    """
+    """One restart's completed iterates, kept as the batch arrays' rows;
+    ``ds`` holds a retuned chain's (d_beta, d_alpha) rows per iterate."""
 
     reference_class: int
     betas: list[np.ndarray] = field(default_factory=list)
     alphas: list[np.ndarray] = field(default_factory=list)
     logliks: list[float] = field(default_factory=list)
-    tunings: list[tuple[TuningParams | None, int | None]] = field(
-        default_factory=list)
+    ds: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     converged: bool = False
     interruption: str | None = None
 
     def psi(self, index: int) -> Coefficients:
         return Coefficients(beta=self.betas[index], alpha=self.alphas[index],
                             reference_class=self.reference_class)
-
-    def tuning(self, index: int) -> TuningParams | None:
-        tuning, row = self.tunings[index]
-        if row is None:
-            return tuning
-        return tuning.with_bias_corrections(tuning.d_beta[row],
-                                            tuning.d_alpha[row])
 
     def select(self, opts: SemOptions, data: Dataset) -> tuple[Coefficients, int, float]:
         iterations = len(self.logliks)
@@ -213,7 +202,7 @@ class _Batch:
     restart numbers, ``psi`` their iterates (with a chain axis),
     ``log_pi`` the (B, J, n) gate log-softmax at ``psi.alpha``, ``tau``
     and ``loglik`` its E-step, ``previous`` the log-likelihood of each
-    chain's preceding iterate and ``tuning`` the M-step's tuning."""
+    chain's preceding iterate and ``d`` a retune's (d_beta, d_alpha)."""
 
     chains: list[int]
     psi: Coefficients
@@ -221,11 +210,11 @@ class _Batch:
     tau: np.ndarray | None = None
     loglik: list[float] | None = None
     previous: list[float] | None = None
-    tuning: TuningParams | None = None
+    d: tuple[np.ndarray, np.ndarray] | None = None
 
     def take(self, rows: list[int]) -> "_Batch":
         """The state the chains in ``rows`` need for their next step (an
-        iterate's ``previous`` and ``tuning`` are recorded by then)."""
+        iterate's ``previous`` and ``d`` are recorded by then)."""
         return _Batch(chains=[self.chains[row] for row in rows],
                       psi=Coefficients(beta=self.psi.beta[rows],
                                        alpha=self.psi.alpha[rows],
@@ -305,15 +294,14 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
 
     def iterate(batch: _Batch, part: PartitionState) -> _Batch:
         workspace = build_workspace(data, part, batch.psi.beta)
-        tuning_t = (tuning if retune is None
-                    else retune(data, workspace, batch.log_pi))
+        d = None if retune is None else retune(data, workspace, batch.log_pi)
+        tuning_t = tuning if d is None else tuning.with_bias_corrections(*d)
         log_pi = batch.log_pi.copy()  # the batch's stays for a retry
         psi = m_step(data, part, batch.psi, method=method, tuning=tuning_t,
                      workspace=workspace, log_pi=log_pi)
         tau, loglik = e_step(data, psi, log_pi)
         return _Batch(chains=batch.chains, psi=psi, log_pi=log_pi, tau=tau,
-                      loglik=loglik.tolist(), previous=batch.loglik,
-                      tuning=tuning_t)
+                      loglik=loglik.tolist(), previous=batch.loglik, d=d)
 
     batch = _step_survivors(start, batch, None, outcomes)
     for _ in range(opts.max_iters):
@@ -323,7 +311,6 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         batch = _step_survivors(iterate, batch, part, outcomes)
         if batch is None:
             break
-        shared = batch.tuning is None or batch.tuning.d_beta.ndim < 2
         converged = []
         for row, (chain, loglik, previous) in enumerate(
                 zip(batch.chains, batch.loglik, batch.previous)):
@@ -331,7 +318,8 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
             outcome.betas.append(batch.psi.beta[row])
             outcome.alphas.append(batch.psi.alpha[row])
             outcome.logliks.append(loglik)
-            outcome.tunings.append((batch.tuning, None if shared else row))
+            if batch.d is not None:
+                outcome.ds.append((batch.d[0][row], batch.d[1][row]))
             outcome.converged = abs(loglik - previous) < opts.epsilon
             converged.append(outcome.converged)
         if any(converged):
@@ -352,10 +340,10 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     ``SeedSequence(opts.rng_seed, spawn_key=(r,))`` and gives the same
     chain whether it runs alone or beside others.
     ``retune(data, workspace, log_pi)``, when given, supplies each
-    M-step's tuning from the systems of the partitions just drawn at the
-    current iterates and the iterates' gate log-softmax, for the whole
-    batch: ``workspace`` and ``log_pi`` carry a leading chain axis, and
-    the returned bias corrections are shared or (B, J), one row per chain.
+    M-step's d, ``(d_beta, d_alpha)`` under the lambdas of ``tuning``,
+    from the systems of the partitions just drawn at the current iterates
+    and the iterates' gate log-softmax, for the whole batch: ``workspace``
+    and ``log_pi`` carry a leading chain axis, and each d is (B, J).
     A chain is interrupted by an empty assignment, a failed retune or a
     :class:`NumericalFailure`: a singular or indefinite system, an
     overflowing Poisson mean, a non-finite gate objective or
@@ -364,7 +352,8 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     diagnostics, in restart order; fewer observations than components
     raise :class:`DimensionError` before any chain runs.
     ``FitResult.tuning`` holds the tuning the selected iteration's M-step
-    used, for the selected chain. A chain that stops before ``burn_in``
+    used, for the selected chain: ``tuning`` itself when nothing was
+    retuned, and None for ML. A chain that stops before ``burn_in``
     selects among all its iterates, not only those after it.
     """
     if method not in ("ml", "ridge", "lt"):
@@ -392,11 +381,13 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     if best is None:
         raise FitFailed(f"all {opts.n_restarts} restarts failed", failures)
     _, psi_sel, index_sel, outcome = best
+    if retune is not None:
+        tuning = tuning.with_bias_corrections(*outcome.ds[index_sel])
     return FitResult(psi_hat=psi_sel,
                      loglik_trace=np.asarray(outcome.logliks),
                      converged=outcome.converged,
                      iterations_run=len(outcome.logliks),
                      selected_iteration=index_sel,
-                     tuning=outcome.tuning(index_sel) if method != "ml" else None,
+                     tuning=None if method == "ml" else tuning,
                      method=method,
                      n_failed_restarts=len(failures))

@@ -160,7 +160,9 @@ def test_bic_scan_refuses_an_empty_range(tmp_path, capsys,
     (["--bic-scan", "0"], "error: j_max must be at least 1, not 0\n"),
     (["--components", "9"],
      "error: DimensionError: fewer observations than components\n"),
-], ids=["bic-scan", "components"])
+    (["--bic-scan", "2", "--reference", "5"],
+     "error: reference_class out of range\n"),
+], ids=["bic-scan", "components", "bic-scan-reference"])
 def test_a_refused_fit_leaves_no_output_directory(tmp_path, capsys, extra,
                                                  message):
     path = tmp_path / "five.csv"
@@ -333,6 +335,21 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     (None, "methods", []),
     (None, "methods", ["mle"]),
     (None, "methods", "ml"),
+    # A count that is not an integer, a bool included.
+    (None, "replicates", 2.5),
+    (None, "jobs", 1.5),
+    (None, "jobs", True),
+    (None, "seed", "x"),
+    (None, "validation_n", 3.5),
+    (None, "train_n", 2.5),
+    (None, "n_components", 2.5),
+    (None, "reference_class", 0.5),
+    ("design", "n", 40.5),
+    ("design", "reference_class", 1.0),
+    ("sem", "max_iters", 120.5),
+    ("sem", "n_restarts", 1.5),
+    ("sem", "burn_in", 0.5),
+    ("truth_sem", "rng_seed", False),
 ])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):

@@ -32,10 +32,9 @@ def unhexed(values) -> np.ndarray:
     return np.frompyfunc(float.fromhex, 1, 1)(np.array(values)).astype(float)
 
 
-@pytest.mark.parametrize("study", FIXTURE["studies"],
-                         ids=[study["name"] for study in FIXTURE["studies"]])
-def test_a_pinned_study_refits_to_its_pinned_estimates(study, tmp_path):
-    fits = fit_compare.pinned_fits(pm, study, tmp_path)
+def assert_refits(fits: list[dict], study: dict) -> None:
+    """``fits``, the records of a refit of ``study``, match its pinned
+    fits."""
     assert len(fits) == len(study["fits"])
     for got, pinned in zip(fits, study["fits"]):
         assert got.keys() == pinned.keys()
@@ -49,3 +48,9 @@ def test_a_pinned_study_refits_to_its_pinned_estimates(study, tmp_path):
                 np.testing.assert_allclose(
                     unhexed(got[key]), want, rtol=0.0,
                     atol=RELATIVE * scale, err_msg=f"{label} {key}")
+
+
+@pytest.mark.parametrize("study", FIXTURE["studies"],
+                         ids=[study["name"] for study in FIXTURE["studies"]])
+def test_a_pinned_study_refits_to_its_pinned_estimates(study, tmp_path):
+    assert_refits(fit_compare.pinned_fits(pm, study, tmp_path), study)

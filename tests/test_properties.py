@@ -447,7 +447,7 @@ def test_small_fits_end_finite_or_typed(seed, n, n_components, p, q,
        n=st.integers(6, 40))
 def test_a_chain_runs_alike_alone_and_in_a_batch(seed, n_components,
                                                   restarts, method, n):
-    # Lockstep restarts: each chain's iterates, log-likelihoods, tunings,
+    # Lockstep restarts: each chain's iterates, log-likelihoods, d values,
     # convergence and interruption are bit for bit what it gives alone,
     # whatever the other chains do beside it (stop, fail or run on).
     from test_sem import batch_and_solo_runs, chain_record

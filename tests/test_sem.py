@@ -266,15 +266,15 @@ def test_run_sem_post_burnin_mean_selection():
 
 def test_run_sem_retune_hook_is_called():
     data, _, _, _ = small_mixture(seed=16)
-    tuning = pm.TuningParams(lambda_beta=[0.5, 0.5], lambda_alpha=[0.5, 0.5],
-                             d_beta=[0.1, 0.1], d_alpha=[0.0, 0.0])
+    tuning = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
     calls = []
 
     def retune(data_, workspace, log_pi):
-        # The hook sees the batch of chains, here the one restart.
+        # The hook sees the batch of chains, here the one restart, and
+        # returns one row of d per chain.
         calls.append(np.count_nonzero(workspace.weights, axis=-1))
         assert log_pi.shape == (1, 2, data.n)
-        return tuning
+        return np.array([[0.1, 0.1]]), np.array([[0.0, 0.0]])
 
     opts = pm.SemOptions(epsilon=1e-8, max_iters=10, burn_in=0, n_restarts=1,
                          rng_seed=2)
@@ -282,7 +282,10 @@ def test_run_sem_retune_hook_is_called():
                      tuning=tuning, retune=retune)
     assert len(calls) >= 1
     assert np.all(np.isfinite(fit.psi_hat.beta))
-    assert fit.tuning is tuning
+    assert fit.tuning.d_beta.tolist() == [0.1, 0.1]
+    assert fit.tuning.d_alpha.tolist() == [0.0, 0.0]
+    assert fit.tuning.lambda_beta is tuning.lambda_beta
+    assert fit.tuning.lambda_alpha is tuning.lambda_alpha
 
 
 def test_run_sem_reports_the_tuning_of_the_selected_iteration():
@@ -291,10 +294,8 @@ def test_run_sem_reports_the_tuning_of_the_selected_iteration():
 
     def retune(data_, workspace, log_pi):
         d = 0.01 * len(returned)
-        returned.append(pm.TuningParams(
-            lambda_beta=[0.5, 0.5], lambda_alpha=[0.5, 0.5],
-            d_beta=[d, d], d_alpha=[0.0, d]))
-        return returned[-1]
+        returned.append(([d, d], [0.0, d]))
+        return np.array([returned[-1][0]]), np.array([returned[-1][1]])
 
     start = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
     opts = pm.SemOptions(epsilon=1e-300, max_iters=12, burn_in=3,
@@ -303,7 +304,10 @@ def test_run_sem_reports_the_tuning_of_the_selected_iteration():
                      tuning=start, retune=retune)
     assert len(returned) == fit.iterations_run
     assert fit.selected_iteration >= 3
-    assert fit.tuning is returned[fit.selected_iteration]
+    d_beta, d_alpha = returned[fit.selected_iteration]
+    assert fit.tuning.d_beta.tolist() == d_beta
+    assert fit.tuning.d_alpha.tolist() == d_alpha
+    assert fit.tuning.lambda_beta is start.lambda_beta
 
 
 def test_e_step_loglik_is_the_observed_loglik():
@@ -359,16 +363,13 @@ def restart_generators(seed, restarts):
 
 def chain_record(outcome):
     """A chain's outcome as bytes and plain values: its iterates,
-    log-likelihoods, per-iterate tunings, convergence and interruption."""
-    tunings = []
-    for index in range(len(outcome.logliks)):
-        tuning = outcome.tuning(index)
-        tunings.append(None if tuning is None else tuple(
-            np.asarray(getattr(tuning, name)).tobytes() for name in
-            ("lambda_beta", "lambda_alpha", "d_beta", "d_alpha")))
+    log-likelihoods, per-iterate bias corrections, convergence and
+    interruption."""
     return ([beta.tobytes() for beta in outcome.betas],
             [alpha.tobytes() for alpha in outcome.alphas],
-            np.asarray(outcome.logliks).tobytes(), tunings,
+            np.asarray(outcome.logliks).tobytes(),
+            [(d_beta.tobytes(), d_alpha.tobytes())
+             for d_beta, d_alpha in outcome.ds],
             outcome.converged, outcome.interruption)
 
 

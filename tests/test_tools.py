@@ -1,10 +1,12 @@
 """Smoke tests of the comparison tools under ``tools/``: a checkout
 compared with itself must report no difference, ``fit_compare.py``
 scores both checkouts of a heart study against one truth,
+``gate_replay.py`` replays each chain of a batch bit for bit,
 ``work_count.py`` sees one extra call per E-step, and the study
-harness they share restores what it patches."""
+harness they share restores what it patches and loads two checkouts
+that share no module state."""
+import importlib.util
 import json
-import pickle
 import shutil
 import subprocess
 import sys
@@ -15,10 +17,16 @@ import pytest
 
 import poismoe as pm
 from poismoe.pipeline import METHODS
+from test_pinned_fits import FIXTURE, assert_refits, fit_compare
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import harness  # noqa: E402  (tools/ is not a package)
+
+_spec = importlib.util.spec_from_file_location(
+    "gate_replay", ROOT / "tools" / "gate_replay.py")
+gate_replay = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate_replay)
 
 
 @pytest.fixture(scope="module")
@@ -175,28 +183,25 @@ def test_fit_compare_counts_every_chain_of_a_batch(two_restart_study):
                        if fields[1] == method) == 4
 
 
-def test_gate_replay_records_each_chain_of_a_batch(two_restart_study,
-                                                   tmp_path):
-    # A lockstep call ascends both restarts at once; the record holds one
-    # call per chain, which replays bit for bit on its own.
-    record = tmp_path / "record.pkl"
-    done = run_tool("gate_replay.py", "--record", ROOT, two_restart_study,
-                    record)
-    assert done.returncode == 0, done.stderr
-    with record.open("rb") as handle:
-        calls = pickle.load(handle)["calls"]
+def test_gate_replay_records_each_chain_of_a_batch(two_restart_study):
+    # A lockstep call ascends both restarts at once; the recording holds
+    # one call per chain, which replays bit for bit on its own. Both run
+    # in this process, so each must take its patches off the package.
+    originals = (pm.sem.coordinate_descent_alphas,
+                 pm.gating.build_gating_workspace, pm.gating.q1_value)
+    calls = gate_replay.record(pm, json.loads(two_restart_study.read_text()))
     assert calls and all(call["alpha_t"].ndim == 2
                          and call["assignment"].ndim == 1
                          and call["alpha"].shape == call["alpha_t"].shape
                          for call in calls)
-    done = run_tool("gate_replay.py", two_restart_study, ROOT, ROOT)
-    assert done.returncode == 0, done.stderr
-    header, *rows, verdict = done.stdout.strip().splitlines()
-    assert verdict.endswith(": yes")
-    for row in rows:
-        fields = dict(zip(header.split(), row.split()))
-        assert int(fields["calls"]) > 0
-        assert fields["identical"] == fields["calls"]
+    assert {call["group"] for call in calls} == set(METHODS)
+    rows = gate_replay.replay(pm, calls)
+    assert len(rows) == len(calls)
+    for call, row in zip(calls, rows):
+        assert row["alpha"].tobytes() == call["alpha"].tobytes()
+        assert row["steps"] > 0
+    assert (pm.sem.coordinate_descent_alphas,
+            pm.gating.build_gating_workspace, pm.gating.q1_value) == originals
 
 
 def work_counts(*args):
@@ -255,3 +260,26 @@ def test_the_harness_restores_the_fit_hooks_after_a_failed_study(tmp_path):
     assert replication.fit_all_methods is originals[0]
     assert replication.fit_method is originals[1]
     assert study.label is None
+
+
+def test_two_aliases_of_one_checkout_share_no_module_state(tmp_path):
+    # With one Newton step per gate M-step in one alias, that alias
+    # refits the pinned study2_j3 to other estimates, while the other
+    # alias of the same sources, and the imported package, still refit
+    # it to the pinned ones.
+    imported = sys.modules["poismoe"]
+    changed = harness.load_checkout(ROOT, "poismoe_changed")
+    kept = harness.load_checkout(ROOT, "poismoe_kept")
+    assert sys.modules["poismoe"] is imported
+    assert changed.gating is not kept.gating
+    study = next(study for study in FIXTURE["studies"]
+                 if study["name"] == "study2_j3")
+    inner_max, changed.gating.INNER_MAX = changed.gating.INNER_MAX, 1
+    try:
+        moved = fit_compare.pinned_fits(changed, study, tmp_path)
+        assert_refits(fit_compare.pinned_fits(kept, study, tmp_path), study)
+        assert_refits(fit_compare.pinned_fits(pm, study, tmp_path), study)
+    finally:
+        changed.gating.INNER_MAX = inner_max
+    with pytest.raises(AssertionError):
+        assert_refits(moved, study)

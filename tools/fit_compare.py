@@ -10,17 +10,15 @@ and Liu-type d (``float.hex``), ``iterations_run``,
 failed stage's is the error types of its note.
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
-it. The study runs once per checkout (``harness.Study``), each in a
-child process (``fit_compare.py --dump CHECKOUT CONFIG.json [TRUTH]``,
-which prints one JSON record per fit, then one with the study's
-``summaries``, ``replicate_rows`` and ``failure_fraction``, then one
-with the count of chain ends per method). The base checkout runs
-first. A heart study's truth is itself an ML fit, so the new checkout
-scores its replicates against the base checkout's truth fit (TRUTH,
-its record), and both checkouts are judged against one truth; the new
-checkout's own truth fit is still made and reported. Fits are paired
-by replicate and method (``truth`` is the heart truth fit). For each
-pair one line reports
+it. Both checkouts are loaded into this process under names of their
+own (``harness.load_checkout``), and the study runs once per checkout
+(``harness.Study``), the base checkout first; no child process runs
+(only ``work_count.py`` needs one, see ``harness``). A heart study's
+truth is itself an ML fit, so the new checkout scores its replicates
+against the base checkout's truth fit, and both checkouts are judged
+against one truth; the new checkout's own truth fit is still made and
+reported. Fits are paired by replicate and method (``truth`` is the
+heart truth fit). For each pair one line reports
 
     <replicate> <method> <relative difference> <iterations> <selected> <converged>
 
@@ -32,10 +30,11 @@ byte-identical: their records are equal. A summary counts the
 byte-identical pairs, the pairs within 1e-10 and 1e-6, and lists the
 pairs that diverged: a failure in only one checkout, another iteration
 count, selected iteration or convergence flag, or a relative difference
-above ``--tolerance``. A last line says whether the study outputs match
-bit for bit. The exit code is 1 if any pair diverged or the study
-outputs differ. Two checkouts make byte-identical fits when every line
-reads ``=``.
+above ``--tolerance``. A last line says whether the study outputs
+match bit for bit; they are compared as JSON text, since a failed
+replicate's NaN never compares equal as a float. The exit code is 1 if
+any pair diverged or the study outputs differ. Two checkouts make
+byte-identical fits when every line reads ``=``.
 
 ``--summary`` adds the Monte-Carlo view of the two runs. One line per
 method and block of the study ``summaries``
@@ -68,6 +67,7 @@ import json
 import re
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -108,46 +108,44 @@ def record(label: str, method: str, fit, note: str) -> dict:
     return entry
 
 
-def dump(checkout: Path, config_path: Path, truth: str | None = None) -> int:
-    """Child mode: run the study with ``checkout``'s sources, print one
-    JSON record per fit. With ``truth``, the record of another
+def run_checkout(pm, payload: dict,
+                 truth: dict | None = None) -> tuple[dict, str, dict]:
+    """Run the study ``payload`` with the package ``pm``; return its fit
+    records by (replicate, method), its study outputs as JSON text and
+    its chain ends by method. With ``truth``, the record of another
     checkout's truth fit, the replicates are scored against its
     coefficients instead of this checkout's own truth fit."""
-    pm = harness.import_checkout(checkout)
-    pinned = None if truth is None else json.loads(truth)
-    study = harness.Study(
-        pm, json.loads(config_path.read_text()),
-        None if pinned is None else (unhexed(pinned["beta"]),
-                                     unhexed(pinned["alpha"])))
-    chain_ends: dict[str, dict[str, int]] = {}
+    study = harness.Study(pm, payload, None if truth is None else (
+        unhexed(truth["beta"]), unhexed(truth["alpha"])))
+    chain_ends: dict[str, Counter] = {}
     # The chain driver returns every restart's outcome of a fit and
     # takes the method as its fourth argument.
     run_chains = pm.sem._run_chains
 
     def counted_chains(*args, **kwargs):
         outcomes = run_chains(*args, **kwargs)
-        ends = chain_ends.setdefault(
-            "truth" if study.label == "truth" else args[3], {})
-        for outcome in outcomes:
-            end = ("epsilon" if outcome.converged else
-                   outcome.interruption.split(":")[0]
-                   if outcome.interruption else "cap")
-            ends[end] = ends.get(end, 0) + 1
+        chain_ends.setdefault("truth" if study.label == "truth" else args[3],
+                              Counter()).update(
+            "epsilon" if outcome.converged else
+            outcome.interruption.split(":")[0] if outcome.interruption
+            else "cap" for outcome in outcomes)
         return outcomes
 
     pm.sem._run_chains = counted_chains
-    result, fits = study.run()
-    for fit in fits:
-        print(json.dumps(record(*fit)))
+    try:
+        result, fits = study.run()
+    finally:
+        pm.sem._run_chains = run_chains
+    records = {(label, method): record(label, method, fit, note)
+               for label, method, fit, note in fits}
     # json writes each float as its shortest round-trip repr, so equal
-    # records mean bit-equal values.
-    print(json.dumps({"study": {
+    # texts mean bit-equal values.
+    outputs = json.dumps({
         "summaries": [[method, block, asdict(summary)]
                       for method, block, summary in result.summaries],
         "replicate_rows": result.replicate_rows,
-        "failure_fraction": result.failure_fraction}}))
-    print(json.dumps({"chains": chain_ends}))
-    return 0
+        "failure_fraction": result.failure_fraction})
+    return records, outputs, chain_ends
 
 
 def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
@@ -166,7 +164,7 @@ def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
 def pin(checkout: Path) -> int:
     """``--pin``: refit the fixture's studies with ``checkout``'s sources
     and rewrite the fixture."""
-    pm = harness.import_checkout(checkout)
+    pm = harness.load_checkout(checkout, "pinned_poismoe")
     fixture = json.loads(PINNED.read_text())
     with tempfile.TemporaryDirectory() as tmp:
         for study in fixture["studies"]:
@@ -183,33 +181,13 @@ def pin(checkout: Path) -> int:
     return 0
 
 
-def run_checkout(checkout: Path, config_path: Path,
-                 truth: str | None = None) -> tuple[dict, str, dict]:
-    """The checkout's fit records by (replicate, method), its study
-    record and its chain ends by method; ``truth`` pins the heart
-    truth."""
-    fits, study, chains = {}, "", {}
-    for line in harness.run_child(
-            __file__, "--dump", checkout, config_path,
-            *([] if truth is None else [truth])).splitlines():
-        if line.startswith('{"study"'):
-            study = line
-        elif line.startswith('{"chains"'):
-            chains = json.loads(line)["chains"]
-        else:
-            entry = json.loads(line)
-            fits[(entry["replicate"], entry["method"])] = entry
-    return fits, study, chains
-
-
 def monte_carlo_summary(base_study: str, new_study: str, base_chains: dict,
                         new_chains: dict) -> list[str]:
     """The ``--summary`` lines: M/L/U per method and block, base | new,
     then chain ends per method."""
     def by_key(study: str) -> dict:
-        summaries = json.loads(study)["study"]["summaries"] if study else []
         return {(method, block): summary
-                for method, block, summary in summaries}
+                for method, block, summary in json.loads(study)["summaries"]}
 
     def columns(summary) -> str:
         return ("- - -" if summary is None else
@@ -287,8 +265,6 @@ def compare(base: dict, new: dict,
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "--dump":
-        return dump(Path(argv[1]).resolve(), Path(argv[2]), *argv[3:])
     if argv and argv[0] == "--pin":
         return pin(Path(argv[1] if len(argv) > 1 else PINNED.parents[2])
                    .resolve())
@@ -299,14 +275,14 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=1e-10)
     parser.add_argument("--summary", action="store_true")
     args = parser.parse_args(argv)
-    base, base_study, base_chains = run_checkout(args.base.resolve(),
-                                                 args.config)
-    truth = base.get(("truth", "ml"))  # made only if the fit succeeds
+    payload = json.loads(args.config.read_text())
+    base, base_study, base_chains = run_checkout(
+        harness.load_checkout(args.base.resolve(), "base_poismoe"), payload)
     new, new_study, new_chains = run_checkout(
-        args.new.resolve(), args.config,
-        None if truth is None else json.dumps(truth))
+        harness.load_checkout(args.new.resolve(), "new_poismoe"), payload,
+        base.get(("truth", "ml")))  # made only if the fit succeeds
     lines, diverged = compare(base, new, args.tolerance)
-    same_study = bool(base_study) and base_study == new_study
+    same_study = base_study == new_study
     lines.append("study outputs (summaries, replicate_rows, "
                  "failure_fraction): "
                  + ("bit-identical" if same_study else "differ"))

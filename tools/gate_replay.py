@@ -3,14 +3,14 @@
     python3 tools/gate_replay.py CONFIG.json BASE_CHECKOUT NEW_CHECKOUT
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
-it. The study runs once (``harness.Study``), with BASE_CHECKOUT's
-sources, in a child process
-(``gate_replay.py --record CHECKOUT CONFIG.json RECORD``) that records
-the inputs and the result of every ``sem.coordinate_descent_alphas``
-call; a call that ascends a batch of chains in lockstep is recorded as
-one call per chain, in chain order. Each checkout then replays every
-recorded call in a child process of its own
-(``gate_replay.py --replay CHECKOUT RECORD OUT``), counting the Newton
+it. Both checkouts are loaded into this process under names of their
+own (``harness.load_checkout``); no child process runs (only
+``work_count.py`` needs one, see ``harness``). The study runs once
+(``harness.Study``), with BASE_CHECKOUT's sources, recording the inputs
+and the result of every ``sem.coordinate_descent_alphas`` call
+(``record``); a call that ascends a batch of chains in lockstep is
+recorded as one call per chain, in chain order. Each checkout then
+replays every recorded call (``replay``), counting the Newton
 systems it builds (``gating.build_gating_workspace``) and the trial
 objectives it evaluates (``gating.q1_value``, less the one at the
 start). A call is capped when it builds as many systems as the base's
@@ -41,9 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
-import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -55,17 +53,14 @@ GROUPS = ("truth", "ml", "ridge", "lt")
 LT_LABEL = "(replayed on the base chain's d)"
 
 
-def record(checkout: Path, config_path: Path, out: Path) -> int:
-    """Child mode: run the study, keep every gate call's inputs and result."""
-    pm = harness.import_checkout(checkout)
-    study = harness.Study(pm, json.loads(config_path.read_text()))
+def record(pm, payload: dict) -> list[dict]:
+    """Run the study ``payload`` with the package ``pm``; the recording:
+    every gate call's inputs and result, one call per chain."""
+    study = harness.Study(pm, payload)
     ascent = pm.sem.coordinate_descent_alphas
-    omegas: list[np.ndarray] = []
     calls: list[dict] = []
 
     def recorded(Omega, alpha_t, part, lam, d, reference, **kwargs):
-        if not omegas or omegas[-1] is not Omega:
-            omegas.append(Omega)
         # One record per chain: a batched call's (B, J, q) rows, (B, n)
         # assignments and (B, J) bias corrections are split by chain.
         alphas = np.array(alpha_t, dtype=float)
@@ -80,7 +75,7 @@ def record(checkout: Path, config_path: Path, out: Path) -> int:
                 "group": ("truth" if study.label == "truth" else
                           "ml" if lam is None
                           else "ridge" if d is None else "lt"),
-                "omega": len(omegas) - 1, "alpha_t": batch[chain],
+                "Omega": Omega, "alpha_t": batch[chain],
                 "assignment": assignments[chain],
                 "n_components": part.n_components,
                 "lam": None if lam is None else np.array(lam, dtype=float),
@@ -93,54 +88,51 @@ def record(checkout: Path, config_path: Path, out: Path) -> int:
         return result
 
     pm.sem.coordinate_descent_alphas = recorded
-    study.run()
-    with out.open("wb") as handle:
-        pickle.dump({"omegas": [np.array(o) for o in omegas],
-                     "calls": calls}, handle)
-    return 0
+    try:
+        study.run()
+    finally:
+        pm.sem.coordinate_descent_alphas = ascent
+    return calls
 
 
-def replay(checkout: Path, record_path: Path, out: Path) -> int:
-    """Child mode: rerun every recorded call, counting steps and trials."""
-    pm = harness.import_checkout(checkout)
+def replay(pm, recording: list[dict]) -> list[dict]:
+    """Rerun every recorded call with the package ``pm``; per call, the
+    rows it returns and its Newton steps and trial evaluations."""
     gating = pm.gating
-    with record_path.open("rb") as handle:
-        recording = pickle.load(handle)
     counts = {"build": 0, "q1": 0}
     build, q1_value = gating.build_gating_workspace, gating.q1_value
 
-    def counted_build(*args, **kwargs):
-        counts["build"] += 1
-        return build(*args, **kwargs)
+    def counted(key, function):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return call
 
-    def counted_q1(*args, **kwargs):
-        counts["q1"] += 1
-        return q1_value(*args, **kwargs)
-
-    gating.build_gating_workspace, gating.q1_value = counted_build, counted_q1
+    gating.build_gating_workspace, gating.q1_value = (counted("build", build),
+                                                      counted("q1", q1_value))
     rows = []
-    for call in recording["calls"]:
-        Omega = recording["omegas"][call["omega"]]
-        part = pm.PartitionState.from_assignment(call["assignment"],
-                                                 call["n_components"])
-        counts.update(build=0, q1=0)
-        alpha = gating.coordinate_descent_alphas(
-            Omega, call["alpha_t"], part, call["lam"], call["d"],
-            call["reference"], basis=pm.linalg.outer_basis(Omega))
-        rows.append({"alpha": np.array(alpha), "steps": counts["build"],
-                     "trials": max(counts["q1"] - 1, 0)})
-    with out.open("wb") as handle:
-        pickle.dump(rows, handle)
-    return 0
+    try:
+        for call in recording:
+            part = pm.PartitionState.from_assignment(call["assignment"],
+                                                     call["n_components"])
+            counts.update(build=0, q1=0)
+            alpha = gating.coordinate_descent_alphas(
+                call["Omega"], call["alpha_t"], part, call["lam"], call["d"],
+                call["reference"], basis=pm.linalg.outer_basis(call["Omega"]))
+            rows.append({"alpha": np.array(alpha), "steps": counts["build"],
+                         "trials": max(counts["q1"] - 1, 0)})
+    finally:
+        gating.build_gating_workspace, gating.q1_value = build, q1_value
+    return rows
 
 
-def objective(Omega: np.ndarray, call: dict, alpha: np.ndarray) -> float:
+def objective(call: dict, alpha: np.ndarray) -> float:
     """Assignment log-likelihood minus the ridge term of the free rows."""
-    scores = alpha @ Omega.T
+    scores = alpha @ call["Omega"].T
     peak = scores.max(axis=0)
     log_pi = scores - (peak + np.log(np.exp(scores - peak).sum(axis=0)))
-    n = Omega.shape[0]
-    value = float(log_pi[call["assignment"], np.arange(n)].sum())
+    value = float(log_pi[call["assignment"],
+                         np.arange(scores.shape[1])].sum())
     if call["lam"] is not None:
         free = np.arange(alpha.shape[0]) != call["reference"]
         value -= 0.5 * float((call["lam"][free, None]
@@ -154,11 +146,11 @@ def probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return raw / raw.sum(axis=0)
 
 
-def summarize(recording: dict, base: list[dict],
+def summarize(recording: list[dict], base: list[dict],
               new: list[dict]) -> list[str]:
     stats: dict[str, dict] = defaultdict(lambda: defaultdict(float))
-    for call, a, b in zip(recording["calls"], base, new):
-        Omega = recording["omegas"][call["omega"]]
+    for call, a, b in zip(recording, base, new):
+        Omega = call["Omega"]
         row = stats[call["group"]]
         cap = call["cap"]
         row["calls"] += 1
@@ -169,8 +161,8 @@ def summarize(recording: dict, base: list[dict],
         row["capped_new"] += b["steps"] >= cap
         row["identical"] += bool(
             a["alpha"].tobytes() == b["alpha"].tobytes())
-        f_base = objective(Omega, call, a["alpha"])
-        f_new = objective(Omega, call, b["alpha"])
+        f_base = objective(call, a["alpha"])
+        f_new = objective(call, b["alpha"])
         gap = abs(f_new - f_base) / (1.0 + abs(f_base))
         key = "f_gap_capped" if a["steps"] >= cap else "f_gap"
         row[key] = max(row[key], gap)
@@ -199,30 +191,18 @@ def summarize(recording: dict, base: list[dict],
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "--record":
-        return record(Path(argv[1]).resolve(), Path(argv[2]), Path(argv[3]))
-    if argv and argv[0] == "--replay":
-        return replay(Path(argv[1]).resolve(), Path(argv[2]), Path(argv[3]))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", type=Path)
     parser.add_argument("base", type=Path)
     parser.add_argument("new", type=Path)
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as work:
-        work = Path(work)
-        harness.run_child(__file__, "--record", args.base, args.config,
-                          work / "record.pkl")
-        for name, checkout in (("base", args.base), ("new", args.new)):
-            harness.run_child(__file__, "--replay", checkout,
-                              work / "record.pkl", work / f"{name}.pkl")
-        loaded = {}
-        for name in ("record", "base", "new"):
-            with (work / f"{name}.pkl").open("rb") as handle:
-                loaded[name] = pickle.load(handle)
-    recording, base, new = loaded["record"], loaded["base"], loaded["new"]
+    base_pm = harness.load_checkout(args.base.resolve(), "base_poismoe")
+    recording = record(base_pm, json.loads(args.config.read_text()))
+    base = replay(base_pm, recording)
+    new = replay(harness.load_checkout(args.new.resolve(), "new_poismoe"),
+                 recording)
     faithful = all(call["alpha"].tobytes() == row["alpha"].tobytes()
-                   for call, row in zip(recording["calls"], base))
+                   for call, row in zip(recording, base))
     lines = summarize(recording, base, new)
     lines.append("base replay reproduces the recorded results: "
                  + ("yes" if faithful else "no"))

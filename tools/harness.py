@@ -1,12 +1,15 @@
-"""The study harness the tools under ``tools/`` share. A process imports
-one checkout (``import_checkout``), so a tool compares two checkouts by
-running a child process for each (``run_child``); the child runs the
-checkout's replication study and watches its fits (``Study``).
+"""The study harness the tools under ``tools/`` share. ``load_checkout``
+loads a checkout's ``poismoe`` under a module name of its own, so
+``fit_compare.py`` and ``gate_replay.py`` run two checkouts side by side
+in their own process; ``Study`` runs a checkout's replication study and
+watches its fits. ``work_count.py`` alone runs each checkout in a fresh
+child process: a process's first study also pays Python's and numpy's
+lazy imports, so it counts far more calls than any later one.
 """
 from __future__ import annotations
 
+import importlib.util
 import itertools
-import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,19 +17,19 @@ from pathlib import Path
 HERE = str(Path(__file__).resolve())
 
 
-def import_checkout(path):
-    """``poismoe`` from the ``src`` of the checkout at ``path``."""
-    sys.path.insert(0, str(Path(path) / "src"))
-    import poismoe
-    return poismoe
-
-
-def run_child(script, *args) -> str:
-    """Run ``python3 script args...``; its standard output. A child that
-    fails raises ``subprocess.CalledProcessError``."""
-    return subprocess.run([sys.executable, str(script), *map(str, args)],
-                          stdout=subprocess.PIPE, text=True,
-                          check=True).stdout
+def load_checkout(path, alias: str):
+    """``poismoe`` from the ``src`` of the checkout at ``path``, loaded as
+    the module ``alias``, a name no loaded module has. Its relative
+    imports load the checkout's own modules, as ``alias.model`` and so
+    on, so no state is shared with another alias or with an imported
+    ``poismoe``."""
+    init = Path(path) / "src" / "poismoe" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        alias, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 class Study:

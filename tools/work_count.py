@@ -5,8 +5,10 @@
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. The study runs once per checkout (``harness.Study``), each in a
-child process (``work_count.py --count CHECKOUT CONFIG.json``, which
-prints one JSON record). A ``sys.setprofile`` hook counts every
+fresh child process (``work_count.py --count CHECKOUT CONFIG.json``
+loads the checkout and prints one JSON record): a process's first study
+also pays Python's and numpy's lazy imports, so it counts far more
+calls than any later one. A ``sys.setprofile`` hook counts every
 Python-level ``call`` event and every C-level ``c_call`` event of the
 study, by function; events in the frames of this file and of
 ``harness.py`` are left out. The counts see calls, not arithmetic, and
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -40,7 +43,7 @@ HERE = str(Path(__file__).resolve())
 def count(checkout: Path, config_path: Path) -> int:
     """Child mode: run the study under the counting hook, print its
     record."""
-    pm = harness.import_checkout(checkout)
+    pm = harness.load_checkout(checkout, "poismoe")
     study = harness.Study(pm, json.loads(config_path.read_text()))
     python_calls: Counter = Counter()
     c_calls: Counter = Counter()
@@ -70,6 +73,13 @@ def count(checkout: Path, config_path: Path) -> int:
                       "iterations": dict(iterations),
                       "functions": dict(functions)}))
     return 0
+
+
+def run_child(*args) -> str:
+    """``python3 work_count.py args...``'s standard output."""
+    return subprocess.run([sys.executable, HERE, *map(str, args)],
+                          stdout=subprocess.PIPE, text=True,
+                          check=True).stdout
 
 
 def change(base: float, new: float) -> str:
@@ -113,9 +123,8 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path)
     parser.add_argument("--top", type=int, default=15)
     args = parser.parse_args(argv)
-    base, new = (json.loads(harness.run_child(
-        __file__, "--count", checkout.resolve(), args.config))
-        for checkout in (args.base, args.new))
+    base, new = (json.loads(run_child("--count", path.resolve(), args.config))
+                 for path in (args.base, args.new))
     print("\n".join(report(base, new, args.top)))
     return 0
 
