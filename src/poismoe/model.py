@@ -241,6 +241,7 @@ class MixtureSpec:
     reference_class: int = 0
 
     def __post_init__(self) -> None:
+        refuse_non_integers(self)
         if self.n_components < 1:
             raise ValueError("need at least one component")
         if not 0 <= self.reference_class < self.n_components:

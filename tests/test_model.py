@@ -123,6 +123,16 @@ def test_sem_options_validation():
         pm.SemOptions(estimate_selection="mode")
 
 
+@pytest.mark.parametrize("n_components, reference_class, field", [
+    (2, 0.5, "reference_class"),  # in range, yet it pins no gate row
+    (True, 0, "n_components"),
+])
+def test_mixture_spec_refuses_a_count_that_is_not_an_integer(
+        n_components, reference_class, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        pm.MixtureSpec(n_components, reference_class)
+
+
 def test_partition_counts_each_chain_and_refuses_labels_out_of_range():
     labels = np.array([[0, 2, 2, 1], [1, 1, 1, 1]])
     batch = pm.PartitionState.from_assignment(labels, 3)

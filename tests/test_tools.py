@@ -22,6 +22,7 @@ from test_pinned_fits import FIXTURE, assert_refits, fit_compare
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import harness  # noqa: E402  (tools/ is not a package)
+import work_count  # noqa: E402
 
 _spec = importlib.util.spec_from_file_location(
     "gate_replay", ROOT / "tools" / "gate_replay.py")
@@ -234,8 +235,8 @@ def test_work_count_reads_one_more_c_call_per_e_step(tiny_study, tmp_path):
     module.write_text(source.replace(first_line,
                                      "    np.empty(0)\n" + first_line))
     figures, lines = work_counts(tiny_study, ROOT, variant)
-    done = run_tool("work_count.py", "--count", ROOT, tiny_study)
-    e_steps = json.loads(done.stdout)["functions"]["py model.py:e_step"]
+    e_steps = work_count.count(pm, json.loads(tiny_study.read_text()))[
+        "functions"]["py model.py:e_step"]
     calls, c_calls, iterations, per_iteration = (
         [float(value) for value in figures[name][:2]] for name in
         ("calls", "c_calls", "iterations", "c_calls/iteration"))
@@ -250,13 +251,16 @@ def test_work_count_reads_one_more_c_call_per_e_step(tiny_study, tmp_path):
 
 def test_the_harness_restores_the_fit_hooks_after_a_failed_study(tmp_path):
     # Tier-1 runs pinned studies in its own process, so a study that
-    # raises must not leave the harness's wrappers in the package.
+    # raises must not leave the harness's wrappers in the package, nor
+    # its profile hook on the interpreter.
     replication = pm.replication
     originals = (replication.fit_all_methods, replication.fit_method)
     study = harness.Study(pm, {"mode": "heart",
                                "heart_path": str(tmp_path / "none.csv")})
+    events = []
     with pytest.raises(FileNotFoundError):
-        study.run()
+        study.run(profile=lambda frame, event, arg: events.append(event))
+    assert events and sys.getprofile() is None
     assert replication.fit_all_methods is originals[0]
     assert replication.fit_method is originals[1]
     assert study.label is None

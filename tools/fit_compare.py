@@ -12,11 +12,10 @@ failed stage's is the error types of its note.
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. Both checkouts are loaded into this process under names of their
 own (``harness.load_checkout``), and the study runs once per checkout
-(``harness.Study``), the base checkout first; no child process runs
-(only ``work_count.py`` needs one, see ``harness``). A heart study's
-truth is itself an ML fit, so the new checkout scores its replicates
-against the base checkout's truth fit, and both checkouts are judged
-against one truth; the new checkout's own truth fit is still made and
+(``harness.Study``), the base checkout first. A heart study's truth is
+itself an ML fit, so the new checkout scores its replicates against
+the base checkout's truth fit, and both checkouts are judged against
+one truth; the new checkout's own truth fit is still made and
 reported. Fits are paired by replicate and method (``truth`` is the
 heart truth fit). For each pair one line reports
 
@@ -70,6 +69,7 @@ import tempfile
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -131,11 +131,8 @@ def run_checkout(pm, payload: dict,
             else "cap" for outcome in outcomes)
         return outcomes
 
-    pm.sem._run_chains = counted_chains
-    try:
+    with mock.patch.object(pm.sem, "_run_chains", counted_chains):
         result, fits = study.run()
-    finally:
-        pm.sem._run_chains = run_chains
     records = {(label, method): record(label, method, fit, note)
                for label, method, fit, note in fits}
     # json writes each float as its shortest round-trip repr, so equal
@@ -148,16 +145,19 @@ def run_checkout(pm, payload: dict,
     return records, outputs, chain_ends
 
 
-def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
-    """Run one study of the pinned-fit fixture with the package ``pm``;
-    one fixture entry per fit, in the order the study makes them (a
-    heart population file is written into ``workdir`` first)."""
+def pinned_payload(study: dict, workdir: Path) -> dict:
+    """A pinned study's config, its heart rows written into ``workdir``."""
     payload = dict(study["config"])
     if "heart_rows" in study:
         payload["heart_path"] = str(workdir / f"{study['name']}.csv")
         Path(payload["heart_path"]).write_text(
             "\n".join(study["heart_rows"]) + "\n")
-    _, fits = harness.Study(pm, payload).run()
+    return payload
+
+
+def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
+    """The fixture entries of a pinned study run with ``pm``, in fit order."""
+    _, fits = harness.Study(pm, pinned_payload(study, workdir)).run()
     return [record(*fit) for fit in fits]
 
 
@@ -247,8 +247,7 @@ def compare(base: dict, new: dict,
             d_rel = relative_difference(unhexed(a["d"]), unhexed(b["d"]))
             text += f" d:{d_rel:.2e}"
         lines.append(f"{label} {text} " + " ".join(fields))
-        if identical:
-            counts["identical"] += 1
+        counts["identical"] += identical
         for bound in BINS:
             if rel <= bound:
                 counts[f"{bound:g}"] += 1

@@ -3,20 +3,19 @@
     python3 tools/gate_replay.py CONFIG.json BASE_CHECKOUT NEW_CHECKOUT
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
-it. Both checkouts are loaded into this process under names of their
-own (``harness.load_checkout``); no child process runs (only
-``work_count.py`` needs one, see ``harness``). The study runs once
-(``harness.Study``), with BASE_CHECKOUT's sources, recording the inputs
-and the result of every ``sem.coordinate_descent_alphas`` call
-(``record``); a call that ascends a batch of chains in lockstep is
-recorded as one call per chain, in chain order. Each checkout then
-replays every recorded call (``replay``), counting the Newton
-systems it builds (``gating.build_gating_workspace``) and the trial
-objectives it evaluates (``gating.q1_value``, less the one at the
-start). A call is capped when it builds as many systems as the base's
-step cap ``gating.INNER_MAX`` allows. Calls are grouped by estimator
-(``ml``, ``ridge``, ``lt``; ``truth`` is the heart truth fit, which is
-ML), and one line per group reports
+it. Both checkouts are loaded into this process under names of their own
+(``harness.load_checkout``). The study runs once (``harness.Study``),
+with BASE_CHECKOUT's sources, recording the inputs and the result of
+every ``sem.coordinate_descent_alphas`` call (``record``); a call that
+ascends a batch of chains in lockstep is recorded as one call per chain,
+in chain order. Each checkout then replays every recorded call
+(``replay``), counting the Newton systems it builds
+(``gating.build_gating_workspace``) and the trial objectives it
+evaluates (``gating.q1_value``, less the one at the start). A call is
+capped when it builds as many systems as the base's step cap
+``gating.INNER_MAX`` allows. Calls are grouped by estimator (``ml``,
+``ridge``, ``lt``; ``truth`` is the heart truth fit, which is ML), and
+one line per group reports
 
     calls, Newton steps, trial evaluations and capped calls (base->new),
     the calls whose result is bit-identical,
@@ -44,6 +43,7 @@ import json
 import sys
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -87,11 +87,8 @@ def record(pm, payload: dict) -> list[dict]:
             call["alpha"] = rows[chain]
         return result
 
-    pm.sem.coordinate_descent_alphas = recorded
-    try:
+    with mock.patch.object(pm.sem, "coordinate_descent_alphas", recorded):
         study.run()
-    finally:
-        pm.sem.coordinate_descent_alphas = ascent
     return calls
 
 
@@ -108,10 +105,10 @@ def replay(pm, recording: list[dict]) -> list[dict]:
             return function(*args, **kwargs)
         return call
 
-    gating.build_gating_workspace, gating.q1_value = (counted("build", build),
-                                                      counted("q1", q1_value))
     rows = []
-    try:
+    with mock.patch.multiple(gating,
+                             build_gating_workspace=counted("build", build),
+                             q1_value=counted("q1", q1_value)):
         for call in recording:
             part = pm.PartitionState.from_assignment(call["assignment"],
                                                      call["n_components"])
@@ -121,8 +118,6 @@ def replay(pm, recording: list[dict]) -> list[dict]:
                 call["reference"], basis=pm.linalg.outer_basis(call["Omega"]))
             rows.append({"alpha": np.array(alpha), "steps": counts["build"],
                          "trials": max(counts["q1"] - 1, 0)})
-    finally:
-        gating.build_gating_workspace, gating.q1_value = build, q1_value
     return rows
 
 

@@ -1,10 +1,10 @@
 """The study harness the tools under ``tools/`` share. ``load_checkout``
-loads a checkout's ``poismoe`` under a module name of its own, so
-``fit_compare.py`` and ``gate_replay.py`` run two checkouts side by side
-in their own process; ``Study`` runs a checkout's replication study and
-watches its fits. ``work_count.py`` alone runs each checkout in a fresh
-child process: a process's first study also pays Python's and numpy's
-lazy imports, so it counts far more calls than any later one.
+loads a checkout's ``poismoe`` under a module name of its own, so every
+tool runs two checkouts side by side in its own process, and none
+starts a child process; ``Study`` runs a checkout's replication study
+and watches its fits. A process's first study also pays Python's and
+numpy's lazy imports, so a tool that counts the calls of a study
+(``work_count.py``) counts it after a warm-up run of it.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import itertools
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 HERE = str(Path(__file__).resolve())
 
@@ -54,8 +55,8 @@ class Study:
         ``(label, method, fit, note)``, in the order the study makes
         them (``fit`` None and ``note`` its reason for a failed stage).
         ``profile``, a ``sys.setprofile`` hook, sees the study alone:
-        the fits are expanded after it ends, and this file's frames
-        only patch and record."""
+        it is set inside the fit hooks' patches, the fits are expanded
+        after it ends, and this file's frames only watch and record."""
         replication = self.pm.replication
         fit_all_methods, fit_method = (replication.fit_all_methods,
                                        replication.fit_method)
@@ -81,17 +82,15 @@ class Study:
                 beta=beta, alpha=alpha,
                 reference_class=fit.psi_hat.reference_class))
 
-        replication.fit_all_methods, replication.fit_method = (replicate,
-                                                               truth_fit)
-        if profile is not None:
-            sys.setprofile(profile)
-        try:
-            result = self.pm.run_replication_study(self.config)
-        finally:
+        with mock.patch.multiple(replication, fit_all_methods=replicate,
+                                 fit_method=truth_fit):
             if profile is not None:
-                sys.setprofile(None)
-            replication.fit_all_methods, replication.fit_method = (
-                fit_all_methods, fit_method)
+                sys.setprofile(profile)
+            try:
+                result = self.pm.run_replication_study(self.config)
+            finally:
+                if profile is not None:
+                    sys.setprofile(None)
         fits = []
         for label, made_fit in made:
             if label == "truth":

@@ -2,19 +2,21 @@
 
     python3 tools/work_count.py CONFIG.json BASE_CHECKOUT NEW_CHECKOUT \
         [--top 15]
+    python3 tools/work_count.py --pin
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
-it. The study runs once per checkout (``harness.Study``), each in a
-fresh child process (``work_count.py --count CHECKOUT CONFIG.json``
-loads the checkout and prints one JSON record): a process's first study
-also pays Python's and numpy's lazy imports, so it counts far more
-calls than any later one. A ``sys.setprofile`` hook counts every
-Python-level ``call`` event and every C-level ``c_call`` event of the
-study, by function; events in the frames of this file and of
-``harness.py`` are left out. The counts see calls, not arithmetic, and
-repeat exactly from run to run, so they resolve a change in per-call
-overhead that timing cannot. The report gives, base then new and the
-relative change,
+it. Both checkouts are loaded into this process under names of their
+own (``harness.load_checkout``), and each runs the study twice
+(``harness.Study``): once as a warm-up, then under a ``sys.setprofile``
+hook that counts every Python-level ``call`` event and every C-level
+``c_call`` event of the study, by function (``count``); events in the
+frames of this file and of ``harness.py`` are left out. A process's
+first study also pays Python's and numpy's lazy imports: on heart30
+(seed 0, 10 replicates) it reads 811,544 Python and 1,138,707 C calls,
+and every run after it 799,266 and 1,117,959. The counts see calls,
+not arithmetic, and repeat exactly from run to run, so they resolve a
+change in per-call overhead that timing cannot. The report gives, base
+then new and the relative change,
 
     calls, c_calls       totals over the study,
     iterations           the SEM iterations of its fits (each fit's
@@ -25,26 +27,38 @@ relative change,
 and then the ``--top`` functions whose call counts differ most, as
 ``py FILE:FUNCTION`` or ``c MODULE.FUNCTION`` with both counts. A
 checkout compared with itself reads equal counts and no function.
+
+``--pin`` rewrites ``tests/data/work_counts.json``, which
+``tests/test_work_counts.py`` checks: the record of every study of the
+pinned-fit fixture, counted with this checkout's sources, and the
+Python and numpy versions that counted them.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
+import platform
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+import fit_compare
 import harness
 
 HERE = str(Path(__file__).resolve())
+PINNED = fit_compare.PINNED.with_name("work_counts.json")
 
 
-def count(checkout: Path, config_path: Path) -> int:
-    """Child mode: run the study under the counting hook, print its
-    record."""
-    pm = harness.load_checkout(checkout, "poismoe")
-    study = harness.Study(pm, json.loads(config_path.read_text()))
+def count(pm, payload: dict) -> dict:
+    """Run the study ``payload`` with the package ``pm``, once as the
+    warm-up and once under the counting hook; the counted run's record:
+    its call totals, its iterations by method and its calls by
+    function."""
+    harness.Study(pm, payload).run()
+    study = harness.Study(pm, payload)
     python_calls: Counter = Counter()
     c_calls: Counter = Counter()
 
@@ -68,18 +82,27 @@ def count(checkout: Path, config_path: Path) -> int:
             += calls
     for (module, name), calls in c_calls.items():
         functions[f"c {module + '.' if module else ''}{name}"] += calls
-    print(json.dumps({"calls": python_calls.total(),
-                      "c_calls": c_calls.total(),
-                      "iterations": dict(iterations),
-                      "functions": dict(functions)}))
+    return {"calls": python_calls.total(), "c_calls": c_calls.total(),
+            "iterations": dict(iterations),
+            "functions": dict(sorted(functions.items()))}
+
+
+def pin() -> int:
+    """``--pin``: count the pinned-fit fixture's studies with this
+    checkout's sources and rewrite ``PINNED``."""
+    pm = harness.load_checkout(PINNED.parents[2], "pinned_poismoe")
+    studies = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for study in json.loads(fit_compare.PINNED.read_text())["studies"]:
+            record = count(pm, fit_compare.pinned_payload(study, Path(tmp)))
+            print(f"{study['name']}: {record['calls']} calls, "
+                  f"{record['c_calls']} C calls, "
+                  f"{sum(record['iterations'].values())} iterations")
+            studies.append({"name": study["name"], **record})
+    PINNED.write_text(json.dumps({"python": platform.python_version(),
+                                  "numpy": np.__version__,
+                                  "studies": studies}, indent=1) + "\n")
     return 0
-
-
-def run_child(*args) -> str:
-    """``python3 work_count.py args...``'s standard output."""
-    return subprocess.run([sys.executable, HERE, *map(str, args)],
-                          stdout=subprocess.PIPE, text=True,
-                          check=True).stdout
 
 
 def change(base: float, new: float) -> str:
@@ -115,16 +138,18 @@ def report(base: dict, new: dict, top: int) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "--count":
-        return count(Path(argv[1]).resolve(), Path(argv[2]))
+    if argv == ["--pin"]:
+        return pin()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", type=Path)
     parser.add_argument("base", type=Path)
     parser.add_argument("new", type=Path)
     parser.add_argument("--top", type=int, default=15)
     args = parser.parse_args(argv)
-    base, new = (json.loads(run_child("--count", path.resolve(), args.config))
-                 for path in (args.base, args.new))
+    payload = json.loads(args.config.read_text())
+    base, new = (count(harness.load_checkout(path.resolve(), alias), payload)
+                 for path, alias in ((args.base, "base_poismoe"),
+                                     (args.new, "new_poismoe")))
     print("\n".join(report(base, new, args.top)))
     return 0
 
