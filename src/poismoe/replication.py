@@ -76,6 +76,9 @@ class StudyConfig:
             raise ValueError("heart mode needs a data path")
         if self.replicates < 1 or self.jobs < 1:
             raise ValueError("replicates and jobs must be positive")
+        for name in ("validation_n", "train_n", "test_n"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if not self.methods or not set(self.methods) <= set(METHODS):
             raise ValueError(f"methods must be a nonempty selection of "
                              f"{list(METHODS)}, not {list(self.methods)}")
@@ -254,9 +257,20 @@ def _check_block(payload, where: str) -> None:
                               f"object, not {type(payload).__name__}")
 
 
+def _check_numbers(value, where: str) -> None:
+    """Refuse a value that is not a JSON number or a list of them, nested
+    or not: a string or a bool, which ``float`` would take, included."""
+    if isinstance(value, list):
+        for entry in value:
+            _check_numbers(entry, where)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataFormatError(f"config key '{where}' holds {value!r}, "
+                              "not a number")
+
+
 def _check_keys(payload: dict, cls: type, where: str) -> None:
-    """Refuse unknown keys and missing required ones (fields of ``cls``
-    without a default)."""
+    """Refuse unknown keys, missing required ones (fields of ``cls``
+    without a default) and a ``float`` field that is not a number."""
     known = {f.name for f in fields(cls)}
     for key in payload:
         if key not in known:
@@ -265,6 +279,8 @@ def _check_keys(payload: dict, cls: type, where: str) -> None:
         if (f.init and f.name not in payload and f.default is MISSING
                 and f.default_factory is MISSING):
             raise DataFormatError(f"missing config key '{where}{f.name}'")
+        if f.type == "float" and f.name in payload:
+            _check_numbers(payload[f.name], where + f.name)
 
 
 def _build(make, where: str, **values):
@@ -300,6 +316,8 @@ def config_from_dict(payload: dict) -> StudyConfig:
             raise DataFormatError("config key 'design.seed' is retired; "
                                   "only an integer is accepted")
         _check_keys(design, SimulationDesign, "design.")
+        for key in ("beta_true", "alpha_true"):
+            _check_numbers(design[key], f"design.{key}")
         payload["design"] = _build(design_from_dict, "design", payload=design)
     if "methods" in payload:
         payload["methods"] = tuple(payload["methods"])

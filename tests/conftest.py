@@ -1,9 +1,15 @@
 """Shared builders for small synthetic problems."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from poismoe import Coefficients, Dataset, PartitionState
+
+# tools/ is not a package: tests import its modules by name.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 # Property tests replay the same examples on every run (no example
 # database, no wall-clock deadline) so a slow machine cannot flake them.

@@ -8,6 +8,7 @@ import poismoe as pm
 from poismoe.cli import HIGH_FAILURE_EXIT, main
 
 from conftest import single_component_data
+from test_heart import COMPLETE_1, COMPLETE_2, COMPLETE_3, write_heart_file
 from test_poisson import poisson_mle_oracle
 
 
@@ -86,8 +87,12 @@ def test_fit_rejects_non_finite_covariates(tmp_path, capsys, row):
     (["simulate", "--preset", "study2", "--phi", "0.5"], "single correlation"),
     (["replicate", "--config", "missing.json"], "missing.json"),
     (["heart", "--data", "missing.csv"], "missing.csv"),
+    (["heart", "--train-n", "0"], "train_n must be positive"),
+    (["heart", "--train-n", "-5"], "train_n must be positive"),
+    (["heart", "--test-n", "0"], "test_n must be positive"),
 ], ids=["components", "reference", "epsilon", "burn-in", "fit-data", "rho",
-        "study2-phi", "config", "heart-data"])
+        "study2-phi", "config", "heart-data", "heart-train-n-0",
+        "heart-train-n-negative", "heart-test-n-0"])
 def test_bad_flag_values_and_missing_files_exit_with_error(
         tmp_path, monkeypatch, capsys, single_component_csv, extra, message):
     monkeypatch.chdir(tmp_path)
@@ -96,6 +101,9 @@ def test_bad_flag_values_and_missing_files_exit_with_error(
         path, _ = single_component_csv
         argv = ["fit", "--data", str(path), "--response", "count",
                 "--x", "x1", "--omega", "w1", "--out", "o"] + extra[1:]
+    elif extra[0] == "heart" and extra[1] != "--data":  # a valid file
+        write_heart_file(tmp_path, [COMPLETE_1, COMPLETE_2, COMPLETE_3])
+        argv = ["heart", "--data", "heart.csv", "--out", "o"] + extra[1:]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -350,6 +358,18 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     ("sem", "n_restarts", 1.5),
     ("sem", "burn_in", 0.5),
     ("truth_sem", "rng_seed", False),
+    # An empty sample.
+    (None, "train_n", 0),
+    (None, "train_n", -5),
+    (None, "test_n", 0),
+    (None, "validation_n", 0),
+    # A number as a string or a bool, which float() would take.
+    ("design", "phi", "0.9"),
+    ("design", "rho", False),
+    ("design", "beta_true", [[1, "1.0", 2, 3, 0.5], [-1, -1, -2, -0.5, -2]]),
+    ("design", "alpha_true", [[0.5, True, -1, 0.3, -3], [0, 0, 0, 0, 0]]),
+    ("sem", "epsilon", True),
+    ("truth_sem", "epsilon", "1e-6"),
 ])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):

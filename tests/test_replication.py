@@ -1,6 +1,8 @@
 """Replication harness: each replicate's rows as scored, in replicate
-order, written to ``replicates.csv`` as proper CSV."""
+order, written to ``replicates.csv`` as proper CSV; a config's JSON
+integers load as numbers."""
 import csv
+import json
 from dataclasses import replace
 
 import poismoe as pm
@@ -46,3 +48,12 @@ def test_note_with_comma_and_quote_survives_replicates_csv(tmp_path,
     assert rows[0]["failed"] == "1"
     assert rows == [{key: str(value) for key, value in row.items()}
                     for row in result.replicate_rows]
+
+
+def test_the_config_loader_takes_json_integers_for_numbers():
+    config = json.loads(json.dumps(replication.config_to_dict(STUDY)))
+    config["design"].update(phi=0, rho=0)
+    config["design"]["beta_true"][1][0] = config["sem"]["epsilon"] = 1
+    loaded = replication.config_from_dict(config)
+    assert (loaded.design.phi, loaded.design.beta_true[1][0],
+            loaded.sem.epsilon) == (0.0, 1.0, 1.0)

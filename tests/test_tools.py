@@ -3,9 +3,8 @@ compared with itself must report no difference, ``fit_compare.py``
 scores both checkouts of a heart study against one truth,
 ``gate_replay.py`` replays each chain of a batch bit for bit,
 ``work_count.py`` sees one extra call per E-step, and the study
-harness they share restores what it patches and loads two checkouts
-that share no module state."""
-import importlib.util
+harness they share restores what it patches, loads two checkouts that
+share no module state and refuses to load a name twice."""
 import json
 import shutil
 import subprocess
@@ -17,17 +16,14 @@ import pytest
 
 import poismoe as pm
 from poismoe.pipeline import METHODS
-from test_pinned_fits import FIXTURE, assert_refits, fit_compare
+from test_pinned_fits import FIXTURE, assert_refits
+
+import fit_compare  # from tools/, which conftest.py puts on sys.path
+import gate_replay
+import harness
+import work_count
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))
-import harness  # noqa: E402  (tools/ is not a package)
-import work_count  # noqa: E402
-
-_spec = importlib.util.spec_from_file_location(
-    "gate_replay", ROOT / "tools" / "gate_replay.py")
-gate_replay = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gate_replay)
 
 
 @pytest.fixture(scope="module")
@@ -278,12 +274,29 @@ def test_two_aliases_of_one_checkout_share_no_module_state(tmp_path):
     assert changed.gating is not kept.gating
     study = next(study for study in FIXTURE["studies"]
                  if study["name"] == "study2_j3")
+    payload = work_count.pinned_payload(study, tmp_path)
+
+    def refit(package):  # the fit records, in fit order
+        return list(fit_compare.run_checkout(package, payload)[0].values())
+
     inner_max, changed.gating.INNER_MAX = changed.gating.INNER_MAX, 1
     try:
-        moved = fit_compare.pinned_fits(changed, study, tmp_path)
-        assert_refits(fit_compare.pinned_fits(kept, study, tmp_path), study)
-        assert_refits(fit_compare.pinned_fits(pm, study, tmp_path), study)
+        moved = refit(changed)
+        assert_refits(refit(kept), study)
+        assert_refits(refit(pm), study)
     finally:
         changed.gating.INNER_MAX = inner_max
     with pytest.raises(AssertionError):
         assert_refits(moved, study)
+
+
+def test_a_loaded_alias_is_not_loaded_again():
+    # Loaded again under a name in use, a checkout's relative imports
+    # would reuse the modules of the first load, so a tool would compare
+    # the first checkout with itself.
+    harness.load_checkout(ROOT, "poismoe_twice")
+    with pytest.raises(ValueError, match="poismoe_twice"):
+        harness.load_checkout(ROOT, "poismoe_twice")
+    del sys.modules["poismoe_twice"]  # its submodules are still loaded
+    with pytest.raises(ValueError, match="poismoe_twice"):
+        harness.load_checkout(ROOT, "poismoe_twice")

@@ -2,12 +2,13 @@
 
     python3 tools/fit_compare.py CONFIG.json BASE_CHECKOUT NEW_CHECKOUT \
         [--tolerance 1e-10] [--summary]
-    python3 tools/fit_compare.py --pin [CHECKOUT]
 
-A fit's record is what the pinned-fit fixture stores: its beta, alpha
-and Liu-type d (``float.hex``), ``iterations_run``,
-``selected_iteration``, ``converged`` and ``n_failed_restarts``; a
-failed stage's is the error types of its note.
+A fit's record (``record``) is what the pinned-study fixture
+``tests/data/pinned_studies.json`` stores of it (``work_count.py
+--pin`` writes the fixture): its beta, alpha and Liu-type d
+(``float.hex``), ``iterations_run``, ``selected_iteration``,
+``converged`` and ``n_failed_restarts``; a failed stage's is the error
+types of its note.
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. Both checkouts are loaded into this process under names of their
@@ -49,23 +50,13 @@ counts how the chains of every restart ended: ``epsilon`` (the
 log-likelihood stop), ``cap`` (``max_iters``) or the type of the
 interruption, such as ``EmptyPartition``; ``truth`` counts the heart
 truth fit's chains.
-
-``--pin`` rewrites the pinned-fit fixture ``tests/data/pinned_fits.json``
-that ``tests/test_pinned_fits.py`` refits. The fixture names its
-studies (each a study config, and for a heart study the rows of its
-population file); ``--pin`` keeps them, refits each with CHECKOUT's
-sources (by default this checkout's) and stores the record of every
-fit, the heart truth fit's included. One line per study counts the
-fits whose record changed.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
-import tempfile
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -75,7 +66,6 @@ import numpy as np
 
 import harness
 
-PINNED = Path(__file__).resolve().parents[1] / "tests/data/pinned_fits.json"
 BINS = (1e-10, 1e-6)
 
 
@@ -91,7 +81,7 @@ def unhexed(values) -> np.ndarray:
 
 
 def record(label: str, method: str, fit, note: str) -> dict:
-    """One fit as the pinned-fit fixture stores it."""
+    """One fit as the pinned-study fixture stores it."""
     entry = {"replicate": label, "method": method}
     if fit is None:
         entry["error"] = " | ".join(re.findall(r"([A-Z]\w*): ", note)) or note
@@ -143,42 +133,6 @@ def run_checkout(pm, payload: dict,
         "replicate_rows": result.replicate_rows,
         "failure_fraction": result.failure_fraction})
     return records, outputs, chain_ends
-
-
-def pinned_payload(study: dict, workdir: Path) -> dict:
-    """A pinned study's config, its heart rows written into ``workdir``."""
-    payload = dict(study["config"])
-    if "heart_rows" in study:
-        payload["heart_path"] = str(workdir / f"{study['name']}.csv")
-        Path(payload["heart_path"]).write_text(
-            "\n".join(study["heart_rows"]) + "\n")
-    return payload
-
-
-def pinned_fits(pm, study: dict, workdir: Path) -> list[dict]:
-    """The fixture entries of a pinned study run with ``pm``, in fit order."""
-    _, fits = harness.Study(pm, pinned_payload(study, workdir)).run()
-    return [record(*fit) for fit in fits]
-
-
-def pin(checkout: Path) -> int:
-    """``--pin``: refit the fixture's studies with ``checkout``'s sources
-    and rewrite the fixture."""
-    pm = harness.load_checkout(checkout, "pinned_poismoe")
-    fixture = json.loads(PINNED.read_text())
-    with tempfile.TemporaryDirectory() as tmp:
-        for study in fixture["studies"]:
-            fits = pinned_fits(pm, study, Path(tmp))
-            old = study.get("fits", [])
-            changed = sum(a != b for a, b in itertools.zip_longest(fits, old))
-            print(f"{study['name']}: {len(fits)} fits, {changed} changed")
-            study["fits"] = fits
-    # One line per innermost list keeps the fixture's diffs readable.
-    text = re.sub(r"\[[^\[\]{}]*\]",
-                  lambda match: re.sub(r"\s*\n\s*", "", match.group(0)),
-                  json.dumps(fixture, indent=1))
-    PINNED.write_text(text + "\n")
-    return 0
 
 
 def monte_carlo_summary(base_study: str, new_study: str, base_chains: dict,
@@ -263,10 +217,6 @@ def compare(base: dict, new: dict,
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "--pin":
-        return pin(Path(argv[1] if len(argv) > 1 else PINNED.parents[2])
-                   .resolve())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("config", type=Path)
     parser.add_argument("base", type=Path)

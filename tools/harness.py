@@ -23,7 +23,11 @@ def load_checkout(path, alias: str):
     the module ``alias``, a name no loaded module has. Its relative
     imports load the checkout's own modules, as ``alias.model`` and so
     on, so no state is shared with another alias or with an imported
-    ``poismoe``."""
+    ``poismoe``. ValueError if ``alias`` or one of its submodules is
+    already loaded: the relative imports would reuse those modules."""
+    if any(name == alias or name.startswith(alias + ".")
+           for name in sys.modules):
+        raise ValueError(f"a module {alias!r} is already loaded")
     init = Path(path) / "src" / "poismoe" / "__init__.py"
     spec = importlib.util.spec_from_file_location(
         alias, init, submodule_search_locations=[str(init.parent)])

@@ -28,16 +28,23 @@ and then the ``--top`` functions whose call counts differ most, as
 ``py FILE:FUNCTION`` or ``c MODULE.FUNCTION`` with both counts. A
 checkout compared with itself reads equal counts and no function.
 
-``--pin`` rewrites ``tests/data/work_counts.json``, which
-``tests/test_work_counts.py`` checks: the record of every study of the
-pinned-fit fixture, counted with this checkout's sources, and the
-Python and numpy versions that counted them.
+``--pin`` rewrites the pinned-study fixture
+``tests/data/pinned_studies.json``, which ``tests/test_pinned_fits.py``
+checks. For each study it names (a study config, and for a heart study
+the rows of its population file) it stores the record ``count`` makes
+of it with this checkout's sources: the call counts and every fit's
+``fit_compare.record``, the heart truth fit's included. It stores the
+Python and numpy versions too, since the counts depend on them. One
+line per study counts the fits whose record changed and gives the calls
+per iteration, pinned then counted.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import platform
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -49,14 +56,24 @@ import fit_compare
 import harness
 
 HERE = str(Path(__file__).resolve())
-PINNED = fit_compare.PINNED.with_name("work_counts.json")
+PINNED = Path(HERE).parents[1] / "tests/data/pinned_studies.json"
+
+
+def pinned_payload(study: dict, workdir: Path) -> dict:
+    """A pinned study's config, its heart rows written into ``workdir``."""
+    payload = dict(study["config"])
+    if "heart_rows" in study:
+        payload["heart_path"] = str(workdir / f"{study['name']}.csv")
+        Path(payload["heart_path"]).write_text(
+            "\n".join(study["heart_rows"]) + "\n")
+    return payload
 
 
 def count(pm, payload: dict) -> dict:
     """Run the study ``payload`` with the package ``pm``, once as the
     warm-up and once under the counting hook; the counted run's record:
-    its call totals, its iterations by method and its calls by
-    function."""
+    its call totals, its iterations by method, its calls by function and
+    its fit records in fit order."""
     harness.Study(pm, payload).run()
     study = harness.Study(pm, payload)
     python_calls: Counter = Counter()
@@ -84,24 +101,39 @@ def count(pm, payload: dict) -> dict:
         functions[f"c {module + '.' if module else ''}{name}"] += calls
     return {"calls": python_calls.total(), "c_calls": c_calls.total(),
             "iterations": dict(iterations),
-            "functions": dict(sorted(functions.items()))}
+            "functions": dict(sorted(functions.items())),
+            "fits": [fit_compare.record(*fit) for fit in fits]}
+
+
+def per_iteration(record: dict, name: str) -> float:
+    """A record's ``name`` (``calls`` or ``c_calls``) per SEM iteration;
+    0 for a pinned study not counted yet."""
+    iterations = sum(record.get("iterations", {}).values())
+    return record.get(name, 0) / max(iterations, 1)
 
 
 def pin() -> int:
-    """``--pin``: count the pinned-fit fixture's studies with this
-    checkout's sources and rewrite ``PINNED``."""
+    """``--pin``: run the fixture's studies with this checkout's sources
+    and rewrite ``PINNED``."""
     pm = harness.load_checkout(PINNED.parents[2], "pinned_poismoe")
-    studies = []
+    fixture = json.loads(PINNED.read_text())
+    fixture.update(python=platform.python_version(), numpy=np.__version__)
     with tempfile.TemporaryDirectory() as tmp:
-        for study in json.loads(fit_compare.PINNED.read_text())["studies"]:
-            record = count(pm, fit_compare.pinned_payload(study, Path(tmp)))
-            print(f"{study['name']}: {record['calls']} calls, "
-                  f"{record['c_calls']} C calls, "
-                  f"{sum(record['iterations'].values())} iterations")
-            studies.append({"name": study["name"], **record})
-    PINNED.write_text(json.dumps({"python": platform.python_version(),
-                                  "numpy": np.__version__,
-                                  "studies": studies}, indent=1) + "\n")
+        for study in fixture["studies"]:
+            record = count(pm, pinned_payload(study, Path(tmp)))
+            changed = sum(a != b for a, b in itertools.zip_longest(
+                record["fits"], study.get("fits", [])))
+            print(f"{study['name']}: {len(record['fits'])} fits, "
+                  f"{changed} changed; " + "; ".join(
+                      f"{name}/iteration {per_iteration(study, name):.2f} -> "
+                      f"{per_iteration(record, name):.2f}"
+                      for name in ("calls", "c_calls")))
+            study.update(record)
+    # One line per innermost list keeps the fixture's diffs readable.
+    text = re.sub(r"\[[^\[\]{}]*\]",
+                  lambda match: re.sub(r"\s*\n\s*", "", match.group(0)),
+                  json.dumps(fixture, indent=1))
+    PINNED.write_text(text + "\n")
     return 0
 
 
@@ -122,8 +154,7 @@ def report(base: dict, new: dict, top: int) -> list[str]:
             method, 0)
         lines.append(f"iterations:{method} {a} {b} {change(a, b)}")
     for name in ("calls", "c_calls"):
-        a, b = (side[name] / max(total, 1) for side, total
-                in zip((base, new), iterations))
+        a, b = (per_iteration(side, name) for side in (base, new))
         lines.append(f"{name}/iteration {a:.2f} {b:.2f} {change(a, b)}")
     a, b = base["functions"], new["functions"]
     differ = sorted((name for name in a.keys() | b.keys()
