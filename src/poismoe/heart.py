@@ -38,7 +38,7 @@ def load_heart_dataset(path: str | Path,
     indicator columns for levels 2 and 3.
     """
     rows: list[list[float]] = []
-    with Path(path).open(newline="") as handle:
+    with open(path, newline="") as handle:
         for line_number, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue

@@ -47,13 +47,27 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def refuse_non_integers(instance) -> None:
-    """ValueError naming an ``int`` field holding a non-integer or bool."""
+_FIELD_RULES = {"int": ((int, np.integer), "an integer"),
+                "float": ((int, float, np.integer, np.floating), "a number"),
+                "str": (str, "a string"),
+                "str | None": ((str, type(None)), "a string or None")}
+
+
+def check_fields(instance) -> None:
+    """ValueError naming the first field of the dataclass ``instance``
+    whose value its declared type refuses (``_FIELD_RULES``; a bool is
+    neither an integer nor a number); each entry of a
+    ``tuple[tuple[float, ...], ...]`` field must be a number."""
     for f in fields(instance):
-        value = getattr(instance, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(
-                value, (int, np.integer))):
-            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        name, rule, values = f.name, f.type, [getattr(instance, f.name)]
+        if rule == "tuple[tuple[float, ...], ...]":
+            name, rule = f"{name} entry", "float"
+            values = [entry for row in values[0] for entry in row]
+        if rule in _FIELD_RULES:
+            kinds, noun = _FIELD_RULES[rule]
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, kinds):
+                    raise ValueError(f"{name} must be {noun}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +255,7 @@ class MixtureSpec:
     reference_class: int = 0
 
     def __post_init__(self) -> None:
-        refuse_non_integers(self)
+        check_fields(self)
         if self.n_components < 1:
             raise ValueError("need at least one component")
         if not 0 <= self.reference_class < self.n_components:
@@ -267,7 +281,7 @@ class SemOptions:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        refuse_non_integers(self)
+        check_fields(self)
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1 or self.n_restarts < 1:

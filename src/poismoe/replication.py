@@ -21,10 +21,9 @@ from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse, summarize_replicates,
                       write_summary_csv)
 from .model import (Coefficients, Dataset, MixtureSpec, SemOptions,
-                    refuse_non_integers, responsibilities)
+                    check_fields, responsibilities)
 from .pipeline import METHODS, fit_all_methods, fit_method
-from .simulate import (SimulationDesign, VALIDATION_SIZE, design_from_dict,
-                       simulate_dataset)
+from .simulate import SimulationDesign, VALIDATION_SIZE, simulate_dataset
 
 BLOCKS = ("beta", "alpha", "accuracy")
 # The replicates.csv column each summarized block is read from.
@@ -67,19 +66,18 @@ class StudyConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        refuse_non_integers(self)
+        check_fields(self)
         if self.mode not in ("simulation", "heart"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "simulation" and self.design is None:
             raise ValueError("simulation mode needs a design")
         if self.mode == "heart" and self.heart_path is None:
             raise ValueError("heart mode needs a data path")
-        if self.replicates < 1 or self.jobs < 1:
-            raise ValueError("replicates and jobs must be positive")
-        for name in ("validation_n", "train_n", "test_n"):
+        for name in ("replicates", "jobs", "validation_n", "train_n", "test_n"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not self.methods or not set(self.methods) <= set(METHODS):
+        if (not self.methods or not set(self.methods) <= set(METHODS)
+                or len(set(self.methods)) < len(self.methods)):
             raise ValueError(f"methods must be a nonempty selection of "
                              f"{list(METHODS)}, not {list(self.methods)}")
 
@@ -232,58 +230,25 @@ def config_to_dict(config: StudyConfig) -> dict:
     return asdict(config)
 
 
-# Retired fields, each with the only value a saved config could hold;
-# such an entry is dropped on load, any other value refused.
-_RETIRED_STUDY_KEYS = {"plots": False}
-_RETIRED_SEM_KEYS = {"hard_assignment": False, "init_strategy": "random",
-                     "inner_tol": 1e-8, "inner_max": 50}
+# Retired fields of each settings type, each with the only value a saved
+# config could hold (``int``: any integer); such an entry is dropped on
+# load, any other value refused.
+_RETIRED = {StudyConfig: {"plots": False},
+            SimulationDesign: {"seed": int},
+            SemOptions: {"hard_assignment": False, "init_strategy": "random",
+                         "inner_tol": 1e-8, "inner_max": 50}}
+# The blocks of a study config, each built into its settings type before
+# the study is; a study without a design (a heart study) saves it as null.
+_BLOCKS = {"design": SimulationDesign, "sem": SemOptions,
+           "truth_sem": SemOptions}
 
 
-def _drop_retired(payload: dict, retired_keys: dict, where: str) -> dict:
-    payload = dict(payload)
-    for key, retired in retired_keys.items():
-        if key in payload:
-            value = payload.pop(key)
-            if type(value) is not type(retired) or value != retired:
-                raise DataFormatError(
-                    f"config key '{where}{key}' is retired; only "
-                    f"{json.dumps(retired)} is accepted")
-    return payload
+def _tuples(value):
+    """``value`` with every list in it, nested or not, made a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _check_block(payload, where: str) -> None:
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"config {where or 'file'} must be a JSON "
-                              f"object, not {type(payload).__name__}")
-
-
-def _check_numbers(value, where: str) -> None:
-    """Refuse a value that is not a JSON number or a list of them, nested
-    or not: a string or a bool, which ``float`` would take, included."""
-    if isinstance(value, list):
-        for entry in value:
-            _check_numbers(entry, where)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataFormatError(f"config key '{where}' holds {value!r}, "
-                              "not a number")
-
-
-def _check_keys(payload: dict, cls: type, where: str) -> None:
-    """Refuse unknown keys, missing required ones (fields of ``cls``
-    without a default) and a ``float`` field that is not a number."""
-    known = {f.name for f in fields(cls)}
-    for key in payload:
-        if key not in known:
-            raise DataFormatError(f"unknown config key '{where}{key}'")
-    for f in fields(cls):
-        if (f.init and f.name not in payload and f.default is MISSING
-                and f.default_factory is MISSING):
-            raise DataFormatError(f"missing config key '{where}{f.name}'")
-        if f.type == "float" and f.name in payload:
-            _check_numbers(payload[f.name], where + f.name)
-
-
-def _build(make, where: str, **values):
+def _build(make, where: str, values: dict):
     """``make(**values)``, reporting a rejected value (or one of the wrong
     type) as DataFormatError."""
     try:
@@ -292,39 +257,48 @@ def _build(make, where: str, **values):
         raise DataFormatError(f"invalid {where} config: {exc}") from exc
 
 
-def _sem_from_dict(payload, where: str) -> SemOptions:
-    _check_block(payload, where.rstrip("."))
-    options = _drop_retired(payload, _RETIRED_SEM_KEYS, where)
-    _check_keys(options, SemOptions, where)
-    return _build(SemOptions, where.rstrip("."), **options)
-
-
 def config_from_dict(payload: dict) -> StudyConfig:
-    """Inverse of :func:`config_to_dict`.
+    """Inverse of :func:`config_to_dict`: the study, built after its
+    ``design``, ``sem`` and ``truth_sem`` blocks.
 
-    Unknown, retired or missing keys, blocks that are not objects and
-    values the constructors reject raise :class:`DataFormatError`.
+    The file and each block map key for key onto their settings type:
+    a retired key holding its saved value is dropped and a list becomes
+    a tuple; the settings type judges the values
+    (:func:`~poismoe.model.check_fields` and its own checks). A block
+    that is not a JSON object, a retired key holding another value, an
+    unknown or missing key, and a value the settings type refuses raise
+    :class:`DataFormatError`.
     """
-    _check_block(payload, "")
-    payload = _drop_retired(payload, _RETIRED_STUDY_KEYS, "")
-    _check_keys(payload, StudyConfig, "")
-    if payload.get("design") is not None:
-        _check_block(payload["design"], "design")
-        design = dict(payload["design"])
-        # Retired: configs saved with any integer seed still load.
-        if type(design.pop("seed", 0)) is not int:
-            raise DataFormatError("config key 'design.seed' is retired; "
-                                  "only an integer is accepted")
-        _check_keys(design, SimulationDesign, "design.")
-        for key in ("beta_true", "alpha_true"):
-            _check_numbers(design[key], f"design.{key}")
-        payload["design"] = _build(design_from_dict, "design", payload=design)
-    if "methods" in payload:
-        payload["methods"] = tuple(payload["methods"])
-    for key in ("sem", "truth_sem"):
-        if key in payload:
-            payload[key] = _sem_from_dict(payload[key], f"{key}.")
-    return _build(StudyConfig, "study", **payload)
+    study: dict = {}
+    for key, settings in (("", StudyConfig), *_BLOCKS.items()):
+        block = study.get(key) if key else payload
+        if key and (key not in study or key == "design" and block is None):
+            continue  # the default, or a heart study's null design
+        if not isinstance(block, dict):
+            raise DataFormatError(f"config {key or 'file'} must be a JSON "
+                                  f"object, not {type(block).__name__}")
+        where, values = f"{key}." if key else "", {}
+        known = {f.name: f for f in fields(settings)}
+        for name, value in block.items():
+            saved = _RETIRED[settings].get(name, MISSING)
+            if name in known:
+                values[name] = _tuples(value)
+            elif saved is MISSING:
+                raise DataFormatError(f"unknown config key '{where}{name}'")
+            elif not (type(value) is int if saved is int else
+                      type(value) is type(saved) and value == saved):
+                accepted = "an integer" if saved is int else json.dumps(saved)
+                raise DataFormatError(f"config key '{where}{name}' is "
+                                      f"retired; only {accepted} is accepted")
+        for name, f in known.items():
+            if (name not in values and f.default is MISSING
+                    and f.default_factory is MISSING):
+                raise DataFormatError(f"missing config key '{where}{name}'")
+        if key:
+            study[key] = _build(settings, key, values)
+        else:
+            study = values
+    return _build(StudyConfig, "study", study)
 
 
 def save_config(config: StudyConfig, path: str | Path) -> None:

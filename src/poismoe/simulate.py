@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .gating import gating_probabilities
-from .model import Coefficients, Dataset, draw_labels, refuse_non_integers
+from .model import Coefficients, Dataset, check_fields, draw_labels
 
 # Rows whose sampled-component linear predictor exceeds this cap are
 # redrawn so the Poisson means stay representable at desk scale.
@@ -41,7 +41,6 @@ __all__ = [
     "MEAN_PREDICTOR_CAP", "STUDY1_CORRELATIONS", "STUDY1_SAMPLE_SIZES",
     "STUDY2_CORRELATIONS", "STUDY2_SAMPLE_SIZE", "VALIDATION_SIZE",
     "SimulationDesign", "simulate_dataset", "study_presets",
-    "design_from_dict",
 ]
 
 
@@ -58,7 +57,7 @@ class SimulationDesign:
     collinearity_form: str = "paper_linear"
 
     def __post_init__(self) -> None:
-        refuse_non_integers(self)
+        check_fields(self)
         if self.n < 1:
             raise ValueError("n must be positive")
         if not (0.0 <= self.phi < 1.0 and 0.0 <= self.rho < 1.0):
@@ -163,15 +162,3 @@ def study_presets(which: str, *, phi: float | None = None,
             collinearity_form=collinearity_form)
     raise ValueError(f"unknown preset {which!r}")
 
-
-def design_from_dict(payload: dict) -> SimulationDesign:
-    return SimulationDesign(
-        n=payload["n"],
-        beta_true=tuple(tuple(float(v) for v in row)
-                        for row in payload["beta_true"]),
-        alpha_true=tuple(tuple(float(v) for v in row)
-                         for row in payload["alpha_true"]),
-        reference_class=payload["reference_class"],
-        phi=float(payload.get("phi", 0.0)),
-        rho=float(payload.get("rho", 0.0)),
-        collinearity_form=str(payload.get("collinearity_form", "paper_linear")))

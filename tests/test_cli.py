@@ -370,6 +370,10 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     ("design", "alpha_true", [[0.5, True, -1, 0.3, -3], [0, 0, 0, 0, 0]]),
     ("sem", "epsilon", True),
     ("truth_sem", "epsilon", "1e-6"),
+    # A method named twice, and a path that is not a string.
+    (None, "methods", ["ml", "ml"]),
+    (None, "heart_path", 5),
+    (None, "output_dir", 7),
 ])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.stats import poisson as poisson_dist
@@ -131,6 +133,26 @@ def test_mixture_spec_refuses_a_count_that_is_not_an_integer(
         n_components, reference_class, field):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         pm.MixtureSpec(n_components, reference_class)
+
+
+SETTINGS = (pm.MixtureSpec(2), pm.SemOptions(), pm.study_presets("study1"),
+            pm.StudyConfig(mode="simulation",
+                           design=pm.study_presets("study1")))
+# Values of another type for each checked field type: a bool and a
+# numeric string are neither integers nor numbers.
+FOREIGN_VALUES = {"int": (True, "1"), "float": (True, "1"), "str": (5,),
+                  "str | None": (5,)}
+
+
+@pytest.mark.parametrize("settings, field, value", [
+    pytest.param(settings, f.name, value,
+                 id=f"{type(settings).__name__}.{f.name}={value!r}")
+    for settings in SETTINGS for f in fields(settings)
+    for value in FOREIGN_VALUES.get(f.type, ())])
+def test_every_settings_field_refuses_a_value_of_another_type(
+        settings, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        replace(settings, **{field: value})
 
 
 def test_partition_counts_each_chain_and_refuses_labels_out_of_range():

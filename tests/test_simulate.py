@@ -8,7 +8,8 @@ from scipy.stats import chi2
 import poismoe as pm
 from poismoe.simulate import (STUDY1_CORRELATIONS, STUDY1_SAMPLE_SIZES,
                               STUDY2_CORRELATIONS, STUDY2_SAMPLE_SIZE,
-                              MEAN_PREDICTOR_CAP, design_from_dict)
+                              MEAN_PREDICTOR_CAP)
+from poismoe.replication import config_from_dict
 
 
 def test_study1_preset_constants():
@@ -136,7 +137,8 @@ def test_sampling_is_deterministic():
 def test_design_serialization_roundtrip():
     design = pm.study_presets("study1", phi=0.9, rho=0.85, n=120)
     text = json.dumps(asdict(design))
-    assert design_from_dict(json.loads(text)) == design
+    study = {"mode": "simulation", "design": json.loads(text)}
+    assert config_from_dict(study).design == design
 
 
 def test_design_validation():
