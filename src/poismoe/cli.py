@@ -103,6 +103,7 @@ def _fit_payload(data: Dataset, fit: FitResult) -> dict:
         "iterations_run": fit.iterations_run,
         "selected_iteration": fit.selected_iteration,
         "n_failed_restarts": fit.n_failed_restarts,
+        "restart_ends": list(fit.restart_ends),
         "bic": bic_value(data, fit.psi_hat),
     }
     if fit.tuning is not None:

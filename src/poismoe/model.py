@@ -148,14 +148,16 @@ class Coefficients:
             raise DimensionError("beta and alpha must have one row per component")
         if not (np.isfinite(beta).all() and np.isfinite(alpha).all()):
             raise ValueError("coefficients must be finite")
-        ref = int(self.reference_class)
+        ref = self.reference_class
+        if type(ref) is bool or not isinstance(ref, (int, np.integer)):
+            raise ValueError(f"reference_class must be an integer, not {ref!r}")
         if not 0 <= ref < alpha.shape[-2]:
             raise ValueError("reference_class out of range")
         if (alpha[..., ref, :] != 0.0).any():
             raise ValueError("the reference gating row must be zero")
         object.__setattr__(self, "beta", _readonly(beta))
         object.__setattr__(self, "alpha", _readonly(alpha))
-        object.__setattr__(self, "reference_class", ref)
+        object.__setattr__(self, "reference_class", int(ref))
 
     @property
     def n_components(self) -> int:
@@ -343,7 +345,9 @@ class TuningParams:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one stochastic EM fit (best restart)."""
+    """Outcome of one stochastic EM fit (best restart); ``restart_ends``
+    says how each restart's chain ended, in restart order: ``"epsilon"``,
+    ``"cap"`` (``max_iters``) or its interruption's ``"Type: message"``."""
 
     psi_hat: Coefficients
     loglik_trace: np.ndarray
@@ -353,6 +357,7 @@ class FitResult:
     tuning: TuningParams | None = None
     method: str = "ml"
     n_failed_restarts: int = 0
+    restart_ends: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         trace = np.array(self.loglik_trace, dtype=float)

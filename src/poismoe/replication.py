@@ -69,6 +69,12 @@ class StudyConfig:
         check_fields(self)
         if self.mode not in ("simulation", "heart"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        unused = (("design", "validation_n") if self.mode == "heart" else
+                  ("heart_path", "train_n", "test_n", "n_components",
+                   "reference_class", "slope_encoding"))
+        for f in fields(self):
+            if f.name in unused and getattr(self, f.name) != f.default:
+                raise ValueError(f"a {self.mode} study takes no {f.name}")
         if self.mode == "simulation" and self.design is None:
             raise ValueError("simulation mode needs a design")
         if self.mode == "heart" and self.heart_path is None:

@@ -390,4 +390,7 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                      selected_iteration=index_sel,
                      tuning=None if method == "ml" else tuning,
                      method=method,
-                     n_failed_restarts=len(failures))
+                     n_failed_restarts=len(failures),
+                     restart_ends=tuple(
+                         "epsilon" if chain.converged else
+                         chain.interruption or "cap" for chain in outcomes))

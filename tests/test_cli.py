@@ -44,6 +44,7 @@ def test_fit_single_component_matches_oracle(tmp_path, single_component_csv):
     assert np.max(np.abs((fitted - oracle) / oracle)) < 1e-4
     assert payload["method"] == "ml"
     assert "bic" in payload
+    assert payload["converged"] and payload["restart_ends"] == ["epsilon"]
 
 
 def test_fit_reports_missing_column(tmp_path, single_component_csv, capsys):
@@ -374,12 +375,26 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     (None, "methods", ["ml", "ml"]),
     (None, "heart_path", 5),
     (None, "output_dir", 7),
+    # A field of the other mode, set to other than its default; the block
+    # "heart" is the top level of a heart study's config.
+    (None, "heart_path", "heart.csv"),
+    (None, "train_n", 20),
+    (None, "test_n", 50),
+    (None, "n_components", 3),
+    (None, "reference_class", 1),
+    (None, "slope_encoding", "dummy"),
+    ("heart", "design", pm.replication.config_to_dict(pm.StudyConfig(
+        mode="simulation", design=pm.study_presets("study1")))["design"]),
+    ("heart", "validation_n", 50),
 ])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):
-    config = pm.replication.config_to_dict(pm.StudyConfig(
-        mode="simulation", design=pm.study_presets("study1", n=60)))
-    (config if block is None else config[block])[key] = value
+    config = pm.replication.config_to_dict(
+        pm.StudyConfig(mode="heart", heart_path=str(tmp_path / "heart.csv"))
+        if block == "heart" else
+        pm.StudyConfig(mode="simulation",
+                       design=pm.study_presets("study1", n=60)))
+    (config if block in (None, "heart") else config[block])[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     rc = main(["replicate", "--config", str(path),

@@ -37,6 +37,18 @@ def test_coefficients_require_zero_reference_row():
     assert psi.n_components == 2
 
 
+@pytest.mark.parametrize("reference_class", [True, 0.7, "0", 0.0])
+def test_coefficients_refuse_a_reference_class_that_is_not_an_integer(
+        reference_class):
+    # int() would take each of these as class 0 or 1.
+    with pytest.raises(ValueError, match="reference_class must be an integer"):
+        pm.Coefficients(beta=np.zeros((2, 2)), alpha=[[0, 0], [1, 1]],
+                        reference_class=reference_class)
+    psi = pm.Coefficients(beta=np.zeros((2, 2)), alpha=[[0, 0], [1, 1]],
+                          reference_class=np.int64(0))
+    assert type(psi.reference_class) is int
+
+
 def test_observed_loglik_single_component_point_mass():
     data = pm.Dataset(y=np.array([0]), X=np.array([[1.0]]),
                       Omega=np.array([[1.0]]))

@@ -24,11 +24,10 @@ FIXTURE = json.loads(work_count.PINNED.read_text())
 # rounding change passes but an estimator change does not.
 RELATIVE = 1e-9
 EXACT = ("replicate", "method", "error", "iterations_run",
-         "selected_iteration", "converged", "n_failed_restarts")
+         "selected_iteration", "converged", "n_failed_restarts", "ends")
 # Counts repeat exactly from run to run in one process. From one process
 # to another they may move by a few calls (the depth of the heart file's
-# path, a garbage-collector callback that another library installed):
-# under 0.01%. One more numpy call per E-step adds about 0.2% to a
+# path): under 0.01%. One more numpy call per E-step adds about 0.2% to a
 # study's C calls per iteration.
 MARGIN = 0.001
 

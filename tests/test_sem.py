@@ -432,3 +432,21 @@ def test_fit_failed_diagnostics_keep_restart_order():
         pm.run_sem(data, pm.MixtureSpec(2, 0), opts)
     assert failed.value.diagnostics == [
         f"restart {r}: {reason}" for r, reason in enumerate(reasons)]
+
+
+def test_each_restart_reports_how_its_chain_ended():
+    # On this data the five restarts end on every stop there is: an
+    # empty component, a singular system (twice), the epsilon rule and
+    # the cap. The fit keeps each end in restart order, an interruption
+    # with the message its chain ended on.
+    data, _, _, _ = small_mixture(seed=234, n=12, p=3, q=2)
+    opts = pm.SemOptions(epsilon=1e-6, max_iters=10, burn_in=0,
+                         n_restarts=5, rng_seed=234)
+    fit = pm.run_sem(data, pm.MixtureSpec(2, 0), opts)
+    assert [end.split(":")[0] for end in fit.restart_ends] == [
+        "EmptyPartition", "SingularSystem", "epsilon", "SingularSystem",
+        "cap"]
+    batch, _ = batch_and_solo_runs(data, pm.MixtureSpec(2, 0), opts)
+    for restart in (0, 1, 3):
+        assert fit.restart_ends[restart] == batch[restart].interruption
+    assert fit.n_failed_restarts == 0 and fit.converged

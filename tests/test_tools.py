@@ -1,10 +1,13 @@
 """Smoke tests of the comparison tools under ``tools/``: a checkout
 compared with itself must report no difference, ``fit_compare.py``
-scores both checkouts of a heart study against one truth,
-``gate_replay.py`` replays each chain of a batch bit for bit,
-``work_count.py`` sees one extra call per E-step, and the study
+scores both checkouts of a heart study against one truth and counts
+the end of every restart of a batch, ``work_count.py`` sees one extra
+call per E-step and no garbage-collector callback, and the study
 harness they share restores what it patches, loads two checkouts that
-share no module state and refuses to load a name twice."""
+share no module state and refuses to load a name twice. The end types
+of each pinned fit, a failed stage's read from its note, are checked
+in ``test_pinned_fits.py``."""
+import gc
 import json
 import shutil
 import subprocess
@@ -19,7 +22,6 @@ from poismoe.pipeline import METHODS
 from test_pinned_fits import FIXTURE, assert_refits
 
 import fit_compare  # from tools/, which conftest.py puts on sys.path
-import gate_replay
 import harness
 import work_count
 
@@ -146,28 +148,6 @@ def test_fit_compare_scores_both_checkouts_against_the_base_truth(tmp_path):
     assert lines[-1].endswith("bit-identical"), lines
 
 
-def test_gate_replay_of_a_checkout_with_itself_reports_no_difference(
-        tiny_study):
-    done = run_tool("gate_replay.py", tiny_study, ROOT, ROOT)
-    assert done.returncode == 0, done.stderr
-    header, *rows, verdict = done.stdout.strip().splitlines()
-    assert verdict.endswith(": yes")
-    assert [row.split()[0] for row in rows] == ["ml", "ridge", "lt"]
-    for row in rows:
-        fields = dict(zip(header.split(), row.split()))
-        assert int(fields["calls"]) > 0
-        assert fields["identical"] == fields["calls"]
-        for key in ("steps", "trials", "capped"):
-            base, new = fields[key].split("->")
-            assert base == new
-        for key in ("f_gap", "f_gap_capped", "coef_gap", "prob_gap"):
-            assert float(fields[key]) == 0.0
-    # Only the LT calls carry the base chain's tuning into the new gate.
-    labelled = [row.endswith("(replayed on the base chain's d)")
-                for row in rows]
-    assert labelled == [False, False, True]
-
-
 def test_fit_compare_counts_every_chain_of_a_batch(two_restart_study):
     done = run_tool("fit_compare.py", two_restart_study, ROOT, ROOT,
                     "--summary")
@@ -178,27 +158,6 @@ def test_fit_compare_counts_every_chain_of_a_batch(two_restart_study):
         for side in (3, 4):
             assert sum(int(fields[side]) for fields in chains
                        if fields[1] == method) == 4
-
-
-def test_gate_replay_records_each_chain_of_a_batch(two_restart_study):
-    # A lockstep call ascends both restarts at once; the recording holds
-    # one call per chain, which replays bit for bit on its own. Both run
-    # in this process, so each must take its patches off the package.
-    originals = (pm.sem.coordinate_descent_alphas,
-                 pm.gating.build_gating_workspace, pm.gating.q1_value)
-    calls = gate_replay.record(pm, json.loads(two_restart_study.read_text()))
-    assert calls and all(call["alpha_t"].ndim == 2
-                         and call["assignment"].ndim == 1
-                         and call["alpha"].shape == call["alpha_t"].shape
-                         for call in calls)
-    assert {call["group"] for call in calls} == set(METHODS)
-    rows = gate_replay.replay(pm, calls)
-    assert len(rows) == len(calls)
-    for call, row in zip(calls, rows):
-        assert row["alpha"].tobytes() == call["alpha"].tobytes()
-        assert row["steps"] > 0
-    assert (pm.sem.coordinate_descent_alphas,
-            pm.gating.build_gating_workspace, pm.gating.q1_value) == originals
 
 
 def work_counts(*args):
@@ -245,6 +204,26 @@ def test_work_count_reads_one_more_c_call_per_e_step(tiny_study, tmp_path):
     assert int(empty[0][3]) - int(empty[0][2]) == e_steps
 
 
+def test_work_count_leaves_out_a_garbage_collector_callback(tiny_study):
+    # hypothesis installs a callback like this one in the tier-1 process;
+    # its calls must not reach the counts. A warm study collects seldom,
+    # so a low threshold makes it collect.
+    payload = json.loads(tiny_study.read_text())
+    threshold, phases = gc.get_threshold(), []
+    gc.set_threshold(50)
+    try:
+        plain = work_count.count(pm, payload)
+        gc.callbacks.append(lambda phase, info: phases.append(phase))
+        try:
+            watched = work_count.count(pm, payload)
+        finally:
+            gc.callbacks.pop()
+    finally:
+        gc.set_threshold(*threshold)
+    assert phases  # collections ran in the warm-up study
+    assert watched["functions"] == plain["functions"]
+
+
 def test_the_harness_restores_the_fit_hooks_after_a_failed_study(tmp_path):
     # Tier-1 runs pinned studies in its own process, so a study that
     # raises must not leave the harness's wrappers in the package, nor
@@ -259,7 +238,6 @@ def test_the_harness_restores_the_fit_hooks_after_a_failed_study(tmp_path):
     assert events and sys.getprofile() is None
     assert replication.fit_all_methods is originals[0]
     assert replication.fit_method is originals[1]
-    assert study.label is None
 
 
 def test_two_aliases_of_one_checkout_share_no_module_state(tmp_path):

@@ -7,8 +7,10 @@ A fit's record (``record``) is what the pinned-study fixture
 ``tests/data/pinned_studies.json`` stores of it (``work_count.py
 --pin`` writes the fixture): its beta, alpha and Liu-type d
 (``float.hex``), ``iterations_run``, ``selected_iteration``,
-``converged`` and ``n_failed_restarts``; a failed stage's is the error
-types of its note.
+``converged``, ``n_failed_restarts`` and ``ends``, the type of each
+restart's end in ``FitResult.restart_ends``; a failed stage's is the
+error types of its note and, as ``ends``, the restart ends it lists.
+Both checkouts must record ``restart_ends``.
 
 CONFIG.json is a study config as ``poismoe replicate --config`` reads
 it. Both checkouts are loaded into this process under names of their
@@ -46,7 +48,7 @@ then new. One line per method and chain end
 
     chains <method> <end> <base count> <new count>
 
-counts how the chains of every restart ended: ``epsilon`` (the
+counts the ``ends`` of the fit records: ``epsilon`` (the
 log-likelihood stop), ``cap`` (``max_iters``) or the type of the
 interruption, such as ``EmptyPartition``; ``truth`` counts the heart
 truth fit's chains.
@@ -60,7 +62,6 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -85,13 +86,15 @@ def record(label: str, method: str, fit, note: str) -> dict:
     entry = {"replicate": label, "method": method}
     if fit is None:
         entry["error"] = " | ".join(re.findall(r"([A-Z]\w*): ", note)) or note
+        entry["ends"] = re.findall(r"restart \d+: ([A-Z]\w*)", note)
         return entry
     entry.update(beta=hexed(fit.psi_hat.beta.tolist()),
                  alpha=hexed(fit.psi_hat.alpha.tolist()),
                  iterations_run=int(fit.iterations_run),
                  selected_iteration=int(fit.selected_iteration),
                  converged=bool(fit.converged),
-                 n_failed_restarts=int(fit.n_failed_restarts))
+                 n_failed_restarts=int(fit.n_failed_restarts),
+                 ends=[end.split(":")[0] for end in fit.restart_ends])
     if fit.method == "lt":
         entry["d"] = hexed(fit.tuning.d_beta.tolist()
                            + fit.tuning.d_alpha.tolist())
@@ -105,26 +108,14 @@ def run_checkout(pm, payload: dict,
     its chain ends by method. With ``truth``, the record of another
     checkout's truth fit, the replicates are scored against its
     coefficients instead of this checkout's own truth fit."""
-    study = harness.Study(pm, payload, None if truth is None else (
-        unhexed(truth["beta"]), unhexed(truth["alpha"])))
-    chain_ends: dict[str, Counter] = {}
-    # The chain driver returns every restart's outcome of a fit and
-    # takes the method as its fourth argument.
-    run_chains = pm.sem._run_chains
-
-    def counted_chains(*args, **kwargs):
-        outcomes = run_chains(*args, **kwargs)
-        chain_ends.setdefault("truth" if study.label == "truth" else args[3],
-                              Counter()).update(
-            "epsilon" if outcome.converged else
-            outcome.interruption.split(":")[0] if outcome.interruption
-            else "cap" for outcome in outcomes)
-        return outcomes
-
-    with mock.patch.object(pm.sem, "_run_chains", counted_chains):
-        result, fits = study.run()
+    result, fits = harness.Study(pm, payload, None if truth is None else (
+        unhexed(truth["beta"]), unhexed(truth["alpha"]))).run()
     records = {(label, method): record(label, method, fit, note)
                for label, method, fit, note in fits}
+    chain_ends: dict[str, Counter] = {}
+    for (label, method), entry in records.items():
+        chain_ends.setdefault("truth" if label == "truth" else method,
+                              Counter()).update(entry["ends"])
     # json writes each float as its shortest round-trip repr, so equal
     # texts mean bit-equal values.
     outputs = json.dumps({

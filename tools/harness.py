@@ -41,16 +41,13 @@ class Study:
     """One replication study of the package ``pm``, watched fit by fit.
 
     ``payload`` is a study config as ``poismoe replicate --config``
-    reads it; the study runs with ``jobs`` 1 and writes no file. While
-    it runs, ``label`` names the fit in progress: ``"truth"`` for the
-    heart truth fit, the replicate index (a string) for a replicate's
-    fits, else None. With ``truth``, a (beta, alpha) pair, the heart
-    truth fit returns those coefficients, so the replicates are scored
-    against them.
+    reads it; the study runs with ``jobs`` 1 and writes no file. With
+    ``truth``, a (beta, alpha) pair, the heart truth fit returns those
+    coefficients, so the replicates are scored against them.
     """
 
     def __init__(self, pm, payload: dict, truth=None) -> None:
-        self.pm, self.truth, self.label = pm, truth, None
+        self.pm, self.truth = pm, truth
         self.config = replace(pm.replication.config_from_dict(payload),
                               jobs=1, output_dir=None)
 
@@ -67,11 +64,7 @@ class Study:
         made, index = [], itertools.count()
 
         def watched(label, fit, *args, **kwargs):
-            self.label = label
-            try:
-                made.append((label, fit(*args, **kwargs)))
-            finally:
-                self.label = None
+            made.append((label, fit(*args, **kwargs)))
             return made[-1][1]
 
         def replicate(*args, **kwargs):

@@ -41,6 +41,7 @@ per iteration, pinned then counted.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import platform
@@ -71,7 +72,8 @@ def pinned_payload(study: dict, workdir: Path) -> dict:
 
 def count(pm, payload: dict) -> dict:
     """Run the study ``payload`` with the package ``pm``, once as the
-    warm-up and once under the counting hook; the counted run's record:
+    warm-up and once under the counting hook, with ``gc.callbacks``
+    emptied until it ends; the counted run's record:
     its call totals, its iterations by method, its calls by function and
     its fit records in fit order."""
     harness.Study(pm, payload).run()
@@ -88,7 +90,13 @@ def count(pm, payload: dict) -> dict:
             c_calls[(getattr(arg, "__module__", None),
                      getattr(arg, "__qualname__", repr(arg)))] += 1
 
-    _, fits = study.run(profile=hook)
+    # A garbage-collector callback of another library (hypothesis
+    # installs one) would add its calls whenever a collection runs.
+    callbacks, gc.callbacks[:] = gc.callbacks[:], []
+    try:
+        _, fits = study.run(profile=hook)
+    finally:
+        gc.callbacks[:] = callbacks
     iterations: Counter = Counter()
     for label, method, fit, _ in fits:
         iterations["truth" if label == "truth" else method] += (
