@@ -18,8 +18,8 @@ from .metrics import (ReplicationSummary, align_components,
                       classification_accuracy, sqrt_mse,
                       summarize_replicates, write_summary_csv)
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
-                    PartitionState, SemOptions, TuningParams, e_step,
-                    observed_loglik, responsibilities)
+                    SemOptions, TuningParams, e_step, observed_loglik,
+                    responsibilities)
 from .pipeline import (PipelineResult, bic_scan, bic_value, fit_all_methods,
                        fit_method)
 from .poisson import (ComponentWorkspace, build_workspace, irwls_beta_step,
@@ -37,7 +37,7 @@ __all__ = [
     "PoismoeError", "DimensionError", "NumericalFailure", "SingularSystem",
     "EmptyPartition", "FitFailed", "TuningFailed", "SummaryUndefined",
     "DataFormatError",
-    "Dataset", "Coefficients", "PartitionState", "MixtureSpec", "SemOptions",
+    "Dataset", "Coefficients", "MixtureSpec", "SemOptions",
     "TuningParams", "FitResult", "observed_loglik", "responsibilities",
     "ComponentWorkspace", "poisson_means", "build_workspace",
     "irwls_beta_step",

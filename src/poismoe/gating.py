@@ -47,20 +47,17 @@ flag per chain, applied once per Newton step.
 Every array over classes and observations here is class-major (J, n),
 so a reduction over classes runs over J contiguous rows; only
 :func:`gating_probabilities` returns the public (n, J) layout, as a view.
+The assignment is the S-step's label array, (n,) or (B, n) for a batch.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import DimensionError, NumericalFailure
 from .linalg import outer_basis, penalized_wls_solve, rowwise_product
-
-if TYPE_CHECKING:
-    from .model import PartitionState
 
 # Probabilities are clipped into [PI_FLOOR, 1 - PI_FLOOR] before they
 # form the weights pi*(1-pi) of a diagonal Gram block, so that block
@@ -214,7 +211,7 @@ def _further_steps_cannot_pay(decrements: list[float], threshold: float,
 
 
 def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
-                              part: "PartitionState",
+                              labels: np.ndarray,
                               lam: np.ndarray | None, d: np.ndarray | None,
                               reference: int, *,
                               basis: np.ndarray | None = None,
@@ -245,16 +242,17 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     notes, and in any case after ``INNER_MAX`` Newton steps. The
     reference row comes back as zeros.
 
-    ``alpha_t`` is one chain's (J, q) rows with ``part`` its partition,
-    or a (B, J, q) batch of chains with ``part`` holding one assignment
+    ``alpha_t`` is one chain's (J, q) rows with ``labels`` its (n,)
+    partition, or a (B, J, q) batch of chains with (B, n) ``labels``, one
     row per chain; ``lam`` is shared by every chain and ``d`` is (J,) or
     one row per chain, (B, J). The chains ascend in lockstep: every
     Newton step and every round of trials is one stacked computation
     over the chains still taking it, and each chain's decrement, rules
     R1-R3 and halvings are its own, so each chain's result is bit for
     bit its own call's. A non-finite trial objective of any chain that
-    tries its step raises for the whole call. ``INNER_MAX`` below 1
-    raises ``ValueError``.
+    tries its step raises for the whole call. ``INNER_MAX`` below 1 and a
+    label outside [0, J) raise ``ValueError``, labels neither 1-D nor 2-D
+    :class:`DimensionError`.
 
     ``basis``, when given, is ``outer_basis(Omega)`` (``Dataset.Omega_outer``).
     ``log_pi``, when given, is the (J, n) (or (B, J, n)) log-softmax at
@@ -269,6 +267,11 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     if single:
         alpha = alpha[None]
     chains, n_classes, q = alpha.shape
+    if labels.ndim not in (1, 2):
+        raise DimensionError("labels must be a vector, "
+                             "or a matrix with one row per chain")
+    if not (0 <= labels.min() and labels.max() < n_classes):
+        raise ValueError(f"labels must lie in [0, {n_classes})")
     if n_classes == 1:
         return np.zeros_like(alpha[0] if single else alpha)
     m = n_classes - 1
@@ -276,7 +279,7 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     free = (slice(1, None) if reference == 0 else
             slice(0, m) if reference == m else
             np.flatnonzero(np.arange(n_classes) != reference))
-    assignment = part.assignment.reshape(chains, -1)
+    assignment = labels.reshape(chains, -1)
     n = assignment.shape[1]
     if basis is None:
         basis = outer_basis(Omega)

@@ -8,14 +8,14 @@ covariates omega_i with one class fixed at zero as the reference.
 The mixture log-terms are class-major (J, n), like the gate's; the
 public :func:`e_step`, :func:`responsibilities` and :func:`draw_labels`
 keep (n, J). The chain driver (:mod:`~poismoe.sem`) advances several
-chains in lockstep, so :class:`Coefficients`, :class:`PartitionState`,
-:func:`e_step` and :func:`draw_labels` also take a leading chain axis B,
-one row per chain, which every per-chain result ignores: a chain's rows
-give the same values, bit for bit, alone or in a batch.
+chains in lockstep, so :class:`Coefficients`, :func:`e_step` and
+:func:`draw_labels` also take a leading chain axis B, one row per chain,
+which every per-chain result ignores: a chain's rows give the same
+values, bit for bit, alone or in a batch. A partition is the plain
+label array :func:`draw_labels` returns, (n,) or (B, n).
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -36,7 +36,7 @@ ETA_FLOOR = -1e12
 
 __all__ = [
     "ETA_MAX",
-    "Dataset", "Coefficients", "PartitionState", "MixtureSpec",
+    "Dataset", "Coefficients", "MixtureSpec",
     "SemOptions", "TuningParams", "FitResult",
     "observed_loglik", "e_step", "responsibilities", "draw_labels",
 ]
@@ -93,6 +93,8 @@ class Dataset:
         y = np.asarray(self.y)
         if y.ndim != 1 or y.shape[0] < 1:
             raise DimensionError("y must be a nonempty vector")
+        if np.any(y >= 2**63):  # before np.mod, which warns on inf
+            raise ValueError("y counts must be below 2**63, the int64 range")
         if np.any(y < 0) or not np.all(np.equal(np.mod(y, 1), 0)):
             raise ValueError("y must contain nonnegative integers")
         X = np.array(self.X, dtype=float)
@@ -187,69 +189,6 @@ class Coefficients:
 
 
 @dataclass(frozen=True)
-class PartitionState:
-    """Hard component assignment from one stochastic classification step.
-
-    ``assignment`` (n,) holds each observation's component and ``counts``
-    (J,) the size of each component; a batch of chains stacks them as
-    (B, n) and (B, J), one row per chain. A count may be zero.
-    """
-
-    assignment: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        assignment = np.array(self.assignment, dtype=np.int64)
-        counts = np.array(self.counts, dtype=np.int64)
-        if (assignment.ndim != counts.ndim or assignment.ndim not in (1, 2)
-                or assignment.shape[:-1] != counts.shape[:-1]):
-            raise DimensionError("assignment and counts must be vectors, "
-                                 "or matrices with one row per chain")
-        try:
-            expected = _count_labels(assignment, counts.shape[-1])
-        except ValueError as exc:  # a label outside [0, J)
-            raise ValueError("counts do not match the assignment") from exc
-        if (expected != counts).any():
-            raise ValueError("counts do not match the assignment")
-        object.__setattr__(self, "assignment", _readonly(assignment))
-        object.__setattr__(self, "counts", _readonly(counts))
-
-    @classmethod
-    def from_assignment(cls, assignment: np.ndarray, n_components: int) -> "PartitionState":
-        """The partition of ``assignment``, its labels counted once."""
-        assignment = np.array(assignment, dtype=np.int64)
-        part = object.__new__(cls)
-        object.__setattr__(part, "counts", _readonly(
-            _count_labels(assignment, n_components)))
-        object.__setattr__(part, "assignment", _readonly(assignment))
-        return part
-
-    @property
-    def n_components(self) -> int:
-        return self.counts.shape[-1]
-
-
-def _count_labels(assignment: np.ndarray, n_components: int) -> np.ndarray:
-    """Component sizes of an (n,) assignment, or of each row of a (B, n)
-    batch of them, as (J,) or (B, J); a label outside [0, J) raises
-    ValueError. A batch is one ``bincount``, each row's labels offset
-    by J times the row."""
-    if assignment.ndim not in (1, 2):
-        raise DimensionError("an assignment must be a vector, "
-                             "or a matrix with one row per chain")
-    if assignment.size and not (0 <= assignment.min()
-                                and assignment.max() < n_components):
-        raise ValueError(f"labels must lie in [0, {n_components})")
-    if assignment.ndim == 1:
-        return np.bincount(assignment, minlength=n_components)
-    chains = assignment.shape[0]
-    offsets = n_components * np.arange(chains)[:, None]
-    return np.bincount((assignment + offsets).ravel(),
-                       minlength=chains * n_components
-                       ).reshape(chains, n_components)
-
-
-@dataclass(frozen=True)
 class MixtureSpec:
     """Structural description of the mixture: J and the reference class."""
 
@@ -314,17 +253,13 @@ class TuningParams:
         la = np.array(self.lambda_alpha, dtype=float)
         if not ((lb > 0).all() and (la > 0).all()):
             raise ValueError("lambda entries must be strictly positive")
-        for name, arr in (("lambda_beta", lb), ("lambda_alpha", la)):
-            object.__setattr__(self, name, _readonly(arr))
-        self._set_bias_corrections(self.d_beta, self.d_alpha)
-
-    def _set_bias_corrections(self, d_beta, d_alpha) -> None:
-        db = np.array(d_beta, dtype=float)
-        da = np.array(d_alpha, dtype=float)
+        db = np.array(self.d_beta, dtype=float)
+        da = np.array(self.d_alpha, dtype=float)
         if not all(np.isfinite(d).all() and (d >= 0).all() for d in (db, da)):
             raise ValueError("bias corrections must be finite and non-negative")
-        object.__setattr__(self, "d_beta", _readonly(db))
-        object.__setattr__(self, "d_alpha", _readonly(da))
+        for name, arr in (("lambda_beta", lb), ("lambda_alpha", la),
+                          ("d_beta", db), ("d_alpha", da)):
+            object.__setattr__(self, name, _readonly(arr))
 
     @classmethod
     def ridge_only(cls, lambda_beta, lambda_alpha,
@@ -334,13 +269,6 @@ class TuningParams:
         return cls(lambda_beta=lb, lambda_alpha=la,
                    d_beta=np.zeros_like(lb), d_alpha=np.zeros_like(la),
                    source=source)
-
-    def with_bias_corrections(self, d_beta, d_alpha) -> "TuningParams":
-        """This tuning with the bias corrections ``d_beta`` and ``d_alpha``;
-        only they are checked, the lambdas are already."""
-        tuning = copy.copy(self)
-        tuning._set_bias_corrections(d_beta, d_alpha)
-        return tuning
 
 
 @dataclass(frozen=True)
@@ -352,7 +280,6 @@ class FitResult:
     psi_hat: Coefficients
     loglik_trace: np.ndarray
     converged: bool
-    iterations_run: int
     selected_iteration: int
     tuning: TuningParams | None = None
     method: str = "ml"
@@ -361,11 +288,13 @@ class FitResult:
 
     def __post_init__(self) -> None:
         trace = np.array(self.loglik_trace, dtype=float)
-        if trace.shape[0] != self.iterations_run:
-            raise ValueError("trace length must equal iterations_run")
-        if not 0 <= self.selected_iteration < self.iterations_run:
+        if not 0 <= self.selected_iteration < trace.shape[0]:
             raise ValueError("selected_iteration out of range")
         object.__setattr__(self, "loglik_trace", _readonly(trace))
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.loglik_trace)
 
 
 def _log_terms(data: Dataset, psi: Coefficients,

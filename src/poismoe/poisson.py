@@ -12,10 +12,12 @@ and are exactly zero on the rows it was not assigned, so one stacked
 product against the design's outer-product basis (``Dataset.X_outer``,
 :func:`~poismoe.linalg.rowwise_product`) forms every component's Gram,
 one more forms every right-hand side, and one stacked solve updates
-every beta. A batch of chains adds a leading chain axis to every
-array, (B, J, n) and so on; each chain's systems and updates are bit for
-bit its own call's. No mean is clamped: a NaN linear predictor or one
-above ``model.ETA_MAX`` raises NumericalFailure, which ends the chain.
+every beta. The partition is the (n,) label array of the S-step; a
+batch of chains adds a leading chain axis to it and to every array,
+(B, n), (B, J, n) and so on, and each chain's systems and updates are
+bit for bit its own call's. No mean is clamped: a NaN linear predictor
+or one above ``model.ETA_MAX`` raises NumericalFailure, which ends the
+chain.
 """
 from __future__ import annotations
 
@@ -24,12 +26,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyPartition, NumericalFailure
+from .errors import DimensionError, EmptyPartition, NumericalFailure
 from .linalg import penalized_wls_solve, rowwise_product
 from .model import ETA_MAX
 
 if TYPE_CHECKING:
-    from .model import Dataset, PartitionState
+    from .model import Dataset
 
 __all__ = [
     "ComponentWorkspace",
@@ -77,9 +79,10 @@ class ComponentWorkspace:
     rhs: np.ndarray
 
 
-def build_workspace(data: "Dataset", part: "PartitionState",
+def build_workspace(data: "Dataset", labels: np.ndarray,
                     beta_t: np.ndarray) -> ComponentWorkspace:
-    """The systems of every component of ``part`` at the (J, p) ``beta_t``.
+    """The systems of every component of the (n,) ``labels`` at the
+    (J, p) ``beta_t``.
 
     This is the only builder of beta systems: every M-step and the warm
     start of every chain (:func:`~poismoe.sem.initialize`) solve what it
@@ -87,12 +90,19 @@ def build_workspace(data: "Dataset", part: "PartitionState",
     before the means are taken, so there mu is 1 and nothing overflows:
     only a component's own rows can end the chain with the
     :class:`NumericalFailure` of an overflowing mean. A batch of chains
-    passes (B, J, p) ``beta_t`` with one assignment row per chain in
-    ``part``; an overflow in any chain raises for the batch.
+    passes (B, J, p) ``beta_t`` with (B, n) ``labels``; an overflow in
+    any chain raises for the batch. A label outside [0, J) raises
+    ``ValueError``, labels neither 1-D nor 2-D :class:`DimensionError`
+    and a component with no row :class:`EmptyPartition`.
     """
     beta_t = np.asarray(beta_t, dtype=float)
     n_components = beta_t.shape[-2]
-    rows = part.assignment[..., None, :] == np.arange(n_components)[:, None]
+    if labels.ndim not in (1, 2):
+        raise DimensionError("labels must be a vector, "
+                             "or a matrix with one row per chain")
+    rows = labels[..., None, :] == np.arange(n_components)[:, None]
+    if not rows.any(axis=-2).all():
+        raise ValueError(f"labels must lie in [0, {n_components})")
     empty = np.flatnonzero(~rows.any(axis=-1))
     if empty.size:
         raise EmptyPartition(f"component {empty[0] % n_components} "

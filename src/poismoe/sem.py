@@ -16,14 +16,15 @@ The restarts of a fit share their data, so one driver advances them in
 lockstep: every array of an iteration carries a leading chain axis B,
 the chains still running, and each step (E, S, the beta systems and
 their solve, the gate ascent, the LT retune) is one stacked computation
-for all of them. One chain is the B=1 case of the same loop. Each chain
-keeps its own random stream and every stacked product rounds a chain's
-rows as a call of its own would, so a chain's iterates do not depend on
-which other chains run beside it. A chain that stops leaves the batch
-and the others go on unchanged. A step that raises for the batch is
-retried chain by chain: the chains that raise alone are interrupted,
-and the others take the step again as one batch, with the bits each
-got alone.
+for all of them, handed the arrays the loop holds: the S-step's (B, n)
+labels, the lambdas and each iteration's d. One chain is the B=1 case
+of the same loop. Each chain keeps its own random stream and every
+stacked product rounds a chain's rows as a call of its own would, so a
+chain's iterates do not depend on which other chains run beside it. A
+chain that stops leaves the batch and the others go on unchanged. A
+step that raises for the batch is retried chain by chain: the chains
+that raise alone are interrupted, and the others take the step again
+as one batch, with the bits each got alone.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ from .errors import (DimensionError, EmptyPartition, FitFailed,
 from .gating import coordinate_descent_alphas, gating_log_probabilities
 from .metrics import align_components
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
-                    PartitionState, SemOptions, TuningParams, draw_labels,
-                    e_step, observed_loglik)
+                    SemOptions, TuningParams, draw_labels, e_step,
+                    observed_loglik)
 from .poisson import ComponentWorkspace, build_workspace, irwls_beta_step
 
 __all__ = [
@@ -53,60 +54,59 @@ Retuner = Callable[[Dataset, ComponentWorkspace, np.ndarray], tuple]
 
 def s_step(tau: np.ndarray,
            rng: np.random.Generator | Sequence[np.random.Generator]
-           ) -> PartitionState:
-    """Draw one hard component assignment per row of ``tau``.
+           ) -> np.ndarray:
+    """Draw one hard component label per row of ``tau``.
 
-    ``tau`` is one chain's (n, J) posterior with its generator, or a
-    (B, n, J) batch of chains with one generator per chain, each drawing
-    its chain's uniforms as it would alone. A draw may leave a component
-    empty; ``build_workspace`` raises :class:`EmptyPartition` for a chain
-    whose ``counts`` hold a zero.
+    ``tau`` is one chain's (n, J) posterior with its generator, giving
+    (n,) labels, or a (B, n, J) batch of chains with one generator per
+    chain, each drawing its chain's uniforms as it would alone, giving
+    (B, n). A draw may leave a component empty; ``build_workspace``
+    raises :class:`EmptyPartition` for it.
     """
-    tau = np.asarray(tau, dtype=float)
-    return PartitionState.from_assignment(draw_labels(tau, rng), tau.shape[-1])
+    return draw_labels(np.asarray(tau, dtype=float), rng)
 
 
-def m_step(data: Dataset, part: PartitionState, psi_t: Coefficients,
-           method: str = "ml", tuning: TuningParams | None = None, *,
+def m_step(data: Dataset, labels: np.ndarray, psi_t: Coefficients,
+           lam: tuple[np.ndarray, np.ndarray] | None = None,
+           d: tuple[np.ndarray, np.ndarray] | None = None, *,
            workspace: ComponentWorkspace | None = None,
            log_pi: np.ndarray | None = None) -> Coefficients:
     """Refit all component regressions and the gating network once.
 
     Every beta takes one IRWLS step from ``psi_t`` on its component's
-    rows, all J in one stacked solve of the class-major systems of
-    ``workspace`` (``build_workspace(data, part, psi_t.beta)``, built
-    here when not given); the gate is refit by
-    :func:`coordinate_descent_alphas`. ``tuning`` holds the ridge lambdas
-    and Liu-type bias corrections of ``method``, one per component or
-    class. Every Liu-type update is the shrinkage ``S^-1 (S - d I) b_r``
-    of its ridge result b_r, the estimator the tuning MSE scores: for
-    beta the ridge IRWLS step, for the gate the ridge ascent's result,
-    shrunk on its last Newton system.
+    rows of the partition ``labels``, all J in one stacked solve of the
+    class-major systems of ``workspace`` (``build_workspace(data,
+    labels, psi_t.beta)``, built here when not given); the gate is refit
+    by :func:`coordinate_descent_alphas`. ``lam`` holds the ridge
+    lambdas ``(lambda_beta, lambda_alpha)``, one per component or class,
+    and ``d`` the Liu-type bias corrections ``(d_beta, d_alpha)``;
+    ``lam=None`` is ML and ``d=None`` ridge, as in every solver below,
+    and a ``d`` without ``lam`` raises ``ValueError``. Every Liu-type
+    update is the shrinkage ``S^-1 (S - d I) b_r`` of its ridge result
+    b_r, the estimator the tuning MSE scores: for beta the ridge IRWLS
+    step, for the gate the ridge ascent's result, shrunk on its last
+    Newton system.
     ``log_pi``, when given, is the (J, n) gate log-softmax at
     ``psi_t.alpha``; the gate ascent starts from it and leaves in it the
     log-softmax of the new gating rows.
 
-    A batch of chains runs as one M-step: ``psi_t``, ``part``,
+    A batch of chains runs as one M-step: ``psi_t``, ``labels``,
     ``workspace`` and ``log_pi`` carry a leading chain axis, the lambdas
     are shared and the bias corrections are shared or (B, J), one row
     per chain. The beta systems are one stacked solve and the gates one
     lockstep ascent; the result is every chain's update, each bit for
-    bit its own call's. A failure in any chain raises for the batch.
+    bit its own call's. A failure in any chain raises for the batch, and
+    the labels are checked as ``build_workspace`` and the gate check them.
     """
-    lam_beta = lam_alpha = d_beta = d_alpha = None
-    if method != "ml":
-        if tuning is None:
-            raise ValueError(f"method {method!r} requires tuning parameters")
-        lam_beta, lam_alpha = tuning.lambda_beta, tuning.lambda_alpha
-        if method == "lt":
-            d_beta, d_alpha = tuning.d_beta, tuning.d_alpha
-        elif method != "ridge":
-            raise ValueError(f"unknown method {method!r}")
+    if lam is None and d is not None:
+        raise ValueError("a Liu-type M-step needs the ridge lambdas of its d")
+    lam_beta, lam_alpha = (None, None) if lam is None else lam
+    d_beta, d_alpha = (None, None) if d is None else d
     if workspace is None:
-        workspace = build_workspace(data, part, psi_t.beta)
+        workspace = build_workspace(data, labels, psi_t.beta)
     beta_new = irwls_beta_step(workspace, lam_beta, d_beta)
     alpha_new = coordinate_descent_alphas(
-        data.Omega, psi_t.alpha, part, lam_alpha, d_alpha,
+        data.Omega, psi_t.alpha, labels, lam_alpha, d_alpha,
         psi_t.reference_class, basis=data.Omega_outer, log_pi=log_pi)
     return Coefficients(beta=beta_new, alpha=alpha_new,
                         reference_class=psi_t.reference_class)
@@ -140,15 +140,15 @@ def initialize(data: Dataset, spec: MixtureSpec,
     n_components = spec.n_components
     assignment = _fill_empty_groups(
         rng.integers(0, n_components, size=data.n), n_components)
-    part = PartitionState.from_assignment(assignment, n_components)
     start = np.zeros((n_components, data.p))
     start[:, 0] = np.log(np.bincount(assignment, weights=data.y,
                                      minlength=n_components)
-                         / part.counts + 0.5)
+                         / np.bincount(assignment, minlength=n_components)
+                         + 0.5)
     beta = start
     try:
         for _ in range(3):
-            beta = irwls_beta_step(build_workspace(data, part, beta))
+            beta = irwls_beta_step(build_workspace(data, assignment, beta))
     except NumericalFailure:  # SingularSystem included
         beta = start
     return Coefficients(beta=beta, alpha=np.zeros((n_components, data.q)),
@@ -225,35 +225,34 @@ class _Batch:
                       if self.loglik is not None else None)
 
 
-def _take_part(part: PartitionState | None,
-               rows: list[int]) -> PartitionState | None:
-    return None if part is None else PartitionState(
-        assignment=part.assignment[rows], counts=part.counts[rows])
-
-
-def _step_survivors(step, batch: _Batch, part: PartitionState | None,
+def _step_survivors(step, batch: _Batch, labels: np.ndarray | None,
                     outcomes: list[_ChainOutcome]) -> _Batch | None:
-    """``step(batch, part)`` for the whole batch. If it raises a chain
+    """``step(batch, labels)`` for the whole batch. If it raises a chain
     interruption, the step is retried for each chain alone: the chains
     that raise end with their own reason, and the others take the step
     once more as one batch. A chain's result does not depend on the
     chains beside it, so each survivor gets what it got alone."""
     try:
-        return step(batch, part)
+        return step(batch, labels)
     except _CHAIN_INTERRUPTIONS:
         pass
+
+    def take(rows: list[int]) -> tuple[_Batch, np.ndarray | None]:
+        return batch.take(rows), None if labels is None else labels[rows]
+
     rows = []
     for row, chain in enumerate(batch.chains):
         try:
-            step(batch.take([row]), _take_part(part, [row]))
+            step(*take([row]))
             rows.append(row)
         except _CHAIN_INTERRUPTIONS as exc:
             outcomes[chain].interruption = f"{type(exc).__name__}: {exc}"
-    return step(batch.take(rows), _take_part(part, rows)) if rows else None
+    return step(*take(rows)) if rows else None
 
 
 def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
-                method: str, tuning: TuningParams | None,
+                lam: tuple[np.ndarray, np.ndarray] | None,
+                d: tuple[np.ndarray, np.ndarray] | None,
                 rngs: Sequence[np.random.Generator],
                 retune: Retuner | None) -> list[_ChainOutcome]:
     """Every chain of a fit, advanced in lockstep; an interruption keeps
@@ -263,11 +262,11 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     start is interrupted, since ``run_sem`` refuses fewer observations
     than components and the warm start keeps its own failures.
     Each lockstep iteration then takes one ``s_step``, one
-    ``build_workspace``, one retune, one :func:`m_step` and one
-    ``e_step`` for the whole batch, and records each chain's new
-    iterate; the posterior of each E-step feeds the next S-step, and the
-    gate log-softmax passes from E-step to gate ascent and back without
-    being recomputed. A chain leaves the batch when its log-likelihood
+    ``build_workspace``, one retune, one :func:`m_step` (``lam``, and
+    ``d`` or the retuned d) and one ``e_step`` for the whole batch, and
+    records each chain's new iterate; the posterior of each E-step feeds
+    the next S-step, and the gate log-softmax passes from E-step to gate
+    ascent and back without being recomputed. A chain leaves the batch when its log-likelihood
     change falls below ``epsilon`` (converged), and all stop at
     ``opts.max_iters``. An interruption (see :func:`run_sem`) belongs to
     one chain: it ends that chain the way the stopping rule would,
@@ -288,27 +287,27 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                                     reference_class=spec.reference_class),
                    log_pi=gating_log_probabilities(data.Omega, alpha))
 
-    def start(batch: _Batch, part: None) -> _Batch:
+    def start(batch: _Batch, labels: None) -> _Batch:
         tau, loglik = e_step(data, batch.psi, batch.log_pi)
         return replace(batch, tau=tau, loglik=loglik.tolist())
 
-    def iterate(batch: _Batch, part: PartitionState) -> _Batch:
-        workspace = build_workspace(data, part, batch.psi.beta)
-        d = None if retune is None else retune(data, workspace, batch.log_pi)
-        tuning_t = tuning if d is None else tuning.with_bias_corrections(*d)
+    def iterate(batch: _Batch, labels: np.ndarray) -> _Batch:
+        workspace = build_workspace(data, labels, batch.psi.beta)
+        d_t = None if retune is None else retune(data, workspace,
+                                                 batch.log_pi)
         log_pi = batch.log_pi.copy()  # the batch's stays for a retry
-        psi = m_step(data, part, batch.psi, method=method, tuning=tuning_t,
+        psi = m_step(data, labels, batch.psi, lam, d if d_t is None else d_t,
                      workspace=workspace, log_pi=log_pi)
         tau, loglik = e_step(data, psi, log_pi)
         return _Batch(chains=batch.chains, psi=psi, log_pi=log_pi, tau=tau,
-                      loglik=loglik.tolist(), previous=batch.loglik, d=d)
+                      loglik=loglik.tolist(), previous=batch.loglik, d=d_t)
 
     batch = _step_survivors(start, batch, None, outcomes)
     for _ in range(opts.max_iters):
         if batch is None:
             break
-        part = s_step(batch.tau, [rngs[chain] for chain in batch.chains])
-        batch = _step_survivors(iterate, batch, part, outcomes)
+        labels = s_step(batch.tau, [rngs[chain] for chain in batch.chains])
+        batch = _step_survivors(iterate, batch, labels, outcomes)
         if batch is None:
             break
         converged = []
@@ -339,11 +338,12 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     notes); restart r draws from
     ``SeedSequence(opts.rng_seed, spawn_key=(r,))`` and gives the same
     chain whether it runs alone or beside others.
-    ``retune(data, workspace, log_pi)``, when given, supplies each
-    M-step's d, ``(d_beta, d_alpha)`` under the lambdas of ``tuning``,
-    from the systems of the partitions just drawn at the current iterates
-    and the iterates' gate log-softmax, for the whole batch: ``workspace``
-    and ``log_pi`` carry a leading chain axis, and each d is (B, J).
+    ``retune(data, workspace, log_pi)``, when given (for ``"lt"`` only),
+    supplies each M-step's d, ``(d_beta, d_alpha)`` under the lambdas of
+    ``tuning``, from the systems of the partitions just drawn at the
+    current iterates and the iterates' gate log-softmax, for the whole
+    batch: ``workspace`` and ``log_pi`` carry a leading chain axis, and
+    each d is (B, J).
     A chain is interrupted by an empty assignment, a failed retune or a
     :class:`NumericalFailure`: a singular or indefinite system, an
     overflowing Poisson mean, a non-finite gate objective or
@@ -358,12 +358,19 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     """
     if method not in ("ml", "ridge", "lt"):
         raise ValueError(f"unknown method {method!r}")
+    if method != "ml" and tuning is None:
+        raise ValueError(f"method {method!r} requires tuning parameters")
+    if retune is not None and method != "lt":
+        raise ValueError("only a Liu-type fit retunes its d")
     if data.n < spec.n_components:
         raise DimensionError("fewer observations than components")
     rngs = [np.random.default_rng(
         np.random.SeedSequence(opts.rng_seed, spawn_key=(restart,)))
         for restart in range(opts.n_restarts)]
-    outcomes = _run_chains(data, spec, opts, method, tuning, rngs, retune)
+    lam = None if method == "ml" else (tuning.lambda_beta,
+                                       tuning.lambda_alpha)
+    d = (tuning.d_beta, tuning.d_alpha) if method == "lt" else None
+    outcomes = _run_chains(data, spec, opts, lam, d, rngs, retune)
     best: tuple[float, Coefficients, int, _ChainOutcome] | None = None
     failures: list[str] = []
     for restart, outcome in enumerate(outcomes):
@@ -382,11 +389,11 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         raise FitFailed(f"all {opts.n_restarts} restarts failed", failures)
     _, psi_sel, index_sel, outcome = best
     if retune is not None:
-        tuning = tuning.with_bias_corrections(*outcome.ds[index_sel])
+        d_beta, d_alpha = outcome.ds[index_sel]
+        tuning = replace(tuning, d_beta=d_beta, d_alpha=d_alpha)
     return FitResult(psi_hat=psi_sel,
                      loglik_trace=np.asarray(outcome.logliks),
                      converged=outcome.converged,
-                     iterations_run=len(outcome.logliks),
                      selected_iteration=index_sel,
                      tuning=None if method == "ml" else tuning,
                      method=method,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from poismoe import Coefficients, Dataset, PartitionState
+from poismoe import Coefficients, Dataset
 
 # tools/ is not a package: tests import its modules by name.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -25,7 +25,8 @@ def rng():
 
 def small_mixture(seed=0, n=60, p=3, q=2, n_components=2, beta_scale=0.4,
                   alpha_scale=0.6):
-    """A tame random mixture problem: data, truth, labels, partition."""
+    """A tame random mixture problem: data, truth and the true labels,
+    the partition an M-step takes."""
     gen = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), gen.normal(size=(n, p - 1))])
     Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
@@ -39,9 +40,7 @@ def small_mixture(seed=0, n=60, p=3, q=2, n_components=2, beta_scale=0.4,
     z = (gen.random(n)[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
     z = np.minimum(z, n_components - 1)
     y = gen.poisson(np.exp(np.einsum("ij,ij->i", X, beta[z])))
-    data = Dataset(y=y, X=X, Omega=Omega)
-    part = PartitionState.from_assignment(z, n_components)
-    return data, truth, z, part
+    return Dataset(y=y, X=X, Omega=Omega), truth, z
 
 
 def single_component_data(seed=5, n=50):
@@ -51,5 +50,4 @@ def single_component_data(seed=5, n=50):
     beta = np.array([0.4, 0.7])
     y = gen.poisson(np.exp(X @ beta))
     data = Dataset(y=y, X=X, Omega=np.ones((n, 1)))
-    part = PartitionState.from_assignment(np.zeros(n, dtype=np.int64), 1)
-    return data, part, beta
+    return data, np.zeros(n, dtype=np.int64), beta

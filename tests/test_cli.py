@@ -185,6 +185,20 @@ def test_a_refused_fit_leaves_no_output_directory(tmp_path, capsys, extra,
     assert not out.exists()
 
 
+def test_a_count_past_int64_is_refused_with_no_output_directory(tmp_path,
+                                                                capsys):
+    path = tmp_path / "huge.csv"
+    write_csv(path, ["count", "x1", "w1"],
+              [["1e20" if i == 2 else i, 0.1 * i, 0.3 * i] for i in range(5)])
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", str(path), "--response", "count",
+               "--x", "x1", "--omega", "w1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: y counts must be below 2**63, the int64 range\n")
+    assert not out.exists()
+
+
 def test_fit_strips_spaces_from_requested_column_names(tmp_path):
     data, _, _ = single_component_data(seed=5)
     path = tmp_path / "two.csv"

@@ -35,9 +35,8 @@ def binary_gating_problem(seed=8, n=60):
     Omega = np.column_stack([np.ones(n), gen.normal(size=n)])
     alpha_true = np.array([0.3, -0.8])
     p_class0 = 1.0 / (1.0 + np.exp(-(Omega @ alpha_true)))
-    assignment = (gen.random(n) >= p_class0).astype(int)  # 0 = non-reference
-    part = pm.PartitionState.from_assignment(assignment, 2)
-    return Omega, part, assignment
+    part = (gen.random(n) >= p_class0).astype(int)  # 0 = non-reference
+    return Omega, part
 
 
 def workspace_at(Omega, alpha, indicator, free):
@@ -81,8 +80,8 @@ def assert_same_gate_system(got, expected, coef, rel=1e-13):
 
 def label_picks(part):
     """Flat indices of log pi_{i, z_i} in a class-major (J, n) array."""
-    n = part.assignment.shape[0]
-    return part.assignment * n + np.arange(n)
+    n = part.shape[0]
+    return part * n + np.arange(n)
 
 
 def q1_at(Omega, alpha, part):
@@ -93,7 +92,7 @@ def q1_at(Omega, alpha, part):
 def q1_gradient(Omega, alpha, part, j):
     """Gradient of the assignment log-likelihood for class j (no penalty terms)."""
     pi = pm.gating_probabilities(Omega, alpha)
-    return Omega.T @ ((part.assignment == j).astype(float) - pi[:, j])
+    return Omega.T @ ((part == j).astype(float) - pi[:, j])
 
 
 def test_uniform_probabilities_for_zero_scores(rng):
@@ -174,20 +173,19 @@ def three_class_problem(seed=22, n=80, q=3):
     """J=3 assignment problem with reference class 1 (free rows 0 and 2)."""
     gen = np.random.default_rng(seed)
     Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
-    assignment = gen.integers(0, 3, size=n)
-    part = pm.PartitionState.from_assignment(assignment, 3)
+    part = gen.integers(0, 3, size=n)
     alpha = gen.normal(scale=0.5, size=(3, q))
     alpha[1] = 0.0
-    indicator = np.eye(3)[assignment][:, [0, 2]]
+    indicator = np.eye(3)[part][:, [0, 2]]
     return Omega, part, alpha, indicator
 
 
 def test_workspace_at_zero_alpha():
-    Omega, part, assignment = binary_gating_problem()
+    Omega, part = binary_gating_problem()
     gram, rhs = workspace_at(
-        Omega, np.zeros((2, 2)), (assignment == 0).astype(float)[:, None], [0])
+        Omega, np.zeros((2, 2)), (part == 0).astype(float)[:, None], [0])
     assert np.allclose(gram, 0.25 * Omega.T @ Omega, rtol=1e-14)
-    assert np.allclose(rhs, Omega.T @ np.where(assignment == 0, 0.5, -0.5),
+    assert np.allclose(rhs, Omega.T @ np.where(part == 0, 0.5, -0.5),
                        rtol=1e-14)
 
 
@@ -308,13 +306,13 @@ def one_step(Omega, alpha, part, lam=None, d=None):
 
 
 def test_alpha_step_liu_zero_d_equals_ridge():
-    Omega, part, assignment = binary_gating_problem(seed=9)
+    Omega, part = binary_gating_problem(seed=9)
     alpha0 = np.zeros((2, 2))
     ridge = one_step(Omega, alpha0, part, 1.3)
     lt_self = one_step(Omega, alpha0, part, 1.3, 0.0)
     assert np.array_equal(ridge, lt_self)
     gram, rhs = workspace_at(
-        Omega, alpha0, (assignment == 0).astype(float)[:, None], [0])
+        Omega, alpha0, (part == 0).astype(float)[:, None], [0])
     fixed_anchor = np.ones(2)
     lt = penalized_wls_solve(gram, rhs - 0.0 * fixed_anchor, 1.3)
     assert np.array_equal(ridge, lt)
@@ -330,7 +328,7 @@ def test_alpha_step_liu_zero_d_equals_ridge():
 
 
 def test_alpha_step_vanishing_ridge_matches_ml():
-    Omega, part, _ = binary_gating_problem(seed=10)
+    Omega, part = binary_gating_problem(seed=10)
     alpha0 = np.zeros((2, 2))
     ml = one_step(Omega, alpha0, part)
     ridge = one_step(Omega, alpha0, part, 1e-12)
@@ -338,20 +336,20 @@ def test_alpha_step_vanishing_ridge_matches_ml():
 
 
 def test_alpha_step_well_posed_with_floored_weights():
-    Omega, part, assignment = binary_gating_problem(seed=12)
+    Omega, part = binary_gating_problem(seed=12)
     extreme = np.array([[40.0, 25.0], [0.0, 0.0]])
     gram, rhs = workspace_at(
-        Omega, extreme, (assignment == 0).astype(float)[:, None], [0])
+        Omega, extreme, (part == 0).astype(float)[:, None], [0])
     assert np.all(np.isfinite(penalized_wls_solve(gram, rhs, 0.5)))
     assert np.all(np.isfinite(one_step(Omega, extreme, part, 0.5)))
 
 
 def test_coordinate_descent_ml_matches_logistic_newton():
-    Omega, part, assignment = binary_gating_problem()
+    Omega, part = binary_gating_problem()
     alpha = ascend_with_stops(Omega, np.zeros((2, 2)), part,
                               None, None, reference=1,
                               inner_tol=1e-13, inner_max=300)
-    oracle = logistic_mle_oracle(Omega, (assignment == 0).astype(float), 2)
+    oracle = logistic_mle_oracle(Omega, (part == 0).astype(float), 2)
     assert np.max(np.abs((alpha[0] - oracle) / oracle)) < 1e-6
     assert np.all(alpha[1] == 0.0)
 
@@ -359,11 +357,11 @@ def test_coordinate_descent_ml_matches_logistic_newton():
 def test_coordinate_descent_single_sweep_equals_one_step():
     # For one free class the stacked Newton step is the per-class IRWLS
     # step: weights pi(1-pi), working response Omega a + U / weights.
-    Omega, part, assignment = binary_gating_problem(seed=13)
+    Omega, part = binary_gating_problem(seed=13)
     alpha0 = np.array([[0.2, -0.1], [0.0, 0.0]])
     pi = 1.0 / (1.0 + np.exp(-(Omega @ alpha0[0])))
     weights = pi * (1.0 - pi)
-    v = Omega @ alpha0[0] + ((assignment == 0) - pi) / weights
+    v = Omega @ alpha0[0] + ((part == 0) - pi) / weights
     single = np.linalg.solve(Omega.T @ np.diag(weights) @ Omega,
                              Omega.T @ (weights * v))
     swept = one_step(Omega, alpha0, part)
@@ -380,12 +378,12 @@ def test_coordinate_descent_three_class_matches_multinomial_newton():
     pi = np.exp(scores - scores.max(axis=1, keepdims=True))
     pi /= pi.sum(axis=1, keepdims=True)
     z = (gen.random(n)[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
-    part = pm.PartitionState.from_assignment(np.minimum(z, 2), 3)
+    part = np.minimum(z, 2)
     alpha = ascend_with_stops(Omega, np.zeros((3, q)), part,
                               None, None, reference=2,
                               inner_tol=1e-12, inner_max=500)
 
-    indicators = np.eye(n_classes)[part.assignment]
+    indicators = np.eye(n_classes)[part]
 
     def negloglik(flat):
         full = np.vstack([flat.reshape(2, q), np.zeros(q)])
@@ -402,7 +400,7 @@ def test_coordinate_descent_three_class_matches_multinomial_newton():
 
 
 def test_coordinate_descent_accepted_sweeps_never_degrade_q1():
-    Omega, part, _ = binary_gating_problem(seed=15)
+    Omega, part = binary_gating_problem(seed=15)
     lam = [0.8, 0.8]
     alpha = np.array([[2.5, -3.0], [0.0, 0.0]])  # deliberately poor start
 
@@ -429,7 +427,7 @@ def stepwise_ascent(Omega, alpha_t, part, lam, d, reference, steps):
     alpha = np.array(alpha_t, dtype=float)
     free = [j for j in range(alpha.shape[0]) if j != reference]
     q = Omega.shape[1]
-    indicator = (part.assignment[:, None] == free).astype(float)
+    indicator = (part[:, None] == free).astype(float)
     if lam is not None:
         lam = np.repeat(np.asarray(lam, dtype=float)[free], q)
     for _ in range(steps):
@@ -460,7 +458,7 @@ def stepwise_ascent(Omega, alpha_t, part, lam, d, reference, steps):
 def poor_start_problem(n_classes):
     """(Omega, start, part, reference) whose first Newton steps overshoot."""
     if n_classes == 2:
-        Omega, part, _ = binary_gating_problem(seed=15)
+        Omega, part = binary_gating_problem(seed=15)
         return Omega, np.array([[2.5, -3.0], [0.0, 0.0]]), part, 1
     Omega, part, alpha, _ = three_class_problem(seed=23)
     return Omega, 6.0 * alpha, part, 1
@@ -494,7 +492,7 @@ def test_separable_ml_ascent_stops_on_the_decrement(monkeypatch):
     gen = np.random.default_rng(31)
     x = np.concatenate([gen.uniform(2.0, 4.0, 10), -gen.uniform(2.0, 4.0, 10)])
     Omega = np.column_stack([np.ones(20), x])
-    part = pm.PartitionState.from_assignment((x < 0).astype(int), 2)
+    part = (x < 0).astype(int)
     builds = []
     build = pm.gating.build_gating_workspace
 
@@ -611,7 +609,7 @@ def quasi_separated_problem(n_separated=500):
     labels = np.r_[np.zeros(n_separated, int), np.ones(n_separated, int),
                    [0, 1, 0, 1, 0, 1, 1, 1]]
     Omega = np.column_stack([np.ones_like(x), x, s.astype(float)])
-    return Omega, pm.PartitionState.from_assignment(labels, 2)
+    return Omega, labels
 
 
 def test_separated_tail_ends_well_before_the_cap(monkeypatch):
@@ -636,7 +634,7 @@ def test_separated_tail_ends_well_before_the_cap(monkeypatch):
 
 
 def test_q1_gradient_vanishes_at_converged_ml():
-    Omega, part, _ = binary_gating_problem(seed=16)
+    Omega, part = binary_gating_problem(seed=16)
     alpha = ascend_with_stops(Omega, np.zeros((2, 2)), part,
                               None, None, reference=1,
                               inner_tol=1e-13, inner_max=300)
@@ -645,9 +643,9 @@ def test_q1_gradient_vanishes_at_converged_ml():
 
 
 def test_q1_gradient_at_zero_alpha():
-    Omega, part, assignment = binary_gating_problem(seed=18)
+    Omega, part = binary_gating_problem(seed=18)
     grad = q1_gradient(Omega, np.zeros((2, 2)), part, 0)
-    expected = Omega.T @ ((assignment == 0).astype(float) - 0.5)
+    expected = Omega.T @ ((part == 0).astype(float) - 0.5)
     assert np.allclose(grad, expected, rtol=1e-12)
 
 
@@ -661,7 +659,7 @@ def test_q1_gradient_matches_finite_differences(make_shrinkage):
     # The objective the gate ascent halves steps on (q1 + penalty_value)
     # has gradient q1_gradient - lam*a: the shift the solve applies, so
     # step acceptance and the solve agree.
-    Omega, part, _ = binary_gating_problem(seed=19)
+    Omega, part = binary_gating_problem(seed=19)
     q = Omega.shape[1]
     lam = make_shrinkage(q)
     gen = np.random.default_rng(20)
@@ -690,7 +688,7 @@ def test_non_finite_trial_objective_is_a_numerical_failure(monkeypatch):
     # Make the trial's scores overflow (inf - inf in the log-softmax gives
     # NaN): the ascent must end with a typed failure, not halve the step
     # ten times and silently keep the current rows.
-    data, truth, _, part = small_mixture(seed=2)
+    data, truth, part = small_mixture(seed=2)
     alpha = np.zeros_like(truth.alpha)
     log_pi = gating_log_probabilities(data.Omega, alpha)
     honest = pm.gating.gating_log_probabilities
@@ -747,20 +745,17 @@ def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max,
     ds = None if method != "lt" else gen.uniform(0.0, 0.05, size=(3, n_classes))
     if exits:
         starts[0] = ascend_with_stops(
-            Omega, starts[0], pm.PartitionState.from_assignment(
-                parts[0], n_classes), lam, None, 1, inner_tol=1e-15,
+            Omega, starts[0], parts[0], lam, None, 1, inner_tol=1e-15,
             inner_max=300)
         starts[1:] = np.multiply.outer([3.0, 15.0], [[1.0, -1.0], [0.0, 0.0],
                                                     [-1.0, 1.0]])
     batch_log_pi = gating_log_probabilities(Omega, starts)
     together = ascend_with_stops(
-        Omega, starts, pm.PartitionState.from_assignment(np.stack(parts),
-                                                         n_classes),
-        lam, ds, 1, inner_max=inner_max, log_pi=batch_log_pi)
+        Omega, starts, np.stack(parts), lam, ds, 1, inner_max=inner_max,
+        log_pi=batch_log_pi)
     for chain in range(3):
         log_pi = gating_log_probabilities(Omega, starts[chain])
-        chain_part = pm.PartitionState.from_assignment(parts[chain],
-                                                       n_classes)
+        chain_part = parts[chain]
         d = None if ds is None else ds[chain]
         alone = ascend_with_stops(Omega, starts[chain], chain_part, lam, d,
                                   1, inner_max=inner_max, log_pi=log_pi)
@@ -776,7 +771,7 @@ def test_a_batch_of_chains_ascends_as_each_chain_alone(method, inner_max,
 @pytest.mark.parametrize("inner_max", [0, -1])
 def test_a_step_cap_below_one_is_refused(inner_max):
     # With no Newton step there would be no result to hand back.
-    Omega, part, _ = binary_gating_problem(seed=9)
+    Omega, part = binary_gating_problem(seed=9)
     with pytest.raises(ValueError, match=r"gating\.INNER_MAX"):
         ascend_with_stops(Omega, np.zeros((2, 2)), part, None, None,
                           reference=1, inner_max=inner_max)

@@ -78,7 +78,7 @@ def test_sqrt_mse_matches_double_loop_oracle():
 
 
 def test_accuracy_is_one_for_degenerate_memberships():
-    data, _, _, _ = small_mixture(seed=8, n=100)
+    data, _, _ = small_mixture(seed=8, n=100)
     psi = pm.Coefficients(beta=np.vstack([np.zeros(data.p),
                                           np.zeros(data.p)]),
                           alpha=np.vstack([np.zeros(data.q),
@@ -90,7 +90,7 @@ def test_accuracy_is_one_for_degenerate_memberships():
 
 
 def test_accuracy_near_half_for_independent_labels():
-    data, truth, _, _ = small_mixture(seed=9, n=50)
+    data, truth, _ = small_mixture(seed=9, n=50)
     gen = np.random.default_rng(10)
     values = []
     for _ in range(200):
@@ -100,7 +100,7 @@ def test_accuracy_near_half_for_independent_labels():
 
 
 def test_accuracy_invariant_to_relabeled_fit():
-    data, truth, z, _ = small_mixture(seed=11, n=80)
+    data, truth, z = small_mixture(seed=11, n=80)
     gen = np.random.default_rng(12)
     estimate = pm.Coefficients(
         beta=truth.beta + gen.normal(scale=0.1, size=truth.beta.shape),

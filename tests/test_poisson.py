@@ -130,7 +130,7 @@ def test_build_workspace_unit_weights():
     y = np.array([3, 0, 5])
     X = np.column_stack([np.ones(3), np.array([0.5, -1.0, 2.0])])
     data = pm.Dataset(y=y, X=X, Omega=np.ones((3, 1)))
-    part = pm.PartitionState.from_assignment(np.zeros(3, dtype=int), 1)
+    part = np.zeros(3, dtype=int)
     ws = pm.build_workspace(data, part, np.zeros((1, 2)))
     assert np.array_equal(ws.weights, np.ones((1, 3)))
     assert np.array_equal(ws.gram[0], X.T @ X)
@@ -140,7 +140,7 @@ def test_build_workspace_unit_weights():
 def test_build_workspace_single_observation():
     data = pm.Dataset(y=np.array([3]), X=np.array([[1.0]]),
                       Omega=np.array([[1.0]]))
-    part = pm.PartitionState.from_assignment(np.array([0]), 1)
+    part = np.array([0])
     ws = pm.build_workspace(data, part, np.zeros((1, 1)))
     assert ws.rhs[0, 0] == pytest.approx(2.0, abs=0)  # mu * z* = 1 * (3 - 1)
 
@@ -152,9 +152,8 @@ def test_build_workspace_matches_elementwise_oracle(rng):
     data = pm.Dataset(y=y, X=X, Omega=np.ones((n, 1)))
     assignment = rng.integers(0, 2, size=n)
     assignment[:2] = [0, 1]
-    part = pm.PartitionState.from_assignment(assignment, 2)
     beta = rng.normal(scale=0.3, size=(2, p))
-    ws = pm.build_workspace(data, part, beta)
+    ws = pm.build_workspace(data, assignment, beta)
     for j in range(2):
         gram, rhs = np.zeros((p, p)), np.zeros(p)
         for i in range(n):
@@ -173,10 +172,8 @@ def test_build_workspace_matches_elementwise_oracle(rng):
 def test_build_workspace_empty_component():
     data = pm.Dataset(y=np.array([1, 2]), X=np.ones((2, 1)),
                       Omega=np.ones((2, 1)))
-    part = pm.PartitionState(assignment=np.array([0, 0]),
-                             counts=np.array([2, 0]))
     with pytest.raises(EmptyPartition):
-        pm.build_workspace(data, part, np.zeros((2, 1)))
+        pm.build_workspace(data, np.array([0, 0]), np.zeros((2, 1)))
 
 
 def test_liu_type_with_zero_d_is_bitwise_ridge():
@@ -213,7 +210,7 @@ def test_singular_ml_system_raises_and_ridge_survives():
     X = np.column_stack([np.ones(n), x, x])  # exactly collinear
     y = gen.poisson(1.5, size=n)
     data = pm.Dataset(y=y, X=X, Omega=np.ones((n, 1)))
-    part = pm.PartitionState.from_assignment(np.zeros(n, dtype=int), 1)
+    part = np.zeros(n, dtype=int)
     ws = pm.build_workspace(data, part, np.zeros((1, 3)))
     with pytest.raises(SingularSystem):
         pm.irwls_beta_step(ws)
@@ -391,7 +388,7 @@ def test_unassigned_overflowing_rows_add_nothing_and_do_not_raise():
     X = np.column_stack([np.ones(6), [3.0, 2.0, -2.0, -3.0, 0.1, 0.2]])
     data = pm.Dataset(y=np.array([1, 4, 0, 2, 3, 1]), X=X,
                       Omega=np.ones((6, 1)))
-    part = pm.PartitionState.from_assignment(np.array([0, 0, 0, 0, 1, 1]), 2)
+    part = np.array([0, 0, 0, 0, 1, 1])
     beta = np.array([[0.1, 0.2], [0.0, 400.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -400,12 +397,12 @@ def test_unassigned_overflowing_rows_add_nothing_and_do_not_raise():
     assert np.array_equal(ws.weights[1, :4], np.zeros(4))
     alone = pm.build_workspace(
         pm.Dataset(y=data.y[4:], X=X[4:], Omega=np.ones((2, 1))),
-        pm.PartitionState.from_assignment(np.zeros(2, dtype=int), 1),
+        np.zeros(2, dtype=int),
         beta[1:])
     assert np.array_equal(ws.gram[1], alone.gram[0])
     assert np.array_equal(ws.rhs[1], alone.rhs[0])
     # An assigned row whose mean overflows is a NumericalFailure.
-    part = pm.PartitionState.from_assignment(np.array([1, 0, 0, 1, 0, 1]), 2)
+    part = np.array([1, 0, 0, 1, 0, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure, match="overflows"):

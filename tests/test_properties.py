@@ -195,10 +195,7 @@ def test_s_step_labels_lie_in_range(seed, n, n_components, shrink):
     tau /= tau.sum(axis=1, keepdims=True)
     tau *= 1.0 - shrink  # rows may fall just short of one
     # An empty component is drawn like any other partition.
-    part = pm.s_step(tau, np.random.default_rng(seed))
-    labels = part.assignment
-    assert np.array_equal(part.counts,
-                          np.bincount(labels, minlength=n_components))
+    labels = pm.s_step(tau, np.random.default_rng(seed))
     assert labels.shape == (n,)
     assert labels.min() >= 0 and labels.max() < n_components
 
@@ -206,8 +203,8 @@ def test_s_step_labels_lie_in_range(seed, n, n_components, shrink):
 @st.composite
 def mixture_partition_and_order(draw):
     n_components = draw(st.integers(2, 4))
-    data, psi, _, part = small_mixture(seed=draw(seeds), n=40 * n_components,
-                                       n_components=n_components)
+    data, psi, part = small_mixture(seed=draw(seeds), n=40 * n_components,
+                                    n_components=n_components)
     order = draw(st.permutations(range(n_components)))
     return data, psi, part, order
 
@@ -217,17 +214,16 @@ def test_m_step_closed_under_label_permutation(case):
     data, psi, part, order = case
     # Well posed: every component has enough rows for its regression and
     # labels drawn from an overlapping gate leave the gating MLE finite.
-    assume(part.counts.min() >= 10)
-    relabeled = pm.PartitionState.from_assignment(
-        np.argsort(order)[part.assignment], psi.n_components)
-    expected = pm.m_step(data, part, psi, method="ml").permute(order)
-    result = pm.m_step(data, relabeled, psi.permute(order), method="ml")
+    assume(np.bincount(part, minlength=psi.n_components).min() >= 10)
+    relabeled = np.argsort(order)[part]
+    expected = pm.m_step(data, part, psi).permute(order)
+    result = pm.m_step(data, relabeled, psi.permute(order))
     assert np.array_equal(result.beta, expected.beta)
     # The decrement stop guarantees the gate objective, the assignment
     # log-likelihood, and not the rows: near the maximum the ascent
     # rejects steps whose gain is below the objective's rounding, so
     # each labeling stops its own few 1e-8 short of the maximizer.
-    picks = relabeled.assignment * data.n + np.arange(data.n)
+    picks = relabeled * data.n + np.arange(data.n)
 
     def assignment_loglik(alpha):
         return q1_value(gating_log_probabilities(data.Omega, alpha), picks)
@@ -238,7 +234,7 @@ def test_m_step_closed_under_label_permutation(case):
     # One more Newton step, taken without that test, lands both on the
     # same rows.
     free = np.flatnonzero(np.arange(psi.n_components) != psi.reference_class)
-    indicator = (relabeled.assignment == free[:, None]).astype(float)
+    indicator = (relabeled == free[:, None]).astype(float)
 
     def newton_target(alpha):
         log_pi = gating_log_probabilities(data.Omega, alpha)
@@ -256,15 +252,15 @@ def test_m_step_closed_under_label_permutation(case):
 def test_gate_ascent_reaches_the_tight_objective(seed, n_components, q, lam):
     # The decrement stop ends the ascent with the ML/ridge objective as
     # good as a run with a far tighter tolerance and a larger cap.
-    data, psi, _, part = small_mixture(seed=seed, n=40 * n_components, q=q,
-                                       n_components=n_components)
-    assume(part.counts.min() >= 10)
+    data, psi, part = small_mixture(seed=seed, n=40 * n_components, q=q,
+                                    n_components=n_components)
+    assume(np.bincount(part, minlength=n_components).min() >= 10)
     lams = None if lam is None else [lam] * n_components
     free = [j for j in range(n_components) if j != psi.reference_class]
 
     def objective(alpha):
         log_pi = gating_log_probabilities(data.Omega, alpha)
-        picks = part.assignment * data.n + np.arange(data.n)
+        picks = part * data.n + np.arange(data.n)
         return q1_value(log_pi, picks) + penalty_value(
             alpha[free].ravel(), None if lam is None else lam)
 
@@ -286,8 +282,8 @@ def test_liu_type_gate_shrinks_the_ridge_gate_in_the_eigenbasis(
     # [0, lambda_min(S)] for every class, each coordinate of the
     # Liu-type gate result in S's eigenbasis is the ridge result's times
     # (s - d)/s, a factor in [0, 1].
-    data, psi, _, part = small_mixture(seed=seed % 1000, n=30 * n_components,
-                                       q=q, n_components=n_components)
+    data, psi, part = small_mixture(seed=seed % 1000, n=30 * n_components,
+                                    q=q, n_components=n_components)
     free = [j for j in range(n_components) if j != psi.reference_class]
     lams = [lam] * n_components
     grams = []
@@ -372,9 +368,9 @@ def test_gate_workspace_equals_row_major_oracle(seed, n, q, n_classes, scale):
 @given(seed=seeds, n=st.integers(1, 60), n_components=st.integers(1, 4),
        beta_scale=st.floats(0.0, 4.0))
 def test_e_step_equals_row_major_oracle(seed, n, n_components, beta_scale):
-    data, psi, _, _ = small_mixture(seed=seed, n=n, q=3,
-                                    n_components=n_components,
-                                    beta_scale=beta_scale)
+    data, psi, _ = small_mixture(seed=seed, n=n, q=3,
+                                 n_components=n_components,
+                                 beta_scale=beta_scale)
     eta = np.clip(data.X @ psi.beta.T, ETA_FLOOR, ETA_MAX)
     log_terms = _row_log_softmax(data.Omega @ psi.alpha.T) + (
         data.y[:, None] * eta - np.exp(eta) - data.log_y_factorial[:, None])
@@ -403,8 +399,8 @@ def test_labels_equal_row_major_oracle(seed, n, n_components, shrink,
                           n_components - 1)
     assert np.array_equal(draw_labels(tau, np.random.default_rng(seed)),
                           expected)
-    part = pm.s_step(tau, np.random.default_rng(seed))
-    assert np.array_equal(part.assignment, expected)
+    assert np.array_equal(pm.s_step(tau, np.random.default_rng(seed)),
+                          expected)
 
 
 @settings(max_examples=100)
@@ -451,19 +447,19 @@ def test_a_chain_runs_alike_alone_and_in_a_batch(seed, n_components,
     # convergence and interruption are bit for bit what it gives alone,
     # whatever the other chains do beside it (stop, fail or run on).
     from test_sem import batch_and_solo_runs, chain_record
-    data, truth, _, _ = small_mixture(seed=seed % 1000, n=n, q=2,
-                                      n_components=n_components)
+    data, truth, _ = small_mixture(seed=seed % 1000, n=n, q=2,
+                                   n_components=n_components)
     opts = pm.SemOptions(epsilon=1e-3, max_iters=10, burn_in=0,
                          n_restarts=restarts, rng_seed=seed)
-    tuning = retune = None
+    lam = retune = None
     if method != "ml":
         tuning = pm.estimate_ridge_lambdas(truth, source="truth")
+        lam = (tuning.lambda_beta, tuning.lambda_alpha)
         if method == "lt":
             retune = pm.pipeline._make_retuner(data, tuning, truth)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         batch, solo = batch_and_solo_runs(
-            data, pm.MixtureSpec(n_components, 0), opts, method, tuning,
-            retune)
+            data, pm.MixtureSpec(n_components, 0), opts, lam, retune)
     for together, alone in zip(batch, solo):
         assert chain_record(together) == chain_record(alone)

@@ -11,7 +11,7 @@ from test_poisson import iterate_ml_to_convergence, poisson_mle_oracle
 
 
 def test_e_step_single_component_is_one():
-    data, _, _, _ = small_mixture(seed=1)
+    data, _, _ = small_mixture(seed=1)
     psi = pm.Coefficients(beta=np.full((1, data.p), 0.2),
                           alpha=np.zeros((1, data.q)))
     tau, _ = pm.e_step(data, psi)
@@ -19,7 +19,7 @@ def test_e_step_single_component_is_one():
 
 
 def test_e_step_identical_components_reduce_to_gating():
-    data, truth, _, _ = small_mixture(seed=2)
+    data, truth, _ = small_mixture(seed=2)
     beta = np.vstack([truth.beta[0], truth.beta[0]])
     psi = pm.Coefficients(beta=beta, alpha=truth.alpha, reference_class=0)
     tau, _ = pm.e_step(data, psi)
@@ -29,7 +29,7 @@ def test_e_step_identical_components_reduce_to_gating():
 
 def test_e_step_matches_unlogged_ratio_oracle():
     from scipy.stats import poisson as poisson_dist
-    data, truth, _, _ = small_mixture(seed=3, n=30)
+    data, truth, _ = small_mixture(seed=3, n=30)
     tau, _ = pm.e_step(data, truth)
     pi = pm.gating_probabilities(data.Omega, truth.alpha)
     mu = np.exp(data.X @ truth.beta.T)
@@ -42,21 +42,21 @@ def test_s_step_degenerate_rows_are_deterministic(rng):
     tau = np.zeros((10, 2))
     tau[:5, 0] = 1.0
     tau[5:, 1] = 1.0
-    part = pm.s_step(tau, rng)
-    assert np.array_equal(part.assignment, np.array([0] * 5 + [1] * 5))
+    labels = pm.s_step(tau, rng)
+    assert np.array_equal(labels, np.array([0] * 5 + [1] * 5))
 
 
 def test_s_step_binomial_concentration():
     tau = np.full((10_000, 2), 0.5)
-    part = pm.s_step(tau, np.random.default_rng(77))
-    assert abs(part.counts[0] - 5000) <= 200  # 4 sigma, sigma = 50
+    counts = np.bincount(pm.s_step(tau, np.random.default_rng(77)))
+    assert abs(counts[0] - 5000) <= 200  # 4 sigma, sigma = 50
 
 
 def test_s_step_is_deterministic_given_seed():
     tau = np.full((500, 3), 1.0 / 3.0)
     a = pm.s_step(tau, np.random.default_rng(123))
     b = pm.s_step(tau, np.random.default_rng(123))
-    assert np.array_equal(a.assignment, b.assignment)
+    assert np.array_equal(a, b)
 
 
 def test_empty_s_step_draw_raises_in_build_workspace(rng):
@@ -68,18 +68,20 @@ def test_empty_s_step_draw_raises_in_build_workspace(rng):
     split = np.repeat(np.eye(2), 3, axis=0)
     one = pm.s_step(empty, rng)
     batch = pm.s_step(np.stack([split, empty]), [rng, rng])
-    assert one.counts.tolist() == [6, 0]
-    assert batch.counts.tolist() == [[3, 3], [6, 0]]
-    for part, beta in ((one, np.zeros((2, 1))), (batch, np.zeros((2, 2, 1)))):
+    assert np.bincount(one, minlength=2).tolist() == [6, 0]
+    assert [np.bincount(row, minlength=2).tolist() for row in batch] \
+        == [[3, 3], [6, 0]]
+    for labels, beta in ((one, np.zeros((2, 1))),
+                         (batch, np.zeros((2, 2, 1)))):
         with pytest.raises(EmptyPartition,
                            match="^component 1 received no observations$"):
-            pm.build_workspace(data, part, beta)
+            pm.build_workspace(data, labels, beta)
 
 
 def test_m_step_single_component_is_one_irwls_step():
     data, part, _ = single_component_data()
     psi = pm.Coefficients(beta=np.zeros((1, 2)), alpha=np.zeros((1, 1)))
-    updated = pm.m_step(data, part, psi, method="ml")
+    updated = pm.m_step(data, part, psi)
     ws = pm.build_workspace(data, part, np.zeros((1, 2)))
     expected = pm.irwls_beta_step(ws)
     assert np.array_equal(updated.beta, expected)
@@ -87,30 +89,64 @@ def test_m_step_single_component_is_one_irwls_step():
 
 
 def test_m_step_liu_with_zero_d_matches_ridge():
-    data, truth, _, part = small_mixture(seed=6)
-    tuning = pm.TuningParams(lambda_beta=[0.5, 0.9], lambda_alpha=[0.7, 1.1],
-                             d_beta=[0.0, 0.0], d_alpha=[0.0, 0.0])
-    ridge = pm.m_step(data, part, truth, method="ridge", tuning=tuning)
-    lt = pm.m_step(data, part, truth, method="lt", tuning=tuning)
+    data, truth, part = small_mixture(seed=6)
+    lam = (np.array([0.5, 0.9]), np.array([0.7, 1.1]))
+    ridge = pm.m_step(data, part, truth, lam)
+    lt = pm.m_step(data, part, truth, lam, (np.zeros(2), np.zeros(2)))
     assert np.array_equal(ridge.beta, lt.beta)
     assert np.array_equal(ridge.alpha, lt.alpha)
 
 
+LABEL_CHECKING_STEPS = {
+    "m_step": lambda data, labels, psi: pm.m_step(data, labels, psi),
+    "build_workspace": lambda data, labels, psi: pm.build_workspace(
+        data, labels, psi.beta),
+    "coordinate_descent_alphas": lambda data, labels, psi:
+        pm.coordinate_descent_alphas(data.Omega, psi.alpha, labels, None,
+                                     None, psi.reference_class),
+}
+
+
+@pytest.mark.parametrize("step", LABEL_CHECKING_STEPS)
+@pytest.mark.parametrize("labels", [
+    [0, 1, 0, 1, 0, 2], [0, 1, -1, 1, 0, 1],
+    [[0, 1, 0, 1, 0, 1], [0, 1, 2, 1, 0, 1]],  # 2 would index the next chain
+    [[0, 1, 0, 1, 0, -1], [0, 1, 0, 1, 0, 1]]],
+    ids=["one-high", "one-negative", "batch-high", "batch-negative"])
+def test_every_m_step_layer_refuses_a_label_outside_the_components(
+        step, labels):
+    data, _, _ = small_mixture(seed=3, n=6)
+    labels = np.array(labels)
+    chains = labels.shape[:-1]
+    psi = pm.Coefficients(beta=np.zeros((*chains, 2, data.p)),
+                          alpha=np.zeros((*chains, 2, data.q)))
+    with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
+        LABEL_CHECKING_STEPS[step](data, labels, psi)
+    with pytest.raises(DimensionError, match="^labels must be a vector"):
+        LABEL_CHECKING_STEPS[step](data, np.zeros((1, 2, 6), dtype=int),
+                                   psi)
+
+
+def test_m_step_refuses_a_bias_correction_without_lambdas():
+    data, truth, part = small_mixture(seed=6)
+    with pytest.raises(ValueError, match="needs the ridge lambdas"):
+        pm.m_step(data, part, truth, None, (np.zeros(2), np.zeros(2)))
+
+
 def test_m_step_matches_scripted_linear_algebra():
-    data, truth, _, part = small_mixture(seed=8, n=40)
-    tuning = pm.TuningParams(lambda_beta=[0.4, 0.8], lambda_alpha=[0.6, 1.2],
-                             d_beta=[0.0, 0.0], d_alpha=[0.0, 0.0])
-    result = pm.m_step(data, part, truth, method="ridge", tuning=tuning)
+    data, truth, part = small_mixture(seed=8, n=40)
+    lambda_beta, lambda_alpha = np.array([0.4, 0.8]), np.array([0.6, 1.2])
+    result = pm.m_step(data, part, truth, (lambda_beta, lambda_alpha))
 
     X, Omega, y = np.asarray(data.X), np.asarray(data.Omega), data.y
     beta_expected = np.empty_like(np.asarray(truth.beta))
     for j in range(2):
-        rows = part.assignment == j
+        rows = part == j
         Xj = X[rows]
         mu = np.exp(Xj @ truth.beta[j])
         z_star = Xj @ truth.beta[j] + (y[rows] - mu) / mu
         gram = Xj.T @ np.diag(mu) @ Xj \
-            + tuning.lambda_beta[j] * np.eye(X.shape[1])
+            + lambda_beta[j] * np.eye(X.shape[1])
         beta_expected[j] = np.linalg.inv(gram) @ (Xj.T @ np.diag(mu) @ z_star)
     assert np.allclose(result.beta, beta_expected, rtol=1e-10)
 
@@ -123,10 +159,10 @@ def test_m_step_matches_scripted_linear_algebra():
         pi = raw / raw.sum(axis=1, keepdims=True)
         pij = np.clip(pi[:, j], 1e-10, 1 - 1e-10)
         w = pij * (1 - pij)
-        U = (part.assignment == j).astype(float) - pi[:, j]
+        U = (part == j).astype(float) - pi[:, j]
         v = Omega @ alpha[j] + U / w
         gram = Omega.T @ np.diag(w) @ Omega \
-            + tuning.lambda_alpha[j] * np.eye(Omega.shape[1])
+            + lambda_alpha[j] * np.eye(Omega.shape[1])
         step = np.linalg.inv(gram) @ (Omega.T @ np.diag(w) @ v)
         done = np.max(np.abs(step - alpha[j])) < 1e-13
         alpha[j] = step
@@ -137,7 +173,7 @@ def test_m_step_matches_scripted_linear_algebra():
 
 
 def test_initialize_deterministic_and_zero_alpha():
-    data, _, _, _ = small_mixture(seed=10)
+    data, _, _ = small_mixture(seed=10)
     spec = pm.MixtureSpec(2, 0)
     a = pm.initialize(data, spec, np.random.default_rng(5))
     b = pm.initialize(data, spec, np.random.default_rng(5))
@@ -175,8 +211,8 @@ def initial_split(data, n_components, seed):
 @pytest.mark.parametrize("n_components", [1, 2, 3, 4])
 def test_initialize_matches_per_group_warm_start(n_components):
     for seed in range(25):
-        data, _, _, _ = small_mixture(seed=seed, n=30 * n_components,
-                                      n_components=n_components)
+        data, _, _ = small_mixture(seed=seed, n=30 * n_components,
+                                   n_components=n_components)
         got = pm.initialize(data, pm.MixtureSpec(n_components, 0),
                             np.random.default_rng(seed))
         oracle = per_group_warm_start(
@@ -186,7 +222,7 @@ def test_initialize_matches_per_group_warm_start(n_components):
 
 
 def test_initialize_falls_back_to_intercepts_when_one_group_is_singular():
-    data, _, _, _ = small_mixture(seed=4, n=90, n_components=3)
+    data, _, _ = small_mixture(seed=4, n=90, n_components=3)
     assignment = initial_split(data, 3, seed=7)
     X = np.array(data.X)
     X[assignment == 1, 2] = 0.5  # constant next to the intercept
@@ -212,7 +248,7 @@ def test_fewer_observations_than_components_is_a_dimension_error():
 
 
 def test_initialize_single_component_draws_nothing():
-    data, _, _, _ = small_mixture(seed=11, n_components=1)
+    data, _, _ = small_mixture(seed=11, n_components=1)
     rng = np.random.default_rng(13)
     pm.initialize(data, pm.MixtureSpec(1, 0), rng)
     assert rng.bit_generator.state == \
@@ -220,7 +256,7 @@ def test_initialize_single_component_draws_nothing():
 
 
 def test_run_sem_huge_epsilon_stops_after_one_iteration():
-    data, _, _, _ = small_mixture(seed=12)
+    data, _, _ = small_mixture(seed=12)
     opts = pm.SemOptions(epsilon=1e9, max_iters=50, burn_in=0, n_restarts=1,
                          rng_seed=3)
     fit = pm.run_sem(data, pm.MixtureSpec(2, 0), opts, method="ml")
@@ -253,7 +289,7 @@ def test_run_sem_is_deterministic():
 
 
 def test_run_sem_post_burnin_mean_selection():
-    data, _, _, _ = small_mixture(seed=14, n=80)
+    data, _, _ = small_mixture(seed=14, n=80)
     opts = pm.SemOptions(epsilon=1e-12, max_iters=30, burn_in=10,
                          n_restarts=1, rng_seed=21,
                          estimate_selection="post_burnin_mean")
@@ -265,7 +301,7 @@ def test_run_sem_post_burnin_mean_selection():
 
 
 def test_run_sem_retune_hook_is_called():
-    data, _, _, _ = small_mixture(seed=16)
+    data, _, _ = small_mixture(seed=16)
     tuning = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
     calls = []
 
@@ -284,12 +320,12 @@ def test_run_sem_retune_hook_is_called():
     assert np.all(np.isfinite(fit.psi_hat.beta))
     assert fit.tuning.d_beta.tolist() == [0.1, 0.1]
     assert fit.tuning.d_alpha.tolist() == [0.0, 0.0]
-    assert fit.tuning.lambda_beta is tuning.lambda_beta
-    assert fit.tuning.lambda_alpha is tuning.lambda_alpha
+    assert fit.tuning.lambda_beta.tolist() == [0.5, 0.5]
+    assert fit.tuning.lambda_alpha.tolist() == [0.5, 0.5]
 
 
 def test_run_sem_reports_the_tuning_of_the_selected_iteration():
-    data, _, _, _ = small_mixture(seed=16)
+    data, _, _ = small_mixture(seed=16)
     returned = []
 
     def retune(data_, workspace, log_pi):
@@ -307,11 +343,11 @@ def test_run_sem_reports_the_tuning_of_the_selected_iteration():
     d_beta, d_alpha = returned[fit.selected_iteration]
     assert fit.tuning.d_beta.tolist() == d_beta
     assert fit.tuning.d_alpha.tolist() == d_alpha
-    assert fit.tuning.lambda_beta is start.lambda_beta
+    assert fit.tuning.lambda_beta.tolist() == start.lambda_beta.tolist()
 
 
 def test_e_step_loglik_is_the_observed_loglik():
-    data, truth, _, _ = small_mixture(seed=18, n=70)
+    data, truth, _ = small_mixture(seed=18, n=70)
     for psi in (truth, truth.permute((1, 0))):
         tau, loglik = pm.e_step(data, psi)
         assert loglik == pm.observed_loglik(data, psi)
@@ -320,7 +356,7 @@ def test_e_step_loglik_is_the_observed_loglik():
 
 
 def test_selected_loglik_is_the_observed_loglik_of_psi_hat():
-    data, _, _, _ = small_mixture(seed=18, n=70)
+    data, _, _ = small_mixture(seed=18, n=70)
     opts = pm.SemOptions(epsilon=1e-300, max_iters=15, burn_in=0,
                          n_restarts=2, rng_seed=31)
     fit = pm.run_sem(data, pm.MixtureSpec(2, 0), opts, method="ml")
@@ -333,19 +369,17 @@ def test_handed_over_gate_log_softmax_equals_recomputed(method):
     # The chain hands the gate ascent's log-softmax to the next E-step
     # and from there to the next M-step; each use must see bit for bit
     # what recomputing it from the coefficients gives.
-    data, truth, _, part = small_mixture(seed=9, n=50, q=3, n_components=3)
-    tuning = pm.TuningParams(lambda_beta=[0.5, 0.9, 0.7],
-                             lambda_alpha=[0.7, 1.1, 0.4],
-                             d_beta=[0.1, 0.2, 0.3], d_alpha=[0.2, 0.1, 0.05])
+    data, truth, part = small_mixture(seed=9, n=50, q=3, n_components=3)
+    lam = None if method == "ml" else (np.array([0.5, 0.9, 0.7]),
+                                       np.array([0.7, 1.1, 0.4]))
+    d = None if method != "lt" else (np.array([0.1, 0.2, 0.3]),
+                                     np.array([0.2, 0.1, 0.05]))
     log_pi = pm.gating.gating_log_probabilities(data.Omega, truth.alpha)
     tau, loglik = pm.e_step(data, truth, log_pi)
     tau_fresh, loglik_fresh = pm.e_step(data, truth)
     assert np.array_equal(tau, tau_fresh) and loglik == loglik_fresh
-    updated = pm.m_step(data, part, truth, method=method,
-                        tuning=None if method == "ml" else tuning,
-                        log_pi=log_pi)
-    fresh = pm.m_step(data, part, truth, method=method,
-                      tuning=None if method == "ml" else tuning)
+    updated = pm.m_step(data, part, truth, lam, d, log_pi=log_pi)
+    fresh = pm.m_step(data, part, truth, lam, d)
     assert np.array_equal(updated.alpha, fresh.alpha)
     assert np.array_equal(updated.beta, fresh.beta)
     assert np.array_equal(
@@ -373,15 +407,15 @@ def chain_record(outcome):
             outcome.converged, outcome.interruption)
 
 
-def batch_and_solo_runs(data, spec, opts, method="ml", tuning=None,
-                        retune=None):
+def batch_and_solo_runs(data, spec, opts, lam=None, retune=None):
     """Every restart's outcome from one lockstep batch, and each
-    restart's outcome run alone."""
+    restart's outcome run alone, under the lambdas ``lam`` and the d of
+    ``retune``."""
     restarts = range(opts.n_restarts)
-    batch = sem._run_chains(data, spec, opts, method, tuning,
+    batch = sem._run_chains(data, spec, opts, lam, None,
                             restart_generators(opts.rng_seed, restarts),
                             retune)
-    solo = [sem._run_chains(data, spec, opts, method, tuning,
+    solo = [sem._run_chains(data, spec, opts, lam, None,
                             restart_generators(opts.rng_seed, [r]),
                             retune)[0] for r in restarts]
     return batch, solo
@@ -393,7 +427,7 @@ def test_interrupted_chains_leave_the_batch_and_the_others_run_on(
     # and restart 1 meets a singular system after 3, while restart 2 runs
     # to the cap. Each keeps what it had completed, with its own reason,
     # and every chain matches its run alone bit for bit.
-    data, _, _, _ = small_mixture(seed=234, n=12, p=3, q=2)
+    data, _, _ = small_mixture(seed=234, n=12, p=3, q=2)
     opts = pm.SemOptions(epsilon=1e-300, max_iters=25, burn_in=0,
                          n_restarts=3, rng_seed=234)
     chains_per_e_step = []
@@ -421,7 +455,7 @@ def test_interrupted_chains_leave_the_batch_and_the_others_run_on(
 def test_fit_failed_diagnostics_keep_restart_order():
     # Every restart fails before its first iteration, for two reasons;
     # the diagnostics list them by restart, each with its solo reason.
-    data, _, _, _ = small_mixture(seed=7, n=4, p=3, q=2)
+    data, _, _ = small_mixture(seed=7, n=4, p=3, q=2)
     opts = pm.SemOptions(epsilon=1e-300, max_iters=5, burn_in=0,
                          n_restarts=3, rng_seed=7)
     _, solo = batch_and_solo_runs(data, pm.MixtureSpec(2, 0), opts)
@@ -439,7 +473,7 @@ def test_each_restart_reports_how_its_chain_ended():
     # empty component, a singular system (twice), the epsilon rule and
     # the cap. The fit keeps each end in restart order, an interruption
     # with the message its chain ended on.
-    data, _, _, _ = small_mixture(seed=234, n=12, p=3, q=2)
+    data, _, _ = small_mixture(seed=234, n=12, p=3, q=2)
     opts = pm.SemOptions(epsilon=1e-6, max_iters=10, burn_in=0,
                          n_restarts=5, rng_seed=234)
     fit = pm.run_sem(data, pm.MixtureSpec(2, 0), opts)

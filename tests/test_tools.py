@@ -2,7 +2,8 @@
 compared with itself must report no difference, ``fit_compare.py``
 scores both checkouts of a heart study against one truth and counts
 the end of every restart of a batch, ``work_count.py`` sees one extra
-call per E-step and no garbage-collector callback, and the study
+call per E-step and no garbage-collector callback and tells a pin's
+moved estimates from its other record changes, and the study
 harness they share restores what it patches, loads two checkouts that
 share no module state and refuses to load a name twice. The end types
 of each pinned fit, a failed stage's read from its note, are checked
@@ -202,6 +203,19 @@ def test_work_count_reads_one_more_c_call_per_e_step(tiny_study, tmp_path):
     empty = [line.split() for line in lines if line.startswith("  ")]
     assert [fields[:2] for fields in empty] == [["c", "numpy.empty"]]
     assert int(empty[0][3]) - int(empty[0][2]) == e_steps
+
+
+def test_a_pin_tells_moved_estimates_from_other_record_changes():
+    fits = FIXTURE["studies"][0]["fits"]
+    assert work_count.fit_changes(fits, fits) == (0, 0)
+    # A field added to every record moves no estimate.
+    grown = [dict(fit, added=True) for fit in fits]
+    assert work_count.fit_changes(fits, grown) == (0, len(fits))
+    fitted = next(i for i, fit in enumerate(fits) if "beta" in fit)
+    moved = [dict(fit) for fit in fits]
+    moved[fitted]["beta"] = fit_compare.hexed([[0.5]])
+    assert work_count.fit_changes(fits, moved) == (1, 1)
+    assert work_count.fit_changes(fits, fits[:-1]) == (1, 1)
 
 
 def test_work_count_leaves_out_a_garbage_collector_callback(tiny_study):

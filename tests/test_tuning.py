@@ -199,8 +199,8 @@ def test_optimized_mse_never_exceeds_ridge_pattern():
 
 
 def retune_inputs(seed=30, n_components=2, q=2):
-    data, truth, _, part = small_mixture(seed=seed, n_components=n_components,
-                                         q=q)
+    data, truth, part = small_mixture(seed=seed, n_components=n_components,
+                                      q=q)
     anchors = pm.Coefficients(beta=0.8 * truth.beta, alpha=0.7 * truth.alpha,
                               reference_class=truth.reference_class)
     return data, truth, part, anchors
@@ -213,7 +213,7 @@ def per_component_corrections(data, part, psi_t, tuning, anchors):
     pi_t = pm.gating_probabilities(data.Omega, psi_t.alpha).T
     pi_anchor = pm.gating_probabilities(data.Omega, anchors.alpha).T
     for j in range(n_components):
-        X_j = data.X[part.assignment == j]
+        X_j = data.X[part == j]
         weights = pm.poisson_means(X_j, psi_t.beta[j])
         d_beta[j] = pm.optimize_bias_correction(
             X_j.T @ (weights[:, None] * X_j), tuning.lambda_beta[j],
@@ -326,8 +326,13 @@ def test_optimize_stays_in_the_restricted_interval(seed):
 
 
 def test_tuning_params_refuse_a_negative_bias_correction():
+    # Nor a d that is not finite.
     for d_beta, d_alpha in (([-0.1, 0.2], [0.0, 0.1]),
-                            ([0.1, 0.2], [0.0, -1e-300])):
-        with pytest.raises(ValueError, match="non-negative"):
+                            ([0.1, 0.2], [0.0, -1e-300]),
+                            ([0.1, np.nan], [0.0, 0.0]),
+                            ([0.1, np.inf], [0.0, 0.0]),
+                            ([0.1, 0.1], [np.nan, 0.0]),
+                            ([0.1, 0.1], [np.inf, 0.0])):
+        with pytest.raises(ValueError, match="finite and non-negative"):
             pm.TuningParams(lambda_beta=[0.5, 0.5], lambda_alpha=[0.5, 0.5],
                             d_beta=d_beta, d_alpha=d_alpha)

@@ -35,8 +35,9 @@ the rows of its population file) it stores the record ``count`` makes
 of it with this checkout's sources: the call counts and every fit's
 ``fit_compare.record``, the heart truth fit's included. It stores the
 Python and numpy versions too, since the counts depend on them. One
-line per study counts the fits whose record changed and gives the calls
-per iteration, pinned then counted.
+line per study counts the fits whose estimates moved and those whose
+record changed at all (``fit_changes``), and gives the calls per
+iteration, pinned then counted.
 """
 from __future__ import annotations
 
@@ -120,6 +121,22 @@ def per_iteration(record: dict, name: str) -> float:
     return record.get(name, 0) / max(iterations, 1)
 
 
+# The record fields of a fit's estimates; the other fields say how its
+# chains ran.
+ESTIMATES = ("beta", "alpha", "d")
+
+
+def fit_changes(pinned: list[dict], counted: list[dict]) -> tuple[int, int]:
+    """How many of the ``counted`` fit records moved an estimate against
+    the ``pinned`` ones, and how many differ in any field; a fit that
+    only one side has counts in both."""
+    pairs = list(itertools.zip_longest(pinned, counted))
+    return (sum(None in (a, b) or any(a.get(key) != b.get(key)
+                                      for key in ESTIMATES)
+                for a, b in pairs),
+            sum(a != b for a, b in pairs))
+
+
 def pin() -> int:
     """``--pin``: run the fixture's studies with this checkout's sources
     and rewrite ``PINNED``."""
@@ -129,10 +146,11 @@ def pin() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for study in fixture["studies"]:
             record = count(pm, pinned_payload(study, Path(tmp)))
-            changed = sum(a != b for a, b in itertools.zip_longest(
-                record["fits"], study.get("fits", [])))
+            moved, changed = fit_changes(study.get("fits", []),
+                                         record["fits"])
             print(f"{study['name']}: {len(record['fits'])} fits, "
-                  f"{changed} changed; " + "; ".join(
+                  f"{moved} estimates moved, {changed} records changed; "
+                  + "; ".join(
                       f"{name}/iteration {per_iteration(study, name):.2f} -> "
                       f"{per_iteration(record, name):.2f}"
                       for name in ("calls", "c_calls")))
