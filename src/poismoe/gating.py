@@ -251,8 +251,8 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     R1-R3 and halvings are its own, so each chain's result is bit for
     bit its own call's. A non-finite trial objective of any chain that
     tries its step raises for the whole call. ``INNER_MAX`` below 1 and a
-    label outside [0, J) raise ``ValueError``, labels neither 1-D nor 2-D
-    :class:`DimensionError`.
+    label outside [0, J) raise ``ValueError``, labels not shaped one row
+    of n per chain :class:`DimensionError`.
 
     ``basis``, when given, is ``outer_basis(Omega)`` (``Dataset.Omega_outer``).
     ``log_pi``, when given, is the (J, n) (or (B, J, n)) log-softmax at
@@ -263,13 +263,13 @@ def coordinate_descent_alphas(Omega: np.ndarray, alpha_t: np.ndarray,
     if INNER_MAX < 1:
         raise ValueError(f"gating.INNER_MAX must be at least 1: {INNER_MAX}")
     alpha = np.array(alpha_t, dtype=float)
+    if labels.shape != alpha.shape[:-2] + Omega.shape[:1]:
+        raise DimensionError(f"labels of shape {labels.shape} are not one "
+                             f"row of {Omega.shape[0]} per chain of alpha")
     single = alpha.ndim == 2
     if single:
         alpha = alpha[None]
     chains, n_classes, q = alpha.shape
-    if labels.ndim not in (1, 2):
-        raise DimensionError("labels must be a vector, "
-                             "or a matrix with one row per chain")
     if not (0 <= labels.min() and labels.max() < n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
     if n_classes == 1:

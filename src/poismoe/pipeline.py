@@ -49,17 +49,17 @@ def _make_retuner(data: Dataset, tuning_lt: TuningParams,
                   anchors: Coefficients):
     """Retuner for ``run_sem`` on ``data``: d fit per M-step.
 
-    The returned ``retuner(data, workspace, log_pi)`` re-optimizes d in
-    closed form, under the lambdas of ``tuning_lt``, against the systems
-    the next update will solve, for every chain of the batch at once: it
-    returns ``(d_beta, d_alpha)``, each (B, J). Plug-in truth stays at
-    the ridge ``anchors``, whose means and gate probabilities it computes
-    once per fit.
+    The returned ``retuner(workspace, log_pi)`` re-optimizes d on
+    ``data`` in closed form, under the lambdas of ``tuning_lt``, against
+    the systems the next update will solve, for every chain of the batch
+    at once: it returns ``(d_beta, d_alpha)``, each (B, J). Plug-in truth
+    stays at the ridge ``anchors``, whose means and gate probabilities it
+    computes once per fit.
     """
     anchor_means = poisson_means(data.X, anchors.beta)
     anchor_pi = gating_probabilities(data.Omega, anchors.alpha).T
 
-    def retuner(data: Dataset, workspace: ComponentWorkspace,
+    def retuner(workspace: ComponentWorkspace,
                 log_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return bias_corrections_for_partition(
             data, workspace, log_pi, tuning_lt, anchors, anchor_means,

@@ -91,15 +91,15 @@ def build_workspace(data: "Dataset", labels: np.ndarray,
     only a component's own rows can end the chain with the
     :class:`NumericalFailure` of an overflowing mean. A batch of chains
     passes (B, J, p) ``beta_t`` with (B, n) ``labels``; an overflow in
-    any chain raises for the batch. A label outside [0, J) raises
-    ``ValueError``, labels neither 1-D nor 2-D :class:`DimensionError`
-    and a component with no row :class:`EmptyPartition`.
+    any chain raises for the batch. Labels not shaped one row of n per
+    chain raise :class:`DimensionError`, a label outside [0, J)
+    ``ValueError`` and a component with no row :class:`EmptyPartition`.
     """
     beta_t = np.asarray(beta_t, dtype=float)
     n_components = beta_t.shape[-2]
-    if labels.ndim not in (1, 2):
-        raise DimensionError("labels must be a vector, "
-                             "or a matrix with one row per chain")
+    if labels.shape != beta_t.shape[:-2] + data.y.shape:
+        raise DimensionError(f"labels of shape {labels.shape} are not one "
+                             f"row of {data.n} per chain of beta")
     rows = labels[..., None, :] == np.arange(n_components)[:, None]
     if not rows.any(axis=-2).all():
         raise ValueError(f"labels must lie in [0, {n_components})")

@@ -49,7 +49,8 @@ __all__ = [
     "run_sem",
 ]
 
-Retuner = Callable[[Dataset, ComponentWorkspace, np.ndarray], tuple]
+# retune(workspace, log_pi) -> a Liu-type M-step's d; see run_sem.
+Retuner = Callable[[ComponentWorkspace, np.ndarray], tuple]
 
 
 def s_step(tau: np.ndarray,
@@ -96,7 +97,7 @@ def m_step(data: Dataset, labels: np.ndarray, psi_t: Coefficients,
     per chain. The beta systems are one stacked solve and the gates one
     lockstep ascent; the result is every chain's update, each bit for
     bit its own call's. A failure in any chain raises for the batch, and
-    the labels are checked as ``build_workspace`` and the gate check them.
+    ``build_workspace`` and the gate check the labels' shape and range.
     """
     if lam is None and d is not None:
         raise ValueError("a Liu-type M-step needs the ridge lambdas of its d")
@@ -252,7 +253,6 @@ def _step_survivors(step, batch: _Batch, labels: np.ndarray | None,
 
 def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                 lam: tuple[np.ndarray, np.ndarray] | None,
-                d: tuple[np.ndarray, np.ndarray] | None,
                 rngs: Sequence[np.random.Generator],
                 retune: Retuner | None) -> list[_ChainOutcome]:
     """Every chain of a fit, advanced in lockstep; an interruption keeps
@@ -262,8 +262,8 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     start is interrupted, since ``run_sem`` refuses fewer observations
     than components and the warm start keeps its own failures.
     Each lockstep iteration then takes one ``s_step``, one
-    ``build_workspace``, one retune, one :func:`m_step` (``lam``, and
-    ``d`` or the retuned d) and one ``e_step`` for the whole batch, and
+    ``build_workspace``, one retune (Liu-type only), one :func:`m_step`
+    (``lam`` and the retuned d) and one ``e_step`` for the whole batch, and
     records each chain's new iterate; the posterior of each E-step feeds
     the next S-step, and the gate log-softmax passes from E-step to gate
     ascent and back without being recomputed. A chain leaves the batch when its log-likelihood
@@ -293,11 +293,10 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
 
     def iterate(batch: _Batch, labels: np.ndarray) -> _Batch:
         workspace = build_workspace(data, labels, batch.psi.beta)
-        d_t = None if retune is None else retune(data, workspace,
-                                                 batch.log_pi)
+        d_t = None if retune is None else retune(workspace, batch.log_pi)
         log_pi = batch.log_pi.copy()  # the batch's stays for a retry
-        psi = m_step(data, labels, batch.psi, lam, d if d_t is None else d_t,
-                     workspace=workspace, log_pi=log_pi)
+        psi = m_step(data, labels, batch.psi, lam, d_t, workspace=workspace,
+                     log_pi=log_pi)
         tau, loglik = e_step(data, psi, log_pi)
         return _Batch(chains=batch.chains, psi=psi, log_pi=log_pi, tau=tau,
                       loglik=loglik.tolist(), previous=batch.loglik, d=d_t)
@@ -338,12 +337,12 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     notes); restart r draws from
     ``SeedSequence(opts.rng_seed, spawn_key=(r,))`` and gives the same
     chain whether it runs alone or beside others.
-    ``retune(data, workspace, log_pi)``, when given (for ``"lt"`` only),
-    supplies each M-step's d, ``(d_beta, d_alpha)`` under the lambdas of
-    ``tuning``, from the systems of the partitions just drawn at the
-    current iterates and the iterates' gate log-softmax, for the whole
-    batch: ``workspace`` and ``log_pi`` carry a leading chain axis, and
-    each d is (B, J).
+    ``retune(workspace, log_pi)``, required for ``"lt"`` and refused
+    otherwise (``ValueError``), is the Liu-type d's one source: it supplies
+    each M-step's ``(d_beta, d_alpha)`` under the lambdas of ``tuning``,
+    from the systems of the partitions just drawn at the current iterates
+    and the iterates' gate log-softmax, for the whole batch: ``workspace``
+    and ``log_pi`` carry a leading chain axis, and each d is (B, J).
     A chain is interrupted by an empty assignment, a failed retune or a
     :class:`NumericalFailure`: a singular or indefinite system, an
     overflowing Poisson mean, a non-finite gate objective or
@@ -352,16 +351,16 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     diagnostics, in restart order; fewer observations than components
     raise :class:`DimensionError` before any chain runs.
     ``FitResult.tuning`` holds the tuning the selected iteration's M-step
-    used, for the selected chain: ``tuning`` itself when nothing was
-    retuned, and None for ML. A chain that stops before ``burn_in``
-    selects among all its iterates, not only those after it.
+    used, for the selected chain: None for ML, ``tuning`` for ridge, and
+    its lambdas with that iteration's retuned d for Liu-type. A chain
+    that stops before ``burn_in`` selects among all its iterates.
     """
     if method not in ("ml", "ridge", "lt"):
         raise ValueError(f"unknown method {method!r}")
     if method != "ml" and tuning is None:
         raise ValueError(f"method {method!r} requires tuning parameters")
-    if retune is not None and method != "lt":
-        raise ValueError("only a Liu-type fit retunes its d")
+    if (retune is not None) != (method == "lt"):
+        raise ValueError("a Liu-type fit, and only one, needs a retuner")
     if data.n < spec.n_components:
         raise DimensionError("fewer observations than components")
     rngs = [np.random.default_rng(
@@ -369,8 +368,7 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         for restart in range(opts.n_restarts)]
     lam = None if method == "ml" else (tuning.lambda_beta,
                                        tuning.lambda_alpha)
-    d = (tuning.d_beta, tuning.d_alpha) if method == "lt" else None
-    outcomes = _run_chains(data, spec, opts, lam, d, rngs, retune)
+    outcomes = _run_chains(data, spec, opts, lam, rngs, retune)
     best: tuple[float, Coefficients, int, _ChainOutcome] | None = None
     failures: list[str] = []
     for restart, outcome in enumerate(outcomes):

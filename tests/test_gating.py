@@ -189,6 +189,16 @@ def test_workspace_at_zero_alpha():
                        rtol=1e-14)
 
 
+def test_workspace_at_an_underflowing_class_weighs_by_the_floor():
+    # The free class's probability underflows to 0 on every row, so its
+    # Gram block is the floor's weight 1e-10 (1 - 1e-10) times Omega'Omega.
+    Omega, part = binary_gating_problem()
+    gram, _ = workspace_at(Omega, np.array([[-800.0, 0.0], [0.0, 0.0]]),
+                           (part == 0).astype(float)[:, None], [0])
+    assert np.allclose(gram, 1e-10 * (1.0 - 1e-10) * Omega.T @ Omega,
+                       rtol=1e-12, atol=0.0)
+
+
 def test_workspace_matches_elementwise_oracle():
     Omega, part, alpha, indicator = three_class_problem(seed=4)
     gram, rhs = workspace_at(Omega, alpha, indicator, [0, 2])
@@ -699,6 +709,18 @@ def test_non_finite_trial_objective_is_a_numerical_failure(monkeypatch):
                 pytest.raises(NumericalFailure, match="gate objective"):
             pm.coordinate_descent_alphas(data.Omega, alpha, part, lam, None,
                                          0, log_pi=log_pi.copy())
+
+
+def test_r3_ends_a_slow_tail_near_its_bounds():
+    # Decrements falling by 0.55 a step, at 4e3 times the tolerance: R2's
+    # predicted next decrement (2.2e3) is far above it, but the tail is
+    # slower than halving, within 1e4 tolerances and cannot reach the
+    # tolerance in 10 steps (4e3 * 0.55**10 ~ 10), so R3 stops it. A
+    # rate bound of 0.6 or a tail level of 1e3 would let it run on.
+    tail = [4e3 / 0.55 ** 2, 4e3 / 0.55, 4e3]
+    assert pm.gating._further_steps_cannot_pay(tail, 1.0, 10)
+    assert not pm.gating._further_steps_cannot_pay(tail, 1.0, 20)
+    assert not pm.gating._further_steps_cannot_pay(tail[1:], 1.0, 10)
 
 
 def exit_of_one_chain(*args, inner_max):

@@ -229,6 +229,18 @@ def test_penalized_solve_refuses_unusable_systems(gram):
     assert type(info.value) is NumericalFailure
 
 
+def test_ml_solve_refuses_a_condition_past_1e12():
+    # The bar is part of the contract: 2-norm condition 1e11 solves and
+    # 1e13 is singular for ML, and a ridge shift solves both.
+    rhs = np.ones(2)
+    assert np.allclose(penalized_wls_solve(np.diag([1.0, 1e-11]), rhs),
+                       [1.0, 1e11], rtol=1e-14, atol=0.0)
+    with pytest.raises(SingularSystem):
+        penalized_wls_solve(np.diag([1.0, 1e-13]), rhs)
+    assert np.isfinite(penalized_wls_solve(np.diag([1.0, 1e-13]), rhs,
+                                           1.0)).all()
+
+
 def test_irwls_row_permutation_equivariance(rng):
     data, part, _ = single_component_data(seed=11)
     beta_t = np.array([0.2, -0.1])

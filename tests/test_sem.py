@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,9 @@ LABEL_CHECKING_STEPS = {
     ids=["one-high", "one-negative", "batch-high", "batch-negative"])
 def test_every_m_step_layer_refuses_a_label_outside_the_components(
         step, labels):
+    # A label outside [0, J), and a partition not shaped one row of n per
+    # chain: one chain's (n,) labels would broadcast over a batch, and a
+    # batch's (2, 3) rows would pass for one chain's partition of n = 6.
     data, _, _ = small_mixture(seed=3, n=6)
     labels = np.array(labels)
     chains = labels.shape[:-1]
@@ -122,9 +127,10 @@ def test_every_m_step_layer_refuses_a_label_outside_the_components(
                           alpha=np.zeros((*chains, 2, data.q)))
     with pytest.raises(ValueError, match=r"^labels must lie in \[0, 2\)$"):
         LABEL_CHECKING_STEPS[step](data, labels, psi)
-    with pytest.raises(DimensionError, match="^labels must be a vector"):
-        LABEL_CHECKING_STEPS[step](data, np.zeros((1, 2, 6), dtype=int),
-                                   psi)
+    for shape in ((1, 2, 6), (6,) if chains else (2, 3)):
+        with pytest.raises(DimensionError, match=re.escape(
+                f"labels of shape {shape} are not one row of 6 per chain")):
+            LABEL_CHECKING_STEPS[step](data, np.resize([0, 1], shape), psi)
 
 
 def test_m_step_refuses_a_bias_correction_without_lambdas():
@@ -305,7 +311,7 @@ def test_run_sem_retune_hook_is_called():
     tuning = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
     calls = []
 
-    def retune(data_, workspace, log_pi):
+    def retune(workspace, log_pi):
         # The hook sees the batch of chains, here the one restart, and
         # returns one row of d per chain.
         calls.append(np.count_nonzero(workspace.weights, axis=-1))
@@ -324,11 +330,29 @@ def test_run_sem_retune_hook_is_called():
     assert fit.tuning.lambda_alpha.tolist() == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("method, retuned", [
+    ("lt", False), ("ridge", True), ("ml", True)])
+def test_run_sem_takes_a_retuner_for_a_liu_type_fit_only(method, retuned):
+    # A Liu-type fit's d comes from its retuner alone; no other fit has one.
+    data, _, _ = small_mixture(seed=16)
+    tuning = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
+    opts = pm.SemOptions(epsilon=1e-8, max_iters=3, burn_in=0, n_restarts=1,
+                         rng_seed=2)
+
+    def retune(workspace, log_pi):
+        raise AssertionError("never called")
+
+    with pytest.raises(ValueError, match="^a Liu-type fit, and only one, "
+                                         "needs a retuner$"):
+        pm.run_sem(data, pm.MixtureSpec(2, 0), opts, method=method,
+                   tuning=tuning, retune=retune if retuned else None)
+
+
 def test_run_sem_reports_the_tuning_of_the_selected_iteration():
     data, _, _ = small_mixture(seed=16)
     returned = []
 
-    def retune(data_, workspace, log_pi):
+    def retune(workspace, log_pi):
         d = 0.01 * len(returned)
         returned.append(([d, d], [0.0, d]))
         return np.array([returned[-1][0]]), np.array([returned[-1][1]])
@@ -412,12 +436,12 @@ def batch_and_solo_runs(data, spec, opts, lam=None, retune=None):
     restart's outcome run alone, under the lambdas ``lam`` and the d of
     ``retune``."""
     restarts = range(opts.n_restarts)
-    batch = sem._run_chains(data, spec, opts, lam, None,
+    batch = sem._run_chains(data, spec, opts, lam,
                             restart_generators(opts.rng_seed, restarts),
                             retune)
-    solo = [sem._run_chains(data, spec, opts, lam, None,
-                            restart_generators(opts.rng_seed, [r]),
-                            retune)[0] for r in restarts]
+    solo = [sem._run_chains(data, spec, opts, lam,
+                            restart_generators(opts.rng_seed, [r]), retune)[0]
+            for r in restarts]
     return batch, solo
 
 

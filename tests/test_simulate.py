@@ -126,6 +126,19 @@ def test_mean_overflow_rows_are_resampled():
     assert np.all(data.y >= 0)
 
 
+def test_a_mean_predictor_under_the_cap_keeps_its_rows():
+    # A linear predictor of 27.5 on every row is under the cap of 30, so
+    # the first draw stands; a row above it could never be redrawn here.
+    design = pm.SimulationDesign(
+        n=50, beta_true=((27.5, 0.0),), alpha_true=((0.0, 0.0),),
+        reference_class=0)
+    first, _ = pm.simulate_dataset(replace(design, beta_true=((0.0, 0.0),)),
+                                   np.random.default_rng(5))
+    data, _ = pm.simulate_dataset(design, np.random.default_rng(5))
+    assert np.array_equal(data.X, first.X)
+    assert np.all(data.y > 0)
+
+
 def test_sampling_is_deterministic():
     design = pm.study_presets("study2", n=80)
     a = pm.simulate_dataset(design, np.random.default_rng(5))

@@ -74,7 +74,8 @@ def pinned_payload(study: dict, workdir: Path) -> dict:
 def count(pm, payload: dict) -> dict:
     """Run the study ``payload`` with the package ``pm``, once as the
     warm-up and once under the counting hook, with ``gc.callbacks``
-    emptied until it ends; the counted run's record:
+    emptied until it ends and the garbage left before it collected
+    first; the counted run's record:
     its call totals, its iterations by method, its calls by function and
     its fit records in fit order."""
     harness.Study(pm, payload).run()
@@ -92,8 +93,11 @@ def count(pm, payload: dict) -> dict:
                      getattr(arg, "__qualname__", repr(arg)))] += 1
 
     # A garbage-collector callback of another library (hypothesis
-    # installs one) would add its calls whenever a collection runs.
+    # installs one) would add its calls whenever a collection runs, and
+    # garbage left by earlier code (a suspended hypothesis generator)
+    # would add its finalizer's calls to whichever run collects it.
     callbacks, gc.callbacks[:] = gc.callbacks[:], []
+    gc.collect()
     try:
         _, fits = study.run(profile=hook)
     finally:
