@@ -79,7 +79,8 @@ class Dataset:
     Computed once on construction: ``log_y_factorial`` holds log(y_i!),
     and ``X_outer`` and ``Omega_outer`` the outer-product bases of the
     designs (:func:`~poismoe.linalg.outer_basis`), from which each weighted
-    Gram of an M-step is one matrix product.
+    Gram of an M-step is one matrix product; a design whose outer products
+    overflow is refused.
     """
 
     y: np.ndarray
@@ -106,8 +107,13 @@ class Dataset:
             raise DimensionError("X and Omega must have one row per observation")
         if X.shape[1] < 1 or Omega.shape[1] < 1:
             raise DimensionError("X and Omega need at least one column")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Omega))):
-            raise ValueError("X and Omega must be finite")
+        for name, design in (("X", X), ("Omega", Omega)):
+            peak = float(np.abs(design).max())
+            if not peak < np.inf:  # NaN too
+                raise ValueError("X and Omega must be finite")
+            if not peak * peak < np.inf:  # the largest outer product
+                raise ValueError(f"{name} is too large: its outer products "
+                                 "are not finite")
         object.__setattr__(self, "y", _readonly(np.array(y, dtype=np.int64)))
         object.__setattr__(self, "log_y_factorial", _readonly(np.array(
             [math.lgamma(count + 1.0) for count in self.y.tolist()])))
@@ -238,8 +244,8 @@ class TuningParams:
     """Per-component ridge parameters and Liu-type bias corrections.
 
     Every lambda is positive and every d finite and non-negative: a
-    negative d would scale the ridge result up, not shrink it.
-    ``source`` records which stage supplied the plug-in estimates.
+    negative d would scale the ridge result up, not shrink it; a ridge
+    fit's d are zero. ``source`` records which stage supplied the plug-ins.
     """
 
     lambda_beta: np.ndarray
@@ -260,15 +266,6 @@ class TuningParams:
         for name, arr in (("lambda_beta", lb), ("lambda_alpha", la),
                           ("d_beta", db), ("d_alpha", da)):
             object.__setattr__(self, name, _readonly(arr))
-
-    @classmethod
-    def ridge_only(cls, lambda_beta, lambda_alpha,
-                   source: str = "") -> "TuningParams":
-        lb = np.asarray(lambda_beta, dtype=float)
-        la = np.asarray(lambda_alpha, dtype=float)
-        return cls(lambda_beta=lb, lambda_alpha=la,
-                   d_beta=np.zeros_like(lb), d_alpha=np.zeros_like(la),
-                   source=source)
 
 
 @dataclass(frozen=True)

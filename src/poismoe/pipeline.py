@@ -89,10 +89,12 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     fails it. Its entry is the error's type and message, for
     ``FitFailed`` followed by each restart's reason, joined by `` | ``.
     """
+    if not methods:
+        raise ValueError(f"methods must name at least one of {list(METHODS)}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
-    last = max((METHODS.index(method) for method in methods), default=0)
+    last = max(METHODS.index(method) for method in methods)
     result = PipelineResult()
     for stage, method in enumerate(METHODS[:last + 1]):
         tuning = retune = plugin = None

@@ -18,9 +18,7 @@ from .linalg import rowwise_product
 from .model import Coefficients, Dataset, TuningParams
 from .poisson import ComponentWorkspace
 
-# Ceiling applied when a plug-in source vector has (near-)zero norm,
-# and a floor keeping the plug-in strictly positive when the source norm
-# overflows (an effectively unpenalized solve).
+# Bounds of the ridge plug-in (estimate_ridge_lambdas).
 LAMBDA_MAX = 1e6
 LAMBDA_MIN = 1e-12
 # Largest s whose square is finite.
@@ -38,24 +36,24 @@ __all__ = [
 
 def estimate_ridge_lambdas(psi_source: Coefficients,
                            source: str = "") -> TuningParams:
-    """Per-component plug-ins p/||beta_j||^2 and q/||alpha_j||^2.
+    """Per-component plug-ins p/||beta_j||^2 and q/||alpha_j||^2, put into
+    [``LAMBDA_MIN``, ``LAMBDA_MAX``], with zero bias corrections.
 
     A zero-norm source vector (the reference gating row, for instance)
-    would send the plug-in to infinity; such entries are capped at
-    ``LAMBDA_MAX``.
+    gets ``LAMBDA_MAX``, and one whose squared norm overflows (an
+    effectively unpenalized solve) ``LAMBDA_MIN``, without a warning.
     """
 
     def plug_in(vectors: np.ndarray, dim: int) -> np.ndarray:
-        values = []
-        for vec in vectors:
-            norm_sq = float(vec @ vec)
-            raw = dim / norm_sq if norm_sq > 0 else np.inf
-            values.append(min(max(raw, LAMBDA_MIN), LAMBDA_MAX))
-        return np.asarray(values)
+        with np.errstate(over="ignore", divide="ignore"):
+            raw = dim / np.vecdot(vectors, vectors)
+        return np.minimum(np.maximum(raw, LAMBDA_MIN), LAMBDA_MAX)
 
-    return TuningParams.ridge_only(plug_in(psi_source.beta, psi_source.p),
-                                   plug_in(psi_source.alpha, psi_source.q),
-                                   source=source)
+    lambda_beta = plug_in(psi_source.beta, psi_source.p)
+    lambda_alpha = plug_in(psi_source.alpha, psi_source.q)
+    return TuningParams(lambda_beta, lambda_alpha,
+                        d_beta=np.zeros_like(lambda_beta),
+                        d_alpha=np.zeros_like(lambda_alpha), source=source)
 
 
 def _lt_mse(d: float, gram: np.ndarray, lam: float, mean_vec: np.ndarray,

@@ -199,6 +199,22 @@ def test_a_count_past_int64_is_refused_with_no_output_directory(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column, matrix", [(1, "X"), (2, "Omega")])
+def test_a_design_whose_outer_products_overflow_is_refused(tmp_path, capsys,
+                                                          column, matrix):
+    path = tmp_path / "huge.csv"
+    rows = [[i, 0.1 * i, 0.3 * i] for i in range(5)]
+    rows[2][column] = "1e200"
+    write_csv(path, ["count", "x1", "w1"], rows)
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", str(path), "--response", "count",
+               "--x", "x1", "--omega", "w1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {matrix} is too large: its outer products are not finite\n")
+    assert not out.exists()
+
+
 def test_fit_strips_spaces_from_requested_column_names(tmp_path):
     data, _, _ = single_component_data(seed=5)
     path = tmp_path / "two.csv"

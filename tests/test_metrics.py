@@ -20,6 +20,9 @@ def test_align_identity_and_swap():
     assert pm.align_components(truth, truth) == (0, 1, 2)
     swapped = truth.permute((1, 0, 2))
     assert pm.align_components(swapped, truth) == (1, 0, 2)
+    # Ties keep the lexicographically smallest permutation.
+    twins = pm.Coefficients(beta=np.ones((2, 3)), alpha=np.zeros((2, 1)))
+    assert pm.align_components(twins, twins) == (0, 1)
 
 
 def test_align_recovers_permutation_after_noise():

@@ -32,7 +32,9 @@ def test_dataset_refuses_a_count_past_int64(y):
 
 
 @pytest.mark.parametrize("matrix", ["X", "Omega"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+# 1e200 is finite, but its square, an entry of the outer-product basis,
+# is not; refused without an overflow warning.
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
 def test_dataset_rejects_non_finite_covariates(matrix, value):
     designs = {"X": np.ones((2, 2)), "Omega": np.ones((2, 2))}
     designs[matrix][1, 1] = value
@@ -66,6 +68,15 @@ def test_observed_loglik_single_component_point_mass():
                       Omega=np.array([[1.0]]))
     psi = pm.Coefficients(beta=np.zeros((1, 1)), alpha=np.zeros((1, 1)))
     assert pm.observed_loglik(data, psi) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_observed_loglik_at_a_linear_predictor_above_its_floor():
+    # log p(1 | eta) = eta - exp(eta) - log 1! is eta itself at eta = -1e9,
+    # which the floor (ETA_FLOOR, -1e12) leaves unclipped.
+    data = pm.Dataset(y=np.array([1]), X=np.array([[1.0]]),
+                      Omega=np.array([[1.0]]))
+    psi = pm.Coefficients(beta=np.array([[-1e9]]), alpha=np.zeros((1, 1)))
+    assert pm.observed_loglik(data, psi) == -1e9
 
 
 def test_observed_loglik_identical_components_collapse():

@@ -52,6 +52,13 @@ def test_stages_run_up_to_the_last_requested_method():
         pm.fit_method(data, SPEC, OPTS, "lasso")
 
 
+def test_an_empty_method_selection_is_refused():
+    data, _, _ = single_component_data(seed=4)
+    with pytest.raises(ValueError, match=r"^methods must name at least one "
+                                         r"of \['ml', 'ridge', 'lt'\]$"):
+        pm.fit_all_methods(data, SPEC, OPTS, methods=())
+
+
 def test_fewer_observations_than_components_fail_every_stage_typed():
     data, _, _ = single_component_data(n=2)
     spec = pm.MixtureSpec(n_components=3)

@@ -308,7 +308,7 @@ def test_run_sem_post_burnin_mean_selection():
 
 def test_run_sem_retune_hook_is_called():
     data, _, _ = small_mixture(seed=16)
-    tuning = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
+    tuning = pm.TuningParams([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
     calls = []
 
     def retune(workspace, log_pi):
@@ -335,7 +335,7 @@ def test_run_sem_retune_hook_is_called():
 def test_run_sem_takes_a_retuner_for_a_liu_type_fit_only(method, retuned):
     # A Liu-type fit's d comes from its retuner alone; no other fit has one.
     data, _, _ = small_mixture(seed=16)
-    tuning = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
+    tuning = pm.TuningParams([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
     opts = pm.SemOptions(epsilon=1e-8, max_iters=3, burn_in=0, n_restarts=1,
                          rng_seed=2)
 
@@ -357,7 +357,7 @@ def test_run_sem_reports_the_tuning_of_the_selected_iteration():
         returned.append(([d, d], [0.0, d]))
         return np.array([returned[-1][0]]), np.array([returned[-1][1]])
 
-    start = pm.TuningParams.ridge_only([0.5, 0.5], [0.5, 0.5])
+    start = pm.TuningParams([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
     opts = pm.SemOptions(epsilon=1e-300, max_iters=12, burn_in=3,
                          n_restarts=1, rng_seed=5)
     fit = pm.run_sem(data, pm.MixtureSpec(2, 0), opts, method="lt",

@@ -39,6 +39,14 @@ def test_lambda_plugin_values():
     tuning = pm.estimate_ridge_lambdas(psi)
     assert tuning.lambda_beta[0] == pytest.approx(1.0, rel=1e-14)
     assert tuning.lambda_alpha[0] == LAMBDA_MAX
+    assert tuning.d_beta.tolist() == [0.0] and tuning.d_alpha.tolist() == [0.0]
+    # A squared norm that overflows gets the floor, without a warning.
+    huge = pm.Coefficients(beta=np.array([[1e200, 0.0]]),
+                           alpha=np.zeros((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tuning = pm.estimate_ridge_lambdas(huge)
+    assert tuning.lambda_beta.tolist() == [1e-12]
 
 
 def test_lambda_plugin_study1_alpha_value():
