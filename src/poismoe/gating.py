@@ -89,35 +89,31 @@ __all__ = [
 ]
 
 
-def _column_log_sum_exp(values: np.ndarray) -> np.ndarray:
-    """:func:`log_sum_exp` as (..., 1, n), ready to broadcast."""
-    peak = values.max(axis=-2, keepdims=True)
-    return peak + np.log(np.exp(values - peak).sum(axis=-2, keepdims=True))
-
-
 def log_sum_exp(values: np.ndarray) -> np.ndarray:
     """log(sum(exp(values))) over the class axis -2 of a (..., J, n)
-    array, as (..., n), each column shifted by its maximum so no exp
-    overflows (an all -inf column: nan)."""
-    return _column_log_sum_exp(values)[..., 0, :]
+    array, as (..., 1, n), ready to broadcast against it, each column
+    shifted by its maximum so no exp overflows (an all -inf column: nan)."""
+    peak = values.max(axis=-2, keepdims=True)
+    return peak + np.log(np.exp(values - peak).sum(axis=-2, keepdims=True))
 
 
 def gating_log_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Log-softmax of the class scores alpha @ Omega.T, class-major (J, n);
     (B, J, n) for a (B, J, q) batch of chains' rows."""
     scores = np.asarray(alpha, dtype=float) @ Omega.T
-    return scores - _column_log_sum_exp(scores)
+    return scores - log_sum_exp(scores)
 
 
 def gating_probabilities(Omega: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Class probabilities for every row of ``Omega``, one row per
-    observation: an (n, J) view of the class-major array.
+    observation: an (n, J) view of the class-major array, (B, n, J) for
+    a (B, J, q) batch of chains' rows.
 
     Probabilities are shift-invariant in the scores, so they do not
     depend on which class carries the zero vector. Rows sum to one up to
     floating-point rounding.
     """
-    return np.exp(gating_log_probabilities(Omega, alpha)).T
+    return np.exp(gating_log_probabilities(Omega, alpha)).swapaxes(-1, -2)
 
 
 def gate_variance_weights(pi: np.ndarray) -> np.ndarray:

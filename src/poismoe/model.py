@@ -141,8 +141,7 @@ class Coefficients:
 
     ``beta`` is (J, p), ``alpha`` is (J, q); the row at
     ``reference_class`` of ``alpha`` is identically zero. A batch of
-    chains stacks them as (B, J, p) and (B, J, q); only one chain's
-    coefficients can be permuted.
+    chains stacks them as (B, J, p) and (B, J, q).
     """
 
     beta: np.ndarray
@@ -183,13 +182,15 @@ class Coefficients:
         """Relabel components so that new component j is old ``order[j]``.
 
         The gating rows are re-expressed against the new reference class
-        (scores are shift-invariant, so probabilities just permute).
+        (scores are shift-invariant, so probabilities just permute). A
+        batch of chains permutes each chain's components alike.
         """
-        order = tuple(int(j) for j in order)
+        order = [int(j) for j in order]
         if sorted(order) != list(range(self.n_components)):
-            raise ValueError(f"{order!r} is not a permutation")
-        beta = self.beta[list(order)]
-        alpha = self.alpha[list(order)] - self.alpha[order[self.reference_class]]
+            raise ValueError(f"{tuple(order)!r} is not a permutation")
+        beta = self.beta[..., order, :]
+        alpha = (self.alpha[..., order, :]
+                 - self.alpha[..., order[self.reference_class], None, :])
         return Coefficients(beta=beta, alpha=alpha,
                             reference_class=self.reference_class)
 
@@ -301,7 +302,7 @@ def _log_terms(data: Dataset, psi: Coefficients,
 
     Returns the class-major (J, n) matrix log pi_ij + log Poi(y_i | mu_ij),
     whose Poisson part is y*eta - exp(eta) - log(y!) at eta = x' beta_j,
-    and its (n,) log-sum-exp over components, whose sum is the observed
+    and its (1, n) log-sum-exp over classes, whose sum is the observed
     log-likelihood. ``log_pi``, when given, is the gate log-softmax at
     ``psi.alpha``, used instead of recomputing it.
     """
@@ -318,9 +319,9 @@ def _log_terms(data: Dataset, psi: Coefficients,
 
 
 def _total_loglik(norms: np.ndarray) -> float | np.ndarray:
-    """Sum of the row normalizers, one per chain for a (B, n) batch;
-    NumericalFailure when any is not finite."""
-    value = norms.sum(axis=-1)
+    """Sum of the (1, n) row normalizers, one per chain for a (B, 1, n)
+    batch; NumericalFailure when any is not finite."""
+    value = norms[..., 0, :].sum(axis=-1)
     totals = value.tolist()
     if not all(map(math.isfinite, totals if value.ndim else [totals])):
         raise NumericalFailure("observed log-likelihood is not finite")
@@ -348,7 +349,7 @@ def e_step(data: Dataset, psi: Coefficients,
     """
     log_terms, norms = _log_terms(data, psi, log_pi)
     loglik = _total_loglik(norms)
-    return np.exp(log_terms - norms[..., None, :]).swapaxes(-1, -2), loglik
+    return np.exp(log_terms - norms).swapaxes(-1, -2), loglik
 
 
 def responsibilities(data: Dataset, psi: Coefficients) -> np.ndarray:
@@ -368,6 +369,7 @@ def draw_labels(probabilities: np.ndarray,
     takes one generator per chain, in chain order, and each draws its
     chain's n uniforms as it would alone, giving (B, n) labels.
     """
+    probabilities = np.asarray(probabilities, dtype=float)
     n = probabilities.shape[-2]
     if probabilities.ndim == 2:
         u = rng.random(n)

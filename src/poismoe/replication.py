@@ -75,6 +75,10 @@ class StudyConfig:
         for f in fields(self):
             if f.name in unused and getattr(self, f.name) != f.default:
                 raise ValueError(f"a {self.mode} study takes no {f.name}")
+        for name in ("sem", "truth_sem"):
+            if getattr(self, name).rng_seed != 0:
+                raise ValueError(f"{name}.rng_seed must be 0: a study seeds "
+                                 "each fit from its own seed")
         if self.mode == "simulation" and self.design is None:
             raise ValueError("simulation mode needs a design")
         if self.mode == "heart" and self.heart_path is None:

@@ -53,18 +53,9 @@ __all__ = [
 Retuner = Callable[[ComponentWorkspace, np.ndarray], tuple]
 
 
-def s_step(tau: np.ndarray,
-           rng: np.random.Generator | Sequence[np.random.Generator]
-           ) -> np.ndarray:
-    """Draw one hard component label per row of ``tau``.
-
-    ``tau`` is one chain's (n, J) posterior with its generator, giving
-    (n,) labels, or a (B, n, J) batch of chains with one generator per
-    chain, each drawing its chain's uniforms as it would alone, giving
-    (B, n). A draw may leave a component empty; ``build_workspace``
-    raises :class:`EmptyPartition` for it.
-    """
-    return draw_labels(np.asarray(tau, dtype=float), rng)
+# The S-step (see draw_labels). A draw may leave a component empty;
+# ``build_workspace`` raises :class:`EmptyPartition` for it.
+s_step = draw_labels
 
 
 def m_step(data: Dataset, labels: np.ndarray, psi_t: Coefficients,
@@ -159,15 +150,15 @@ def initialize(data: Dataset, spec: MixtureSpec,
 @dataclass
 class _ChainOutcome:
     """One restart's completed iterates, kept as the batch arrays' rows;
-    ``ds`` holds a retuned chain's (d_beta, d_alpha) rows per iterate."""
+    ``ds`` holds a retuned chain's (d_beta, d_alpha) rows per iterate
+    and ``end`` its entry of ``FitResult.restart_ends``."""
 
     reference_class: int
     betas: list[np.ndarray] = field(default_factory=list)
     alphas: list[np.ndarray] = field(default_factory=list)
     logliks: list[float] = field(default_factory=list)
     ds: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    converged: bool = False
-    interruption: str | None = None
+    end: str = "cap"
 
     def psi(self, index: int) -> Coefficients:
         return Coefficients(beta=self.betas[index], alpha=self.alphas[index],
@@ -247,7 +238,7 @@ def _step_survivors(step, batch: _Batch, labels: np.ndarray | None,
             step(*take([row]))
             rows.append(row)
         except _CHAIN_INTERRUPTIONS as exc:
-            outcomes[chain].interruption = f"{type(exc).__name__}: {exc}"
+            outcomes[chain].end = f"{type(exc).__name__}: {exc}"
     return step(*take(rows)) if rows else None
 
 
@@ -266,16 +257,17 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     (``lam`` and the retuned d) and one ``e_step`` for the whole batch, and
     records each chain's new iterate; the posterior of each E-step feeds
     the next S-step, and the gate log-softmax passes from E-step to gate
-    ascent and back without being recomputed. A chain leaves the batch when its log-likelihood
-    change falls below ``epsilon`` (converged), and all stop at
-    ``opts.max_iters``. An interruption (see :func:`run_sem`) belongs to
-    one chain: it ends that chain the way the stopping rule would,
-    except ``converged`` stays False and the cause is recorded, and the
-    other chains go on. A step that raises an interruption, an empty
-    component drawn by the S-step included, is retried chain by chain to
-    find which chains raise, and the others take it again as one batch.
-    A chain interrupted before its first completed iteration has nothing
-    to select from and counts as a failed restart.
+    ascent and back without being recomputed. Each chain's ``end`` says
+    how it left the batch: ``"epsilon"`` when its log-likelihood change
+    falls below ``epsilon``, ``"cap"`` for a chain still running at
+    ``opts.max_iters``, or an interruption's ``"Type: message"``. An
+    interruption (see :func:`run_sem`) belongs to one chain: it ends
+    that chain the way the stopping rule would, and the other chains go
+    on. A step that raises an interruption, an empty component drawn by
+    the S-step included, is retried chain by chain to find which chains
+    raise, and the others take it again as one batch. A chain
+    interrupted before its first completed iteration has nothing to
+    select from and counts as a failed restart.
     """
     outcomes = [_ChainOutcome(reference_class=spec.reference_class)
                 for _ in rngs]
@@ -309,7 +301,7 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         batch = _step_survivors(iterate, batch, labels, outcomes)
         if batch is None:
             break
-        converged = []
+        stopped = False
         for row, (chain, loglik, previous) in enumerate(
                 zip(batch.chains, batch.loglik, batch.previous)):
             outcome = outcomes[chain]
@@ -318,10 +310,12 @@ def _run_chains(data: Dataset, spec: MixtureSpec, opts: SemOptions,
             outcome.logliks.append(loglik)
             if batch.d is not None:
                 outcome.ds.append((batch.d[0][row], batch.d[1][row]))
-            outcome.converged = abs(loglik - previous) < opts.epsilon
-            converged.append(outcome.converged)
-        if any(converged):
-            rows = [row for row, done in enumerate(converged) if not done]
+            if abs(loglik - previous) < opts.epsilon:
+                outcome.end = "epsilon"
+                stopped = True
+        if stopped:
+            rows = [row for row, chain in enumerate(batch.chains)
+                    if outcomes[chain].end == "cap"]
             if not rows:
                 break
             batch = batch.take(rows)
@@ -347,9 +341,9 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     :class:`NumericalFailure`: a singular or indefinite system, an
     overflowing Poisson mean, a non-finite gate objective or
     log-likelihood; the interruption ends that chain only. If every
-    restart fails a :class:`FitFailed` is raised with the per-restart
-    diagnostics, in restart order; fewer observations than components
-    raise :class:`DimensionError` before any chain runs.
+    restart fails a :class:`FitFailed` is raised with each restart's
+    end, in restart order; fewer observations than components raise
+    :class:`DimensionError` before any chain runs.
     ``FitResult.tuning`` holds the tuning the selected iteration's M-step
     used, for the selected chain: None for ML, ``tuning`` for ridge, and
     its lambdas with that iteration's retuned d for Liu-type. A chain
@@ -373,8 +367,7 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
     failures: list[str] = []
     for restart, outcome in enumerate(outcomes):
         if not outcome.logliks:
-            failures.append(f"restart {restart}: "
-                            f"{outcome.interruption or 'no iterations'}")
+            failures.append(f"restart {restart}: {outcome.end}")
             continue
         try:
             psi_sel, index_sel, loglik_sel = outcome.select(opts, data)
@@ -391,11 +384,9 @@ def run_sem(data: Dataset, spec: MixtureSpec, opts: SemOptions,
         tuning = replace(tuning, d_beta=d_beta, d_alpha=d_alpha)
     return FitResult(psi_hat=psi_sel,
                      loglik_trace=np.asarray(outcome.logliks),
-                     converged=outcome.converged,
+                     converged=outcome.end == "epsilon",
                      selected_iteration=index_sel,
                      tuning=None if method == "ml" else tuning,
                      method=method,
                      n_failed_restarts=len(failures),
-                     restart_ends=tuple(
-                         "epsilon" if chain.converged else
-                         chain.interruption or "cap" for chain in outcomes))
+                     restart_ends=tuple(chain.end for chain in outcomes))

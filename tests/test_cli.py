@@ -416,6 +416,9 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     ("heart", "design", pm.replication.config_to_dict(pm.StudyConfig(
         mode="simulation", design=pm.study_presets("study1")))["design"]),
     ("heart", "validation_n", 50),
+    # A chain seed, which a study replaces with one of its own per fit.
+    ("sem", "rng_seed", 5),
+    ("truth_sem", "rng_seed", 3),
 ])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):

@@ -152,12 +152,12 @@ def log_sum_exp_reference(row):
 def test_log_sum_exp_matches_math_reference(rows):
     values = np.array(rows).T  # class-major: one column per row
     result = log_sum_exp(values)
-    assert result.shape == (len(rows),)
+    assert result.shape == (1, len(rows))
     expected = [log_sum_exp_reference(row) for row in rows]
     # log of the shifted sum is good to about eps in absolute terms, and
     # adding the peak back rounds to about eps relative.
     eps = np.finfo(float).eps
-    np.testing.assert_allclose(result, expected, rtol=2 * eps,
+    np.testing.assert_allclose(result[0], expected, rtol=2 * eps,
                                atol=2 * eps)
 
 

@@ -144,15 +144,23 @@ def test_closed_form_d_minimizes_the_oracle_mse(seed, p, lam, delta, gating):
 
 
 @given(seed=seeds, n=st.integers(1, 30), q=st.integers(1, 4),
-       n_classes=st.integers(1, 6), scale=st.floats(0.0, 200.0))
-def test_gating_probability_rows_sum_to_one(seed, n, q, n_classes, scale):
+       n_classes=st.integers(1, 6), scale=st.floats(0.0, 200.0),
+       chains=st.integers(1, 3))
+def test_gating_probability_rows_sum_to_one(seed, n, q, n_classes, scale,
+                                            chains):
+    # A (B, J, q) batch gives (B, n, J), like e_step's tau, and each
+    # chain's rows are its own call's.
     gen = np.random.default_rng(seed)
     Omega = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
-    alpha = gen.normal(scale=scale, size=(n_classes, q))
+    alpha = gen.normal(scale=scale, size=(chains, n_classes, q))
     pi = pm.gating_probabilities(Omega, alpha)
-    assert pi.shape == (n, n_classes)
+    assert pi.shape == (chains, n, n_classes)
     assert np.all(pi >= 0.0)
-    assert np.allclose(pi.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(pi.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+    for rows, chain_alpha in zip(pi, alpha):
+        alone = pm.gating_probabilities(Omega, chain_alpha)
+        assert alone.shape == (n, n_classes)
+        assert np.array_equal(rows, alone)
 
 
 @st.composite
@@ -177,6 +185,25 @@ def test_permute_then_inverse_restores_coefficients(case):
     assert np.array_equal(back.beta, psi.beta)
     assert np.allclose(back.alpha, psi.alpha, rtol=0.0, atol=1e-12)
     assert np.all(back.alpha[back.reference_class] == 0.0)
+
+
+@given(coefficients_and_order(), st.integers(1, 3), seeds)
+def test_permuting_a_batch_permutes_each_chain(case, chains, seed):
+    psi, order = case
+    gen = np.random.default_rng(seed)
+    alpha = gen.normal(scale=3.0, size=(chains,) + psi.alpha.shape)
+    alpha[:, psi.reference_class] = 0.0
+    batch = pm.Coefficients(beta=gen.normal(size=(chains,) + psi.beta.shape),
+                            alpha=alpha, reference_class=psi.reference_class)
+    permuted = batch.permute(order)
+    assert permuted.beta.shape == batch.beta.shape
+    for chain in range(chains):
+        alone = pm.Coefficients(beta=batch.beta[chain],
+                                alpha=batch.alpha[chain],
+                                reference_class=psi.reference_class
+                                ).permute(order)
+        assert np.array_equal(permuted.beta[chain], alone.beta)
+        assert np.array_equal(permuted.alpha[chain], alone.alpha)
 
 
 @given(coefficients_and_order())

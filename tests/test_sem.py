@@ -421,14 +421,13 @@ def restart_generators(seed, restarts):
 
 def chain_record(outcome):
     """A chain's outcome as bytes and plain values: its iterates,
-    log-likelihoods, per-iterate bias corrections, convergence and
-    interruption."""
+    log-likelihoods, per-iterate bias corrections and end."""
     return ([beta.tobytes() for beta in outcome.betas],
             [alpha.tobytes() for alpha in outcome.alphas],
             np.asarray(outcome.logliks).tobytes(),
             [(d_beta.tobytes(), d_alpha.tobytes())
              for d_beta, d_alpha in outcome.ds],
-            outcome.converged, outcome.interruption)
+            outcome.end)
 
 
 def batch_and_solo_runs(data, spec, opts, lam=None, retune=None):
@@ -464,9 +463,9 @@ def test_interrupted_chains_leave_the_batch_and_the_others_run_on(
     monkeypatch.setattr(sem, "e_step", spy)
     batch, solo = batch_and_solo_runs(data, pm.MixtureSpec(2, 0), opts)
     assert [len(o.logliks) for o in batch] == [6, 3, 25]
-    assert batch[0].interruption.startswith("EmptyPartition: component")
-    assert batch[1].interruption.startswith("SingularSystem: ")
-    assert batch[2].interruption is None and not batch[2].converged
+    assert batch[0].end.startswith("EmptyPartition: component")
+    assert batch[1].end.startswith("SingularSystem: ")
+    assert batch[2].end == "cap"
     for together, alone in zip(batch, solo):
         assert chain_record(together) == chain_record(alone)
     # The batch's first E-steps: the start and three iterations of all
@@ -483,7 +482,7 @@ def test_fit_failed_diagnostics_keep_restart_order():
     opts = pm.SemOptions(epsilon=1e-300, max_iters=5, burn_in=0,
                          n_restarts=3, rng_seed=7)
     _, solo = batch_and_solo_runs(data, pm.MixtureSpec(2, 0), opts)
-    reasons = [outcome.interruption for outcome in solo]
+    reasons = [outcome.end for outcome in solo]
     assert [reason.split(":")[0] for reason in reasons] == [
         "SingularSystem", "EmptyPartition", "SingularSystem"]
     with pytest.raises(pm.FitFailed) as failed:
@@ -506,5 +505,5 @@ def test_each_restart_reports_how_its_chain_ended():
         "cap"]
     batch, _ = batch_and_solo_runs(data, pm.MixtureSpec(2, 0), opts)
     for restart in (0, 1, 3):
-        assert fit.restart_ends[restart] == batch[restart].interruption
+        assert fit.restart_ends[restart] == batch[restart].end
     assert fit.n_failed_restarts == 0 and fit.converged

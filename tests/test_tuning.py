@@ -34,12 +34,16 @@ def restricted_bound(gram, lam):
 
 
 def test_lambda_plugin_values():
-    psi = pm.Coefficients(beta=np.array([[1.0, 1.0]]),
-                          alpha=np.zeros((1, 1)))
+    # The second beta row's plug-in, 2 / 1e-8 = 2e8, and the zero-norm
+    # gating rows' both read the cap, 1e6.
+    psi = pm.Coefficients(beta=np.array([[1.0, 1.0], [1e-4, 0.0]]),
+                          alpha=np.zeros((2, 1)))
     tuning = pm.estimate_ridge_lambdas(psi)
     assert tuning.lambda_beta[0] == pytest.approx(1.0, rel=1e-14)
-    assert tuning.lambda_alpha[0] == LAMBDA_MAX
-    assert tuning.d_beta.tolist() == [0.0] and tuning.d_alpha.tolist() == [0.0]
+    assert tuning.lambda_beta[1] == 1e6
+    assert tuning.lambda_alpha.tolist() == [1e6, 1e6]
+    assert tuning.d_beta.tolist() == [0.0, 0.0]
+    assert tuning.d_alpha.tolist() == [0.0, 0.0]
     # A squared norm that overflows gets the floor, without a warning.
     huge = pm.Coefficients(beta=np.array([[1e200, 0.0]]),
                            alpha=np.zeros((1, 1)))
