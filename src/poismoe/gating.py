@@ -57,7 +57,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, NumericalFailure
-from .linalg import outer_basis, penalized_wls_solve, rowwise_product
+from .linalg import outer_basis, penalized_wls_solve
 
 # Probabilities are clipped into [PI_FLOOR, 1 - PI_FLOOR] before they
 # form the weights pi*(1-pi) of a diagonal Gram block, so that block
@@ -137,7 +137,7 @@ def build_gating_workspace(Omega: np.ndarray, basis: np.ndarray,
     Omega, the negative Hessian of the assignment log-likelihood, with
     the diagonal blocks weighted by :func:`gate_variance_weights`; all
     blocks come from one stacked product of their weights with ``basis``
-    (:func:`~poismoe.linalg.rowwise_product`), so relabeling the classes
+    (``np.vecmat``, see :mod:`~poismoe.linalg`), so relabeling the classes
     permutes the blocks bit for bit.
     ``indicator`` is (len(free), n), one row per free class in the order
     of ``free`` (an index array, or the equivalent slice), holding 1
@@ -152,14 +152,14 @@ def build_gating_workspace(Omega: np.ndarray, basis: np.ndarray,
     *lead, m, _ = pi.shape
     q = Omega.shape[1]
     if m == 1:  # one block, diagonal, and one gradient row
-        gram = rowwise_product(gate_variance_weights(pi), basis).reshape(
+        gram = np.vecmat(gate_variance_weights(pi), basis).reshape(
             *lead, q, q)
-        gradient = rowwise_product(indicator - pi, Omega)
+        gradient = np.vecmat(indicator - pi, Omega)
     else:
         weights = -(pi[..., :, None, :] * pi[..., None, :, :])
         pairs = weights.reshape(*lead, m * m, -1)
         pairs[..., ::m + 1, :] = gate_variance_weights(pi)
-        gram = rowwise_product(pairs, basis).reshape(*lead, m, m, q, q)
+        gram = np.vecmat(pairs, basis).reshape(*lead, m, m, q, q)
         gram = gram.swapaxes(-3, -2).reshape(*lead, m * q, m * q)
         # BLAS rounds this product by the layout of its left factor; the
         # transposed (n, F) copy keeps it observation-major (for one row

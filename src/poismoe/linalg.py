@@ -1,5 +1,15 @@
 """Shared solve path for the penalized weighted least-squares updates:
-:func:`penalized_wls_solve`, whose one return value is the solution."""
+:func:`penalized_wls_solve`, whose one return value is the solution.
+
+Its systems are built from stacked row products, ``np.vecmat(rows,
+matrix)`` for an (..., m, n) stack of rows (:mod:`~poismoe.poisson`,
+:mod:`~poismoe.gating`, :mod:`~poismoe.tuning`). Each row of the result
+is its own vector-matrix product, so it rounds the same wherever its row
+sits in the stack: relabeling classes permutes the results bit for bit,
+and a chain's rows get the same results in a batch of chains as alone,
+which a plain matrix product, rounding its edge rows apart, does not
+give.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -9,33 +19,18 @@ from .errors import NumericalFailure, SingularSystem
 # 2-norm condition threshold for the unpenalized Gram matrix.
 COND_LIMIT = 1e12
 
-__all__ = ["COND_LIMIT", "outer_basis", "rowwise_product",
-           "penalized_wls_solve"]
+__all__ = ["COND_LIMIT", "outer_basis", "penalized_wls_solve"]
 
 
 def outer_basis(design: np.ndarray) -> np.ndarray:
     """Row-wise outer products of an (n, k) design, as an (n, k*k) matrix.
 
     Row i is a_i a_i' flattened, so for a stack of row weights W (m, n)
-    the product ``rowwise_product(W, outer_basis(A))``, reshaped to
+    the product ``np.vecmat(W, outer_basis(A))``, reshaped to
     (m, k, k), is every weighted Gram A' diag(w) A of the stack at once.
     """
     n, k = design.shape
     return (design[:, :, None] * design[:, None, :]).reshape(n, k * k)
-
-
-def rowwise_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``rows @ matrix`` for an (..., m, n) stack of rows, as one stacked
-    product.
-
-    Each row of the result is its own vector-matrix product
-    (``np.vecmat``), so it rounds the same wherever its row sits in the
-    stack: relabeling classes permutes the results bit for bit, and a
-    chain's rows get the same results in a batch of chains as alone,
-    which a plain matrix product, rounding its edge rows apart, does not
-    give.
-    """
-    return np.vecmat(rows, matrix)
 
 
 def penalized_wls_solve(gram: np.ndarray, rhs: np.ndarray,

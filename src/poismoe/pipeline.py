@@ -10,6 +10,7 @@ shrinks the ridge update of the same systems by S^-1 (S - d I).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -17,14 +18,14 @@ from .errors import PoismoeError
 from .gating import gating_probabilities
 from .model import (Coefficients, Dataset, FitResult, MixtureSpec,
                     SemOptions, TuningParams, observed_loglik)
-from .poisson import ComponentWorkspace, poisson_means
+from .poisson import poisson_means
 from .sem import run_sem
 from .tuning import bias_corrections_for_partition, estimate_ridge_lambdas
 
 METHODS = ("ml", "ridge", "lt")
 
-__all__ = ["METHODS", "PipelineResult", "fit_all_methods", "fit_method",
-           "bic_value", "bic_scan"]
+__all__ = ["METHODS", "PipelineResult", "spawn_seed", "fit_all_methods",
+           "fit_method", "bic_value", "bic_scan"]
 
 
 @dataclass
@@ -40,8 +41,10 @@ class PipelineResult:
         return getattr(self, method)
 
 
-def _stage_seed(base_seed: int, stage: int) -> int:
-    return int(np.random.SeedSequence(base_seed, spawn_key=(stage,))
+def spawn_seed(seed: int, *key: int) -> int:
+    """The integer seed ``SeedSequence(seed, spawn_key=key)`` gives: the
+    independent stream of stage, replicate or truth fit ``key``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key)
                .generate_state(1, np.uint64)[0])
 
 
@@ -49,23 +52,17 @@ def _make_retuner(data: Dataset, tuning_lt: TuningParams,
                   anchors: Coefficients):
     """Retuner for ``run_sem`` on ``data``: d fit per M-step.
 
-    The returned ``retuner(workspace, log_pi)`` re-optimizes d on
-    ``data`` in closed form, under the lambdas of ``tuning_lt``, against
-    the systems the next update will solve, for every chain of the batch
-    at once: it returns ``(d_beta, d_alpha)``, each (B, J). Plug-in truth
-    stays at the ridge ``anchors``, whose means and gate probabilities it
-    computes once per fit.
+    ``retuner(workspace, log_pi)`` is
+    :func:`~poismoe.tuning.bias_corrections_for_partition` under the
+    lambdas of ``tuning_lt``, with the ridge ``anchors`` as plug-in truth,
+    whose means and gate probabilities are computed once per fit; it
+    returns ``(d_beta, d_alpha)``, each (B, J), for a batch of chains.
     """
-    anchor_means = poisson_means(data.X, anchors.beta)
-    anchor_pi = gating_probabilities(data.Omega, anchors.alpha).T
-
-    def retuner(workspace: ComponentWorkspace,
-                log_pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return bias_corrections_for_partition(
-            data, workspace, log_pi, tuning_lt, anchors, anchor_means,
-            anchor_pi)
-
-    return retuner
+    return partial(bias_corrections_for_partition, data, tuning=tuning_lt,
+                   anchors=anchors,
+                   anchor_means=poisson_means(data.X, anchors.beta),
+                   anchor_pi=gating_probabilities(data.Omega,
+                                                  anchors.alpha).T)
 
 
 def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
@@ -105,7 +102,7 @@ def fit_all_methods(data: Dataset, spec: MixtureSpec, opts: SemOptions,
                 label = "ML" if source == "ml" else source
                 result.failures[method] = f"prerequisite {label} fit failed"
                 continue
-        stage_opts = replace(opts, rng_seed=_stage_seed(opts.rng_seed, stage))
+        stage_opts = replace(opts, rng_seed=spawn_seed(opts.rng_seed, stage))
         try:
             if plugin is not None:
                 tuning = estimate_ridge_lambdas(plugin.psi_hat, source=source)

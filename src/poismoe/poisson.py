@@ -10,7 +10,7 @@ All J components are updated together, in the class-major (J, n) layout
 of the E-step: each component's IRWLS weights cover every observation
 and are exactly zero on the rows it was not assigned, so one stacked
 product against the design's outer-product basis (``Dataset.X_outer``,
-:func:`~poismoe.linalg.rowwise_product`) forms every component's Gram,
+``np.vecmat``, see :mod:`~poismoe.linalg`) forms every component's Gram,
 one more forms every right-hand side, and one stacked solve updates
 every beta. The partition is the (n,) label array of the S-step; a
 batch of chains adds a leading chain axis to it and to every array,
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, EmptyPartition, NumericalFailure
-from .linalg import penalized_wls_solve, rowwise_product
+from .linalg import penalized_wls_solve
 from .model import ETA_MAX
 
 if TYPE_CHECKING:
@@ -111,10 +111,10 @@ def build_workspace(data: "Dataset", labels: np.ndarray,
     mu = _checked_exp(eta)
     weights = mu * rows
     terms = (mu * eta + (data.y - mu)) * rows
-    gram = rowwise_product(weights, data.X_outer).reshape(
+    gram = np.vecmat(weights, data.X_outer).reshape(
         *weights.shape[:-1], data.p, data.p)
     return ComponentWorkspace(weights=weights, gram=gram,
-                              rhs=rowwise_product(terms, data.X))
+                              rhs=np.vecmat(terms, data.X))
 
 
 def irwls_beta_step(ws: ComponentWorkspace,

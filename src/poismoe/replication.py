@@ -22,7 +22,7 @@ from .metrics import (ReplicationSummary, align_components,
                       write_summary_csv)
 from .model import (Coefficients, Dataset, MixtureSpec, SemOptions,
                     check_fields, responsibilities)
-from .pipeline import METHODS, fit_all_methods, fit_method
+from .pipeline import METHODS, fit_all_methods, fit_method, spawn_seed
 from .simulate import SimulationDesign, VALIDATION_SIZE, simulate_dataset
 
 BLOCKS = ("beta", "alpha", "accuracy")
@@ -108,20 +108,15 @@ def _replicate_seed(seed: int, index: int, stream: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(index, stream)))
 
 
-def _fit_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(index, 1))
-               .generate_state(1, np.uint64)[0])
-
-
 def _fit_and_score(config: StudyConfig, index: int, train: Dataset,
-                   truth: Coefficients, n_train: int, validation: Dataset,
+                   truth: Coefficients, validation: Dataset,
                    z_true: np.ndarray) -> list[dict]:
     """Fit replicate ``index`` on ``train``; return its ``replicates.csv``
     rows, one per method, scoring the label-aligned fit against ``truth``
     (NaN with a note when its fit or scoring failed)."""
     spec = MixtureSpec(n_components=truth.n_components,
                        reference_class=truth.reference_class)
-    opts = replace(config.sem, rng_seed=_fit_seed(config.seed, index))
+    opts = replace(config.sem, rng_seed=spawn_seed(config.seed, index, 1))
     result = fit_all_methods(train, spec, opts, methods=config.methods,
                              raise_on_failure=False)
     rows = []
@@ -134,8 +129,8 @@ def _fit_and_score(config: StudyConfig, index: int, train: Dataset,
                 aligned = fit.psi_hat.permute(
                     align_components(fit.psi_hat, truth))
                 beta, alpha, accuracy = (
-                    sqrt_mse(aligned, truth, "beta", n_train),
-                    sqrt_mse(aligned, truth, "alpha", n_train),
+                    sqrt_mse(aligned, truth, "beta", train.n),
+                    sqrt_mse(aligned, truth, "alpha", train.n),
                     classification_accuracy(aligned, validation, z_true))
                 note = ""
             except PoismoeError as exc:
@@ -154,8 +149,8 @@ def _simulation_replicate(args: tuple) -> list[dict]:
     train, _ = simulate_dataset(design, data_rng)
     validation_design = replace(design, n=config.validation_n)
     validation, z_true = simulate_dataset(validation_design, data_rng)
-    return _fit_and_score(config, index, train, design.truth(), design.n,
-                          validation, z_true)
+    return _fit_and_score(config, index, train, design.truth(), validation,
+                          z_true)
 
 
 def _heart_replicate(args: tuple) -> list[dict]:
@@ -168,8 +163,7 @@ def _heart_replicate(args: tuple) -> list[dict]:
     train = Dataset(y=y[train_idx], X=X[train_idx], Omega=Omega[train_idx])
     test = Dataset(y=y[test_idx], X=X[test_idx], Omega=Omega[test_idx])
     z_true = responsibilities(test, psi_true).argmax(axis=1)
-    return _fit_and_score(config, index, train, psi_true, config.train_n,
-                          test, z_true)
+    return _fit_and_score(config, index, train, psi_true, test, z_true)
 
 
 def _run_tasks(worker, tasks: list, jobs: int) -> list[list[dict]]:
@@ -195,7 +189,7 @@ def run_replication_study(config: StudyConfig) -> StudyResult:
         spec = MixtureSpec(n_components=config.n_components,
                            reference_class=config.reference_class)
         truth_opts = replace(config.truth_sem,
-                             rng_seed=_fit_seed(config.seed, 10**6))
+                             rng_seed=spawn_seed(config.seed, 10**6, 1))
         psi_true = fit_method(full, spec, truth_opts, "ml").psi_hat
         arrays = (np.asarray(full.y), np.asarray(full.X),
                   np.asarray(full.Omega))

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import TuningFailed
 from .gating import gate_variance_weights
-from .linalg import rowwise_product
 from .model import Coefficients, Dataset, TuningParams
 from .poisson import ComponentWorkspace
 
@@ -56,51 +55,39 @@ def estimate_ridge_lambdas(psi_source: Coefficients,
                         d_alpha=np.zeros_like(lambda_alpha), source=source)
 
 
-def _lt_mse(d: float, gram: np.ndarray, lam: float, mean_vec: np.ndarray,
-            target: np.ndarray) -> float:
-    """tr Var + squared bias of the Liu-type estimator B(d) rhs.
+def lt_mse_beta(d: float, design: np.ndarray, weights: np.ndarray,
+                lam: float, target: np.ndarray, plugin: np.ndarray) -> float:
+    """Plug-in MSE, tr Var + squared bias, of one Liu-type update: a
+    component's (A = X, its IRWLS weights, ``plugin`` the means of the
+    beta ``target``) or, as ``lt_mse_alpha``, a class's gate update (A =
+    Omega, its diagonal-block weights, the alpha's class probabilities).
 
-    With S = gram + lam*I and B(d) = S^-1 (S - d*I) S^-1, the estimator
-    ``penalized_wls_solve`` applies, the variance term is tr[B gram B']
-    and the mean is B @ mean_vec; d=0 scores the ridge solve S^-1 rhs.
-    The test oracle for :func:`optimize_bias_correction`, so built apart
-    from its eigenbasis, with np.linalg.solve."""
+    With gram = A' diag(weights) A, S = gram + lam*I and
+    B(d) = S^-1 (S - d*I) S^-1, the estimator ``penalized_wls_solve``
+    applies, the variance term is tr[B gram B'] and the mean is
+    B A'(weights * plugin); d=0 scores the ridge solve S^-1 rhs. The test
+    oracle for :func:`optimize_bias_correction`, so built apart from its
+    eigenbasis, with np.linalg.solve."""
+    design = np.asarray(design, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    gram = design.T @ (weights[:, None] * design)
+    mean_vec = design.T @ (weights * np.asarray(plugin, dtype=float))
     size = gram.shape[0]
-    system = gram + lam * np.eye(size)
+    system = gram + float(lam) * np.eye(size)
     try:
-        half = np.linalg.solve(system, system - d * np.eye(size))
+        half = np.linalg.solve(system, system - float(d) * np.eye(size))
         shrink = np.linalg.solve(system, half.T).T
     except np.linalg.LinAlgError as exc:
         raise TuningFailed("MSE system could not be solved") from exc
     variance_trace = float(np.trace(shrink @ gram @ shrink.T))
-    bias = shrink @ mean_vec - target
+    bias = shrink @ mean_vec - np.asarray(target, dtype=float)
     value = variance_trace + float(bias @ bias)
     if not np.isfinite(value):
         raise TuningFailed("MSE evaluation is not finite")
     return value
 
 
-def lt_mse_beta(d: float, X_j: np.ndarray, W_j: np.ndarray, lambda_j: float,
-                beta_plugin: np.ndarray, mu_plugin: np.ndarray) -> float:
-    """Plug-in MSE of the Liu-type regression update for one component."""
-    X_j = np.asarray(X_j, dtype=float)
-    W_j = np.asarray(W_j, dtype=float)
-    gram = X_j.T @ (W_j[:, None] * X_j)
-    mean_vec = X_j.T @ (W_j * np.asarray(mu_plugin, dtype=float))
-    return _lt_mse(float(d), gram, float(lambda_j),
-                   mean_vec, np.asarray(beta_plugin, dtype=float))
-
-
-def lt_mse_alpha(d_star: float, Omega: np.ndarray, Wg_j: np.ndarray,
-                 lambda_star_j: float, alpha_plugin: np.ndarray,
-                 pi_plugin: np.ndarray) -> float:
-    """Plug-in MSE of the Liu-type gating update for one class."""
-    Omega = np.asarray(Omega, dtype=float)
-    Wg_j = np.asarray(Wg_j, dtype=float)
-    gram = Omega.T @ (Wg_j[:, None] * Omega)
-    mean_vec = Omega.T @ (Wg_j * np.asarray(pi_plugin, dtype=float))
-    return _lt_mse(float(d_star), gram, float(lambda_star_j),
-                   mean_vec, np.asarray(alpha_plugin, dtype=float))
+lt_mse_alpha = lt_mse_beta
 
 
 def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
@@ -124,9 +111,10 @@ def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
     (V'mean_vec/s^2) s, which cannot overflow, and an s whose square
     would overflow raises :class:`TuningFailed` before any quotient is
     formed: there g / s^2 is inf/inf, so the MSE has no finite
-    coefficients. Coefficients that overflow anyway raise
-    :class:`TuningFailed` too, without a numpy warning. If any system of
-    a stack fails, the whole call raises.
+    coefficients. An s whose square is 0 (s[0] = 0 exactly, say) gives
+    non-finite coefficients too. Those and coefficients that overflow
+    anyway raise :class:`TuningFailed`, without a numpy warning. If any
+    system of a stack fails, the whole call raises.
     """
     try:
         g, vecs = np.linalg.eigh(np.asarray(gram, dtype=float))
@@ -136,9 +124,9 @@ def optimize_bias_correction(gram: np.ndarray, lam, mean_vec: np.ndarray,
     if not (np.abs(s) <= _SQRT_MAX).all():
         raise TuningFailed("MSE coefficients are not finite")
     s_sq = s * s
-    # Overflow (say, of a mean vector near the largest float) leaves
-    # non-finite coefficients, which the checks below refuse.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow (say, of a mean vector near the largest float) or an s^2
+    # of 0 leaves non-finite coefficients, which the checks below refuse.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratio = g / s_sq
         u = (np.asarray(mean_vec, dtype=float)[..., None, :]
              @ vecs)[..., 0, :] / s_sq
@@ -186,17 +174,17 @@ def bias_corrections_for_partition(data: Dataset,
     """
     d_beta = optimize_bias_correction(
         workspace.gram, tuning.lambda_beta,
-        rowwise_product(workspace.weights * anchor_means, data.X),
+        np.vecmat(workspace.weights * anchor_means, data.X),
         anchors.beta)
     n_components, q = anchors.n_components, anchors.q
     free = np.flatnonzero(np.arange(n_components) != anchors.reference_class)
     d_alpha = np.zeros((*log_pi.shape[:-2], n_components))
     if free.size:
         weights = gate_variance_weights(np.exp(log_pi[..., free, :]))
-        grams = rowwise_product(weights, data.Omega_outer).reshape(
+        grams = np.vecmat(weights, data.Omega_outer).reshape(
             *weights.shape[:-1], q, q)
         d_alpha[..., free] = optimize_bias_correction(
             grams, tuning.lambda_alpha[free],
-            rowwise_product(weights * anchor_pi[free], data.Omega),
+            np.vecmat(weights * anchor_pi[free], data.Omega),
             anchors.alpha[free])
     return d_beta, d_alpha

@@ -51,3 +51,22 @@ def single_component_data(seed=5, n=50):
     y = gen.poisson(np.exp(X @ beta))
     data = Dataset(y=y, X=X, Omega=np.ones((n, 1)))
     return data, np.zeros(n, dtype=np.int64), beta
+
+
+def write_heart_population(path, rows=80, seed=0):
+    """A Cleveland "processed"-format file: two latent groups whose stage
+    is a Poisson count in ST depression and slope, capped at 4."""
+    gen = np.random.default_rng(seed)
+    lines = []
+    for _ in range(rows):
+        sick = gen.random() < 0.45
+        oldpeak = round(float(gen.gamma(2.5 if sick else 1.2, 0.7)), 1)
+        slope = int(gen.integers(1, 4))
+        eta = (-0.4 + 0.25 * oldpeak + 0.15 * slope if sick
+               else -1.6 + 0.15 * oldpeak + 0.1 * slope)
+        stage = min(4, int(gen.poisson(np.exp(eta))))
+        lines.append(",".join(["63.0", "1.0", "1.0", "145.0", "233.0",
+                               "1.0", "2.0", "150.0", "0.0", str(oldpeak),
+                               f"{slope}.0", "0.0", "6.0", str(stage)]))
+    path.write_text("\n".join(lines) + "\n")
+    return path

@@ -7,7 +7,7 @@ import pytest
 import poismoe as pm
 from poismoe.cli import HIGH_FAILURE_EXIT, main
 
-from conftest import single_component_data
+from conftest import single_component_data, write_heart_population
 from test_heart import COMPLETE_1, COMPLETE_2, COMPLETE_3, write_heart_file
 from test_poisson import poisson_mle_oracle
 
@@ -64,6 +64,25 @@ def test_fit_rejects_malformed_csv(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "file is empty"),
+    ("count,x1,w1\n", "no data rows found"),
+    ("count,x1,w1\n1,0.5,0.2\n2,0.1\n",
+     "line 3: expected 3 columns, found 2"),
+    # a blank line is skipped, but still counts toward the line number
+    ("count,x1,w1\n1,0.5,0.2\n\noops,0.1,0.3\n", "line 4: unparseable"),
+], ids=["empty", "header-only", "short-row", "blank-line"])
+def test_fit_refuses_a_table_it_cannot_read(tmp_path, capsys, text, message):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    rc = main(["fit", "--data", str(path), "--response", "count",
+               "--x", "x1", "--omega", "w1", "--components", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("row", ["2,nan,0.3", "2,0.1,inf", "2,-inf,0.3"])
@@ -135,7 +154,8 @@ def test_fit_rejects_negative_counts(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_bic_scan_selects_two_components(tmp_path):
+def two_component_csv(tmp_path):
+    """A 150-row CSV drawn from a well-separated two-component mixture."""
     design = pm.SimulationDesign(
         n=150, beta_true=((0.0, 0.3), (3.0, -0.2)),
         alpha_true=((0.7, 0.5), (0.0, 0.0)), reference_class=1)
@@ -144,6 +164,35 @@ def test_bic_scan_selects_two_components(tmp_path):
     rows = [[int(data.y[i]), float(data.X[i, 1]), float(data.Omega[i, 1])]
             for i in range(data.n)]
     write_csv(path, ["count", "x1", "w1"], rows)
+    return path
+
+
+@pytest.mark.parametrize("method, source", [("ridge", "ml"), ("lt", "ridge")])
+def test_fit_writes_the_tuning_of_a_shrunk_fit(tmp_path, method, source):
+    # A ridge fit takes its lambdas from the ML fit and keeps d at 0; a
+    # Liu-type fit takes them from the ridge fit and retunes d, which
+    # stays at or above 0.
+    out = tmp_path / "out"
+    rc = main(["fit", "--data", str(two_component_csv(tmp_path)),
+               "--response", "count", "--x", "x1", "--omega", "w1",
+               "--method", method, "--seed", "5", "--out", str(out),
+               "--max-iters", "20", "--burn-in", "5", "--restarts", "1"])
+    assert rc == 0
+    payload = json.loads((out / "fit.json").read_text())
+    assert payload["method"] == method
+    tuning = payload["tuning"]
+    assert tuning["source"] == source
+    for block in ("beta", "alpha"):
+        assert len(tuning[f"lambda_{block}"]) == 2
+        assert all(lam > 0 for lam in tuning[f"lambda_{block}"])
+        d = tuning[f"d_{block}"]
+        assert len(d) == 2
+        assert all(value == 0 if method == "ridge" else value >= 0
+                   for value in d)
+
+
+def test_bic_scan_selects_two_components(tmp_path):
+    path = two_component_csv(tmp_path)
     out = tmp_path / "out"
     rc = main(["fit", "--data", str(path), "--response", "count",
                "--x", "x1", "--omega", "w1", "--bic-scan", "3",
@@ -307,6 +356,23 @@ def test_a_study_whose_every_fit_fails_keeps_its_rows(tmp_path, capsys):
         "method,parameter_block,M,L,U,n_replicates,n_failed"]
 
 
+def test_heart_study_writes_every_method_block(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["heart", "--data",
+               str(write_heart_population(tmp_path / "heart.csv")),
+               "--train-n", "25", "--test-n", "40", "--replicates", "2",
+               "--seed", "3", "--max-iters", "8", "--burn-in", "2",
+               "--restarts", "1", "--out", str(out)])
+    assert rc in (0, 2)
+    assert capsys.readouterr().out.startswith("loaded 80 complete rows")
+    with (out / "summary.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(row["method"], row["parameter_block"]) for row in rows] == [
+        (method, block) for method in pm.pipeline.METHODS
+        for block in pm.replication.BLOCKS]
+    assert all(row["n_replicates"] == "2" for row in rows)
+
+
 def test_replicate_from_config_reproduces_run(tmp_path):
     config_path = tmp_path / "config.json"
     out_a = tmp_path / "direct"
@@ -359,7 +425,19 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-@pytest.mark.parametrize("block, key, value", [
+def config_case_id(block, key, value) -> str:
+    """``block-key-value``, a list spelled out one level deep and a list
+    inside it or a JSON object written ``[...]`` or ``{...}``, so that no
+    case's id depends on its place in the list."""
+    def spell(item, outer=True):
+        if isinstance(item, list):
+            return ("[" + ",".join(spell(inner, False) for inner in item)
+                    + "]") if outer else "[...]"
+        return "{...}" if isinstance(item, dict) else str(item)
+    return f"{block}-{key}-{spell(value)}"
+
+
+UNUSABLE_CONFIG_KEYS = [
     ("sem", "hard_assignment", True),
     ("truth_sem", "inner_max", 10),
     ("sem", "step_acceptance", "halving"),
@@ -419,7 +497,12 @@ def test_replicate_accepts_configs_with_retired_sem_entries(tmp_path):
     # A chain seed, which a study replaces with one of its own per fit.
     ("sem", "rng_seed", 5),
     ("truth_sem", "rng_seed", 3),
-])
+]
+
+
+@pytest.mark.parametrize("block, key, value", UNUSABLE_CONFIG_KEYS,
+                         ids=[config_case_id(*case)
+                              for case in UNUSABLE_CONFIG_KEYS])
 def test_replicate_rejects_unusable_config_keys(tmp_path, capsys, block,
                                                 key, value):
     config = pm.replication.config_to_dict(

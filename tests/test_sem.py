@@ -348,6 +348,20 @@ def test_run_sem_takes_a_retuner_for_a_liu_type_fit_only(method, retuned):
                    tuning=tuning, retune=retune if retuned else None)
 
 
+@pytest.mark.parametrize("method, tuned, message", [
+    ("mle", True, "^unknown method 'mle'$"),
+    ("ridge", False, "^method 'ridge' requires tuning parameters$")])
+def test_run_sem_refuses_an_unknown_method_or_a_ridge_fit_untuned(
+        method, tuned, message):
+    data, _, _ = small_mixture(seed=16)
+    tuning = pm.TuningParams([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
+    opts = pm.SemOptions(epsilon=1e-8, max_iters=3, burn_in=0, n_restarts=1,
+                         rng_seed=2)
+    with pytest.raises(ValueError, match=message):
+        pm.run_sem(data, pm.MixtureSpec(2, 0), opts, method=method,
+                   tuning=tuning if tuned else None)
+
+
 def test_run_sem_reports_the_tuning_of_the_selected_iteration():
     data, _, _ = small_mixture(seed=16)
     returned = []

@@ -20,6 +20,8 @@ import pytest
 
 import poismoe as pm
 from poismoe.pipeline import METHODS
+
+from conftest import write_heart_population
 from test_pinned_fits import FIXTURE, assert_refits
 
 import fit_compare  # from tools/, which conftest.py puts on sys.path
@@ -91,25 +93,6 @@ def test_fit_compare_summary_of_a_checkout_with_itself_reads_the_same(
     for method in METHODS:  # one chain per replicate and restart
         assert sum(int(fields[3]) for fields in chains
                    if fields[1] == method) == 2
-
-
-def write_heart_population(path, rows=80, seed=0):
-    """A Cleveland "processed"-format file: two latent groups whose stage
-    is a Poisson count in ST depression and slope, capped at 4."""
-    gen = np.random.default_rng(seed)
-    lines = []
-    for _ in range(rows):
-        sick = gen.random() < 0.45
-        oldpeak = round(float(gen.gamma(2.5 if sick else 1.2, 0.7)), 1)
-        slope = int(gen.integers(1, 4))
-        eta = (-0.4 + 0.25 * oldpeak + 0.15 * slope if sick
-               else -1.6 + 0.15 * oldpeak + 0.1 * slope)
-        stage = min(4, int(gen.poisson(np.exp(eta))))
-        lines.append(",".join(["63.0", "1.0", "1.0", "145.0", "233.0",
-                               "1.0", "2.0", "150.0", "0.0", str(oldpeak),
-                               f"{slope}.0", "0.0", "6.0", str(stage)]))
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def test_fit_compare_scores_both_checkouts_against_the_base_truth(tmp_path):

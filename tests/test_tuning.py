@@ -311,6 +311,21 @@ def test_overflowing_mean_vector_raises_without_a_warning():
                                         mean_vec, np.ones((2, 2)))
 
 
+def test_a_zero_shifted_eigenvalue_raises_without_a_warning():
+    # g = -1e-12 shifted by lam = 1e-12 is s = 0 exactly (a singular Gram
+    # at a tiny lambda), so g / s^2 is not a number: TuningFailed, and
+    # numpy prints no divide-by-zero warning; alone and in a stack.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TuningFailed):
+            pm.optimize_bias_correction(np.array([[-1e-12]]), 1e-12,
+                                        np.ones(1), np.ones(1))
+        stack = np.array([np.eye(2), np.diag([-1e-12, 1.0])])
+        with pytest.raises(TuningFailed):
+            pm.optimize_bias_correction(stack, np.array([1.0, 1e-12]),
+                                        np.ones((2, 2)), np.ones((2, 2)))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_optimize_stays_in_the_restricted_interval(seed):
     # d lies in [0, max(lam + g_min, 0)], every eigen-factor (s - d)/s of
